@@ -349,9 +349,9 @@ def check_config_coverage(
     """RL005: every ``class_name`` dataclass field referenced by a test.
 
     A field counts as referenced when any test module passes it as a
-    keyword argument (``ServingConfig(per_layer_demand=False)``, including
+    keyword argument (``BalancingConfig(shadow_slots=2)``, including
     through ``dataclasses.replace``) or reads it as an attribute
-    (``config.per_layer_demand``).
+    (``config.shadow_slots``).
     """
     tree = ast.parse(config_path.read_text(), filename=str(config_path))
     fields: list[tuple[str, int]] = []

@@ -600,8 +600,8 @@ class StackedNonInvasiveBalancer(StackedTopologyAwareBalancer):
             self.config = apply_noninvasive_default(self.config)
 
 
-#: Per-layer balancer class -> its stacked equivalent (exact match; custom
-#: subclasses fall back to the per-layer serving path).
+#: Per-layer balancer class -> its stacked equivalent (exact match; the
+#: serving loop rejects a class with no entry).
 STACKED_BALANCERS: dict[type, type[StackedBalancer]] = {
     NoBalancer: StackedNoBalancer,
     GreedyBalancer: StackedGreedyBalancer,

@@ -155,9 +155,9 @@ class ComputeModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-layer peak-device (compute, memory) arrays.
 
-        The shared kernel behind :meth:`moe_peak_times` and the serving
-        engine's stacked path: one einsum over a ``(layers, experts,
-        devices)`` replica tensor, then an argmax along the device axis.
+        The serving engine's batched MoE roofline: one einsum over a
+        ``(layers, experts, devices)`` replica tensor, then an argmax along
+        the device axis.
 
         Args:
             layer_loads: ``(layers, experts)`` token loads.
@@ -183,46 +183,3 @@ class ComputeModel:
         peak = np.argmax(compute + memory, axis=1)
         rows = np.arange(peak.size)
         return compute[rows, peak], memory[rows, peak]
-
-    def moe_peak_times(
-        self,
-        layer_loads: np.ndarray,
-        placements,
-    ) -> list[RooflineTimes]:
-        """Batched :meth:`moe_peak_time` across layers.
-
-        Args:
-            layer_loads: ``(layers, experts)`` token loads, one row per layer.
-            placements: one :class:`ExpertPlacement` per layer (all with the
-                same expert/device counts), or a
-                :class:`~repro.mapping.placement.StackedPlacement` whose
-                tensors are used directly, copy-free.
-        """
-        loads = np.asarray(layer_loads, dtype=float)
-        if hasattr(placements, "replica_tensor"):
-            matrices = placements.replica_tensor
-            counts = placements.replica_counts
-            num_layers = placements.num_layers
-            num_experts = placements.num_experts
-        else:
-            if not placements:
-                return []
-            matrices = np.stack([p.replica_matrix for p in placements])
-            counts = np.stack([p.replica_counts for p in placements])
-            num_layers = len(placements)
-            num_experts = placements[0].num_experts
-        if loads.ndim != 2 or loads.shape[0] != num_layers:
-            raise ValueError(
-                f"layer_loads shape {loads.shape} does not match "
-                f"{num_layers} placements"
-            )
-        if loads.shape[1] != num_experts:
-            raise ValueError(
-                f"expected {num_experts} expert loads per layer, "
-                f"got {loads.shape[1]}"
-            )
-        compute, memory = self.moe_peak_arrays(loads, matrices, counts)
-        return [
-            RooflineTimes(compute=float(c), memory=float(m))
-            for c, m in zip(compute.tolist(), memory.tolist())
-        ]

@@ -6,48 +6,28 @@ critical path, or non-invasively drained through cold links) -> iteration
 latency.  Produces the run-time traces behind Fig. 15 and the aggregate
 comparisons of Fig. 16/17.
 
-Two engines drive the same loop.  The default *stacked* engine keeps every
-sparse layer's placement and balancer state in layer-stacked tensors
-(:class:`~repro.mapping.placement.StackedPlacement` +
+Every sparse layer's placement and balancer state lives in layer-stacked
+tensors (:class:`~repro.mapping.placement.StackedPlacement` +
 :class:`~repro.balancer.stacked.StackedBalancer`), so observing loads,
 evaluating the Eq. 2 cumulative trigger, planning migrations and pricing
-MoE rooflines cost a handful of vectorized ops regardless of depth — full
-DeepSeek-V3 (58 sparse layers) runs at roughly the wall-clock of the old
-2-layer proxy.  The *per-layer* engine (``stacked=False``) iterates a list
-of :class:`~repro.balancer.base.Balancer` objects with the seed's
-balancing logic; it is the bit-identical oracle the regression tests hold
-the stacked engine against (same workload stream in, same trace out), and
-the automatic fallback for custom balancer subclasses with no stacked
-equivalent.
+MoE rooflines cost a handful of vectorized ops regardless of depth.  The
+per-layer :class:`~repro.balancer.base.Balancer` classes name the
+strategy (``balancer_cls`` selects its stacked equivalent) and are the
+bit-exact reference the stacked engine is tested against.
 
-Communication is priced per layer in both *placement* and *demand*: layer
-0 gets the full network simulation, and every other layer's MoE phase
-combines its own compute roofline with its own all-to-all price.  By
-default (``ServingConfig(per_layer_demand=True)``) the workload resolves
-group-level gating counts for every layer
-(:meth:`~repro.workload.gating.GatingSimulator.next_group_counts`), so
-each layer is priced against its own demand rows *and* its own
-destination shares through the layer-batched
-:class:`~repro.network.alltoall.LayeredDispatchPlan` — per-layer demand
-skew reaches the pricer instead of broadcasting layer 0's rows.  With
-``per_layer_demand=False`` the loop samples
-:meth:`~repro.workload.gating.GatingSimulator.next_loads` and restores the
-PR 4 demand-broadcast semantics bit-identically: layers whose placement
-content still matches layer 0 reuse its exactly-simulated collectives, and
-only migration-diverged layers are priced (against layer 0's demand).
-``ServingConfig(per_layer_alltoall=False)`` further restores the plain
-layer-0-broadcast pricing of earlier releases.  Note that *traces* are not
-comparable across these modes or with pre-stacked releases: each samples
-the workload RNG stream differently (equally distributed layer totals,
-different draw counts).
+Each layer pays its own all-to-all for its own demand and its own expert
+placement: the workload resolves group-level gating counts for every layer
+(:meth:`~repro.workload.gating.GatingSimulator.next_group_counts`), layer
+0 gets the full network simulation, and every later layer is priced
+against its own demand rows and destination shares through the
+layer-batched :class:`~repro.network.alltoall.LayeredDispatchPlan`.
 """
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.analysis.load import device_token_loads, stacked_device_token_loads
+from repro.analysis.load import stacked_device_token_loads
 from repro.balancer.base import Balancer, BalancerConfig, Migration
 from repro.balancer.migration import PendingMigration, SegmentKind, split_migration
 from repro.balancer.stacked import STACKED_BALANCERS, StackedBalancer
@@ -104,109 +84,26 @@ class BalancingConfig:
 
 @dataclass(frozen=True)
 class PricingConfig:
-    """Communication-pricing mode selection.
+    """All-to-all pricing operator selection.
 
     Attributes:
-        per_layer_alltoall: price each layer's all-to-all against its own
-            placement once migrations make layers diverge (layers whose
-            placement content still matches layer 0 reuse its exactly
-            simulated collectives, so migration-free runs are bit-identical
-            either way).  Disable to restore the layer-0-broadcast pricing
-            of earlier releases — the pre-migration oracle the regression
-            tests pin against.
-        per_layer_demand: resolve group-level gating demand for *every*
-            layer (via :meth:`~repro.workload.gating.GatingSimulator.
-            next_group_counts`) and price each layer's all-to-all against
-            its own demand rows, so per-layer demand skew — not just
-            placement divergence — reaches the pricer.  Only takes effect
-            together with ``per_layer_alltoall`` on a multi-layer stack;
-            disable to restore the demand-broadcast path of PR 4 (layer 0's
-            demand rows priced against every layer's placement), which the
-            regression tests pin bit-identically.
-        record_broadcast_price: under resolved demand, also price each
-            iteration through the PR 4 demand-broadcast path and record it
-            as :attr:`IterationRecord.alltoall_broadcast` — the companion
-            that isolates demand skew from placement divergence in the
-            communication bill.  Off by default because it adds a second
-            pricer pass per diverged iteration (the figure specs turn it
-            on; the wall-clock-gated serving benchmark keeps it off).  When
-            off, resolved runs record NaN; demand-broadcast runs always
-            record their own (free) price.
         sparse_pricing: which all-to-all pricing operator backs the
             layered plan.  ``True`` forces the CSR
             :class:`~repro.network.alltoall.SparseAllToAllPricer`
             (incremental, O(nonzero cells) memory), ``False`` forces the
             dense :class:`~repro.network.alltoall.LayeredAllToAllPricer`
-            (the pinned oracle, O(G * D * links) memory), and ``None``
-            (default) picks sparse exactly when the dense operator would
-            exceed :data:`~repro.network.alltoall.
-            SPARSE_AUTO_THRESHOLD_BYTES` — small systems keep the dense
-            matmul, 256+-device systems switch to sparse.  The two tiers
-            agree to ~1e-12 relative (summation-order rounding only).
+            (O(G * D * links) memory), and ``None`` (default) picks sparse
+            exactly when the dense operator would exceed
+            :data:`~repro.network.alltoall.SPARSE_AUTO_THRESHOLD_BYTES` —
+            small systems keep the dense matmul, 256+-device systems
+            switch to sparse.  The two tiers agree to ~1e-12 relative
+            (summation-order rounding only).
     """
 
-    per_layer_alltoall: bool = True
-    per_layer_demand: bool = True
-    record_broadcast_price: bool = False
     sparse_pricing: bool | None = None
 
-    def __post_init__(self) -> None:
-        if self.per_layer_demand and not self.per_layer_alltoall:
-            # Resolved demand only reaches the pricer through the
-            # per-layer plan, so with broadcast pricing the flag is
-            # silently inert — almost always a configuration mistake
-            # (per_layer_demand defaults to True).
-            warnings.warn(
-                "PricingConfig(per_layer_demand=True) is inert with "
-                "per_layer_alltoall=False — pass per_layer_demand=False "
-                "explicitly alongside it",
-                UserWarning,
-                stacklevel=2,
-            )
 
-
-#: Flat pre-grouping ServingConfig kwarg names and the sub-config that
-#: owns each today — the forwarding table behind the deprecated flat
-#: constructor path and :meth:`ServingConfig.from_flat`.
-_BALANCING_FIELDS = (
-    "alpha",
-    "beta_iters",
-    "warmup_iters",
-    "shadow_slots",
-    "migration_side_channel",
-)
-_PRICING_FIELDS = (
-    "per_layer_alltoall",
-    "per_layer_demand",
-    "record_broadcast_price",
-    "sparse_pricing",
-)
-
-
-def _apply_flat_kwargs(
-    balancing: BalancingConfig, pricing: PricingConfig, flat: dict
-) -> tuple[BalancingConfig, PricingConfig]:
-    """Forward flat legacy kwargs onto the sub-config that owns each."""
-    unknown = [
-        name
-        for name in flat
-        if name not in _BALANCING_FIELDS and name not in _PRICING_FIELDS
-    ]
-    if unknown:
-        raise TypeError(
-            "ServingConfig got unexpected keyword argument(s): "
-            + ", ".join(sorted(unknown))
-        )
-    balancing_over = {k: v for k, v in flat.items() if k in _BALANCING_FIELDS}
-    pricing_over = {k: v for k, v in flat.items() if k in _PRICING_FIELDS}
-    if balancing_over:
-        balancing = replace(balancing, **balancing_over)
-    if pricing_over:
-        pricing = replace(pricing, **pricing_over)
-    return balancing, pricing
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ServingConfig:
     """Serving-loop parameters, grouped by concern.
 
@@ -214,86 +111,17 @@ class ServingConfig:
         num_iterations: iterations to simulate.
         balancing: Eq. 2 trigger and migration-execution knobs
             (:class:`BalancingConfig`).
-        pricing: communication-pricing mode selection
+        pricing: all-to-all pricing operator selection
             (:class:`PricingConfig`).
-
-    The pre-grouping flat constructor kwargs (``alpha=...``,
-    ``per_layer_demand=...``) are still accepted and forwarded onto the
-    matching sub-config behind a :class:`DeprecationWarning`; the flat
-    attribute names keep working silently as read-only aliases
-    (``config.alpha`` == ``config.balancing.alpha``).  New code should
-    construct the sub-configs directly, or use :meth:`from_flat` when
-    starting from a flat kwarg dict.
     """
 
-    num_iterations: int
-    balancing: BalancingConfig
-    pricing: PricingConfig
+    num_iterations: int = 150
+    balancing: BalancingConfig = field(default_factory=BalancingConfig)
+    pricing: PricingConfig = field(default_factory=PricingConfig)
 
-    def __init__(
-        self,
-        num_iterations: int = 150,
-        balancing: BalancingConfig | None = None,
-        pricing: PricingConfig | None = None,
-        **legacy,
-    ) -> None:
-        balancing = balancing if balancing is not None else BalancingConfig()
-        pricing = pricing if pricing is not None else PricingConfig()
-        if legacy:
-            balancing, pricing = _apply_flat_kwargs(balancing, pricing, legacy)
-            warnings.warn(
-                "flat ServingConfig kwargs ("
-                + ", ".join(sorted(legacy))
-                + ") are deprecated; pass balancing=BalancingConfig(...) / "
-                "pricing=PricingConfig(...), or build from a flat dict with "
-                "ServingConfig.from_flat(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if num_iterations <= 0:
+    def __post_init__(self) -> None:
+        if self.num_iterations <= 0:
             raise ValueError("num_iterations must be positive")
-        object.__setattr__(self, "num_iterations", num_iterations)
-        object.__setattr__(self, "balancing", balancing)
-        object.__setattr__(self, "pricing", pricing)
-
-    @classmethod
-    def from_flat(
-        cls,
-        num_iterations: int = 150,
-        balancing: BalancingConfig | None = None,
-        pricing: PricingConfig | None = None,
-        **flat,
-    ) -> "ServingConfig":
-        """Build a grouped config from flat kwargs, without the warning.
-
-        The supported bridge for callers that carry serving knobs around
-        as a flat kwarg dict (test parametrization, sweep drivers): flat
-        names are forwarded onto the sub-config that owns them, applied
-        over ``balancing=`` / ``pricing=`` when those are also given.
-        """
-        balancing = balancing if balancing is not None else BalancingConfig()
-        pricing = pricing if pricing is not None else PricingConfig()
-        balancing, pricing = _apply_flat_kwargs(balancing, pricing, flat)
-        return cls(
-            num_iterations=num_iterations, balancing=balancing, pricing=pricing
-        )
-
-
-def _flat_alias(group: str, name: str) -> property:
-    return property(
-        lambda self: getattr(getattr(self, group), name),
-        doc=f"Read-only alias for ``{group}.{name}`` (pre-grouping name).",
-    )
-
-
-# Reads through the old flat names stay silent — only the construction
-# path warns — so downstream code that merely *inspects* a config keeps
-# working without churn while writers migrate to the grouped kwargs.
-for _name in _BALANCING_FIELDS:
-    setattr(ServingConfig, _name, _flat_alias("balancing", _name))
-for _name in _PRICING_FIELDS:
-    setattr(ServingConfig, _name, _flat_alias("pricing", _name))
-del _name
 
 
 @dataclass
@@ -303,21 +131,10 @@ class IterationRecord:
     iteration: int
     latency: float
     breakdown: IterationBreakdown
-    #: Mean per-layer all-to-all duration across simulated layers, under
-    #: whichever demand mode the run uses.  With broadcast demand it equals
-    #: ``breakdown.alltoall`` (layer 0's price) exactly while every layer
-    #: shares layer 0's placement content or per-layer pricing is off;
-    #: with resolved demand each layer prices its own demand rows, so it
-    #: diverges from the broadcast price from the first iteration.
+    #: Mean all-to-all duration across the simulated layers, each layer
+    #: priced against its own demand rows and its own placement
+    #: (``breakdown.alltoall`` is layer 0's exact price alone).
     alltoall_mean: float
-    #: Mean per-layer all-to-all duration under the PR 4 demand-broadcast
-    #: semantics (layer 0's demand rows against every layer's placement).
-    #: Equals :attr:`alltoall_mean` whenever ``per_layer_demand`` is off —
-    #: under resolved demand it is the companion price that isolates how
-    #: much of the communication bill is demand skew vs placement, priced
-    #: only when ``ServingConfig.record_broadcast_price`` asks for it (NaN
-    #: otherwise).
-    alltoall_broadcast: float
     max_device_load: float
     mean_device_load: float
     migration_exposed: float
@@ -382,8 +199,6 @@ class ServingTrace:
                 values.append(record.breakdown.moe.memory)
             elif component == "alltoall":
                 values.append(record.alltoall_mean)
-            elif component == "alltoall_broadcast":
-                values.append(record.alltoall_broadcast)
             elif component == "alltoall_layer0":
                 values.append(record.breakdown.alltoall)
             elif component == "allreduce":
@@ -483,9 +298,14 @@ class ServingSimulator:
         engine_config: EngineConfig | None = None,
         serving_config: ServingConfig | None = None,
         balancer_config: BalancerConfig | None = None,
-        stacked: bool | None = None,
         fault_schedule: FaultSchedule | None = None,
     ) -> None:
+        stacked_cls = STACKED_BALANCERS.get(balancer_cls)
+        if stacked_cls is None:
+            raise ValueError(
+                f"{balancer_cls.__name__} has no stacked balancer engine; "
+                "register one in repro.balancer.stacked.STACKED_BALANCERS"
+            )
         self.device = device
         self.model = model
         self.mapping = mapping
@@ -505,51 +325,24 @@ class ServingSimulator:
             self.sparse_pricing = self.serving_config.pricing.sparse_pricing
 
         num_devices = mapping.topology.num_devices
-        if stacked is None:
-            stacked = balancer_cls in STACKED_BALANCERS
-        elif stacked and balancer_cls not in STACKED_BALANCERS:
-            raise ValueError(
-                f"{balancer_cls.__name__} has no stacked equivalent; "
-                "pass stacked=False to use the per-layer engine"
-            )
-        self.stacked = stacked
-        self.engine: StackedBalancer | None = None
-        self.balancers: list[Balancer] = []
-        if stacked:
-            placement = StackedPlacement(
-                self.num_layers,
-                model.num_experts,
-                num_devices,
-                shadow_slots=self.serving_config.balancing.shadow_slots,
-            )
-            self.engine = STACKED_BALANCERS[balancer_cls](
-                placement,
-                mapping.topology,
-                expert_bytes=model.expert_bytes,
-                config=balancer_config,
-            )
-        else:
-            for _ in range(self.num_layers):
-                placement = ExpertPlacement(
-                    model.num_experts,
-                    num_devices,
-                    shadow_slots=self.serving_config.balancing.shadow_slots,
-                )
-                self.balancers.append(
-                    balancer_cls(
-                        placement,
-                        mapping.topology,
-                        expert_bytes=model.expert_bytes,
-                        config=balancer_config,
-                    )
-                )
+        placement = StackedPlacement(
+            self.num_layers,
+            model.num_experts,
+            num_devices,
+            shadow_slots=self.serving_config.balancing.shadow_slots,
+        )
+        self.engine: StackedBalancer = stacked_cls(
+            placement,
+            mapping.topology,
+            expert_bytes=model.expert_bytes,
+            config=balancer_config,
+        )
         #: (layer, migration, in-flight state) for non-invasive draining.
         self._in_flight: list[tuple[int, Migration, PendingMigration]] = []
         self._last_migration_iter = -(10**9)
 
-        #: Recycled (layers, groups, experts) demand buffer for the
-        #: resolved path — every cell is rewritten each iteration, so one
-        #: allocation serves the whole run.
+        #: Recycled (layers, groups, experts) demand buffer — every cell is
+        #: rewritten each iteration, so one allocation serves the whole run.
         self._counts_buffer: np.ndarray | None = None
 
         #: Fault-injection state.  An empty schedule is normalized to None
@@ -564,11 +357,6 @@ class ServingSimulator:
         self._device_scale: np.ndarray | None = None
         self._attention_scale = 1.0
         if self._faults is not None:
-            if not self.stacked:
-                raise ValueError(
-                    "fault injection requires the stacked engine "
-                    "(the per-layer oracle has no repair path)"
-                )
             self._validate_schedule(num_devices)
 
     def _validate_schedule(self, num_devices: int) -> None:
@@ -605,27 +393,11 @@ class ServingSimulator:
 
     @property
     def invasive(self) -> bool:
-        if self.stacked:
-            return self.engine.invasive
-        return self.balancers[0].invasive
+        return self.engine.invasive
 
     def layer_placement(self, layer: int) -> ExpertPlacement:
-        """The per-layer placement view, whichever engine is running."""
-        if self.stacked:
-            return self.engine.placement.layer(layer)
-        return self.balancers[layer].placement
-
-    def layer_placements(self) -> list[ExpertPlacement]:
-        """Every layer's placement, whichever engine is running."""
-        if self.stacked:
-            return self.engine.placement.layers
-        return [balancer.placement for balancer in self.balancers]
-
-    def _plan_anchor(self):
-        """The weakly-cacheable object the layered plan cache keys on."""
-        if self.stacked:
-            return self.engine.placement
-        return self.balancers[0].placement
+        """One layer's placement view (read-only; mutate via the engine)."""
+        return self.engine.placement.layer(layer)
 
     # -- migration pricing -------------------------------------------------------
 
@@ -686,15 +458,6 @@ class ServingSimulator:
             for group in self.mapping.tp_groups
         ]
 
-    @property
-    def _demand_resolved(self) -> bool:
-        """Whether this run resolves per-layer group demand for pricing."""
-        return (
-            self.serving_config.pricing.per_layer_demand
-            and self.serving_config.pricing.per_layer_alltoall
-            and self.num_layers > 1
-        )
-
     def step(self, tokens_per_group: int | None = None) -> IterationRecord:
         """Advance one serving iteration and return its record.
 
@@ -706,30 +469,16 @@ class ServingSimulator:
         fixed batch and replays the pinned traces bit-identically.
         """
         iteration = self.workload.iteration
-        counts = None
-        if self._demand_resolved:
-            # Group-resolved demand for every layer: layer 0 exact, later
-            # layers split from their exact totals (flat selection-slot
-            # model) so per-layer demand skew reaches the pricer.
-            counts, layer_loads = self.workload.next_group_counts(
-                return_loads=True,
-                out=self._counts_buffer,
-                tokens_per_group=tokens_per_group,
-            )
-            self._counts_buffer = counts
-            counts0 = counts[0]
-        else:
-            # Group-resolved counts only for layer 0 (the one whose
-            # all-to-all is simulated); per-expert totals for every layer.
-            counts0, layer_loads = self.workload.next_loads(
-                tokens_per_group=tokens_per_group
-            )
-
-        if self.stacked:
-            self.engine.observe(layer_loads)
-        else:
-            for layer, balancer in enumerate(self.balancers):
-                balancer.observe(layer_loads[layer])
+        # Group-resolved demand for every layer: layer 0 exact, later
+        # layers split from their exact totals (flat selection-slot
+        # model), so each layer's own demand skew reaches the pricer.
+        counts, layer_loads = self.workload.next_group_counts(
+            return_loads=True,
+            out=self._counts_buffer,
+            tokens_per_group=tokens_per_group,
+        )
+        self._counts_buffer = counts
+        self.engine.observe(layer_loads)
 
         repair_exposed = 0.0
         repairs = 0
@@ -742,15 +491,13 @@ class ServingSimulator:
 
         exposed, started = self._maybe_rebalance(iteration)
 
-        # Full network + compute simulation on layer 0; one batched MoE
-        # roofline call for the rest.  Layer 0's collectives price every
-        # layer whose placement content still matches it; once migrations
-        # make layers diverge (and per_layer_alltoall is on), each
-        # diverged content group is priced against its own destination
-        # shares through the layer-batched dispatch plan.
+        # Full network + compute simulation on layer 0; every later layer
+        # combines its own batched MoE roofline with its own all-to-all
+        # price from the layer-batched dispatch plan.
+        placement = self.engine.placement
         sim = self.simulator.simulate_layer(
-            counts0,
-            self.layer_placement(0),
+            counts[0],
+            placement.layer(0),
             device_scale=self._device_scale,
             tokens_per_group=tokens_per_group,
         )
@@ -769,60 +516,27 @@ class ServingSimulator:
                 ),
             )
 
-        a2a_layers = None
-        a2a_broadcast_layers = None
-        if self.serving_config.pricing.per_layer_alltoall and self.num_layers > 1:
-            plan = layered_dispatch_plan(
-                self.mapping,
-                self._plan_anchor(),
-                self.layer_placements(),
-                sparse=self.sparse_pricing,
-            )
-            if counts is not None:
-                # Resolved demand: every later layer is priced against its
-                # own demand rows and its own placement.  On request the
-                # PR 4 demand-broadcast price rides along as the companion
-                # component (its content grouping still collapses layers,
-                # so it only prices diverged placement groups).
-                # Scale to bytes in place: layer 0 was simulated above from
-                # the raw counts, and the buffer is fully redrawn next
-                # iteration, so nothing reads the unscaled values again.
-                demand_stack = counts
-                demand_stack *= self.model.token_bytes
-                a2a_layers = plan.alltoall_durations_resolved(
-                    demand_stack, breakdown.alltoall
-                )
-                if (
-                    self.serving_config.pricing.record_broadcast_price
-                    and not plan.uniform
-                ):
-                    a2a_broadcast_layers = plan.alltoall_durations(
-                        demand_stack[0], breakdown.alltoall
-                    )
-            elif not plan.uniform:
-                demand = counts0 * self.model.token_bytes
-                a2a_layers = plan.alltoall_durations(demand, breakdown.alltoall)
-
         layer_totals = [breakdown.attention_phase + breakdown.moe_phase]
+        a2a_mean = breakdown.alltoall
         if self.num_layers > 1:
-            if self.stacked:
-                placement = self.engine.placement
-                moe_compute, moe_memory = self.simulator.compute.moe_peak_arrays(
-                    layer_loads[1:],
-                    placement.replica_tensor[1:],
-                    placement.replica_counts[1:],
-                    device_scale=self._device_scale,
-                )
-                moe_totals = moe_compute + moe_memory
-            else:
-                moe_times = self.simulator.compute.moe_peak_times(
-                    layer_loads[1:],
-                    [balancer.placement for balancer in self.balancers[1:]],
-                )
-                moe_totals = np.array([moe.total for moe in moe_times])
-            layer_a2a = (
-                breakdown.alltoall if a2a_layers is None else a2a_layers[1:]
+            plan = layered_dispatch_plan(
+                self.mapping, placement, sparse=self.sparse_pricing
             )
+            # Scale to bytes in place: layer 0 was simulated above from
+            # the raw counts, and the buffer is fully redrawn next
+            # iteration, so nothing reads the unscaled values again.
+            counts *= self.model.token_bytes
+            a2a_layers = plan.alltoall_durations_resolved(
+                counts, breakdown.alltoall
+            )
+            moe_compute, moe_memory = self.simulator.compute.moe_peak_arrays(
+                layer_loads[1:],
+                placement.replica_tensor[1:],
+                placement.replica_counts[1:],
+                device_scale=self._device_scale,
+            )
+            moe_totals = moe_compute + moe_memory
+            layer_a2a = a2a_layers[1:]
             if self.engine_config.overlap:
                 stages = self.engine_config.pipeline_stages
                 longer = np.maximum(moe_totals, layer_a2a)
@@ -831,34 +545,17 @@ class ServingSimulator:
             else:
                 moe_phases = moe_totals + layer_a2a
             layer_totals.extend(breakdown.attention_phase + moe_phases)
+            a2a_mean = float(np.mean(a2a_layers))
 
-        # Depth-scaled sum over the simulated layers: every layer now
+        # Depth-scaled sum over the simulated layers: every layer
         # contributes its own MoE phase (compute roofline + all-to-all
-        # price), normalized by the simulated depth.  With a uniform
-        # placement stack this reduces exactly to the layer-0 broadcast.
+        # price), normalized by the simulated depth.
         latency = (
             self.model.num_sparse_layers * float(np.mean(layer_totals))
             + exposed
             + repair_exposed
         )
 
-        # a2a_layers[0] is breakdown.alltoall verbatim (layer 0 anchors its
-        # content group), so the uniform case stays the exact scalar.
-        a2a_mean = (
-            breakdown.alltoall
-            if a2a_layers is None
-            else float(np.mean(a2a_layers))
-        )
-        if counts is None:
-            a2a_broadcast = a2a_mean
-        elif a2a_broadcast_layers is not None:
-            a2a_broadcast = float(np.mean(a2a_broadcast_layers))
-        elif self.serving_config.pricing.record_broadcast_price:
-            # The companion broadcast price reduces to layer 0's exact
-            # price while the placement stack is still uniform.
-            a2a_broadcast = breakdown.alltoall
-        else:
-            a2a_broadcast = float("nan")
         completed = self._drain_migrations(
             ar_duration=breakdown.allreduce * self.model.num_sparse_layers,
             a2a_duration=a2a_mean * self.model.num_sparse_layers,
@@ -870,7 +567,6 @@ class ServingSimulator:
             latency=latency,
             breakdown=breakdown,
             alltoall_mean=a2a_mean,
-            alltoall_broadcast=a2a_broadcast,
             max_device_load=max_load,
             mean_device_load=mean_load,
             migration_exposed=exposed,
@@ -1014,33 +710,19 @@ class ServingSimulator:
     # -- balancing ----------------------------------------------------------------
 
     def _commit_many(self, items: list[tuple[int, Migration]]) -> None:
-        """Commit a trigger's (or drain cycle's) migrations in one batch.
-
-        The stacked engine applies them through the vectorized
-        ``commit_many`` (one dest-share rebuild per touched expert); the
-        per-layer oracle keeps its sequential commits — both end in the
-        bitwise-identical placement state.
-        """
-        if not items:
-            return
-        if self.stacked:
+        """Commit a trigger's (or drain cycle's) migrations in one batch
+        (one dest-share rebuild per touched expert)."""
+        if items:
             self.engine.commit_many(items)
-        else:
-            for layer, migration in items:
-                self.balancers[layer].commit(migration)
 
     def _maybe_rebalance(self, iteration: int) -> tuple[float, int]:
         config = self.serving_config.balancing
         if iteration < config.warmup_iters:
             return 0.0, 0
-        if self.stacked:
-            # Pending-free heats serve both the trigger and the eviction
-            # threshold; nothing mutates in between.
-            trigger_heats = self.engine.heats(include_pending=False)
-            cumulative = self.engine.imbalance_sum(trigger_heats)
-        else:
-            cumulative = sum(balancer.imbalance() for balancer in self.balancers)
-        if cumulative <= config.alpha:
+        # Pending-free heats serve both the trigger and the eviction
+        # threshold; nothing mutates in between.
+        trigger_heats = self.engine.heats(include_pending=False)
+        if self.engine.imbalance_sum(trigger_heats) <= config.alpha:
             return 0.0, 0
         beta = 0 if not self.invasive else config.beta_iters
         if iteration - self._last_migration_iter < beta:
@@ -1048,16 +730,10 @@ class ServingSimulator:
 
         # Layers are independent (each owns its placement and pending set),
         # so evicting and planning all layers up front is
-        # decision-equivalent to the per-layer evict/plan/commit
+        # decision-equivalent to a per-layer evict/plan/commit
         # interleaving; migrations execute in layer-major order either way.
-        if self.stacked:
-            self.engine.evict_stale(trigger_heats)
-            layer_plans = self.engine.plan(iteration)
-        else:
-            layer_plans = []
-            for balancer in self.balancers:
-                balancer.evict_stale()
-                layer_plans.append(balancer.plan(iteration))
+        self.engine.evict_stale(trigger_heats)
+        layer_plans = self.engine.plan(iteration)
 
         exposed = 0.0
         started = 0
@@ -1128,23 +804,12 @@ class ServingSimulator:
     # -- stats ----------------------------------------------------------------------
 
     def _device_load_stats(self, layer_loads: np.ndarray) -> tuple[float, float]:
-        if self.stacked:
-            device_loads = stacked_device_token_loads(
-                layer_loads, self.engine.placement
-            )
-            if self._dead:
-                # Dead devices carry no load by construction; keeping
-                # their zero columns would flatter the mean.
-                device_loads = device_loads[:, self.engine.live_devices]
-            return (
-                float(np.mean(device_loads.max(axis=1))),
-                float(np.mean(device_loads.mean(axis=1))),
-            )
-        # Per-layer matmuls on the placements' zero-copy matrix views.
-        max_loads = []
-        mean_loads = []
-        for balancer, loads in zip(self.balancers, layer_loads):
-            device_loads = device_token_loads(loads, balancer.placement)
-            max_loads.append(device_loads.max())
-            mean_loads.append(device_loads.mean())
-        return float(np.mean(max_loads)), float(np.mean(mean_loads))
+        device_loads = stacked_device_token_loads(layer_loads, self.engine.placement)
+        if self._dead:
+            # Dead devices carry no load by construction; keeping their
+            # zero columns would flatter the mean.
+            device_loads = device_loads[:, self.engine.live_devices]
+        return (
+            float(np.mean(device_loads.max(axis=1))),
+            float(np.mean(device_loads.mean(axis=1))),
+        )

@@ -43,11 +43,7 @@ def run_point(params: dict) -> dict:
         workload,
         strategy_class(params["strategy"]),
         engine_config=EngineConfig(tokens_per_group=128),
-        # Demand-resolved pricing (the serving default) with the PR 4
-        # demand-broadcast companion recorded for comparison.
-        serving_config=ServingConfig(
-            num_iterations=ITERATIONS, record_broadcast_price=True
-        ),
+        serving_config=ServingConfig(num_iterations=ITERATIONS),
     )
     trace = simulator.run()
     return {
@@ -57,7 +53,6 @@ def run_point(params: dict) -> dict:
         "overhead_fraction": trace.migration_overhead_fraction(SKIP),
         "latency": trace.mean_latency(SKIP),
         "alltoall": trace.mean_component("alltoall", SKIP),
-        "alltoall_broadcast": trace.mean_component("alltoall_broadcast", SKIP),
     }
 
 

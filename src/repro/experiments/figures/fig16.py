@@ -64,16 +64,11 @@ def run_point(params: dict) -> dict:
         engine_config=EngineConfig(
             tokens_per_group=tokens, context_len=context, decode=decode
         ),
-        # Demand-resolved pricing (the serving default) with the PR 4
-        # demand-broadcast companion recorded for comparison.
-        serving_config=ServingConfig(
-            num_iterations=ITERATIONS, record_broadcast_price=True
-        ),
+        serving_config=ServingConfig(num_iterations=ITERATIONS),
     )
     trace = simulator.run()
     return {
         "alltoall": trace.mean_component("alltoall", SKIP),
-        "alltoall_broadcast": trace.mean_component("alltoall_broadcast", SKIP),
         "moe": trace.mean_component("moe", SKIP),
         "overhead_fraction": trace.migration_overhead_fraction(SKIP),
         "load_ratio": trace.mean_load_ratio(SKIP),

@@ -13,7 +13,12 @@ eliminates it; the final system beats NVL72 per-device (paper: ~39%).
 
 from repro.analysis.report import format_table
 from repro.balancer import BalancerConfig
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import (
+    BalancingConfig,
+    EngineConfig,
+    ServingConfig,
+    ServingSimulator,
+)
 from repro.experiments.figures.shared import strategy_class
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
@@ -66,13 +71,12 @@ def run_point(params: dict) -> dict:
         engine_config=EngineConfig(tokens_per_group=tokens_per_group),
         serving_config=ServingConfig(
             num_iterations=ITERATIONS,
-            warmup_iters=2,
-            beta_iters=3,
-            shadow_slots=2,
-            migration_side_channel=side_channel,
-            # Demand-resolved pricing (the serving default) with the PR 4
-            # demand-broadcast companion recorded for comparison.
-            record_broadcast_price=True,
+            balancing=BalancingConfig(
+                warmup_iters=2,
+                beta_iters=3,
+                shadow_slots=2,
+                migration_side_channel=side_channel,
+            ),
         ),
         # Short runs need larger per-trigger plans to converge the placement.
         balancer_config=BalancerConfig(max_migrations_per_trigger=16),
@@ -81,7 +85,6 @@ def run_point(params: dict) -> dict:
     per_device_latency = trace.mean_latency(SKIP)
     return {
         "alltoall": trace.mean_component("alltoall", SKIP),
-        "alltoall_broadcast": trace.mean_component("alltoall_broadcast", SKIP),
         "moe": trace.mean_component("moe", SKIP),
         "overhead_fraction": trace.migration_overhead_fraction(SKIP),
         "per_device_latency": per_device_latency,

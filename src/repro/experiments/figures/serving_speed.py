@@ -1,7 +1,8 @@
 """Serving-loop wall-clock microbenchmark (simulator speed, not model perf).
 
 Times the full ``ServingSimulator`` loop — gating, balancing, migration
-draining, batched MoE rooflines, device-load stats — on two systems: the
+draining, per-layer all-to-all pricing, batched MoE rooflines, device-load
+stats — on two systems: the
 64-device 8x8 wafer serving a 64-expert Qwen3 variant (the historical
 trajectory configuration) and a 1024-device four-wafer 4x(16x16) HER
 system serving a 256-expert variant, where only the sparse incremental
@@ -17,7 +18,7 @@ the loop for CI smoke runs (the JSON records the iteration count, so smoke
 numbers are never mistaken for full-run numbers).
 
 The case axis is composite (the cartesian product would cross the
-1024-device system with every mode/depth/strategy, hours of redundant
+1024-device system with every operator/depth/strategy, hours of redundant
 wall clock).  Its dimensions:
 
 * ``layers`` — depth scaling: 2 simulated MoE layers (the historical
@@ -25,9 +26,6 @@ wall clock).  Its dimensions:
   DeepSeek-V3 depth.  ``REPRO_SERVING_BENCH_LAYERS`` (or
   ``bench_serving_speed.py --layers``) overrides the base-system depths
   for ad-hoc sweeps without editing this spec.
-* ``pricing``/``demand`` — the layer-0-broadcast oracle, per-layer
-  placement pricing under layer-0 demand, and the serving default
-  ``per_layer``/``resolved``.
 * ``operator`` — ``dense`` (one matmul against the materialized link
   operator) vs ``sparse`` (the CSR/segmented-reduction
   :class:`~repro.network.alltoall.SparseAllToAllPricer`).  The sparse
@@ -86,16 +84,8 @@ LAYERS = [
 #: smoke runs (CI) write a separate, untracked file so they never clobber it.
 BENCH_JSON = "BENCH_serving.json"
 BENCH_SMOKE_JSON = "BENCH_serving.smoke.json"
-#: (pricing, demand, operator) triples — a composite sub-axis because the
-#: cartesian product would include meaningless points (demand resolution
-#: only feeds the pricer when per-layer pricing is on; the operator choice
-#: only matters to the per-layer plan).
-MODES = [
-    ["layer0", "broadcast", "dense"],
-    ["per_layer", "broadcast", "dense"],
-    ["per_layer", "resolved", "dense"],
-    ["per_layer", "resolved", "sparse"],
-]
+#: All-to-all pricing operators measured on the base system.
+OPERATORS = ["dense", "sparse"]
 #: The trajectory system: one 8x8 wafer, flat ER, 64 experts.
 BASE_SYSTEM = {
     "devices": 64,
@@ -117,14 +107,11 @@ SCALE_SYSTEM = {
 }
 
 
-def _case(system, strategy, layers, mode, iterations):
-    pricing, demand, operator = mode
+def _case(system, strategy, layers, operator, iterations):
     return {
         **system,
         "strategy": strategy,
         "layers": layers,
-        "pricing": pricing,
-        "demand": demand,
         "operator": operator,
         "iterations": iterations,
     }
@@ -133,24 +120,15 @@ def _case(system, strategy, layers, mode, iterations):
 def _cases(iterations, layers_axis):
     scale_iterations = max(1, iterations // SCALE_ITER_DIVISOR)
     cases = [
-        _case(BASE_SYSTEM, strategy, layers, mode, iterations)
+        _case(BASE_SYSTEM, strategy, layers, operator, iterations)
         for strategy in ["greedy", "non_invasive"]
         for layers in layers_axis
-        for mode in MODES
+        for operator in OPERATORS
     ]
-    # One sparse point at scale: full depth, the serving-default demand
-    # path, the cheaper balancer (NonInvasiveBalancer's search is ~3x the
-    # pricing cost at 1024 devices and measures the balancer, not the
-    # operator).
-    cases.append(
-        _case(
-            SCALE_SYSTEM,
-            "greedy",
-            58,
-            ["per_layer", "resolved", "sparse"],
-            scale_iterations,
-        )
-    )
+    # One sparse point at scale: full depth, the cheaper balancer
+    # (NonInvasiveBalancer's search is ~3x the pricing cost at 1024
+    # devices and measures the balancer, not the operator).
+    cases.append(_case(SCALE_SYSTEM, "greedy", 58, "sparse", scale_iterations))
     return cases
 
 
@@ -184,7 +162,6 @@ def run_point(params: dict) -> dict:
         num_layers=case["layers"],
         seed=41,
     )
-    per_layer = case["pricing"] == "per_layer"
     sparse = case["operator"] == "sparse"
     simulator = ServingSimulator(
         system.device,
@@ -195,11 +172,7 @@ def run_point(params: dict) -> dict:
         engine_config=EngineConfig(tokens_per_group=128),
         serving_config=ServingConfig(
             num_iterations=case["iterations"],
-            pricing=PricingConfig(
-                per_layer_alltoall=per_layer,
-                per_layer_demand=case["demand"] == "resolved",
-                sparse_pricing=sparse,
-            ),
+            pricing=PricingConfig(sparse_pricing=sparse),
         ),
     )
     from repro.network.alltoall import (
@@ -209,20 +182,18 @@ def run_point(params: dict) -> dict:
     )
 
     dense_bytes = dense_operator_nbytes(system.mapping)
-    operator_bytes = 0
+    operator_bytes = dense_bytes
     sparse_pricer = None
-    if per_layer:
-        # One-time per-mapping operator build, outside the timed loop
-        # (same role as the lazily-built topology route cache).  The
-        # sparse warm builds every layer's state; a migration-free run
-        # then performs zero rebuild work inside the clock.
-        if sparse:
-            sparse_pricer = sparse_alltoall_pricer(system.mapping)
-            for placement in simulator.layer_placements():
-                sparse_pricer.state_for(placement)
-        else:
-            alltoall_pricer(system.mapping)
-            operator_bytes = dense_bytes
+    # One-time per-mapping operator build, outside the timed loop (same
+    # role as the lazily-built topology route cache).  The sparse warm
+    # builds every layer's state; a migration-free run then performs zero
+    # rebuild work inside the clock.
+    if sparse:
+        sparse_pricer = sparse_alltoall_pricer(system.mapping)
+        for placement in simulator.engine.placement.layers:
+            sparse_pricer.state_for(placement)
+    else:
+        alltoall_pricer(system.mapping)
     start = time.perf_counter()
     trace = simulator.run()
     wall = time.perf_counter() - start
@@ -262,8 +233,6 @@ def render(results) -> str:
                     "strategy": result.params["case"]["strategy"],
                     "num_experts": result.params["case"]["num_experts"],
                     "layers": result.params["case"]["layers"],
-                    "pricing": result.params["case"]["pricing"],
-                    "demand": result.params["case"]["demand"],
                     "operator": result.params["case"]["operator"],
                     "sampler": result.metrics["sampler"],
                     "sampling_backend": result.metrics["sampling_backend"],
@@ -292,8 +261,6 @@ def render(results) -> str:
                 strategy_label(case["strategy"]),
                 case["num_experts"],
                 case["layers"],
-                case["pricing"],
-                case["demand"],
                 case["operator"],
                 case["iterations"],
                 f"{m['wall_s']:.2f}s",
@@ -309,8 +276,6 @@ def render(results) -> str:
             "Balancer",
             "Experts",
             "Layers",
-            "Pricing",
-            "Demand",
             "Operator",
             "Iterations",
             "Wall clock",

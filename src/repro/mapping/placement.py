@@ -8,7 +8,6 @@ Algorithm 1.
 """
 
 import copy
-import hashlib
 
 import numpy as np
 
@@ -49,7 +48,6 @@ class ExpertPlacement:
         self._shadow_mask = np.zeros((num_experts, num_devices), dtype=bool)
         self._dead_devices: set[int] = set()
         self._version = 0
-        self._content_key: tuple[int, bytes] | None = None
         for expert in range(num_experts):
             device = self.native_device(expert)
             self._native[device].append(expert)
@@ -164,24 +162,6 @@ class ExpertPlacement:
         validity on ``(placement, version)``.
         """
         return self._version
-
-    def content_key(self) -> bytes:
-        """Digest of the destination-share matrix, cached per version.
-
-        Two placements with equal keys route tokens identically, so any
-        share-driven pricing (the layer-batched all-to-all) may be shared
-        between them.  Layers of a serving stack start identical and
-        diverge only through migrations, which makes the key the natural
-        grouping handle; it is recomputed lazily, only after a mutation.
-        """
-        cached = self._content_key
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        digest = hashlib.blake2b(
-            self._dest_share.tobytes(), digest_size=16
-        ).digest()
-        self._content_key = (self._version, digest)
-        return digest
 
     def shadow_entries(self) -> list[tuple[int, int]]:
         """All ``(device, expert)`` shadow replicas, device-major order.

@@ -19,10 +19,10 @@ tests), so the aggregated volumes are bit-identical to the seed semantics.
 
 For the serving loop's layer stacks a second, layer-batched tier exists:
 :class:`LayeredAllToAllPricer` and :class:`LayeredDispatchPlan` price every
-layer's all-to-all against its own (possibly migration-diverged) placement
-through dense ``(group, dest) -> link`` operators, cached per
-``(mapping, per-layer version vector)`` — see the layer-batched pricing
-section below.
+layer's all-to-all against its own demand rows and its own (possibly
+migration-diverged) placement through dense ``(group, dest) -> link``
+operators, cached per ``(mapping, per-layer version vector)`` — see the
+layer-batched pricing section below.
 
 A third tier, :class:`SparseAllToAllPricer`, stores the same
 ``(group, dest) -> link`` map in CSR form over only the *hosted*
@@ -60,7 +60,7 @@ from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mapping.base import Mapping
-    from repro.mapping.placement import ExpertPlacement
+    from repro.mapping.placement import ExpertPlacement, StackedPlacement
 
 #: destinations(expert) -> [(device, share)], shares summing to 1.
 DestinationFn = Callable[[int], Iterable[tuple[int, float]]]
@@ -357,18 +357,16 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 
 # -- layer-batched pricing ---------------------------------------------------
 #
-# After migrations the layers of one model no longer share a placement, so
-# layer 0's all-to-all price stops being representative.  The machinery
-# below prices every layer against its *own* destination shares without
-# simulating L independent collectives: a per-mapping
+# Every layer of a serving stack carries its own demand rows and, once
+# migrations land, its own placement, so layer 0's all-to-all price is not
+# representative of the others.  The machinery below prices every layer
+# without simulating L independent collectives: a per-mapping
 # :class:`LayeredAllToAllPricer` folds holder fractions and CSR route
 # weights into dense ``(group, dest) -> link`` operators once, after which
-# a whole stack of placements is priced with two matmuls per iteration.
-# The per-link volumes equal the per-layer :func:`simulate_alltoall` sums
-# mathematically (same terms, associative reordering), not bitwise —
-# bit-exactness of the pre-migration oracle is preserved structurally by
-# :class:`LayeredDispatchPlan`, which reuses the exactly-priced layer-0
-# result for every layer whose placement content still matches layer 0's.
+# a whole stack is priced with two matmuls per iteration.  The per-link
+# volumes equal the per-layer :func:`simulate_alltoall` sums mathematically
+# (same terms, associative reordering), not bitwise; layer 0 keeps its
+# exact :func:`simulate_alltoall` price.
 
 
 #: Nonzero fraction below which the dense pricer's operator is re-stored
@@ -471,10 +469,10 @@ class LayeredAllToAllPricer:
 
         Args:
             demand_bytes: byte demand — either one ``(groups, experts)``
-                matrix shared by every layer (the demand-broadcast mode) or
-                a ``(layers, groups, experts)`` stack carrying each layer's
-                own demand rows (the demand-resolved mode); matmul
-                broadcasting prices both through the same operator product.
+                matrix shared by every layer or a ``(layers, groups,
+                experts)`` stack carrying each layer's own demand rows;
+                matmul broadcasting prices both through the same operator
+                product.
             shares: ``(layers, experts, devices)`` destination-share stack.
 
         Returns:
@@ -1009,195 +1007,84 @@ def sparse_alltoall_pricer(mapping: "Mapping") -> SparseAllToAllPricer:
 
 
 class LayeredDispatchPlan:
-    """Content-grouped pricing plan for one stack of per-layer placements.
+    """Per-layer all-to-all pricing for one placement epoch of a stack.
 
-    Layers are grouped by placement *content* (the destination-share
-    digest from :meth:`~repro.mapping.placement.ExpertPlacement.content_key`):
-    every layer in layer 0's group reuses the serving loop's exactly-priced
-    layer-0 all-to-all — before any migration that is all layers, which
-    keeps the pre-migration trace bit-identical to the layer-0-broadcast
-    oracle — while each remaining group is priced once against its own
-    destination shares through the dense :class:`LayeredAllToAllPricer`.
-    The grouping and the stacked share tensor are iteration-invariant, so
-    :func:`layered_dispatch_plan` caches the plan per
-    ``(mapping, per-layer version vector)`` and migration-free iterations
-    never rebuild it.
-
-    Under *demand-resolved* pricing (:meth:`alltoall_durations_resolved`)
-    the content grouping no longer collapses layers — every layer past the
-    first carries its own demand rows, so all of them go through the dense
-    pricer each iteration regardless of placement content.  The plan then
-    serves as the per-placement-epoch cache of the share stack and its
-    dense-demand latency maxima: with a stacked engine the share stack is a
-    zero-copy view of the :class:`~repro.mapping.placement.StackedPlacement`
-    tensor (safe because any mutation bumps a layer version and retires
-    this plan), and the per-layer oracle engine pays one ``np.stack`` per
-    placement epoch.
-
-    With ``sparse=True`` the diverged groups and the resolved stack price
-    through the :class:`SparseAllToAllPricer` instead — same grouping and
-    same caching discipline, but the plan holds per-layer sparse states
-    (version-validated against each placement) rather than dense share
-    stacks, and the dense operator is never materialized.  A plan is built
-    for exactly one mode; :func:`layered_dispatch_plan` keys its cache on
-    the mode so toggling ``sparse_pricing`` mid-session can never serve a
-    plan priced the other way.
+    Layer 0's price is the serving loop's exact :func:`simulate_alltoall`
+    result, passed through verbatim; every later layer is priced against
+    its own demand rows and its own destination shares in one batched
+    operator product.  What the plan holds stays valid until the next
+    migration: the dense tier's zero-copy view of the
+    :class:`~repro.mapping.placement.StackedPlacement` share tensor (safe
+    because any mutation bumps a layer version and retires the plan) with
+    its dense-demand latency maxima, or — with ``sparse=True`` — the
+    :class:`SparseAllToAllPricer`'s per-layer states (version-validated
+    against each layer, so unmutated layers reuse their states across
+    plans; the dense operator is never materialized).
+    :func:`layered_dispatch_plan` caches one plan per
+    ``(mapping, pricing operator, per-layer version vector)``.
     """
 
     def __init__(
         self,
         mapping: "Mapping",
-        placements: list,
-        stacked_shares: np.ndarray | None = None,
+        placement: "StackedPlacement",
         sparse: bool = False,
     ) -> None:
         self.sparse = sparse
+        self.num_layers = placement.num_layers
         self.pricer = None if sparse else alltoall_pricer(mapping)
         self.sparse_pricer = sparse_alltoall_pricer(mapping) if sparse else None
-        self._placements = placements
-        self._stacked_shares = stacked_shares
-        self._resolved_shares: np.ndarray | None = None
-        self._resolved_latencies: np.ndarray | None = None
-        self._resolved_states: list | None = None
-        group_of_key: dict[bytes, int] = {}
-        representatives: list[int] = []
-        group_index = np.empty(len(placements), dtype=np.intp)
-        for layer, placement in enumerate(placements):
-            key = placement.content_key()
-            group = group_of_key.get(key)
-            if group is None:
-                group = len(representatives)
-                group_of_key[key] = group
-                representatives.append(layer)
-            group_index[layer] = group
-        self.num_groups = len(representatives)
-        self.group_index = group_index
-        self.representatives = representatives
-        #: True when every layer still shares layer 0's placement content —
-        #: the caller can skip pricing entirely and broadcast layer 0.
-        self.uniform = self.num_groups == 1
-        if not self.uniform:
-            # Group 0 anchors layer 0 (first-occurrence numbering); only
-            # the diverged groups need a pricer.  Shares (dense) or layer
-            # states (sparse) and the dense-demand latency maxima are
-            # iteration-invariant, so both are frozen into the plan.
-            if sparse:
-                self._diverged_states = [
-                    self.sparse_pricer.state_for(placements[layer])
-                    for layer in representatives[1:]
-                ]
-            else:
-                self.diverged_shares = sanitize.freeze(
-                    np.stack(
-                        [
-                            placements[layer].destination_shares
-                            for layer in representatives[1:]
-                        ]
-                    )
-                )
-                self._dense_latencies = sanitize.freeze(
-                    self.pricer.dense_demand_latencies(self.diverged_shares)
-                )
-
-    def alltoall_durations(
-        self, demand_bytes: np.ndarray, layer0_duration: float
-    ) -> np.ndarray:
-        """Per-layer dispatch+combine durations, ``(num_layers,)``.
-
-        ``layer0_duration`` is the exact :func:`simulate_alltoall` price of
-        layer 0, reused verbatim for its whole content group.
-        """
-        per_group = np.empty(self.num_groups)
-        per_group[0] = layer0_duration
-        if not self.uniform:
-            if self.sparse:
-                per_group[1:] = self.sparse_pricer.durations(
-                    demand_bytes, self._diverged_states
-                )
-            else:
-                per_group[1:] = self.pricer.durations(
-                    demand_bytes, self.diverged_shares, self._dense_latencies
-                )
-        return per_group[self.group_index]
-
-    def _resolved_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Layers-past-the-first share stack + dense-demand latencies.
-
-        Built lazily (demand-broadcast users never pay for it) and frozen
-        into the plan, so migration-free iterations reuse both.
-        """
-        if self._resolved_shares is None:
-            if self._stacked_shares is not None:
-                self._resolved_shares = self._stacked_shares[1:]
-            else:
-                self._resolved_shares = sanitize.freeze(
-                    np.stack(
-                        [p.destination_shares for p in self._placements[1:]]
-                    )
-                )
-            self._resolved_latencies = sanitize.freeze(
-                self.pricer.dense_demand_latencies(self._resolved_shares)
-            )
-        return self._resolved_shares, self._resolved_latencies
-
-    def _resolved_state_list(self) -> list:
-        """Layers-past-the-first sparse states, built lazily like
-        :meth:`_resolved_stack`.  ``state_for`` is version-validated, so
-        unmutated layers reuse their cached states even across plans."""
-        if self._resolved_states is None:
-            self._resolved_states = [
-                self.sparse_pricer.state_for(placement)
-                for placement in self._placements[1:]
+        if sparse:
+            self._states = [
+                self.sparse_pricer.state_for(layer)
+                for layer in placement.layers[1:]
             ]
-        return self._resolved_states
+        else:
+            self._shares = placement.destination_shares[1:]
+            self._dense_latencies = sanitize.freeze(
+                self.pricer.dense_demand_latencies(self._shares)
+            )
 
     def alltoall_durations_resolved(
         self, demand_stack: np.ndarray, layer0_duration: float
     ) -> np.ndarray:
-        """Per-layer durations under per-layer demand, ``(num_layers,)``.
+        """Per-layer dispatch+combine durations, ``(num_layers,)``.
 
         ``demand_stack`` is the ``(layers, groups, experts)`` byte-demand
         tensor.  Layer 0 keeps ``layer0_duration`` — the exact
         :func:`simulate_alltoall` price of its own demand — and every other
-        layer is priced against its own placement *and* its own demand
-        rows, one batched operator product for the whole stack.  Content
-        groups cannot collapse here (two layers sharing placement content
-        still differ in demand), which is exactly the fidelity
-        demand-resolved pricing buys.
+        layer is priced against its own placement and its own demand rows.
         """
-        num_layers = len(self.group_index)
-        durations = np.empty(num_layers)
+        durations = np.empty(self.num_layers)
         durations[0] = layer0_duration
-        if num_layers > 1:
+        if self.num_layers > 1:
             if self.sparse:
                 durations[1:] = self.sparse_pricer.durations(
-                    demand_stack[1:], self._resolved_state_list()
+                    demand_stack[1:], self._states
                 )
             else:
-                shares, dense_latencies = self._resolved_stack()
                 durations[1:] = self.pricer.durations(
-                    demand_stack[1:], shares, dense_latencies
+                    demand_stack[1:], self._shares, self._dense_latencies
                 )
         return durations
 
 
-#: anchor placement -> {(id(mapping), sparse):
+#: stacked placement -> {(id(mapping), sparse):
 #:     (mapping weakref, version vector, plan)}.
-#: The anchor is the StackedPlacement (stacked engine) or layer 0's
-#: ExpertPlacement (per-layer engine); the version vector — one counter per
-#: layer — invalidates the grouping exactly when a migration or eviction
-#: mutates any layer.  The pricing mode is part of the key: a plan is
-#: built for one mode, and toggling ``sparse_pricing`` mid-session must
-#: never resolve to a plan priced the other way.
+#: The per-layer version vector invalidates the plan exactly when a
+#: migration or eviction mutates any layer.  The pricing operator is part
+#: of the key: a plan is built for one operator, and toggling
+#: ``sparse_pricing`` mid-session must never resolve to a plan priced the
+#: other way.
 _LAYERED_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def layered_dispatch_plan(
-    mapping: "Mapping", anchor, placements: list, sparse: bool = False
+    mapping: "Mapping", placement: "StackedPlacement", sparse: bool = False
 ) -> LayeredDispatchPlan:
-    """The cached layered plan for this (mapping, mode, version vector)."""
-    per_mapping = _LAYERED_PLAN_CACHE.setdefault(anchor, {})
-    versions = tuple(placement.version for placement in placements)
+    """The cached layered plan for this (mapping, operator, version vector)."""
+    per_mapping = _LAYERED_PLAN_CACHE.setdefault(placement, {})
+    versions = placement.versions.tobytes()
     key = (id(mapping), sparse)
     entry = per_mapping.get(key)
     if entry is not None:
@@ -1205,15 +1092,7 @@ def layered_dispatch_plan(
         if mapping_ref() is mapping and cached_versions == versions:
             return plan
     _sweep_dead_mappings(per_mapping)
-    # A stacked anchor maintains the (layers, experts, devices) share
-    # tensor incrementally; hand it to the plan so demand-resolved pricing
-    # reads it zero-copy instead of re-stacking per placement epoch.
-    anchor_shares = getattr(anchor, "destination_shares", None)
-    if anchor_shares is not None and anchor_shares.ndim != 3:
-        anchor_shares = None
-    plan = LayeredDispatchPlan(
-        mapping, placements, stacked_shares=anchor_shares, sparse=sparse
-    )
+    plan = LayeredDispatchPlan(mapping, placement, sparse=sparse)
     per_mapping[key] = (weakref.ref(mapping), versions, plan)
     return plan
 

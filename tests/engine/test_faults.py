@@ -10,7 +10,12 @@ from repro.balancer import (
     NonInvasiveBalancer,
     TopologyAwareBalancer,
 )
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import (
+    BalancingConfig,
+    EngineConfig,
+    ServingConfig,
+    ServingSimulator,
+)
 from repro.faults import DeviceFailure, FaultSchedule, LinkDegradation, Straggler
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
@@ -31,8 +36,7 @@ def make_simulator(
     iterations=30,
     seed=11,
     fault_schedule=None,
-    stacked=None,
-    **serving_kwargs,
+    shadow_slots=1,
 ):
     system = build_wsc(QWEN3_235B, side=side, tp=4, mapping="er")
     workload = GatingSimulator(
@@ -50,8 +54,10 @@ def make_simulator(
         workload,
         balancer_cls,
         engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(num_iterations=iterations, **serving_kwargs),
-        stacked=stacked,
+        serving_config=ServingConfig(
+            num_iterations=iterations,
+            balancing=BalancingConfig(shadow_slots=shadow_slots),
+        ),
         fault_schedule=fault_schedule,
     )
 
@@ -78,14 +84,6 @@ def fingerprint(record):
 
 
 class TestScheduleValidation:
-    def test_requires_stacked_engine(self):
-        with pytest.raises(ValueError, match="stacked engine"):
-            make_simulator(
-                GreedyBalancer,
-                stacked=False,
-                fault_schedule=FaultSchedule.single_failure(5, 3),
-            )
-
     def test_device_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             make_simulator(

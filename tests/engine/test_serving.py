@@ -11,7 +11,6 @@ from repro.balancer import (
 from repro.engine import (
     BalancingConfig,
     EngineConfig,
-    PricingConfig,
     ServingConfig,
     ServingSimulator,
 )
@@ -20,7 +19,7 @@ from repro.systems import build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
 
 
-def make_simulator(balancer_cls, iterations=30, mixer=None, seed=3, **serving_kwargs):
+def make_simulator(balancer_cls, iterations=30, mixer=None, seed=3, **balancing):
     system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
     if mixer is None:
         mixer = MATH
@@ -39,7 +38,9 @@ def make_simulator(balancer_cls, iterations=30, mixer=None, seed=3, **serving_kw
         workload,
         balancer_cls,
         engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(num_iterations=iterations, **serving_kwargs),
+        serving_config=ServingConfig(
+            num_iterations=iterations, balancing=BalancingConfig(**balancing)
+        ),
     )
 
 
@@ -147,28 +148,12 @@ class TestTraceStats:
         with pytest.raises(ValueError):
             ServingConfig(balancing=BalancingConfig(beta_iters=-1))
 
-    def test_inert_demand_flag_combo_warns(self):
-        """per_layer_demand only reaches the pricer through the per-layer
-        plan; leaving it at its True default while switching per-layer
-        pricing off is silently inert and almost always a mistake."""
-        with pytest.warns(UserWarning, match="per_layer_demand.*inert"):
-            PricingConfig(per_layer_alltoall=False)
-        with pytest.warns(UserWarning, match="inert"):
-            ServingConfig.from_flat(
-                per_layer_alltoall=False, per_layer_demand=True
-            )
+    def test_balancer_without_stacked_engine_rejected(self):
+        class CustomBalancer(GreedyBalancer):
+            pass
 
-    def test_explicit_broadcast_combos_do_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            PricingConfig(per_layer_alltoall=False, per_layer_demand=False)
-            PricingConfig(per_layer_alltoall=True, per_layer_demand=True)
-            PricingConfig(per_layer_alltoall=True, per_layer_demand=False)
-            ServingConfig.from_flat(
-                per_layer_alltoall=False, per_layer_demand=False
-            )
+        with pytest.raises(ValueError, match="no stacked balancer engine"):
+            make_simulator(CustomBalancer, iterations=2)
 
 
 class TestSteadyTail:

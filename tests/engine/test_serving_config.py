@@ -1,13 +1,7 @@
-"""The grouped ServingConfig and its flat-kwarg compatibility path.
+"""The grouped ServingConfig: a frozen top-level config over two frozen
+sub-configs, each validated at construction."""
 
-The pre-grouping API (``ServingConfig(alpha=..., per_layer_demand=...)``)
-must keep working behind a DeprecationWarning, forwarding every flat kwarg
-onto the sub-config that owns it, and the flat attribute names must stay
-readable (silently) so downstream inspection code does not churn.
-"""
-
-import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -25,20 +19,11 @@ class TestGroupedConstruction:
         config = ServingConfig(
             num_iterations=7,
             balancing=BalancingConfig(alpha=0.25, shadow_slots=3),
-            pricing=PricingConfig(record_broadcast_price=True),
+            pricing=PricingConfig(sparse_pricing=True),
         )
         assert config.balancing.alpha == 0.25
         assert config.balancing.shadow_slots == 3
-        assert config.pricing.record_broadcast_price is True
-
-    def test_grouped_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ServingConfig(
-                num_iterations=3,
-                balancing=BalancingConfig(beta_iters=0),
-                pricing=PricingConfig(sparse_pricing=True),
-            )
+        assert config.pricing.sparse_pricing is True
 
     def test_replace_works_on_grouped_fields(self):
         config = ServingConfig(num_iterations=9)
@@ -54,91 +39,16 @@ class TestGroupedConstruction:
         assert ServingConfig() in {ServingConfig()}
         assert ServingConfig(num_iterations=2) != ServingConfig()
 
-
-class TestLegacyFlatKwargs:
-    def test_flat_kwargs_warn_and_forward(self):
-        with pytest.deprecated_call(match="flat ServingConfig kwargs"):
-            config = ServingConfig(
-                num_iterations=5,
-                alpha=0.125,
-                beta_iters=2,
-                migration_side_channel=True,
-                per_layer_demand=False,
-                sparse_pricing=False,
-            )
-        assert config.num_iterations == 5
-        assert config.balancing.alpha == 0.125
-        assert config.balancing.beta_iters == 2
-        assert config.balancing.migration_side_channel is True
-        assert config.pricing.per_layer_demand is False
-        assert config.pricing.sparse_pricing is False
-
-    def test_flat_kwargs_overlay_given_sub_configs(self):
-        with pytest.deprecated_call():
-            config = ServingConfig(
-                balancing=BalancingConfig(alpha=0.25, warmup_iters=9),
-                shadow_slots=4,
-            )
-        # The flat kwarg lands on top of the provided sub-config.
-        assert config.balancing.shadow_slots == 4
-        assert config.balancing.alpha == 0.25
-        assert config.balancing.warmup_iters == 9
-
-    def test_flat_attribute_reads_stay_silent(self):
-        config = ServingConfig(
-            balancing=BalancingConfig(alpha=0.3),
-            pricing=PricingConfig(record_broadcast_price=True),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.alpha == 0.3
-            assert config.beta_iters == config.balancing.beta_iters
-            assert config.warmup_iters == config.balancing.warmup_iters
-            assert config.shadow_slots == config.balancing.shadow_slots
-            assert config.migration_side_channel is False
-            assert config.per_layer_alltoall is True
-            assert config.per_layer_demand is True
-            assert config.record_broadcast_price is True
-            assert config.sparse_pricing is None
-
-    def test_flat_aliases_are_read_only(self):
+    def test_fields_are_read_only(self):
         config = ServingConfig()
-        with pytest.raises(AttributeError):
-            config.alpha = 0.9
+        with pytest.raises(FrozenInstanceError):
+            config.num_iterations = 3
+        with pytest.raises(FrozenInstanceError):
+            config.balancing.alpha = 0.9
 
-    def test_unknown_kwarg_raises_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ServingConfig(sampler="multinomial")
-
-    def test_flat_validation_still_raises(self):
-        with pytest.raises(ValueError):
-            ServingConfig(alpha=-1.0)
-
-    def test_replace_accepts_flat_names_via_legacy_path(self):
-        config = ServingConfig(num_iterations=4)
-        with pytest.deprecated_call():
-            bumped = replace(config, alpha=0.75)
-        assert bumped.balancing.alpha == 0.75
-        assert bumped.num_iterations == 4
-
-
-class TestFromFlat:
-    def test_from_flat_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = ServingConfig.from_flat(
-                num_iterations=6, alpha=0.5, per_layer_demand=False
-            )
-        assert config.num_iterations == 6
-        assert config.pricing.per_layer_demand is False
-
-    def test_from_flat_equals_deprecated_path(self):
-        with pytest.deprecated_call():
-            legacy = ServingConfig(alpha=0.2, shadow_slots=2, sparse_pricing=True)
-        assert legacy == ServingConfig.from_flat(
-            alpha=0.2, shadow_slots=2, sparse_pricing=True
-        )
-
-    def test_from_flat_rejects_unknown_names(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ServingConfig.from_flat(group_split="gaussian")
+    def test_flat_kwargs_rejected(self):
+        """Settings live on the sub-config that owns them."""
+        with pytest.raises(TypeError):
+            ServingConfig(alpha=0.5)
+        with pytest.raises(TypeError):
+            ServingConfig(sparse_pricing=True)

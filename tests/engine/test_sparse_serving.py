@@ -1,6 +1,6 @@
 """Sparse pricing in the serving loop: parity, auto selection, zero rebuilds.
 
-``ServingConfig(sparse_pricing=...)`` selects which all-to-all operator
+``PricingConfig(sparse_pricing=...)`` selects which all-to-all operator
 backs the layered plan.  The contracts:
 
 * sparse and dense traces agree to ~1e-12 relative latency (the pricers
@@ -15,7 +15,8 @@ backs the layered plan.  The contracts:
   force their tier.
 """
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.balancer import (
@@ -24,7 +25,13 @@ from repro.balancer import (
     NonInvasiveBalancer,
     TopologyAwareBalancer,
 )
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import (
+    BalancingConfig,
+    EngineConfig,
+    PricingConfig,
+    ServingConfig,
+    ServingSimulator,
+)
 from repro.models import QWEN3_235B
 from repro.network.alltoall import prefer_sparse_pricing, sparse_alltoall_pricer
 from repro.systems import build_wsc
@@ -50,7 +57,7 @@ def make_simulator(
     num_layers=58,
     iterations=10,
     seed=17,
-    **serving_kwargs,
+    sparse_pricing=None,
 ):
     system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
     workload = GatingSimulator(
@@ -68,8 +75,10 @@ def make_simulator(
         workload,
         balancer_cls,
         engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(
-            num_iterations=iterations, warmup_iters=3, **serving_kwargs
+        serving_config=ServingConfig(
+            num_iterations=iterations,
+            balancing=BalancingConfig(warmup_iters=3),
+            pricing=PricingConfig(sparse_pricing=sparse_pricing),
         ),
     )
 
@@ -89,19 +98,6 @@ class TestSparseDenseParity:
                 want.alltoall_mean, rel=1e-12, abs=0.0
             )
 
-    def test_broadcast_demand_path_matches_too(self):
-        dense = make_simulator(
-            GreedyBalancer, num_layers=12, per_layer_demand=False,
-            sparse_pricing=False,
-        ).run()
-        sparse = make_simulator(
-            GreedyBalancer, num_layers=12, per_layer_demand=False,
-            sparse_pricing=True,
-        ).run()
-        assert sparse.num_migrations() == dense.num_migrations()
-        for got, want in zip(sparse.records, dense.records):
-            assert got.latency == pytest.approx(want.latency, rel=1e-12, abs=0.0)
-
 
 class TestZeroRebuilds:
     def test_migration_free_iterations_rebuild_nothing(self):
@@ -115,9 +111,7 @@ class TestZeroRebuilds:
         assert built == 7
         make_more = make_simulator(NoBalancer, num_layers=8, sparse_pricing=True)
         del make_more  # (fresh simulators share the mapping-cached pricer)
-        sim.serving_config = ServingConfig.from_flat(
-            num_iterations=5, warmup_iters=3, sparse_pricing=True
-        )
+        sim.serving_config = replace(sim.serving_config, num_iterations=5)
         sim.run()
         assert pricer.state_rebuilds == built
 

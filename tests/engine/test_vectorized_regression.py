@@ -149,11 +149,15 @@ class TestVectorizedEquivalence:
         placements = [random_placement(rng) for _ in range(3)]
         layer_loads = rng.uniform(0.0, 200.0, (3, NUM_EXPERTS))
         compute = ComputeModel(B200, QWEN3_235B)
-        batched = compute.moe_peak_times(layer_loads, placements)
+        batched_compute, batched_memory = compute.moe_peak_arrays(
+            layer_loads,
+            np.stack([p.replica_matrix for p in placements]),
+            np.stack([p.replica_counts for p in placements]),
+        )
         for layer, placement in enumerate(placements):
             single = compute.moe_peak_time(layer_loads[layer], placement)
-            assert batched[layer].compute == pytest.approx(single.compute)
-            assert batched[layer].memory == pytest.approx(single.memory)
+            assert batched_compute[layer] == pytest.approx(single.compute)
+            assert batched_memory[layer] == pytest.approx(single.memory)
 
     def test_evict_stale_matches_loop_semantics(self, seed):
         rng = np.random.default_rng(seed)

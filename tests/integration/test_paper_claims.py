@@ -126,7 +126,7 @@ class TestFig4EPScaling:
 
 
 class TestBalancerClaims:
-    def _run(self, balancer_cls, **kwargs):
+    def _run(self, balancer_cls):
         system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
         mixer = AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=60)
         workload = GatingSimulator(
@@ -136,7 +136,7 @@ class TestBalancerClaims:
         sim = ServingSimulator(
             system.device, QWEN3_235B, system.mapping, workload, balancer_cls,
             engine_config=EngineConfig(tokens_per_group=128),
-            serving_config=ServingConfig.from_flat(num_iterations=50, **kwargs),
+            serving_config=ServingConfig(num_iterations=50),
         )
         return sim.run()
 

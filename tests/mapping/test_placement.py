@@ -264,33 +264,6 @@ class TestStackedPlacement:
         assert hosted == stacked.layer(0).experts_on(0)
 
 
-class TestContentKey:
-    def test_equal_content_equal_key(self):
-        a = ExpertPlacement(16, 8, shadow_slots=2)
-        b = ExpertPlacement(16, 8, shadow_slots=2)
-        assert a.content_key() == b.content_key()
-        a.add_replica(0, 7)
-        assert a.content_key() != b.content_key()
-        b.add_replica(0, 7)
-        assert a.content_key() == b.content_key()
-
-    def test_key_tracks_mutation_history_not_version(self):
-        """Add + drop returns to native content; the key must follow the
-        content (shares), not the version counter."""
-        placement = ExpertPlacement(16, 8, shadow_slots=2)
-        native = placement.content_key()
-        placement.add_replica(0, 7)
-        assert placement.content_key() != native
-        placement.drop_replica(0, 7)
-        assert placement.content_key() == native
-        assert placement.version == 2
-
-    def test_key_cached_per_version(self):
-        placement = ExpertPlacement(16, 8)
-        first = placement.content_key()
-        assert placement.content_key() is first
-
-
 class TestBatchedMutations:
     """add_replicas/drop_replicas end in the sequential path's exact state."""
 

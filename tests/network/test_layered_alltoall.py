@@ -1,12 +1,13 @@
-"""Layer-batched all-to-all pricing against the per-layer oracle.
+"""Layer-batched all-to-all pricing against the per-layer exact path.
 
 The :class:`LayeredAllToAllPricer` aggregates per-link volumes through
 dense ``(group, dest) -> link`` operators — the same terms the per-layer
 :class:`DispatchPlan` + :func:`simulate_phase` pipeline sums, in a
 different associative order — so traffic tensors and phase durations are
-pinned to the exact path with tight relative tolerances, while the
-structural guarantees (layer-0 group reuses the exact price verbatim,
-uniform stacks skip pricing entirely) are asserted bitwise.
+pinned to the exact path with tight relative tolerances.  The
+:class:`LayeredDispatchPlan` the serving loop prices through is held to
+the same exact path layer by layer, with layer 0's price passed through
+verbatim.
 """
 
 import gc
@@ -16,7 +17,7 @@ import pytest
 
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.network.alltoall import (
     _LAYERED_PLAN_CACHE,
     LayeredDispatchPlan,
@@ -38,16 +39,24 @@ def mapping():
     )
 
 
-def diverged_placements(num_layers=5, num_experts=16, num_devices=16):
+def diverged_stack(num_layers=5, num_experts=16, num_devices=16):
     """A placement stack with layers 2 and 4 mutated away from native."""
-    placements = [
-        ExpertPlacement(num_experts, num_devices, shadow_slots=2)
-        for _ in range(num_layers)
-    ]
-    placements[2].add_replica(0, 15)
-    placements[2].add_replica(5, 9)
-    placements[4].add_replica(3, 12)
-    return placements
+    stack = StackedPlacement(num_layers, num_experts, num_devices, shadow_slots=2)
+    stack.add_replica(2, 0, 15)
+    stack.add_replica(2, 5, 9)
+    stack.add_replica(4, 3, 12)
+    return stack
+
+
+def demand_stack(num_layers=5, seed=3, zero_cells=False):
+    """Per-layer demand rows around the uniform expectation."""
+    rng = np.random.default_rng(seed)
+    base = uniform_demand(4, 16, 256, 8, 100)
+    stack = base * rng.uniform(0.5, 1.5, size=(num_layers, 4, 16))
+    if zero_cells:
+        stack[1, 0, 3] = 0.0
+        stack[3, 2, :8] = 0.0
+    return stack
 
 
 def dense_traffic_oracle(mapping, demand, placement):
@@ -58,44 +67,44 @@ def dense_traffic_oracle(mapping, demand, placement):
     return dense
 
 
-def shares_stack(placements):
-    return np.stack([p.destination_shares for p in placements])
+def exact_duration(mapping, demand, placement):
+    return simulate_alltoall(mapping.topology, demand, placement, mapping).duration
 
 
 class TestPricerAgainstPerLayerOracle:
     def test_traffic_tensor_matches_dispatch_plans(self, mapping):
-        placements = diverged_placements()
+        stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
         tensor = alltoall_pricer(mapping).traffic_tensor(
-            demand, shares_stack(placements)
+            demand, stack.destination_shares
         )
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             np.testing.assert_allclose(
                 tensor[layer], dense_traffic_oracle(mapping, demand, placement),
                 **TIGHT,
             )
 
     def test_traffic_tensor_sparse_demand(self, mapping):
-        placements = diverged_placements()
+        stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
         demand[1, :] = 0.0
         demand[:, 7] = 0.0
         tensor = alltoall_pricer(mapping).traffic_tensor(
-            demand, shares_stack(placements)
+            demand, stack.destination_shares
         )
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             np.testing.assert_allclose(
                 tensor[layer], dense_traffic_oracle(mapping, demand, placement),
                 **TIGHT,
             )
 
     def test_link_volumes_match_phase_oracle(self, mapping):
-        placements = diverged_placements()
+        stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
         pricer = alltoall_pricer(mapping)
-        _cells, volumes = pricer.link_volumes(demand, shares_stack(placements))
+        _cells, volumes = pricer.link_volumes(demand, stack.destination_shares)
         keys = list(mapping.topology.links)
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             result = simulate_alltoall(mapping.topology, demand, placement, mapping)
             for phase, phase_result in enumerate((result.dispatch, result.combine)):
                 expected = np.zeros(len(keys))
@@ -107,210 +116,134 @@ class TestPricerAgainstPerLayerOracle:
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_durations_match_per_layer_simulation(self, mapping, sparse):
-        placements = diverged_placements()
+        stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
         if sparse:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
         durations = alltoall_pricer(mapping).durations(
-            demand, shares_stack(placements)
+            demand, stack.destination_shares
         )
-        for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placement, mapping
-            ).duration
+        for layer, placement in enumerate(stack.layers):
+            exact = exact_duration(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_dense_latencies_precompute_matches(self, mapping):
-        placements = diverged_placements()
         demand = uniform_demand(4, 16, 256, 8, 100)
         pricer = alltoall_pricer(mapping)
-        shares = shares_stack(placements)
+        shares = diverged_stack().destination_shares
         fresh = pricer.durations(demand, shares)
         cached = pricer.durations(
             demand, shares, pricer.dense_demand_latencies(shares)
         )
         np.testing.assert_array_equal(fresh, cached)
 
+    def test_pricer_link_volumes_accept_demand_stack(self, mapping):
+        stack = diverged_stack()
+        demand = demand_stack()
+        pricer = alltoall_pricer(mapping)
+        shares = stack.destination_shares
+        _cells, batched = pricer.link_volumes(demand, shares)
+        for layer in range(stack.num_layers):
+            _cells_l, single = pricer.link_volumes(
+                demand[layer], shares[layer : layer + 1]
+            )
+            np.testing.assert_allclose(batched[layer], single[0], **TIGHT)
+
 
 class TestLayeredPlan:
-    def test_uniform_stack_broadcasts_layer0_verbatim(self, mapping):
-        placements = [ExpertPlacement(16, 16) for _ in range(4)]
-        plan = LayeredDispatchPlan(mapping, placements)
-        assert plan.uniform
-        durations = plan.alltoall_durations(
-            uniform_demand(4, 16, 256, 8, 100), layer0_duration=1.25e-5
-        )
-        assert durations.tolist() == [1.25e-5] * 4
+    """The serving loop's plan against the exact per-layer simulation."""
 
-    def test_groups_split_on_divergence(self, mapping):
-        placements = diverged_placements()
-        plan = LayeredDispatchPlan(mapping, placements)
-        assert not plan.uniform
-        assert plan.num_groups == 3
-        # Layers 0, 1, 3 still share layer 0's content group.
-        assert plan.group_index.tolist() == [0, 0, 1, 0, 2]
-        demand = uniform_demand(4, 16, 256, 8, 100)
-        layer0 = simulate_alltoall(
-            mapping.topology, demand, placements[0], mapping
-        ).duration
-        durations = plan.alltoall_durations(demand, layer0)
+    @pytest.mark.parametrize("demand", ["shared", "resolved", "zero_cells"])
+    def test_durations_match_per_layer_oracle(self, mapping, demand):
+        stack = diverged_stack()
+        if demand == "shared":
+            rows = np.repeat(uniform_demand(4, 16, 256, 8, 100)[None], 5, axis=0)
+        else:
+            rows = demand_stack(zero_cells=demand == "zero_cells")
+        layer0 = exact_duration(mapping, rows[0], stack.layer(0))
+        durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
+            rows, layer0
+        )
         assert durations[0] == layer0
-        assert durations[1] == layer0
-        assert durations[3] == layer0
-        # Diverged layers price against their own placements.
-        for layer in (2, 4):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placements[layer], mapping
-            ).duration
-            assert durations[layer] != layer0
+        for layer in range(1, stack.num_layers):
+            exact = exact_duration(mapping, rows[layer], stack.layer(layer))
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
-    def test_content_equal_layers_share_a_group(self, mapping):
-        placements = [ExpertPlacement(16, 16, shadow_slots=2) for _ in range(4)]
-        placements[1].add_replica(0, 15)
-        placements[3].add_replica(0, 15)
-        plan = LayeredDispatchPlan(mapping, placements)
-        assert plan.num_groups == 2
-        assert plan.group_index.tolist() == [0, 1, 0, 1]
-        durations = plan.alltoall_durations(
-            uniform_demand(4, 16, 256, 8, 100), layer0_duration=3.0e-6
+    def test_uniform_stack_prices_each_layers_demand(self, mapping):
+        """Identical placements do not collapse layers — each layer's own
+        demand rows set its price."""
+        stack = StackedPlacement(4, 16, 16)
+        demand = demand_stack(num_layers=4)
+        layer0 = exact_duration(mapping, demand[0], stack.layer(0))
+        durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
+            demand, layer0
         )
-        assert durations[1] == durations[3]
-
-
-class TestResolvedDemand:
-    """Per-layer demand rows through the batched pricer vs the exact
-    per-layer simulation oracle."""
-
-    @staticmethod
-    def demand_stack(num_layers=5, seed=3, sparse=False):
-        rng = np.random.default_rng(seed)
-        base = uniform_demand(4, 16, 256, 8, 100)
-        stack = base * rng.uniform(0.5, 1.5, size=(num_layers, 4, 16))
-        if sparse:
-            stack[1, 0, 3] = 0.0
-            stack[3, 2, :8] = 0.0
-        return stack
-
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_durations_match_per_layer_oracle(self, mapping, sparse):
-        placements = diverged_placements()
-        demand = self.demand_stack(sparse=sparse)
-        plan = LayeredDispatchPlan(mapping, placements)
-        layer0 = simulate_alltoall(
-            mapping.topology, demand[0], placements[0], mapping
-        ).duration
-        durations = plan.alltoall_durations_resolved(demand, layer0)
-        assert durations[0] == layer0
-        for layer in range(1, len(placements)):
-            exact = simulate_alltoall(
-                mapping.topology, demand[layer], placements[layer], mapping
-            ).duration
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
-
-    def test_uniform_stack_still_resolves_demand(self, mapping):
-        """Unlike the broadcast path, identical placement content must NOT
-        collapse layers — each layer's own demand rows set its price."""
-        placements = [ExpertPlacement(16, 16) for _ in range(4)]
-        plan = LayeredDispatchPlan(mapping, placements)
-        assert plan.uniform
-        demand = self.demand_stack(num_layers=4)
-        layer0 = simulate_alltoall(
-            mapping.topology, demand[0], placements[0], mapping
-        ).duration
-        durations = plan.alltoall_durations_resolved(demand, layer0)
         for layer in range(1, 4):
-            exact = simulate_alltoall(
-                mapping.topology, demand[layer], placements[layer], mapping
-            ).duration
+            exact = exact_duration(mapping, demand[layer], stack.layer(layer))
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
         assert len(set(durations.tolist())) > 1
+
+    def test_forced_replica_on_later_layer_moves_only_that_layer(self, mapping):
+        """A replica forced onto layer 3 reprices layer 3 — exactly,
+        against its own placement — and leaves every other layer's price
+        bitwise unchanged."""
+        demand = demand_stack()
+        native = StackedPlacement(5, 16, 16, shadow_slots=2)
+        forced = StackedPlacement(5, 16, 16, shadow_slots=2)
+        forced.add_replica(3, 0, 15)
+        base = LayeredDispatchPlan(mapping, native).alltoall_durations_resolved(
+            demand, 1.0e-5
+        )
+        moved = LayeredDispatchPlan(mapping, forced).alltoall_durations_resolved(
+            demand, 1.0e-5
+        )
+        assert moved[3] != base[3]
+        assert moved[3] == pytest.approx(
+            exact_duration(mapping, demand[3], forced.layer(3)), rel=1e-12
+        )
+        mask = np.arange(5) != 3
+        np.testing.assert_array_equal(moved[mask], base[mask])
 
     def test_forced_later_layer_demand_skew_changes_only_that_layer(
         self, mapping
     ):
-        """The satellite contract: skewing layer 3's demand strictly moves
-        layer 3's price and no other layer's."""
-        placements = diverged_placements()
-        plan = LayeredDispatchPlan(mapping, placements)
-        demand = self.demand_stack()
+        """Skewing layer 3's demand strictly moves layer 3's price and no
+        other layer's."""
+        plan = LayeredDispatchPlan(mapping, diverged_stack())
+        demand = demand_stack()
         skewed = demand.copy()
         # Concentrate layer 3's demand onto two experts, holding the
         # total volume fixed.
         skewed[3] = 0.0
         skewed[3, :, 0] = demand[3].sum(axis=1) * 0.75
         skewed[3, :, 9] = demand[3].sum(axis=1) * 0.25
-        layer0 = 1.0e-5
-        base = plan.alltoall_durations_resolved(demand, layer0)
-        moved = plan.alltoall_durations_resolved(skewed, layer0)
+        base = plan.alltoall_durations_resolved(demand, 1.0e-5)
+        moved = plan.alltoall_durations_resolved(skewed, 1.0e-5)
         assert moved[3] != base[3]
-        mask = np.arange(len(placements)) != 3
+        mask = np.arange(5) != 3
         np.testing.assert_array_equal(moved[mask], base[mask])
-
-    def test_pricer_link_volumes_accept_demand_stack(self, mapping):
-        placements = diverged_placements()
-        demand = self.demand_stack()
-        pricer = alltoall_pricer(mapping)
-        _cells, batched = pricer.link_volumes(demand, shares_stack(placements))
-        for layer, placement in enumerate(placements):
-            _cells_l, single = pricer.link_volumes(
-                demand[layer], shares_stack([placement])
-            )
-            np.testing.assert_allclose(batched[layer], single[0], **TIGHT)
-
-    def test_broadcast_demand_unchanged_by_resolved_machinery(self, mapping):
-        """The demand-broadcast path must stay bitwise stable whether or
-        not the resolved stack has been built on the same plan."""
-        placements = diverged_placements()
-        demand = uniform_demand(4, 16, 256, 8, 100)
-        fresh = LayeredDispatchPlan(mapping, placements)
-        reference = fresh.alltoall_durations(demand, layer0_duration=2.0e-6)
-        warmed = LayeredDispatchPlan(mapping, placements)
-        warmed.alltoall_durations_resolved(self.demand_stack(), 2.0e-6)
-        np.testing.assert_array_equal(
-            warmed.alltoall_durations(demand, layer0_duration=2.0e-6), reference
-        )
-
-    def test_stacked_share_view_matches_restacked(self, mapping):
-        """A plan fed the stacked engine's (layers, experts, devices) share
-        tensor prices bitwise like one that re-stacks per-layer views."""
-        placements = diverged_placements()
-        stacked_shares = shares_stack(placements)
-        demand = self.demand_stack()
-        via_view = LayeredDispatchPlan(
-            mapping, placements, stacked_shares=stacked_shares
-        )
-        via_stack = LayeredDispatchPlan(mapping, placements)
-        np.testing.assert_array_equal(
-            via_view.alltoall_durations_resolved(demand, 1.0e-6),
-            via_stack.alltoall_durations_resolved(demand, 1.0e-6),
-        )
 
 
 class TestLayeredPlanCache:
     def test_hit_until_any_layer_mutates(self, mapping):
-        placements = diverged_placements()
-        anchor = placements[0]
-        plan = layered_dispatch_plan(mapping, anchor, placements)
-        assert layered_dispatch_plan(mapping, anchor, placements) is plan
-        placements[1].add_replica(2, 14)
-        rebuilt = layered_dispatch_plan(mapping, anchor, placements)
-        assert rebuilt is not plan
-        assert not rebuilt.uniform
+        stack = diverged_stack()
+        plan = layered_dispatch_plan(mapping, stack)
+        assert layered_dispatch_plan(mapping, stack) is plan
+        stack.add_replica(1, 2, 14)
+        assert layered_dispatch_plan(mapping, stack) is not plan
 
     def test_dead_mapping_entries_swept_on_insert(self):
         topology = MeshTopology(4, 4)
         parallelism = ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2))
-        placements = [ExpertPlacement(16, 16) for _ in range(2)]
-        anchor = placements[0]
+        stack = StackedPlacement(2, 16, 16)
         dead = ERMapping(topology, parallelism)
-        layered_dispatch_plan(dead, anchor, placements)
-        assert len(_LAYERED_PLAN_CACHE[anchor]) == 1
+        layered_dispatch_plan(dead, stack)
+        assert len(_LAYERED_PLAN_CACHE[stack]) == 1
         del dead
         gc.collect()
         live = ERMapping(topology, parallelism)
-        layered_dispatch_plan(live, anchor, placements)
-        entries = _LAYERED_PLAN_CACHE[anchor]
+        layered_dispatch_plan(live, stack)
+        entries = _LAYERED_PLAN_CACHE[stack]
         assert len(entries) == 1
         assert next(iter(entries.values()))[0]() is live

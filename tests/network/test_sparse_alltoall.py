@@ -17,7 +17,7 @@ import pytest
 
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.network.alltoall import (
     LayeredDispatchPlan,
     SPARSE_AUTO_THRESHOLD_BYTES,
@@ -247,72 +247,80 @@ class TestIncremental:
         assert pricer.dest_row_builds == built
 
 
+def diverged_stack():
+    """:func:`diverged_placements` as the serving loop's stacked placement."""
+    stack = StackedPlacement(5, 16, 16, shadow_slots=2)
+    stack.add_replica(2, 0, 15)
+    stack.add_replica(2, 5, 9)
+    stack.add_replica(4, 3, 12)
+    return stack
+
+
+def demand_rows(seed=5):
+    rng = np.random.default_rng(seed)
+    return uniform_demand(4, 16, 256, 8, 100) * rng.uniform(
+        0.5, 1.5, size=(5, 4, 16)
+    )
+
+
 class TestPlanModeCache:
     def test_modes_get_distinct_plans(self, mapping):
-        placements = diverged_placements()
-        anchor = placements[0]
-        dense_plan = layered_dispatch_plan(mapping, anchor, placements)
-        sparse_plan = layered_dispatch_plan(
-            mapping, anchor, placements, sparse=True
-        )
+        stack = diverged_stack()
+        dense_plan = layered_dispatch_plan(mapping, stack)
+        sparse_plan = layered_dispatch_plan(mapping, stack, sparse=True)
         assert dense_plan is not sparse_plan
         assert not dense_plan.sparse and dense_plan.pricer is not None
         assert sparse_plan.sparse and sparse_plan.sparse_pricer is not None
         # Each mode keeps hitting its own cached plan.
-        assert layered_dispatch_plan(mapping, anchor, placements) is dense_plan
-        assert (
-            layered_dispatch_plan(mapping, anchor, placements, sparse=True)
-            is sparse_plan
-        )
+        assert layered_dispatch_plan(mapping, stack) is dense_plan
+        assert layered_dispatch_plan(mapping, stack, sparse=True) is sparse_plan
 
     def test_mode_toggle_never_serves_a_stale_plan(self, mapping):
-        """The satellite contract: toggling the pricing mode mid-session
-        must never resolve to a plan built for the other mode."""
-        placements = diverged_placements()
-        anchor = placements[0]
-        demand = uniform_demand(4, 16, 256, 8, 100)
+        """Toggling the pricing mode mid-session must never resolve to a
+        plan built for the other mode."""
+        stack = diverged_stack()
         for sparse in (False, True, False, True):
-            plan = layered_dispatch_plan(
-                mapping, anchor, placements, sparse=sparse
-            )
-            assert plan.sparse == sparse
-        dense_plan = layered_dispatch_plan(mapping, anchor, placements)
-        sparse_plan = layered_dispatch_plan(
-            mapping, anchor, placements, sparse=True
-        )
+            assert layered_dispatch_plan(mapping, stack, sparse=sparse).sparse == sparse
+        dense_plan = layered_dispatch_plan(mapping, stack)
+        sparse_plan = layered_dispatch_plan(mapping, stack, sparse=True)
+        demand = np.repeat(uniform_demand(4, 16, 256, 8, 100)[None], 5, axis=0)
         np.testing.assert_allclose(
-            sparse_plan.alltoall_durations(demand, 2.0e-6),
-            dense_plan.alltoall_durations(demand, 2.0e-6),
+            sparse_plan.alltoall_durations_resolved(demand, 2.0e-6),
+            dense_plan.alltoall_durations_resolved(demand, 2.0e-6),
             **TIGHT,
         )
 
     def test_mutation_invalidates_both_modes(self, mapping):
-        placements = diverged_placements()
-        anchor = placements[0]
-        dense_plan = layered_dispatch_plan(mapping, anchor, placements)
-        sparse_plan = layered_dispatch_plan(
-            mapping, anchor, placements, sparse=True
-        )
-        placements[1].add_replica(2, 14)
-        assert layered_dispatch_plan(mapping, anchor, placements) is not dense_plan
-        assert (
-            layered_dispatch_plan(mapping, anchor, placements, sparse=True)
-            is not sparse_plan
-        )
+        stack = diverged_stack()
+        dense_plan = layered_dispatch_plan(mapping, stack)
+        sparse_plan = layered_dispatch_plan(mapping, stack, sparse=True)
+        stack.add_replica(1, 2, 14)
+        assert layered_dispatch_plan(mapping, stack) is not dense_plan
+        assert layered_dispatch_plan(mapping, stack, sparse=True) is not sparse_plan
 
     def test_sparse_plan_resolved_matches_dense_plan(self, mapping):
-        placements = diverged_placements()
-        rng = np.random.default_rng(5)
-        stack = uniform_demand(4, 16, 256, 8, 100) * rng.uniform(
-            0.5, 1.5, size=(5, 4, 16)
-        )
-        dense_plan = LayeredDispatchPlan(mapping, placements)
-        sparse_plan = LayeredDispatchPlan(mapping, placements, sparse=True)
+        stack = diverged_stack()
+        demand = demand_rows()
+        dense_plan = LayeredDispatchPlan(mapping, stack)
+        sparse_plan = LayeredDispatchPlan(mapping, stack, sparse=True)
         np.testing.assert_allclose(
-            sparse_plan.alltoall_durations_resolved(stack, 1.0e-6),
-            dense_plan.alltoall_durations_resolved(stack, 1.0e-6),
+            sparse_plan.alltoall_durations_resolved(demand, 1.0e-6),
+            dense_plan.alltoall_durations_resolved(demand, 1.0e-6),
             **TIGHT,
         )
+
+    def test_sparse_plan_matches_per_layer_simulation(self, mapping):
+        stack = diverged_stack()
+        demand = demand_rows()
+        durations = LayeredDispatchPlan(
+            mapping, stack, sparse=True
+        ).alltoall_durations_resolved(demand, 1.0e-6)
+        assert durations[0] == 1.0e-6
+        for layer in range(1, stack.num_layers):
+            exact = simulate_alltoall(
+                mapping.topology, demand[layer], stack.layer(layer), mapping
+            ).duration
+            assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
 
 class TestMemoryAccounting:

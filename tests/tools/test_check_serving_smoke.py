@@ -20,23 +20,25 @@ _spec.loader.exec_module(check_serving_smoke)
 def config(
     strategy="greedy",
     layers=58,
-    pricing="layer0",
-    demand="broadcast",
+    operator="dense",
     wall_s=1.0,
     iterations=150,
+    devices=64,
     **extra,
 ):
     return {
+        "devices": devices,
         "strategy": strategy,
         "num_experts": 64,
         "layers": layers,
-        "pricing": pricing,
-        "demand": demand,
+        "operator": operator,
         "iterations": iterations,
         "wall_s": wall_s,
         "iters_per_s": iterations / wall_s,
         "load_ratio": 1.5,
         "migrations": 100,
+        "operator_bytes": 400_000 if operator == "sparse" else 3_670_016,
+        "dense_operator_bytes": 3_670_016,
         **extra,
     }
 
@@ -48,57 +50,25 @@ def record(configs):
     }
 
 
-def full_grid(walls=None):
-    """One strategy over both depths and all three (pricing, demand) modes."""
-    walls = walls or {}
-    configs = []
-    for layers in (2, 58):
-        for pricing, demand in (
-            ("layer0", "broadcast"),
-            ("per_layer", "broadcast"),
-            ("per_layer", "resolved"),
-        ):
-            wall = walls.get((layers, pricing, demand), 1.0)
-            configs.append(
-                config(layers=layers, pricing=pricing, demand=demand, wall_s=wall)
-            )
-    return configs
-
-
-def devices_grid(sparse_wall=1.0, scale_mem=150 * 2**20):
-    """The post-devices-axis shape: a 64-device group with dense and
-    sparse operators plus a sparse-only 1024-device scale group."""
-    configs = []
-    for pricing, demand, operator in (
-        ("layer0", "broadcast", "dense"),
-        ("per_layer", "broadcast", "dense"),
-        ("per_layer", "resolved", "dense"),
-        ("per_layer", "resolved", "sparse"),
-    ):
-        for layers in (2, 58):
-            configs.append(
-                config(
-                    layers=layers,
-                    pricing=pricing,
-                    demand=demand,
-                    wall_s=sparse_wall if operator == "sparse" else 1.0,
-                    devices=64,
-                    operator=operator,
-                    operator_bytes=(
-                        400_000 if operator == "sparse" else 3_670_016
-                    ),
-                    dense_operator_bytes=3_670_016,
-                )
-            )
+def serving_grid(sparse_wall=1.0, scale_mem=150 * 2**20):
+    """The spec's shape: a 64-device group with dense and sparse operators
+    at both depths plus a sparse-only 1024-device scale group."""
+    configs = [
+        config(
+            layers=layers,
+            operator=operator,
+            wall_s=sparse_wall if operator == "sparse" else 1.0,
+        )
+        for layers in (2, 58)
+        for operator in ("dense", "sparse")
+    ]
     configs.append(
         config(
             layers=58,
-            pricing="per_layer",
-            demand="resolved",
+            operator="sparse",
             wall_s=60.0,
             iterations=15,
             devices=1024,
-            operator="sparse",
             operator_bytes=scale_mem,
             dense_operator_bytes=4127 * 2**20,
         )
@@ -116,14 +86,6 @@ EXPECT_AXES = (
     "150",
     "--expect-layers",
     "2,58",
-    "--expect-pricing",
-    "layer0,per_layer",
-    "--expect-demand",
-    "broadcast,resolved",
-)
-
-EXPECT_DEVICES_AXES = (
-    *EXPECT_AXES,
     "--expect-devices",
     "64,1024",
     "--max-sparse-ratio",
@@ -133,28 +95,15 @@ EXPECT_DEVICES_AXES = (
 
 class TestPassingRecord:
     def test_full_grid_passes(self):
-        assert run_checks(full_grid(), *EXPECT_AXES) == []
-
-    def test_ratios_under_budget_pass(self):
-        # Pricing gates against layer0, resolved demand against the
-        # per-layer broadcast path it rides on: 1.5x and 1.4x here.
-        walls = {
-            (58, "layer0", "broadcast"): 1.0,
-            (58, "per_layer", "broadcast"): 1.5,
-            (58, "per_layer", "resolved"): 2.1,
-        }
-        assert run_checks(full_grid(walls), *EXPECT_AXES) == []
-
-    def test_devices_grid_passes(self):
-        assert run_checks(devices_grid(), *EXPECT_DEVICES_AXES) == []
+        assert run_checks(serving_grid(), *EXPECT_AXES) == []
 
     def test_main_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "smoke.json"
-        path.write_text(json.dumps(record(full_grid())))
+        path.write_text(json.dumps(record(serving_grid())))
         assert check_serving_smoke.main([str(path), *EXPECT_AXES]) == 0
         out = capsys.readouterr().out
         assert "serving perf smoke ok" in out
-        assert "resolved demand cost greedy@58" in out
+        assert "sparse operator cost 64dev/greedy@58" in out
 
 
 class TestAxisViolations:
@@ -162,33 +111,26 @@ class TestAxisViolations:
         assert run_checks([]) == ["record has no configs"]
 
     def test_missing_depth(self):
-        configs = [c for c in full_grid() if c["layers"] == 58]
+        configs = [c for c in serving_grid() if c["layers"] == 58]
         errors = run_checks(configs, *EXPECT_AXES)
         assert any("layer axis" in error for error in errors)
 
-    def test_missing_pricing_mode(self):
-        configs = [c for c in full_grid() if c["pricing"] == "layer0"]
-        errors = run_checks(configs, *EXPECT_AXES)
-        assert any("pricing axis" in error for error in errors)
-
-    def test_missing_demand_mode(self):
-        configs = [c for c in full_grid() if c["demand"] == "broadcast"]
-        errors = run_checks(configs, *EXPECT_AXES)
-        assert any("demand axis" in error for error in errors)
-
     def test_missing_devices_group(self):
-        configs = [c for c in devices_grid() if c["devices"] == 64]
-        errors = run_checks(configs, *EXPECT_DEVICES_AXES)
+        configs = [c for c in serving_grid() if c["devices"] == 64]
+        errors = run_checks(configs, *EXPECT_AXES)
         assert any("devices axis" in error for error in errors)
 
-    def test_old_record_without_devices_flagged(self):
-        """Pre-devices-axis records read as one unlabeled group, so the
-        devices expectation flags them instead of crashing."""
-        errors = run_checks(full_grid(), "--expect-devices", "64,1024")
+    def test_record_without_devices_flagged(self):
+        """Records without the devices axis read as one unlabeled group,
+        so the devices expectation flags them instead of crashing."""
+        configs = serving_grid()[:-1]
+        for entry in configs:
+            del entry["devices"]
+        errors = run_checks(configs, "--expect-devices", "64,1024")
         assert any("devices axis" in error for error in errors)
 
     def test_wrong_iteration_count(self):
-        configs = full_grid()
+        configs = serving_grid()
         configs[0]["iterations"] = 30
         errors = run_checks(configs, *EXPECT_AXES)
         assert any("iterations" in error for error in errors)
@@ -196,147 +138,93 @@ class TestAxisViolations:
     def test_scale_group_iterations_divided(self):
         """The 1024-device group runs expected/divisor iterations; the
         base count there is a violation, the divided count passes."""
-        assert run_checks(devices_grid(), *EXPECT_DEVICES_AXES) == []
-        configs = devices_grid()
+        assert run_checks(serving_grid(), *EXPECT_AXES) == []
+        configs = serving_grid()
         configs[-1]["iterations"] = 150
-        errors = run_checks(configs, *EXPECT_DEVICES_AXES)
+        errors = run_checks(configs, *EXPECT_AXES)
         assert any("expected 15 iterations" in error for error in errors)
 
     def test_nonpositive_wall(self):
-        configs = full_grid()
-        configs[-1]["wall_s"] = 0.0
+        configs = serving_grid()
+        configs[0]["wall_s"] = 0.0
         errors = run_checks(configs, *EXPECT_AXES)
         assert any("wall_s" in error for error in errors)
 
-    def test_demand_axis_defaults_to_broadcast_for_old_records(self):
-        """Pre-demand-axis records read as broadcast-only, so the demand
-        expectation flags them instead of crashing."""
-        configs = full_grid()
-        for entry in configs:
-            del entry["demand"]
-        errors = run_checks(configs, "--expect-demand", "broadcast,resolved")
-        assert any("demand axis" in error for error in errors)
 
-
-class TestRatioGates:
-    def test_pricing_ratio_over_budget(self):
-        walls = {
-            (58, "layer0", "broadcast"): 1.0,
-            (58, "per_layer", "broadcast"): 2.1,
-        }
-        errors = run_checks(full_grid(walls), "--max-pricing-ratio", "2.0")
-        assert any("per-layer pricing" in error and "2.10x" in error for error in errors)
-
-    def test_demand_ratio_over_budget(self):
-        # The demand gate's baseline is the per-layer broadcast wall, not
-        # layer0 — resolution cost is budgeted against the path it
-        # extends.
-        walls = {
-            (58, "layer0", "broadcast"): 1.0,
-            (58, "per_layer", "broadcast"): 1.25,
-            (58, "per_layer", "resolved"): 2.0,
-        }
-        errors = run_checks(full_grid(walls), "--max-demand-ratio", "1.5")
-        assert any("resolved demand" in error and "1.60x" in error for error in errors)
-
+class TestSparseRatioGate:
     def test_sparse_ratio_over_budget(self):
-        errors = run_checks(
-            devices_grid(sparse_wall=2.1), *EXPECT_DEVICES_AXES
-        )
+        errors = run_checks(serving_grid(sparse_wall=2.1), *EXPECT_AXES)
         assert any(
             "sparse operator" in error and "2.10x" in error for error in errors
         )
 
     def test_sparse_ratio_not_gated_by_default(self):
-        assert run_checks(devices_grid(sparse_wall=5.0), *EXPECT_AXES) == []
+        assert run_checks(serving_grid(sparse_wall=5.0)) == []
 
     def test_sparse_ratio_demands_a_pair(self):
         """--max-sparse-ratio against a record with no sparse/dense pair
         must fail loudly rather than silently never enforcing."""
-        errors = run_checks(full_grid(), "--max-sparse-ratio", "2.0")
+        dense_only = [c for c in serving_grid() if c["operator"] == "dense"]
+        errors = run_checks(dense_only, "--max-sparse-ratio", "2.0")
         assert any("no sparse/dense" in error for error in errors)
 
     def test_gate_only_at_deepest_depth(self):
         """A slow shallow config must not trip the gate (2-layer walls are
         too small to gate on; only the deepest depth is budgeted)."""
-        walls = {
-            (2, "layer0", "broadcast"): 0.1,
-            (2, "per_layer", "resolved"): 1.0,
-        }
-        assert run_checks(full_grid(walls), *EXPECT_AXES) == []
+        configs = serving_grid()
+        for entry in configs:
+            if entry["layers"] == 2 and entry["operator"] == "sparse":
+                entry["wall_s"] = 5.0
+        assert run_checks(configs, *EXPECT_AXES) == []
 
-    def test_gated_mode_missing_at_depth_reported(self):
-        """A mode measured anywhere in the record (or demanded by the axis
-        expectations) must exist at the gated depth — a partial run must
-        not slip past with the budget unenforced."""
+    def test_sparse_missing_at_gated_depth_reported(self):
+        """A partial run must not slip past with the budget unenforced."""
         configs = [
             c
-            for c in full_grid()
-            if not (c["layers"] == 58 and c["demand"] == "resolved")
+            for c in serving_grid()
+            if not (
+                c["devices"] == 64 and c["layers"] == 58 and c["operator"] == "sparse"
+            )
         ]
-        errors = run_checks(configs)
+        errors = run_checks(configs, *EXPECT_AXES)
         assert any(
-            "no (per_layer/resolved/dense) config at the gated depth" in error
-            for error in errors
-        )
-        # Same hole via the axis expectations alone (record never measured
-        # the resolved mode at all).
-        broadcast_only = [c for c in full_grid() if c["demand"] == "broadcast"]
-        errors = run_checks(
-            broadcast_only,
-            "--expect-pricing",
-            "layer0,per_layer",
-            "--expect-demand",
-            "broadcast,resolved",
-        )
-        assert any("at the gated depth" in error for error in errors)
-
-    def test_missing_baseline_reported(self):
-        configs = [
-            config(layers=58, pricing="per_layer", demand="resolved", wall_s=2.0)
-        ]
-        errors = run_checks(configs)
-        assert any(
-            "no (per_layer/broadcast/dense) baseline" in error
+            "64dev/greedy@58: no sparse/dense pair at the gated depth" in error
             for error in errors
         )
 
     def test_custom_budget_tightens_gate(self):
-        walls = {
-            (58, "layer0", "broadcast"): 1.0,
-            (58, "per_layer", "resolved"): 1.4,
-        }
-        assert run_checks(full_grid(walls)) == []
-        errors = run_checks(full_grid(walls), "--max-demand-ratio", "1.3")
+        configs = serving_grid(sparse_wall=1.4)
+        assert run_checks(configs, *EXPECT_AXES) == []
+        errors = run_checks(configs, *EXPECT_AXES[:-1], "1.3")
         assert len(errors) == 1
 
     def test_scale_group_exempt_from_wall_gates(self):
-        """The sparse-only 1024-device group has no layer-0 baseline by
-        design; its walls must not produce missing-baseline errors."""
-        errors = run_checks(devices_grid(), *EXPECT_DEVICES_AXES)
-        assert not any("1024dev" in error and "baseline" in error for error in errors)
+        """The sparse-only 1024-device group has no dense baseline by
+        design; its walls must not produce missing-pair errors."""
+        errors = run_checks(serving_grid(), *EXPECT_AXES)
+        assert not any("1024dev" in error for error in errors)
 
 
 class TestMemoryGate:
     def test_scale_memory_over_fraction(self):
-        configs = devices_grid(scale_mem=500 * 2**20)
-        errors = run_checks(configs, *EXPECT_DEVICES_AXES)
+        configs = serving_grid(scale_mem=500 * 2**20)
+        errors = run_checks(configs, *EXPECT_AXES)
         assert any(
             "1024dev" in error and "operator memory" in error for error in errors
         )
 
     def test_custom_fraction_tightens_gate(self):
-        configs = devices_grid(scale_mem=150 * 2**20)  # ~3.6% of dense
-        assert run_checks(configs, *EXPECT_DEVICES_AXES) == []
+        configs = serving_grid(scale_mem=150 * 2**20)  # ~3.6% of dense
+        assert run_checks(configs, *EXPECT_AXES) == []
         errors = run_checks(
-            configs, *EXPECT_DEVICES_AXES, "--max-operator-mem-fraction", "0.03"
+            configs, *EXPECT_AXES, "--max-operator-mem-fraction", "0.03"
         )
         assert any("operator memory" in error for error in errors)
 
     def test_sparse_config_must_record_bytes(self):
-        configs = devices_grid()
+        configs = serving_grid()
         del configs[-1]["operator_bytes"]
-        errors = run_checks(configs, *EXPECT_DEVICES_AXES)
+        errors = run_checks(configs, *EXPECT_AXES)
         assert any(
             "must record positive" in error and "1024dev" in error
             for error in errors
@@ -356,12 +244,8 @@ class TestMainErrors:
 
     def test_violation_exit_one(self, tmp_path, capsys):
         path = tmp_path / "smoke.json"
-        walls = {
-            (58, "layer0", "broadcast"): 1.0,
-            (58, "per_layer", "resolved"): 9.0,
-        }
-        path.write_text(json.dumps(record(full_grid(walls))))
-        assert check_serving_smoke.main([str(path)]) == 1
+        path.write_text(json.dumps(record(serving_grid(sparse_wall=9.0))))
+        assert check_serving_smoke.main([str(path), *EXPECT_AXES]) == 1
         assert "FAIL:" in capsys.readouterr().err
 
 
@@ -474,7 +358,7 @@ class TestFaultGates:
     def test_serving_record_rejected(self):
         args = check_serving_smoke.parse_args(["record.json", *FAULT_AXES])
         errors = check_serving_smoke.check_record(
-            record(full_grid()), args
+            record(serving_grid()), args
         )
         assert any("not a fault_tolerance benchmark" in error for error in errors)
 
@@ -569,7 +453,7 @@ class TestSamplingGates:
 
     def test_serving_record_rejected(self):
         args = check_serving_smoke.parse_args(["record.json", *SAMPLING_AXES])
-        errors = check_serving_smoke.check_record(record(full_grid()), args)
+        errors = check_serving_smoke.check_record(record(serving_grid()), args)
         assert any(
             "not a sampling_speed benchmark" in error for error in errors
         )
@@ -740,7 +624,7 @@ class TestSLOGates:
 
     def test_serving_record_rejected(self):
         args = check_serving_smoke.parse_args(["record.json", *SLO_AXES])
-        errors = check_serving_smoke.check_record(record(full_grid()), args)
+        errors = check_serving_smoke.check_record(record(serving_grid()), args)
         assert any(
             "not an slo_serving benchmark" in error for error in errors
         )

@@ -3,18 +3,13 @@
 
 Validates a ``BENCH_serving.smoke.json`` (or the full-length
 ``BENCH_serving.json``) emitted by the ``serving_speed`` spec: the grid
-must cover the expected depth/pricing/demand/devices axes, every config
-must have a positive wall clock at the expected iteration count, and —
-per device-count group, at its deepest measured layer count — per-layer
-all-to-all pricing must stay within its wall-clock budget of the
-layer-0-broadcast baseline, demand-resolved pricing within its budget of
-the *per-layer broadcast* path (the two budgets decompose the old single
-resolved-vs-layer0 gate: pricing fidelity and demand resolution are
-separate costs, and each is gated against the path it adds to), the
-sparse operator within its budget of the dense operator, and — in
-sparse-only device groups, the systems dense pricing cannot reach — peak
-operator memory below the configured fraction of the analytic
-dense-operator footprint (the 1024-device scale claim).
+must cover the expected depth and device axes, every config must have a
+positive wall clock at the expected iteration count, and — per
+device-count group, at its deepest measured layer count — the sparse
+operator must stay within its wall-clock budget of the dense operator
+and, in sparse-only device groups (the systems dense pricing cannot
+reach), peak operator memory below the configured fraction of the
+analytic dense-operator footprint (the 1024-device scale claim).
 
 Wall-clock gates run within each ``devices`` group because the systems
 are not comparable across groups, and skip sparse-only groups — the
@@ -58,9 +53,7 @@ This is the logic that used to live as an inline heredoc in
     PYTHONPATH=src python -m repro.experiments run serving_speed
     python tools/ci/check_serving_smoke.py \
         benchmarks/results/BENCH_serving.smoke.json \
-        --expect-layers 2,58 --expect-pricing layer0,per_layer \
-        --expect-demand broadcast,resolved --expect-devices 64,1024 \
-        --max-pricing-ratio 1.6 --max-demand-ratio 1.5 \
+        --expect-layers 2,58 --expect-devices 64,1024 \
         --max-sparse-ratio 2.0 --max-operator-mem-fraction 0.1
 
 With ``--expect-sampling`` the checker instead validates a
@@ -128,20 +121,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="require the layer-depth axis to be exactly this set",
     )
     parser.add_argument(
-        "--expect-pricing",
-        type=_csv_strs,
-        default=None,
-        metavar="P1,P2,...",
-        help="require the pricing axis to be exactly this set",
-    )
-    parser.add_argument(
-        "--expect-demand",
-        type=_csv_strs,
-        default=None,
-        metavar="D1,D2,...",
-        help="require the demand axis to be exactly this set",
-    )
-    parser.add_argument(
         "--expect-devices",
         type=_csv_ints,
         default=None,
@@ -150,30 +129,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "(records predating the axis read as a single unlabeled group)",
     )
     parser.add_argument(
-        "--max-pricing-ratio",
-        type=float,
-        default=1.6,
-        help="wall-clock budget of (per_layer, broadcast) relative to "
-        "(layer0, broadcast) at the deepest measured depth "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-demand-ratio",
-        type=float,
-        default=1.5,
-        help="wall-clock budget of (per_layer, resolved) relative to "
-        "(per_layer, broadcast) at the deepest measured depth — the "
-        "marginal cost of exact demand resolution over the per-layer "
-        "pricing it rides on (default: %(default)s)",
-    )
-    parser.add_argument(
         "--max-sparse-ratio",
         type=float,
         default=None,
         help="wall-clock budget of the sparse operator relative to the "
-        "dense operator on the (per_layer, resolved) path at the deepest "
-        "measured depth; requires at least one sparse/dense pair in the "
-        "record (default: not gated)",
+        "dense operator at the deepest measured depth; requires at least "
+        "one sparse/dense pair in the record (default: not gated)",
     )
     parser.add_argument(
         "--max-operator-mem-fraction",
@@ -260,7 +221,6 @@ def _label(config: dict) -> str:
     prefix = f"{devices}dev/" if devices is not None else ""
     return (
         f"{prefix}{config.get('strategy')}@{config.get('layers')}"
-        f"/{config.get('pricing')}/{config.get('demand', 'broadcast')}"
         f"/{config.get('operator', 'dense')}"
     )
 
@@ -530,18 +490,6 @@ def check_record(data: dict, args: argparse.Namespace) -> list[str]:
             f"layer axis {sorted(layers)} != expected "
             f"{sorted(set(args.expect_layers))}"
         )
-    pricing = {config.get("pricing") for config in configs}
-    if args.expect_pricing is not None and pricing != set(args.expect_pricing):
-        errors.append(
-            f"pricing axis {sorted(pricing)} != expected "
-            f"{sorted(set(args.expect_pricing))}"
-        )
-    demand = {config.get("demand", "broadcast") for config in configs}
-    if args.expect_demand is not None and demand != set(args.expect_demand):
-        errors.append(
-            f"demand axis {sorted(demand)} != expected "
-            f"{sorted(set(args.expect_demand))}"
-        )
     devices_axis = {config.get("devices") for config in configs}
     if args.expect_devices is not None and devices_axis != set(
         args.expect_devices
@@ -589,116 +537,55 @@ def check_record(data: dict, args: argparse.Namespace) -> list[str]:
                 f"{args.max_operator_mem_fraction * 100:.0f}%)"
             )
 
-    # Wall-clock gates per device group, at its deepest measured depth —
-    # per-layer machinery costs the most there (migrations diverge every
-    # layer).  Groups without a layer-0 baseline (the sparse-only scale
-    # system) carry no comparable walls and are skipped.
-    sparse_pairs_checked = 0
-    groups = sorted({config.get("devices") for config in configs}, key=str)
-    for group in groups:
+    # Sparse-vs-dense wall-clock gate per device group, at its deepest
+    # measured depth — per-layer pricing costs the most there (migrations
+    # diverge every layer).  Sparse-only groups (the scale system) carry
+    # no dense walls to compare against; the memory gate above covers
+    # them.
+    if args.max_sparse_ratio is None:
+        return errors
+    budget = args.max_sparse_ratio
+    pairs_checked = 0
+    for group in sorted(dense_groups, key=str):
         group_configs = [
             config for config in configs if config.get("devices") == group
         ]
-        if all(
-            config.get("operator", "dense") == "sparse"
-            for config in group_configs
-        ):
-            # Sparse-only group (the scale system): no dense walls exist
-            # to compare against; the memory gate above covered it.
-            continue
         prefix = f"{group}dev/" if group is not None else ""
         depth = max(config.get("layers") for config in group_configs)
         walls = {
             (
                 config.get("strategy"),
                 config.get("layers"),
-                config.get("pricing"),
-                config.get("demand", "broadcast"),
                 config.get("operator", "dense"),
             ): config.get("wall_s", 0.0)
             for config in group_configs
         }
-        modes_present = {
-            (
-                config.get("pricing"),
-                config.get("demand", "broadcast"),
-                config.get("operator", "dense"),
-            )
-            for config in group_configs
-        }
-        gates = [
-            (
-                "per-layer pricing",
-                ("per_layer", "broadcast", "dense"),
-                ("layer0", "broadcast", "dense"),
-                args.max_pricing_ratio,
-            ),
-            (
-                "resolved demand",
-                ("per_layer", "resolved", "dense"),
-                ("per_layer", "broadcast", "dense"),
-                args.max_demand_ratio,
-            ),
-        ]
-        if args.max_sparse_ratio is not None:
-            gates.append(
-                (
-                    "sparse operator",
-                    ("per_layer", "resolved", "sparse"),
-                    ("per_layer", "resolved", "dense"),
-                    args.max_sparse_ratio,
+        for strategy in sorted({c.get("strategy") for c in group_configs}):
+            sparse = walls.get((strategy, depth, "sparse"))
+            dense = walls.get((strategy, depth, "dense"))
+            if sparse is None or not dense or dense <= 0:
+                # A partial run must not pass with the budget never
+                # actually enforced.
+                errors.append(
+                    f"{prefix}{strategy}@{depth}: no sparse/dense pair at "
+                    "the gated depth to check the sparse operator against"
                 )
+                continue
+            pairs_checked += 1
+            ratio = sparse / dense
+            print(
+                f"sparse operator cost {prefix}{strategy}@{depth}: "
+                f"{ratio:.2f}x (budget {budget}x)"
             )
-        strategies = sorted(
-            {config.get("strategy") for config in group_configs}
-        )
-        for strategy in strategies:
-            for label, gate_mode, base_mode, budget in gates:
-                wall = walls.get((strategy, depth, *gate_mode))
-                if wall is None:
-                    # A mode the group measures anywhere (or that the
-                    # axis expectations demand) must show up at the gated
-                    # depth — otherwise a partial run would pass with the
-                    # wall-clock budget never actually enforced.
-                    expected_by_axes = (
-                        args.expect_pricing is not None
-                        and gate_mode[0] in args.expect_pricing
-                        and args.expect_demand is not None
-                        and gate_mode[1] in args.expect_demand
-                        and gate_mode[2] == "dense"
-                    )
-                    if gate_mode in modes_present or expected_by_axes:
-                        errors.append(
-                            f"{prefix}{strategy}@{depth}: no "
-                            f"({'/'.join(gate_mode)}) config at the gated "
-                            f"depth to check {label} against"
-                        )
-                    continue
-                baseline = walls.get((strategy, depth, *base_mode))
-                if baseline is None or baseline <= 0:
-                    errors.append(
-                        f"{prefix}{strategy}@{depth}: no "
-                        f"({'/'.join(base_mode)}) baseline to gate "
-                        f"{label} against"
-                    )
-                    continue
-                if label == "sparse operator":
-                    sparse_pairs_checked += 1
-                ratio = wall / baseline
-                print(
-                    f"{label} cost {prefix}{strategy}@{depth}: "
-                    f"{ratio:.2f}x (budget {budget}x)"
+            if ratio >= budget:
+                errors.append(
+                    f"{prefix}{strategy}@{depth}: sparse operator wall clock "
+                    f"{ratio:.2f}x over the dense baseline (budget {budget}x)"
                 )
-                if ratio >= budget:
-                    errors.append(
-                        f"{prefix}{strategy}@{depth}: {label} wall clock "
-                        f"{ratio:.2f}x over the ({'/'.join(base_mode)}) "
-                        f"baseline (budget {budget}x)"
-                    )
-    if args.max_sparse_ratio is not None and not sparse_pairs_checked:
+    if not pairs_checked:
         errors.append(
             "--max-sparse-ratio given but the record holds no "
-            "sparse/dense (per_layer, resolved) pair to gate"
+            "sparse/dense pair to gate"
         )
     return errors
 
@@ -771,8 +658,6 @@ def main(argv: list[str] | None = None) -> int:
                 config.get("devices"),
                 config["strategy"],
                 config["layers"],
-                config["pricing"],
-                config.get("demand", "broadcast"),
                 config.get("operator", "dense"),
                 round(config["iters_per_s"], 1),
             )
