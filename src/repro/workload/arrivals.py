@@ -23,15 +23,8 @@ generated arrival-time sequence depends only on the constructor arguments
 call per simulated hour and one call per microsecond drain the same
 stream), and never on the sampling backend (no kernel dispatch is
 involved).  Fixed seed = fixed request stream, bitwise.
-
-Historical note: the scenario *mixers* (how the request pool's scenario
-composition drifts over iterations) lived here before the front end
-existed; they are :mod:`repro.workload.mixers` now.  Importing the mixer
-names from this module still works behind a :class:`DeprecationWarning`
-shim at the bottom of the file.
 """
 
-import warnings
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -221,26 +214,3 @@ class MMPPArrivals(ArrivalProcess):
                 self._advance_state(t)
             times[index] = t
         return times
-
-
-# -- deprecated re-exports ---------------------------------------------------
-
-#: Names that moved to :mod:`repro.workload.mixers` when the arrival
-#: processes took over this module (the mixers never were arrivals — they
-#: mix scenario *composition* per iteration, they own no clock).
-_MOVED_TO_MIXERS = ("ScenarioMixer", "ConstantMixer", "AzureLikeMixer")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_MIXERS:
-        warnings.warn(
-            f"repro.workload.arrivals.{name} moved to "
-            f"repro.workload.mixers.{name}; repro.workload.arrivals now "
-            "holds the open-loop arrival processes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.workload import mixers
-
-        return getattr(mixers, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -202,29 +202,3 @@ class TestRateMoments:
         np.testing.assert_array_equal(
             trace, np.tile([0.5, 0.25, 0.125, 0.125], (10, 1))
         )
-
-
-class TestDeprecatedArrivalsShim:
-    """The mixers moved out of ``repro.workload.arrivals``; the old import
-    path must keep working behind a DeprecationWarning."""
-
-    def test_old_attribute_access_warns_and_resolves(self):
-        from repro.workload import arrivals, mixers
-
-        for name in ("ScenarioMixer", "ConstantMixer", "AzureLikeMixer"):
-            with pytest.deprecated_call(match="moved to"):
-                shimmed = getattr(arrivals, name)
-            assert shimmed is getattr(mixers, name)
-
-    def test_old_from_import_still_constructs(self):
-        with pytest.deprecated_call():
-            from repro.workload.arrivals import ConstantMixer as Shimmed
-
-        mixer = Shimmed(ALL, fixed_weights=[1, 1, 1, 1])
-        np.testing.assert_array_equal(mixer.weights(0), np.full(4, 0.25))
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.workload import arrivals
-
-        with pytest.raises(AttributeError):
-            arrivals.does_not_exist
