@@ -3,7 +3,7 @@
 Subcommands:
 
 ``lint [paths...]``
-    Run repro-lint (RL001-RL006) over the given files/directories
+    Run repro-lint (RL001-RL005) over the given files/directories
     (default ``src tests``); exit 1 on any violation.
 ``rules``
     List the rule ids and their one-line summaries.
@@ -22,7 +22,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     lint_parser = sub.add_parser(
-        "lint", help="check determinism contracts (RL001-RL006)"
+        "lint", help="check determinism contracts (RL001-RL005)"
     )
     lint_parser.add_argument("paths", nargs="*", default=["src", "tests"])
     lint_parser.add_argument("--no-project-rules", action="store_true")

@@ -44,13 +44,6 @@ RL005
     Every ``ServingConfig`` field must be referenced by at least one
     test under ``tests/`` — each flag guards a pinned oracle, and an
     unreferenced flag is an oracle nothing would catch regressing.
-RL006
-    Figure-spec ``version=`` constants must match the versions recorded
-    in the tracked ``benchmarks/results/`` cache artifacts: every cache
-    entry must re-derive to its own key under the *current* spec
-    (version + point-module source), so a version bump without artifact
-    regeneration — or an edited figure module with stale entries — fails
-    the lint instead of shipping drifted results.
 
 Escape hatch
 ------------
@@ -79,7 +72,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "check_config_coverage",
-    "check_spec_versions",
 ]
 
 #: rule id -> one-line summary (the documented contract lives in
@@ -91,7 +83,6 @@ RULES: dict[str, str] = {
     "RL003": "wall-clock read inside a simulation package",
     "RL004": "builtin hash() in seed/key derivation (PYTHONHASHSEED footgun)",
     "RL005": "serving config field not referenced by any test",
-    "RL006": "figure-spec version= drifted from tracked result artifacts",
 }
 
 #: packages whose simulated time must never read the host clock.
@@ -392,93 +383,6 @@ def check_config_coverage(
     ]
 
 
-def _spec_version_line(spec) -> tuple[str, int]:
-    """(file, line) of a spec's ``version=`` keyword, best effort."""
-    import inspect
-
-    try:
-        source_file = inspect.getsourcefile(spec.point)
-        source = Path(source_file).read_text()
-    except (TypeError, OSError):
-        return f"<spec {spec.name}>", 1
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        if re.search(r"\bversion\s*=", text):
-            return str(source_file), lineno
-    return str(source_file), 1
-
-
-def check_spec_versions(
-    results_dir: Path | None = None, specs=None
-) -> list[Violation]:
-    """RL006: tracked cache entries must match current spec versions.
-
-    Re-derives every tracked ``benchmarks/results/cache/*.json`` entry's
-    key against the current registry — exactly the staleness test of
-    ``python -m repro.experiments cache gc``.  A mismatch means a spec's
-    ``version=`` was bumped (or its module edited) without regenerating
-    the tracked artifacts, or entries belong to a spec that no longer
-    exists; either way the tracked results no longer describe the code.
-    """
-    import json
-
-    from repro.experiments.cache import ResultCache, default_results_dir
-
-    if results_dir is None:
-        results_dir = default_results_dir()
-    cache_dir = Path(results_dir) / "cache"
-    if not cache_dir.is_dir():
-        return []
-    if specs is None:
-        from repro.experiments.registry import all_specs
-
-        specs = all_specs()
-    by_name = {spec.name: spec for spec in specs}
-    cache = ResultCache(cache_dir)
-    stale_by_spec: dict[str, int] = {}
-    orphaned = 0
-    for path in sorted(cache_dir.glob("*.json")):
-        try:
-            stored = json.loads(path.read_text())
-            name = stored["spec"]
-            params = stored["params"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            orphaned += 1
-            continue
-        spec = by_name.get(name)
-        if spec is None:
-            orphaned += 1
-            continue
-        if cache.key(spec, params) != path.stem:
-            stale_by_spec[name] = stale_by_spec.get(name, 0) + 1
-    violations = []
-    for name, count in sorted(stale_by_spec.items()):
-        spec = by_name[name]
-        where, lineno = _spec_version_line(spec)
-        violations.append(
-            Violation(
-                where,
-                lineno,
-                "RL006",
-                f"{count} tracked cache entr{'y' if count == 1 else 'ies'} "
-                f"for spec {name!r} no longer match version={spec.version} "
-                "+ module source — regenerate the figure "
-                f"(python -m repro.experiments run {name}) or prune "
-                "(python -m repro.experiments cache gc)",
-            )
-        )
-    if orphaned:
-        violations.append(
-            Violation(
-                str(cache_dir),
-                1,
-                "RL006",
-                f"{orphaned} tracked cache entries name no registered spec "
-                "or do not parse — run python -m repro.experiments cache gc",
-            )
-        )
-    return violations
-
-
 # -- driver ------------------------------------------------------------------
 
 
@@ -498,9 +402,7 @@ def lint_paths(
     """Lint every ``*.py`` under ``paths``; append applicable project rules.
 
     RL005 runs when the paths cover both the serving config
-    (``repro/engine/serving.py``) and a ``tests`` root; RL006 runs when a
-    linted ``src`` tree carries the experiments registry and the tracked
-    ``benchmarks/results/cache`` exists beside it.
+    (``repro/engine/serving.py``) and a ``tests`` root.
     """
     paths = [Path(path) for path in paths]
     violations: list[Violation] = []
@@ -510,12 +412,10 @@ def lint_paths(
         return violations
     config_path = None
     tests_root = None
-    registry_root = None
     for path in paths:
         candidate = path / "repro" / "engine" / "serving.py"
         if candidate.is_file():
             config_path = candidate
-            registry_root = path
         if path.name == "tests" and path.is_dir():
             tests_root = path
     if config_path is not None and tests_root is not None:
@@ -525,10 +425,6 @@ def lint_paths(
             violations.extend(
                 check_config_coverage(config_path, tests_root, class_name)
             )
-    if registry_root is not None:
-        results_dir = registry_root.parent / "benchmarks" / "results"
-        if (results_dir / "cache").is_dir():
-            violations.extend(check_spec_versions(results_dir))
     return violations
 
 
@@ -538,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis lint",
-        description="Check the repo's determinism contracts (RL001-RL006).",
+        description="Check the repo's determinism contracts (RL001-RL005).",
     )
     parser.add_argument(
         "paths",
@@ -549,8 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-project-rules",
         action="store_true",
-        help="skip the repo-level rules (RL005 config coverage, RL006 "
-        "spec-version drift)",
+        help="skip the repo-level rule (RL005 config coverage)",
     )
     args = parser.parse_args(argv)
     violations = lint_paths(

@@ -8,7 +8,6 @@ from repro.analysis.lint import (
     RULES,
     Violation,
     check_config_coverage,
-    check_spec_versions,
     lint_file,
     lint_paths,
 )
@@ -324,61 +323,6 @@ class TestRL005ConfigCoverage:
         assert check_config_coverage(config, tmp_path / "tests") == []
 
 
-class TestRL006SpecVersions:
-    def _results_dir(self, tmp_path, spec, params, stale=False):
-        import json
-
-        from repro.experiments.cache import ResultCache
-
-        results = tmp_path / "results"
-        cache = ResultCache(results / "cache")
-        cache.root.mkdir(parents=True)
-        key = cache.key(spec, params)
-        if stale:
-            key = "0" * len(key)
-        (results / "cache" / f"{key}.json").write_text(
-            json.dumps({"spec": spec.name, "params": params, "value": 1.0})
-        )
-        return results
-
-    def _spec(self, version):
-        from repro.experiments.spec import ExperimentSpec
-
-        def point(params):
-            return {"value": 1.0}
-
-        return ExperimentSpec(
-            name="fixture-spec",
-            figure="fixture",
-            description="fixture",
-            grid={"alpha": [1]},
-            point=point,
-            version=version,
-        )
-
-    def test_quiet_when_keys_rederive(self, tmp_path):
-        spec = self._spec(version=3)
-        results = self._results_dir(tmp_path, spec, {"alpha": 1})
-        assert check_spec_versions(results, specs=[spec]) == []
-
-    def test_fires_on_stale_key(self, tmp_path):
-        spec = self._spec(version=3)
-        results = self._results_dir(tmp_path, spec, {"alpha": 1}, stale=True)
-        violations = check_spec_versions(results, specs=[spec])
-        assert _rules(violations) == ["RL006"]
-        assert "fixture-spec" in violations[0].message
-
-    def test_fires_on_unregistered_spec(self, tmp_path):
-        spec = self._spec(version=3)
-        results = self._results_dir(tmp_path, spec, {"alpha": 1})
-        violations = check_spec_versions(results, specs=[])
-        assert _rules(violations) == ["RL006"]
-        assert "no registered spec" in violations[0].message
-
-    def test_quiet_when_no_cache_dir(self, tmp_path):
-        assert check_spec_versions(tmp_path / "results", specs=[]) == []
-
-
 class TestDriver:
     def test_unparsable_file_reports_rl000(self, tmp_path):
         path = _write(tmp_path, "src/repro/bad.py", "def broken(:\n")
@@ -418,7 +362,6 @@ class TestDriver:
             "RL003",
             "RL004",
             "RL005",
-            "RL006",
         }
 
     def test_cli_exit_codes(self, tmp_path, capsys):
