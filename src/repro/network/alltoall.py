@@ -608,7 +608,7 @@ SPARSE_AUTO_THRESHOLD_BYTES = 64 * 2**20
 
 
 def prefer_sparse_pricing(mapping: "Mapping") -> bool:
-    """The auto rule behind ``ServingConfig(sparse_pricing=None)``."""
+    """The auto rule behind ``PricingConfig(sparse_pricing=None)``."""
     return dense_operator_nbytes(mapping) > SPARSE_AUTO_THRESHOLD_BYTES
 
 
