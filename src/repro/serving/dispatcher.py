@@ -107,7 +107,8 @@ class ReplicaDispatcher:
         """Pick the backend with the least expected wait; charge it.
 
         Args:
-            tokens: request work (prefill + decode tokens) to enqueue.
+            tokens: request work to enqueue — the tokens the backend will
+                drain serving it (``RequestTrace.served_tokens``).
             exclude: backend indices the caller cannot use right now
                 (e.g. at their batch-slot cap); they stay in the heap.
 

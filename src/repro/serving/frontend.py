@@ -266,7 +266,7 @@ class ServingFrontend:
                 trace = queue[0]
                 try:
                     backend = dispatcher.dispatch(
-                        trace.total_tokens, exclude=full
+                        trace.served_tokens, exclude=full
                     )
                 except RuntimeError:
                     break

@@ -81,6 +81,11 @@ class RequestTrace:
         return (self.completed_s - self.first_token_s) / intervals
 
     @property
-    def total_tokens(self) -> int:
-        """Prefill plus decode tokens — the backend-load unit."""
-        return self.prefill_tokens + self.decode_tokens
+    def served_tokens(self) -> int:
+        """Tokens a backend processes to serve the request — the load unit.
+
+        The prefill iteration processes the whole prompt and already emits
+        the first output token; each later iteration processes one decode
+        token.
+        """
+        return self.prefill_tokens + self.decode_tokens - 1

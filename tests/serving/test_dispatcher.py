@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serving import ReplicaDispatcher
+from repro.serving import ReplicaDispatcher, RequestTrace
 
 
 class TestDispatchOrdering:
@@ -69,6 +69,23 @@ class TestEMA:
         dispatcher.dispatch(5.0)
         dispatcher.drain(0, 100.0)
         assert dispatcher.backends[0].queue_tokens == 0.0
+
+    @pytest.mark.parametrize("decode_tokens", [1, 12])
+    def test_fully_served_request_leaves_backend_at_zero(self, decode_tokens):
+        """The dispatch charge equals what serving drains: the whole prompt
+        in the prefill iteration (which also emits the first output
+        token), then one token per later decode iteration.  Any residue
+        would make an idle backend look busy forever."""
+        request = RequestTrace(
+            0, arrival_s=0.0, prefill_tokens=40, decode_tokens=decode_tokens
+        )
+        dispatcher = ReplicaDispatcher(2)
+        backend = dispatcher.dispatch(request.served_tokens)
+        dispatcher.drain(backend, request.prefill_tokens)
+        for _ in range(request.decode_tokens - 1):
+            dispatcher.drain(backend, 1)
+        assert dispatcher.backends[backend].queue_tokens == 0.0
+        assert dispatcher.min_expected_wait_s() == 0.0
 
 
 class TestFaultIntegration:

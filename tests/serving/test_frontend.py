@@ -14,7 +14,8 @@ from repro.balancer import NonInvasiveBalancer
 from repro.engine import EngineConfig, ServingConfig, ServingSimulator
 from repro.faults import FaultSchedule, Straggler
 from repro.models import QWEN3_235B
-from repro.serving import FrontendConfig, ServingFrontend
+from repro.serving import FrontendConfig, ReplicaDispatcher, ServingFrontend
+from repro.serving import frontend as frontend_module
 from repro.systems import build_wsc
 from repro.workload import GatingSimulator, MATH
 from repro.workload.arrivals import PoissonArrivals
@@ -158,6 +159,35 @@ class TestAdmissionControl:
         trace = make_frontend(rate=20.0, num_requests=16).run()
         assert trace.idle_s > 0.0
         assert trace.summary().rejected == 0
+
+    @pytest.mark.parametrize("rate", [50.0, 200.0])
+    def test_deadline_config_drains_with_requests_conserved(
+        self, rate, monkeypatch
+    ):
+        """Deadline shedding reads the dispatcher's expected wait, so
+        served requests must leave no work behind on their backend: a
+        residue makes idle backends look busy, every later arrival is
+        shed, and the run used to end in an IndexError."""
+        dispatchers = []
+
+        class RecordingDispatcher(ReplicaDispatcher):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                dispatchers.append(self)
+
+        monkeypatch.setattr(frontend_module, "ReplicaDispatcher", RecordingDispatcher)
+        trace = make_frontend(
+            rate=rate, num_requests=96, ttft_deadline_s=0.005
+        ).run()
+        summary = trace.summary()
+        assert summary.arrived == 96
+        assert summary.unfinished == 0
+        assert summary.completed + summary.rejected == summary.arrived
+        assert summary.completed > summary.rejected
+        # Every served request drained exactly its dispatch charge.
+        assert [state.queue_tokens for state in dispatchers[0].backends] == [
+            0.0
+        ] * len(dispatchers[0].backends)
 
 
 class TestFaultRecovery:

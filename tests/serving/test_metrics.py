@@ -70,7 +70,8 @@ class TestRequestTrace:
         assert not trace.completed
         assert trace.ttft_s is None
         assert trace.tpot_s is None
-        assert trace.total_tokens == 12
+        # The prefill iteration emits the first output token.
+        assert trace.served_tokens == 11
 
 
 class TestSummarize:
