@@ -24,7 +24,7 @@ from repro.balancer import (
 from repro.balancer.stacked import STACKED_BALANCERS
 from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.models import QWEN3_235B
-from repro.systems import build_wsc
+from repro.systems import build_multi_wsc, build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
 
 STRATEGIES = {
@@ -50,9 +50,14 @@ def drive(
     alpha=0.5,
     config=None,
     seed=17,
+    topology=None,
 ):
-    """Run both engines through one load stream; return migrations planned."""
-    topology = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er").mapping.topology
+    """Run both engines through one load stream.
+
+    Returns ``(migrations planned, shadow replicas evicted)``.
+    """
+    if topology is None:
+        topology = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er").mapping.topology
     num_experts = QWEN3_235B.num_experts
     num_devices = topology.num_devices
     stacked = STACKED_BALANCERS[balancer_cls](
@@ -83,6 +88,7 @@ def drive(
     # (landing iteration, serial, layer, migration) for non-invasive moves.
     in_flight = []
     planned = 0
+    evicted = 0
     for iteration in range(iterations):
         _counts, loads = workload.next_loads()
         stacked.observe(loads)
@@ -97,9 +103,9 @@ def drive(
             and triggered
             and iteration - last_trigger >= beta
         ):
-            assert stacked.evict_stale(heats) == sum(
-                balancer.evict_stale() for balancer in reference
-            )
+            dropped = stacked.evict_stale(heats)
+            assert dropped == sum(balancer.evict_stale() for balancer in reference)
+            evicted += dropped
             plans = stacked.plan(iteration)
             assert plans == [balancer.plan(iteration) for balancer in reference]
             moves = [
@@ -134,7 +140,7 @@ def drive(
             reference[layer].commit(migration)
 
         assert_same_state(stacked, reference)
-    return planned
+    return planned, evicted
 
 
 def assert_same_state(stacked, reference):
@@ -153,7 +159,7 @@ def assert_same_state(stacked, reference):
 
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_stacked_matches_per_layer(strategy):
-    planned = drive(STRATEGIES[strategy])
+    planned, _evicted = drive(STRATEGIES[strategy])
     # Every migrating strategy must actually plan (and, for the
     # non-invasive one, commit and abandon), or the comparison is idle.
     assert (planned == 0) == (strategy == "none")
@@ -183,3 +189,44 @@ def test_stacked_matches_per_layer_aggressive_plans(strategy):
 def test_stacked_matches_at_depth():
     """A deeper stack (the whole point) still matches the reference."""
     drive(NonInvasiveBalancer, num_layers=12, iterations=40)
+
+
+def test_stacked_matches_single_layer():
+    """A one-layer stack: the trigger sums over a single layer."""
+    planned, _evicted = drive(NonInvasiveBalancer, num_layers=1)
+    assert planned > 0
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "topology", "non_invasive"])
+def test_stacked_matches_on_two_wafers(strategy):
+    """Inter-wafer links change hop distances, so topology-aware targets
+    and migration sources differ from the single-wafer runs."""
+    system = build_multi_wsc(QWEN3_235B, num_wafers=2, side=4, tp=4)
+    planned, _evicted = drive(STRATEGIES[strategy], topology=system.mapping.topology)
+    assert planned > 0
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "non_invasive"])
+def test_stacked_matches_under_eager_trigger(strategy):
+    """alpha = 0 with no warmup and no cooldown: a plan every iteration."""
+    planned, _evicted = drive(
+        STRATEGIES[strategy],
+        iterations=40,
+        alpha=0.0,
+        warmup_iters=0,
+        beta_iters=0,
+    )
+    assert planned > 0
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "topology", "non_invasive"])
+def test_stacked_matches_under_aggressive_eviction(strategy):
+    """A fast EWMA and a high drop threshold evict shadow replicas often,
+    so eviction order and the replica counts it leaves behind are
+    compared, not just planning."""
+    _planned, evicted = drive(
+        STRATEGIES[strategy],
+        shadow_slots=2,
+        config=BalancerConfig(ewma=0.9, drop_fraction=0.5),
+    )
+    assert evicted > 0

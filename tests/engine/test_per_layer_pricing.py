@@ -1,189 +1,184 @@
-"""Per-layer all-to-all pricing against the layer-0 broadcast oracle.
+"""The serving loop's batched layer pricing against per-layer simulation.
 
-``ServingConfig.per_layer_alltoall`` prices every layer's all-to-all
-against its own placement.  These tests pin the PR 4 *demand-broadcast*
-semantics (layer 0's demand rows against every layer's placement), so the
-fixture disables the newer ``per_layer_demand`` resolution — the resolved
-path has its own contract in ``test_demand_resolved.py``.  The contract
-with the old layer-0-broadcast path (kept behind
-``per_layer_alltoall=False``):
-
-* while no migration has diverged any layer from layer 0's placement
-  content, the two paths produce *bit-identical* traces;
-* once a migration lands on a layer > 0, per-layer pricing must diverge
-  (strictly, on a pinned trace) — that layer's all-to-all is now priced
-  against a placement the broadcast path never sees.
+``ServingSimulator.step`` simulates layer 0 in full and prices every later
+layer in one batch: its all-to-all through the
+:class:`~repro.network.alltoall.LayeredDispatchPlan` and its MoE roofline
+through ``ComputeModel.moe_peak_arrays``.  The oracle here re-prices every
+simulated layer one at a time with ``IterationSimulator.simulate_layer``
+on that layer's own group demand (drawn from a twin workload with the same
+seed) and a snapshot of that layer's placement taken when the loop priced
+it, then rebuilds the iteration latency from those layer totals.  A layer
+priced against another layer's demand or placement, a stale plan, or a
+slip in overlap or straggler scaling shows up as a mismatch on some
+iteration — under migrations, faults, both pricing operators and a
+varying batch size.
 """
 
 import numpy as np
 import pytest
 
-from repro.balancer import GreedyBalancer, NoBalancer, NonInvasiveBalancer
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.balancer import (
+    GreedyBalancer,
+    NoBalancer,
+    NonInvasiveBalancer,
+    TopologyAwareBalancer,
+)
+from repro.engine import (
+    BalancingConfig,
+    EngineConfig,
+    PricingConfig,
+    ServingConfig,
+    ServingSimulator,
+)
+from repro.engine import serving as serving_module
+from repro.engine.iteration import IterationSimulator
+from repro.faults import DeviceFailure, FaultSchedule, LinkDegradation, Straggler
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
 
+NUM_LAYERS = 6
+ITERATIONS = 30
 
-def make_simulator(
-    balancer_cls,
-    per_layer_alltoall,
-    num_layers=6,
-    iterations=40,
-    seed=17,
-    stacked=None,
-    **serving_kwargs,
-):
-    system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
-    workload = GatingSimulator(
+FAULTS = (
+    Straggler(iteration=8, device=6, factor=3.0, duration=10),
+    LinkDegradation(iteration=12, src=5, dst=6, factor=0.25, duration=10),
+    DeviceFailure(iteration=20, device=9),
+)
+
+#: name -> run settings.
+SCENARIOS = {
+    "none": dict(balancer=NoBalancer),
+    "greedy": dict(balancer=GreedyBalancer),
+    "topology": dict(balancer=TopologyAwareBalancer),
+    "non_invasive": dict(balancer=NonInvasiveBalancer),
+    "greedy_faults": dict(balancer=GreedyBalancer, faulted=True),
+    "non_invasive_faults": dict(balancer=NonInvasiveBalancer, faulted=True),
+    "side_channel": dict(
+        balancer=GreedyBalancer,
+        balancing=BalancingConfig(
+            shadow_slots=2, beta_iters=3, migration_side_channel=True
+        ),
+    ),
+    "gaussian_split": dict(
+        balancer=NonInvasiveBalancer, workload=dict(group_split="gaussian")
+    ),
+    "sparse_pricing": dict(
+        balancer=GreedyBalancer, pricing=PricingConfig(sparse_pricing=True)
+    ),
+    "serial_phases": dict(balancer=NonInvasiveBalancer, engine=dict(overlap=False)),
+    "dynamic_batch": dict(balancer=NonInvasiveBalancer, batches=(64, 16, 128, 40)),
+}
+
+
+def make_workload(system, settings):
+    return GatingSimulator(
         QWEN3_235B,
         num_groups=system.mapping.dp,
         tokens_per_group=64,
         mixer=AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=30),
-        num_layers=num_layers,
-        seed=seed,
+        num_layers=NUM_LAYERS,
+        seed=17,
+        **settings.get("workload", {}),
     )
+
+
+def make_simulator(system, settings):
     return ServingSimulator(
         system.device,
         QWEN3_235B,
         system.mapping,
-        workload,
-        balancer_cls,
-        engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(
-            num_iterations=iterations,
-            per_layer_alltoall=per_layer_alltoall,
-            per_layer_demand=False,
-            **serving_kwargs,
+        make_workload(system, settings),
+        settings["balancer"],
+        engine_config=EngineConfig(tokens_per_group=64, **settings.get("engine", {})),
+        serving_config=ServingConfig(
+            num_iterations=ITERATIONS,
+            balancing=settings.get("balancing", BalancingConfig()),
+            pricing=settings.get("pricing", PricingConfig()),
         ),
-        stacked=stacked,
+        fault_schedule=FaultSchedule(list(FAULTS)) if settings.get("faulted") else None,
     )
 
 
-def assert_bit_identical(trace_a, trace_b):
-    assert len(trace_a.records) == len(trace_b.records)
-    for ours, ref in zip(trace_a.records, trace_b.records):
-        assert ours.latency == ref.latency, f"iter {ref.iteration}"
-        assert ours.alltoall_mean == ref.alltoall_mean, f"iter {ref.iteration}"
-        assert ours.migration_exposed == ref.migration_exposed
-        assert ours.migrations_started == ref.migrations_started
-        assert ours.migrations_completed == ref.migrations_completed
-        assert ours.max_device_load == ref.max_device_load
+class RecordingPlan:
+    """Pass-through plan that keeps what the loop priced with it."""
 
+    def __init__(self, plan, calls):
+        self.plan = plan
+        self.calls = calls
 
-class TestPreMigrationOracle:
-    def test_no_balancer_bit_identical(self):
-        """Without migrations every layer keeps layer 0's content, so
-        per-layer pricing must reduce to the broadcast exactly."""
-        assert_bit_identical(
-            make_simulator(NoBalancer, per_layer_alltoall=True).run(),
-            make_simulator(NoBalancer, per_layer_alltoall=False).run(),
+    def alltoall_durations_resolved(self, demand_stack, layer0_duration):
+        durations = self.plan.alltoall_durations_resolved(
+            demand_stack, layer0_duration
         )
-
-    def test_warmup_prefix_bit_identical_under_migrations(self):
-        """Before the first trigger fires the paths must agree bitwise even
-        for a migrating balancer."""
-        warm = 15
-        with_pricing = make_simulator(
-            GreedyBalancer, per_layer_alltoall=True, warmup_iters=warm
-        ).run()
-        broadcast = make_simulator(
-            GreedyBalancer, per_layer_alltoall=False, warmup_iters=warm
-        ).run()
-        for ours, ref in zip(
-            with_pricing.records[:warm], broadcast.records[:warm]
-        ):
-            assert ours.latency == ref.latency
-            assert ours.alltoall_mean == ref.alltoall_mean
-
-    def test_alltoall_mean_equals_layer0_while_uniform(self):
-        trace = make_simulator(NoBalancer, per_layer_alltoall=True).run()
-        for record in trace.records:
-            assert record.alltoall_mean == record.breakdown.alltoall
+        self.calls[-1].update(demand=demand_stack.copy(), durations=durations.copy())
+        return durations
 
 
-class TestPostMigrationDivergence:
-    @pytest.mark.parametrize("balancer_cls", [GreedyBalancer, NonInvasiveBalancer])
-    def test_pinned_migrating_trace_diverges_strictly(self, balancer_cls):
-        with_pricing = make_simulator(balancer_cls, per_layer_alltoall=True).run()
-        broadcast = make_simulator(balancer_cls, per_layer_alltoall=False).run()
-        assert with_pricing.num_migrations() > 0
-        assert broadcast.num_migrations() > 0
-        if balancer_cls is GreedyBalancer:
-            # Invasive planning never reads the a2a price, so the decision
-            # sequence is identical.  (Non-invasive draining *does* consume
-            # the priced a2a window as its migration budget, so its
-            # commit timing may legitimately shift between pricing modes.)
-            assert with_pricing.num_migrations() == broadcast.num_migrations()
-        # Strictly different latencies once layers diverge.
-        diffs = [
-            ours.latency != ref.latency
-            for ours, ref in zip(with_pricing.records, broadcast.records)
+@pytest.fixture
+def priced(monkeypatch):
+    """Per-iteration pricing calls: placement snapshots, demand, durations."""
+    calls = []
+    real = serving_module.layered_dispatch_plan
+
+    def recording(mapping, placement, sparse=False):
+        calls.append(dict(placements=[layer.clone() for layer in placement.layers]))
+        return RecordingPlan(real(mapping, placement, sparse=sparse), calls)
+
+    monkeypatch.setattr(serving_module, "layered_dispatch_plan", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_loop_matches_per_layer_simulation(name, priced):
+    settings = SCENARIOS[name]
+    system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
+    simulator = make_simulator(system, settings)
+    twin = make_workload(system, settings)
+    oracle = IterationSimulator(
+        system.device, QWEN3_235B, system.mapping, simulator.engine_config
+    )
+    batches = settings.get("batches")
+    depth = QWEN3_235B.num_sparse_layers
+    migrations = 0
+    for iteration in range(ITERATIONS):
+        tokens = None if batches is None else batches[iteration % len(batches)]
+        record = simulator.step(tokens_per_group=tokens)
+        migrations += record.migrations_started
+        counts = twin.next_group_counts(tokens_per_group=tokens)
+        assert len(priced) == iteration + 1
+        call = priced[-1]
+        # The loop priced every layer's own resolved demand, in bytes.
+        np.testing.assert_array_equal(
+            call["demand"], counts * QWEN3_235B.token_bytes
+        )
+        layers = [
+            oracle.simulate_layer(
+                counts[layer],
+                call["placements"][layer],
+                device_scale=simulator._device_scale,
+                tokens_per_group=tokens,
+            ).breakdown
+            for layer in range(NUM_LAYERS)
         ]
-        assert any(diffs)
-        diverged = [
-            record
-            for record in with_pricing.records
-            if record.alltoall_mean != record.breakdown.alltoall
+        # Layer 0 is the loop's own exact simulation.
+        assert record.breakdown.alltoall == layers[0].alltoall
+        assert call["durations"][0] == layers[0].alltoall
+        for layer in range(1, NUM_LAYERS):
+            assert call["durations"][layer] == pytest.approx(
+                layers[layer].alltoall, rel=1e-12
+            ), (iteration, layer)
+        assert record.alltoall_mean == pytest.approx(
+            np.mean([breakdown.alltoall for breakdown in layers]), rel=1e-12
+        )
+        # Every layer shares layer 0's (fault-scaled) attention phase and
+        # pays its own MoE phase.
+        totals = [
+            record.breakdown.attention_phase + breakdown.moe_phase
+            for breakdown in layers
         ]
-        assert diverged
-
-    def test_forced_migration_on_later_layer_only(self):
-        """A replica forced onto layer 3 must change per-layer pricing while
-        the broadcast path (layer 0 untouched) cannot see it."""
-
-        def run_forced(per_layer):
-            simulator = make_simulator(
-                NoBalancer, per_layer_alltoall=per_layer, iterations=5
-            )
-            simulator.engine.placement.add_replica(3, expert=0, device=15)
-            return simulator.run()
-
-        forced = run_forced(True)
-        blind = run_forced(False)
-        # Layer 0's exactly-simulated collectives are identical in both...
-        for ours, ref in zip(forced.records, blind.records):
-            assert ours.breakdown.alltoall == ref.breakdown.alltoall
-        # ...but the per-layer path prices layer 3's replica in.  Durations
-        # are max-based (bottleneck link + worst path), so an individual
-        # iteration may legitimately price the same; the pinned trace as a
-        # whole must diverge on most iterations.
-        mean_diffs = sum(
-            record.alltoall_mean != record.breakdown.alltoall
-            for record in forced.records
+        expected = (
+            depth * np.mean(totals) + record.migration_exposed + record.repair_exposed
         )
-        latency_diffs = sum(
-            ours.latency != ref.latency
-            for ours, ref in zip(forced.records, blind.records)
-        )
-        assert mean_diffs >= len(forced.records) - 1 > 0
-        assert latency_diffs >= len(forced.records) - 1 > 0
-
-    def test_forced_migration_per_layer_engine_matches_stacked(self):
-        """Both engines share the layered pricing path bitwise."""
-
-        def run_engine(stacked):
-            simulator = make_simulator(
-                NoBalancer,
-                per_layer_alltoall=True,
-                iterations=5,
-                stacked=stacked,
-            )
-            if stacked:
-                simulator.engine.placement.add_replica(3, expert=0, device=15)
-            else:
-                simulator.balancers[3].placement.add_replica(0, 15)
-            return simulator.run()
-
-        assert_bit_identical(run_engine(True), run_engine(False))
-
-
-class TestFlagOff:
-    def test_flag_off_restores_broadcast_semantics(self):
-        trace = make_simulator(GreedyBalancer, per_layer_alltoall=False).run()
-        assert trace.num_migrations() > 0
-        for record in trace.records:
-            assert record.alltoall_mean == record.breakdown.alltoall
-        assert trace.mean_component("alltoall") == trace.mean_component(
-            "alltoall_layer0"
-        )
+        assert record.latency == pytest.approx(expected, rel=1e-12), iteration
+    assert (migrations == 0) == (settings["balancer"] is NoBalancer)

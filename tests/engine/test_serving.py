@@ -1,5 +1,6 @@
 """Tests for the serving simulator and balancer integration."""
 
+import numpy as np
 import pytest
 
 from repro.balancer import (
@@ -17,6 +18,18 @@ from repro.engine import (
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
+
+
+#: mean_component name -> the per-record value it averages.
+COMPONENT_FIELDS = {
+    "alltoall": lambda record: record.alltoall_mean,
+    "alltoall_layer0": lambda record: record.breakdown.alltoall,
+    "moe": lambda record: record.breakdown.moe.total,
+    "moe_compute": lambda record: record.breakdown.moe.compute,
+    "moe_memory": lambda record: record.breakdown.moe.memory,
+    "allreduce": lambda record: record.breakdown.allreduce,
+    "attention": lambda record: record.breakdown.attention.total,
+}
 
 
 def make_simulator(balancer_cls, iterations=30, mixer=None, seed=3, **balancing):
@@ -127,6 +140,12 @@ class TestTraceStats:
         trace = make_simulator(NoBalancer, iterations=5).run()
         for component in ("moe", "alltoall", "allreduce", "attention"):
             assert trace.mean_component(component) > 0
+
+    @pytest.mark.parametrize("component", list(COMPONENT_FIELDS))
+    def test_component_reads_its_record_field(self, component):
+        trace = make_simulator(GreedyBalancer, iterations=12).run()
+        steady = [COMPONENT_FIELDS[component](record) for record in trace.records[4:]]
+        assert trace.mean_component(component, skip=4) == float(np.mean(steady))
 
     def test_unknown_component(self):
         trace = make_simulator(NoBalancer, iterations=5).run()

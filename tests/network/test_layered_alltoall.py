@@ -224,6 +224,32 @@ class TestLayeredPlan:
         mask = np.arange(5) != 3
         np.testing.assert_array_equal(moved[mask], base[mask])
 
+    def test_failed_device_prices_against_repaired_replicas(self, mapping):
+        """A fail-stop empties the device on every layer and the repair
+        re-replicates its orphans elsewhere; each layer is then priced
+        against its own surviving and repaired replicas."""
+        stack = diverged_stack()
+        orphan_layers, orphan_experts = stack.fail_device(9)
+        assert orphan_layers.size == stack.num_layers
+        for layer, expert in zip(orphan_layers.tolist(), orphan_experts.tolist()):
+            stack.add_replica(layer, expert, 10)
+        demand = demand_stack()
+        layer0 = exact_duration(mapping, demand[0], stack.layer(0))
+        durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
+            demand, layer0
+        )
+        for layer in range(1, stack.num_layers):
+            exact = exact_duration(mapping, demand[layer], stack.layer(layer))
+            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_single_layer_plan_passes_layer0_through(self, mapping, sparse):
+        stack = StackedPlacement(1, 16, 16)
+        durations = LayeredDispatchPlan(
+            mapping, stack, sparse=sparse
+        ).alltoall_durations_resolved(demand_stack(num_layers=1), 3.0e-6)
+        np.testing.assert_array_equal(durations, [3.0e-6])
+
 
 class TestLayeredPlanCache:
     def test_hit_until_any_layer_mutates(self, mapping):
@@ -232,6 +258,22 @@ class TestLayeredPlanCache:
         assert layered_dispatch_plan(mapping, stack) is plan
         stack.add_replica(1, 2, 14)
         assert layered_dispatch_plan(mapping, stack) is not plan
+
+    def test_keyed_on_versions_not_content(self, mapping):
+        """Adding and dropping the same replica restores the content but
+        not the version vector: the plan is rebuilt, and prices the
+        restored content exactly as before."""
+        stack = diverged_stack()
+        demand = demand_stack()
+        plan = layered_dispatch_plan(mapping, stack)
+        before = plan.alltoall_durations_resolved(demand, 1.0e-5)
+        stack.add_replica(1, 2, 14)
+        stack.drop_replica(1, 2, 14)
+        rebuilt = layered_dispatch_plan(mapping, stack)
+        assert rebuilt is not plan
+        np.testing.assert_array_equal(
+            rebuilt.alltoall_durations_resolved(demand, 1.0e-5), before
+        )
 
     def test_dead_mapping_entries_swept_on_insert(self):
         topology = MeshTopology(4, 4)

@@ -18,7 +18,7 @@ from repro.serving import FrontendConfig, ReplicaDispatcher, ServingFrontend
 from repro.serving import frontend as frontend_module
 from repro.systems import build_wsc
 from repro.workload import GatingSimulator, MATH
-from repro.workload.arrivals import PoissonArrivals
+from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
 
 MODEL = replace(QWEN3_235B, name="qwen3-16e", num_experts=16)
 
@@ -28,6 +28,7 @@ def make_frontend(
     num_requests=48,
     fault_schedule=None,
     arrival_seed=7,
+    arrivals=None,
     **config_kwargs,
 ):
     system = build_wsc(MODEL, side=4, tp=4, mapping="er")
@@ -49,9 +50,33 @@ def make_frontend(
         serving_config=ServingConfig(num_iterations=30),
         fault_schedule=fault_schedule,
     )
-    arrivals = PoissonArrivals(rate=rate, seed=arrival_seed)
+    if arrivals is None:
+        arrivals = PoissonArrivals(rate=rate, seed=arrival_seed)
     config = FrontendConfig(num_requests=num_requests, seed=1, **config_kwargs)
     return ServingFrontend(simulator, arrivals, config)
+
+
+@pytest.fixture
+def dispatchers(monkeypatch):
+    """Every dispatcher the front end builds, for end-of-run checks."""
+    built = []
+
+    class RecordingDispatcher(ReplicaDispatcher):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(frontend_module, "ReplicaDispatcher", RecordingDispatcher)
+    return built
+
+
+def assert_live_backends_empty(dispatcher):
+    """Every served request drained exactly its dispatch charge."""
+    live = dispatcher.live_backends()
+    assert live
+    assert [dispatcher.backends[backend].queue_tokens for backend in live] == [
+        0.0
+    ] * len(live)
 
 
 def request_fingerprint(trace):
@@ -162,20 +187,12 @@ class TestAdmissionControl:
 
     @pytest.mark.parametrize("rate", [50.0, 200.0])
     def test_deadline_config_drains_with_requests_conserved(
-        self, rate, monkeypatch
+        self, rate, dispatchers
     ):
         """Deadline shedding reads the dispatcher's expected wait, so
         served requests must leave no work behind on their backend: a
         residue makes idle backends look busy, every later arrival is
         shed, and the run used to end in an IndexError."""
-        dispatchers = []
-
-        class RecordingDispatcher(ReplicaDispatcher):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                dispatchers.append(self)
-
-        monkeypatch.setattr(frontend_module, "ReplicaDispatcher", RecordingDispatcher)
         trace = make_frontend(
             rate=rate, num_requests=96, ttft_deadline_s=0.005
         ).run()
@@ -184,10 +201,22 @@ class TestAdmissionControl:
         assert summary.unfinished == 0
         assert summary.completed + summary.rejected == summary.arrived
         assert summary.completed > summary.rejected
-        # Every served request drained exactly its dispatch charge.
-        assert [state.queue_tokens for state in dispatchers[0].backends] == [
-            0.0
-        ] * len(dispatchers[0].backends)
+        assert_live_backends_empty(dispatchers[0])
+
+    def test_deadline_config_drains_under_bursty_arrivals(self, dispatchers):
+        """Flash crowds shed at the deadline, then calm periods must find
+        the backends empty again and serve."""
+        arrivals = MMPPArrivals(rates=(50.0, 3000.0), mean_sojourn_s=0.02, seed=7)
+        trace = make_frontend(
+            num_requests=96, arrivals=arrivals, ttft_deadline_s=0.005
+        ).run()
+        summary = trace.summary()
+        assert summary.arrived == 96
+        assert summary.unfinished == 0
+        assert summary.completed + summary.rejected == summary.arrived
+        assert summary.completed > 0
+        assert summary.rejected > 0
+        assert_live_backends_empty(dispatchers[0])
 
 
 class TestFaultRecovery:
@@ -222,6 +251,22 @@ class TestFaultRecovery:
             if request.completed and request.backend == dead_backend:
                 assert request.completed_s <= drops[0].time_s
         assert trace.summary().unfinished == 0
+
+    @pytest.mark.parametrize("fault", ["straggler", "device_failure"])
+    def test_live_backends_drain_to_zero(self, fault, dispatchers):
+        """Blacklisting, reinstating and re-dispatching keep each charge
+        equal to its drain: every surviving backend ends the run empty."""
+        if fault == "straggler":
+            schedule = FaultSchedule(
+                [Straggler(iteration=10, device=2, factor=4.0, duration=20)]
+            )
+        else:
+            schedule = FaultSchedule.single_failure(15, 5)
+        trace = make_frontend(num_requests=60, fault_schedule=schedule).run()
+        assert trace.summary().unfinished == 0
+        if fault == "device_failure":
+            assert any(request.redispatches for request in trace.requests)
+        assert_live_backends_empty(dispatchers[0])
 
     def test_total_outage_rejects_the_remainder(self):
         system = build_wsc(MODEL, side=4, tp=4, mapping="er")

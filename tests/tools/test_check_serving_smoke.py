@@ -638,3 +638,57 @@ class TestSLOGates:
         out = capsys.readouterr().out
         assert "slo serving smoke ok" in out
         assert "p99 TTFT poisson_reference" in out
+
+
+_RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+
+class TestTrackedRecords:
+    """The tracked full-length records pass the gates CI applies to their
+    smoke siblings.  The serving record skips the sparse wall-clock ratio:
+    its walls are single samples, so only its axes and operator memory
+    are gated here."""
+
+    @pytest.mark.parametrize(
+        "record, argv",
+        [
+            (
+                "BENCH_serving.json",
+                [
+                    "--expect-iterations", "300",
+                    "--expect-layers", "2,58",
+                    "--expect-devices", "64,1024",
+                    "--max-operator-mem-fraction", "0.1",
+                ],
+            ),
+            (
+                "BENCH_slo.json",
+                [
+                    "--expect-slo",
+                    "poisson_reference,poisson_diurnal_overload,mmpp_bursty,"
+                    "straggler_fault",
+                    "--expect-arrival-rate", "500",
+                    "--max-p99-ttft", "0.02",
+                ],
+            ),
+            (
+                "BENCH_faults.json",
+                [
+                    "--expect-faults", "rack_loss,single_tile,stragglers",
+                    "--max-recovery-iters", "20",
+                ],
+            ),
+            (
+                "BENCH_sampling.json",
+                [
+                    "--expect-sampling", "numpy",
+                    "--min-sampling-speedup", "2.0",
+                    "--min-sampling-lanes-per-s", "100000",
+                ],
+            ),
+        ],
+        ids=["serving", "slo", "faults", "sampling"],
+    )
+    def test_tracked_record_passes_ci_gate(self, record, argv, capsys):
+        assert check_serving_smoke.main([str(_RESULTS / record), *argv]) == 0
+        assert "ok:" in capsys.readouterr().out
