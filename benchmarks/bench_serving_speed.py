@@ -3,10 +3,9 @@
 Thin wrapper over the uncacheable ``serving_speed`` spec in
 ``repro.experiments.figures.serving_speed``: the 64-device 8x8 trajectory
 system (64-expert Qwen3 variant, 300 serving iterations per balancer at
-proxy and full DeepSeek-V3 depth, swept over the dense vs sparse
-incremental all-to-all operator) plus the 1024-device four-wafer 4x(16x16) HER
-scale case, which only the sparse operator can price and which runs at a
-tenth of the base iteration count.  Run standalone with
+proxy and full DeepSeek-V3 depth) plus the 1024-device four-wafer
+4x(16x16) HER scale case, which runs at a tenth of the base iteration
+count.  Run standalone with
 ``python -m repro.experiments run serving_speed``, or directly —
 
     python benchmarks/bench_serving_speed.py --layers 2,58,94

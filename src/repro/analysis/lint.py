@@ -342,18 +342,34 @@ def check_config_coverage(
     A field counts as referenced when any test module passes it as a
     keyword argument (``BalancingConfig(shadow_slots=2)``, including
     through ``dataclasses.replace``) or reads it as an attribute
-    (``config.shadow_slots``).
+    (``config.shadow_slots``).  A ``class_name`` missing from the config
+    module is itself a violation, so a deleted class cannot pass unchecked.
     """
     tree = ast.parse(config_path.read_text(), filename=str(config_path))
-    fields: list[tuple[str, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for statement in node.body:
-                if isinstance(statement, ast.AnnAssign) and isinstance(
-                    statement.target, ast.Name
-                ):
-                    fields.append((statement.target.id, statement.lineno))
-            break
+    class_node = next(
+        (
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == class_name
+        ),
+        None,
+    )
+    if class_node is None:
+        return [
+            Violation(
+                str(config_path),
+                1,
+                "RL005",
+                f"{class_name} is not defined in {config_path} — nothing "
+                "left to check for test coverage",
+            )
+        ]
+    fields = [
+        (statement.target.id, statement.lineno)
+        for statement in class_node.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+    ]
     referenced: set[str] = set()
     for test_path in sorted(tests_root.rglob("*.py")):
         try:
@@ -419,9 +435,9 @@ def lint_paths(
         if path.name == "tests" and path.is_dir():
             tests_root = path
     if config_path is not None and tests_root is not None:
-        # The grouped serving surface: the top-level config plus both
-        # sub-configs — every flag still guards a pinned oracle.
-        for class_name in ("ServingConfig", "BalancingConfig", "PricingConfig"):
+        # The grouped serving surface: the top-level config plus its
+        # sub-config — every flag still guards a pinned oracle.
+        for class_name in ("ServingConfig", "BalancingConfig"):
             violations.extend(
                 check_config_coverage(config_path, tests_root, class_name)
             )

@@ -18,7 +18,6 @@ from repro.engine.iteration import (
 from repro.engine.serving import (
     BalancingConfig,
     IterationRecord,
-    PricingConfig,
     ServingConfig,
     ServingSimulator,
     ServingTrace,
@@ -37,7 +36,6 @@ __all__ = [
     "pipelined_time",
     "ServingConfig",
     "BalancingConfig",
-    "PricingConfig",
     "ServingSimulator",
     "ServingTrace",
     "IterationRecord",

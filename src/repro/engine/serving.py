@@ -48,7 +48,7 @@ from repro.hardware.device import DeviceSpec
 from repro.mapping.base import Mapping
 from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.models.configs import MoEModelConfig
-from repro.network.alltoall import layered_dispatch_plan, prefer_sparse_pricing
+from repro.network.alltoall import layered_dispatch_plan
 from repro.network.phase import migration_route_arrays
 from repro.workload.gating import GatingSimulator
 
@@ -83,27 +83,6 @@ class BalancingConfig:
 
 
 @dataclass(frozen=True)
-class PricingConfig:
-    """All-to-all pricing operator selection.
-
-    Attributes:
-        sparse_pricing: which all-to-all pricing operator backs the
-            layered plan.  ``True`` forces the CSR
-            :class:`~repro.network.alltoall.SparseAllToAllPricer`
-            (incremental, O(nonzero cells) memory), ``False`` forces the
-            dense :class:`~repro.network.alltoall.LayeredAllToAllPricer`
-            (O(G * D * links) memory), and ``None`` (default) picks sparse
-            exactly when the dense operator would exceed
-            :data:`~repro.network.alltoall.SPARSE_AUTO_THRESHOLD_BYTES` —
-            small systems keep the dense matmul, 256+-device systems
-            switch to sparse.  The two tiers agree to ~1e-12 relative
-            (summation-order rounding only).
-    """
-
-    sparse_pricing: bool | None = None
-
-
-@dataclass(frozen=True)
 class ServingConfig:
     """Serving-loop parameters, grouped by concern.
 
@@ -111,13 +90,10 @@ class ServingConfig:
         num_iterations: iterations to simulate.
         balancing: Eq. 2 trigger and migration-execution knobs
             (:class:`BalancingConfig`).
-        pricing: all-to-all pricing operator selection
-            (:class:`PricingConfig`).
     """
 
     num_iterations: int = 150
     balancing: BalancingConfig = field(default_factory=BalancingConfig)
-    pricing: PricingConfig = field(default_factory=PricingConfig)
 
     def __post_init__(self) -> None:
         if self.num_iterations <= 0:
@@ -316,13 +292,6 @@ class ServingSimulator:
         )
         self.simulator = IterationSimulator(device, model, mapping, self.engine_config)
         self.num_layers = workload.num_layers
-        #: Resolved pricing mode — the config's explicit choice, or the
-        #: operator-footprint auto rule (stable for the run: it depends
-        #: only on the immutable mapping).
-        if self.serving_config.pricing.sparse_pricing is None:
-            self.sparse_pricing = prefer_sparse_pricing(mapping)
-        else:
-            self.sparse_pricing = self.serving_config.pricing.sparse_pricing
 
         num_devices = mapping.topology.num_devices
         placement = StackedPlacement(
@@ -519,9 +488,7 @@ class ServingSimulator:
         layer_totals = [breakdown.attention_phase + breakdown.moe_phase]
         a2a_mean = breakdown.alltoall
         if self.num_layers > 1:
-            plan = layered_dispatch_plan(
-                self.mapping, placement, sparse=self.sparse_pricing
-            )
+            plan = layered_dispatch_plan(self.mapping, placement)
             # Scale to bytes in place: layer 0 was simulated above from
             # the raw counts, and the buffer is fully redrawn next
             # iteration, so nothing reads the unscaled values again.

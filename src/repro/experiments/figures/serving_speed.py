@@ -5,11 +5,12 @@ draining, per-layer all-to-all pricing, batched MoE rooflines, device-load
 stats — on two systems: the
 64-device 8x8 wafer serving a 64-expert Qwen3 variant (the historical
 trajectory configuration) and a 1024-device four-wafer 4x(16x16) HER
-system serving a 256-expert variant, where only the sparse incremental
-all-to-all operator is tractable (the dense ``(G*D, 2K)`` operator would
-be ~3.9 GiB there).  This is the hot path the vectorized
-placement/balancer/compute and array-native traffic layers accelerate;
-the spec is uncacheable because its metrics are wall-clock timings.
+system serving a 256-expert variant, where the all-to-all operator is
+only tractable because it is stored over hosted destinations in CSR form
+(a dense ``(G*D, 2K)`` operator would be ~3.9 GiB there).  This is the
+hot path the vectorized placement/balancer/compute and array-native
+traffic layers accelerate; the spec is uncacheable because its metrics
+are wall-clock timings.
 
 Besides the rendered table, every run writes machine-readable per-config
 timings to ``benchmarks/results/BENCH_serving.json`` so the perf
@@ -18,32 +19,20 @@ the loop for CI smoke runs (the JSON records the iteration count, so smoke
 numbers are never mistaken for full-run numbers).
 
 The case axis is composite (the cartesian product would cross the
-1024-device system with every operator/depth/strategy, hours of redundant
-wall clock).  Its dimensions:
-
-* ``layers`` — depth scaling: 2 simulated MoE layers (the historical
-  proxy depth, comparable with earlier PRs' records) and 58 — full
-  DeepSeek-V3 depth.  ``REPRO_SERVING_BENCH_LAYERS`` (or
-  ``bench_serving_speed.py --layers``) overrides the base-system depths
-  for ad-hoc sweeps without editing this spec.
-* ``operator`` — ``dense`` (one matmul against the materialized link
-  operator) vs ``sparse`` (the CSR/segmented-reduction
-  :class:`~repro.network.alltoall.SparseAllToAllPricer`).  The sparse
-  rows let CI gate the sparse-vs-dense wall-clock ratio and the peak
-  operator footprint; at 1024 devices only sparse rows exist.
+1024-device system with every depth and strategy, hours of redundant wall
+clock).  Its ``layers`` dimension is depth scaling: 2 simulated MoE
+layers (the historical proxy depth, comparable with earlier PRs' records)
+and 58 — full DeepSeek-V3 depth.  ``REPRO_SERVING_BENCH_LAYERS`` (or
+``bench_serving_speed.py --layers``) overrides the base-system depths for
+ad-hoc sweeps without editing this spec.
 
 Every config also records the workload's resolved ``sampler``,
 ``sampling_backend`` (``numba`` when importable, else ``numpy`` —
 ``REPRO_SAMPLING_BACKEND`` overrides) and ``group_split``, so trajectory
-records from different sampling configurations are never conflated.
-Every config records ``devices``, ``operator``, the measured peak
-``operator_bytes`` and the analytic ``dense_operator_bytes`` so
-``tools/ci/check_serving_smoke.py`` can gate the scale claim: the
-1024-device run must complete with peak operator memory below a tenth of
-the dense footprint.  The one-time route-table/operator construction
-behind per-layer pricing (dense operator build, or sparse per-layer state
-warm) happens before the clock starts — it plays the same role as the
-topology route cache and would otherwise dominate reduced smoke runs.
+records from different sampling configurations are never conflated, plus
+``devices`` and the pricer's peak ``operator_bytes``.  The wall clock
+covers the whole run, including the first iteration's lazy route and
+pricer build.
 """
 
 import os
@@ -51,17 +40,13 @@ import time
 from dataclasses import replace
 
 from repro.analysis.report import format_table
-from repro.engine import (
-    EngineConfig,
-    PricingConfig,
-    ServingConfig,
-    ServingSimulator,
-)
+from repro.engine import EngineConfig, ServingConfig, ServingSimulator
 from repro.experiments.common import emit_json
 from repro.experiments.figures.shared import strategy_class, strategy_label
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
 from repro.models import QWEN3_235B
+from repro.network.alltoall import alltoall_pricer
 from repro.systems import build_multi_wsc, build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
 
@@ -84,8 +69,6 @@ LAYERS = [
 #: smoke runs (CI) write a separate, untracked file so they never clobber it.
 BENCH_JSON = "BENCH_serving.json"
 BENCH_SMOKE_JSON = "BENCH_serving.smoke.json"
-#: All-to-all pricing operators measured on the base system.
-OPERATORS = ["dense", "sparse"]
 #: The trajectory system: one 8x8 wafer, flat ER, 64 experts.
 BASE_SYSTEM = {
     "devices": 64,
@@ -96,7 +79,7 @@ BASE_SYSTEM = {
     "num_experts": 64,
 }
 #: The scale-proof system: four 16x16 wafers (1024 devices), HER mapping,
-#: 256 experts — dense pricing would materialize a ~3.9 GiB operator.
+#: 256 experts.
 SCALE_SYSTEM = {
     "devices": 1024,
     "wafers": 4,
@@ -107,12 +90,11 @@ SCALE_SYSTEM = {
 }
 
 
-def _case(system, strategy, layers, operator, iterations):
+def _case(system, strategy, layers, iterations):
     return {
         **system,
         "strategy": strategy,
         "layers": layers,
-        "operator": operator,
         "iterations": iterations,
     }
 
@@ -120,15 +102,14 @@ def _case(system, strategy, layers, operator, iterations):
 def _cases(iterations, layers_axis):
     scale_iterations = max(1, iterations // SCALE_ITER_DIVISOR)
     cases = [
-        _case(BASE_SYSTEM, strategy, layers, operator, iterations)
+        _case(BASE_SYSTEM, strategy, layers, iterations)
         for strategy in ["greedy", "non_invasive"]
         for layers in layers_axis
-        for operator in OPERATORS
     ]
-    # One sparse point at scale: full depth, the cheaper balancer
+    # One point at scale: full depth, the cheaper balancer
     # (NonInvasiveBalancer's search is ~3x the pricing cost at 1024
-    # devices and measures the balancer, not the operator).
-    cases.append(_case(SCALE_SYSTEM, "greedy", 58, "sparse", scale_iterations))
+    # devices and measures the balancer, not the pricer).
+    cases.append(_case(SCALE_SYSTEM, "greedy", 58, scale_iterations))
     return cases
 
 
@@ -162,7 +143,6 @@ def run_point(params: dict) -> dict:
         num_layers=case["layers"],
         seed=41,
     )
-    sparse = case["operator"] == "sparse"
     simulator = ServingSimulator(
         system.device,
         model,
@@ -170,35 +150,11 @@ def run_point(params: dict) -> dict:
         workload,
         strategy_class(case["strategy"]),
         engine_config=EngineConfig(tokens_per_group=128),
-        serving_config=ServingConfig(
-            num_iterations=case["iterations"],
-            pricing=PricingConfig(sparse_pricing=sparse),
-        ),
+        serving_config=ServingConfig(num_iterations=case["iterations"]),
     )
-    from repro.network.alltoall import (
-        alltoall_pricer,
-        dense_operator_nbytes,
-        sparse_alltoall_pricer,
-    )
-
-    dense_bytes = dense_operator_nbytes(system.mapping)
-    operator_bytes = dense_bytes
-    sparse_pricer = None
-    # One-time per-mapping operator build, outside the timed loop (same
-    # role as the lazily-built topology route cache).  The sparse warm
-    # builds every layer's state; a migration-free run then performs zero
-    # rebuild work inside the clock.
-    if sparse:
-        sparse_pricer = sparse_alltoall_pricer(system.mapping)
-        for placement in simulator.engine.placement.layers:
-            sparse_pricer.state_for(placement)
-    else:
-        alltoall_pricer(system.mapping)
     start = time.perf_counter()
     trace = simulator.run()
     wall = time.perf_counter() - start
-    if sparse_pricer is not None:
-        operator_bytes = sparse_pricer.peak_operator_nbytes
     return {
         "sampler": workload.sampler,
         "sampling_backend": workload.sampling_backend,
@@ -207,8 +163,7 @@ def run_point(params: dict) -> dict:
         "iters_per_s": case["iterations"] / wall,
         "load_ratio": trace.mean_load_ratio(50),
         "migrations": trace.num_migrations(),
-        "operator_bytes": operator_bytes,
-        "dense_operator_bytes": dense_bytes,
+        "operator_bytes": alltoall_pricer(system.mapping).peak_operator_nbytes,
     }
 
 
@@ -233,7 +188,6 @@ def render(results) -> str:
                     "strategy": result.params["case"]["strategy"],
                     "num_experts": result.params["case"]["num_experts"],
                     "layers": result.params["case"]["layers"],
-                    "operator": result.params["case"]["operator"],
                     "sampler": result.metrics["sampler"],
                     "sampling_backend": result.metrics["sampling_backend"],
                     "group_split": result.metrics["group_split"],
@@ -243,9 +197,6 @@ def render(results) -> str:
                     "load_ratio": result.metrics["load_ratio"],
                     "migrations": result.metrics["migrations"],
                     "operator_bytes": result.metrics["operator_bytes"],
-                    "dense_operator_bytes": result.metrics[
-                        "dense_operator_bytes"
-                    ],
                 }
                 for result in results
             ],
@@ -261,7 +212,6 @@ def render(results) -> str:
                 strategy_label(case["strategy"]),
                 case["num_experts"],
                 case["layers"],
-                case["operator"],
                 case["iterations"],
                 f"{m['wall_s']:.2f}s",
                 f"{m['iters_per_s']:.1f} it/s",
@@ -276,7 +226,6 @@ def render(results) -> str:
             "Balancer",
             "Experts",
             "Layers",
-            "Operator",
             "Iterations",
             "Wall clock",
             "Throughput",

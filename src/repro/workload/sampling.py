@@ -153,7 +153,8 @@ def _half_multi_word(rng, n):
     """General ``Binomial(n, 1/2)``: ``ceil(n / 64)`` words per lane, last
     word masked to ``n mod 64`` bits.  The per-lane popcount sum runs as
     cumsum + gather-at-segment-ends + diff — segments are contiguous, and
-    this is ~3x faster than ``np.add.reduceat`` at the serving shapes."""
+    this is ~3x faster than numpy's segmented ``add`` reduction at the
+    serving shapes."""
     words = np.maximum((n + 63) >> 6, 1)
     ends = np.cumsum(words)
     bits = rng.integers(

@@ -34,7 +34,7 @@ def test_project_rules_hold(repo_dirs):
     src, tests = repo_dirs
     from repro.analysis.lint import check_config_coverage
 
-    for class_name in ("ServingConfig", "BalancingConfig", "PricingConfig"):
+    for class_name in ("ServingConfig", "BalancingConfig"):
         coverage = check_config_coverage(
             src / "repro" / "engine" / "serving.py", tests, class_name
         )

@@ -322,6 +322,17 @@ class TestRL005ConfigCoverage:
         )
         assert check_config_coverage(config, tmp_path / "tests") == []
 
+    def test_fires_on_missing_class(self, tmp_path):
+        """A config class deleted from the module is reported, not
+        silently treated as fully covered."""
+        config = _write(tmp_path, "src/repro/engine/serving.py", self.CONFIG)
+        _write(tmp_path, "tests/test_cfg.py", "def test_cfg():\n    pass\n")
+        violations = check_config_coverage(
+            config, tmp_path / "tests", "PricingConfig"
+        )
+        assert _rules(violations) == ["RL005"]
+        assert "PricingConfig is not defined" in violations[0].message
+
 
 class TestDriver:
     def test_unparsable_file_reports_rl000(self, tmp_path):

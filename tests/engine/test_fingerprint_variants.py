@@ -2,18 +2,21 @@
 
 ``test_default_fingerprint.py`` pins the default configuration; these pins
 hold the same single path under every knob it still takes: faults under
-each balancing strategy, the sparse pricing operator, the gaussian group
-split, the legacy sampler, serial (non-overlapped) phases, the migration
-side channel, large migration plans, the baseline mapping, a two-wafer
-system, and a varying continuous-batching batch size.  All were captured
-on the 4x4-wafer fixture of the default pins (Qwen3, 6 simulated layers,
-seed 17, 40 iterations).  They live apart from the default pins so that
-deleting a knob deletes its pins here while the default pins stay
-byte-for-byte unchanged.
+each balancing strategy, the gaussian group split, the legacy sampler,
+serial (non-overlapped) phases, the migration side channel, large
+migration plans, the baseline mapping, a two-wafer system, a varying
+continuous-batching batch size, and fewer experts than devices (12 on 16,
+so the hosted destination sets grow as shadows land on empty devices).
+All were captured on the 4x4-wafer fixture of the default pins (Qwen3,
+6 simulated layers, seed 17, 40 iterations).  They live apart from the
+default pins so that deleting a knob deletes its pins here while the
+default pins stay byte-for-byte unchanged.
 
 Floats compare at ``rel=1e-12`` because BLAS reduction order differs
 between numpy builds; counts compare exactly.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +30,6 @@ from repro.balancer import (
 from repro.engine import (
     BalancingConfig,
     EngineConfig,
-    PricingConfig,
     ServingConfig,
     ServingSimulator,
 )
@@ -46,6 +48,9 @@ FAULTS = (
 
 #: Per-iteration batch sizes cycled through ``step(tokens_per_group=...)``.
 BATCHES = (64, 16, 128, 40)
+
+#: Fewer experts than the 16 devices of the 4x4 wafer.
+QWEN3_12E = replace(QWEN3_235B, name="qwen3-12e", num_experts=12)
 
 #: name -> (run settings, latency sum, all-to-all mean sum, migrations,
 #: repairs, {iteration: latency}).
@@ -87,22 +92,6 @@ PINNED = {
             10: 0.012576082852863999,
             20: 0.016965992256142225,
             39: 0.005118067823843556,
-        },
-    ),
-    "non_invasive_sparse_pricing": (
-        dict(
-            balancer=NonInvasiveBalancer,
-            pricing=PricingConfig(sparse_pricing=True),
-        ),
-        0.1735871851014827,
-        6.195456e-05,
-        112,
-        0,
-        {
-            0: 0.004141293037226666,
-            10: 0.004366032187733334,
-            20: 0.004383006270236444,
-            39: 0.004365499057834667,
         },
     ),
     "greedy_gaussian_split": (
@@ -218,6 +207,32 @@ PINNED = {
             39: 0.003647908524373334,
         },
     ),
+    "greedy_fewer_experts": (
+        dict(balancer=GreedyBalancer, model=QWEN3_12E),
+        0.11478633203866741,
+        7.454623288888889e-05,
+        92,
+        0,
+        {
+            0: 0.002638840833706667,
+            10: 0.0026412193836373335,
+            20: 0.002810618713770667,
+            39: 0.002843870370360889,
+        },
+    ),
+    "non_invasive_fewer_experts": (
+        dict(balancer=NonInvasiveBalancer, model=QWEN3_12E),
+        0.11166529994008217,
+        7.160933912380952e-05,
+        83,
+        0,
+        {
+            0: 0.002638840833706667,
+            10: 0.0027560209202062225,
+            20: 0.0028446320333937775,
+            39: 0.002853384160613587,
+        },
+    ),
 }
 
 
@@ -228,13 +243,14 @@ def _numpy_sampling(monkeypatch):
 
 
 def run(settings):
+    model = settings.get("model", QWEN3_235B)
     system_name = settings.get("system", "er")
     if system_name == "two_wafers":
-        system = build_multi_wsc(QWEN3_235B, num_wafers=2, side=4, tp=4)
+        system = build_multi_wsc(model, num_wafers=2, side=4, tp=4)
     else:
-        system = build_wsc(QWEN3_235B, side=4, tp=4, mapping=system_name)
+        system = build_wsc(model, side=4, tp=4, mapping=system_name)
     workload = GatingSimulator(
-        QWEN3_235B,
+        model,
         num_groups=system.mapping.dp,
         tokens_per_group=64,
         mixer=AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=30),
@@ -244,7 +260,7 @@ def run(settings):
     )
     simulator = ServingSimulator(
         system.device,
-        QWEN3_235B,
+        model,
         system.mapping,
         workload,
         settings["balancer"],
@@ -252,7 +268,6 @@ def run(settings):
         serving_config=ServingConfig(
             num_iterations=ITERATIONS,
             balancing=settings.get("balancing", BalancingConfig()),
-            pricing=settings.get("pricing", PricingConfig()),
         ),
         balancer_config=settings.get("balancer_config"),
         fault_schedule=FaultSchedule(list(FAULTS)) if settings.get("faulted") else None,

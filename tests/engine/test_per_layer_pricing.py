@@ -10,9 +10,12 @@ seed) and a snapshot of that layer's placement taken when the loop priced
 it, then rebuilds the iteration latency from those layer totals.  A layer
 priced against another layer's demand or placement, a stale plan, or a
 slip in overlap or straggler scaling shows up as a mismatch on some
-iteration — under migrations, faults, both pricing operators and a
-varying batch size.
+iteration — under migrations, faults, fewer experts than devices (hosted
+sets that grow as shadow replicas land on empty devices) and a varying
+batch size.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +29,6 @@ from repro.balancer import (
 from repro.engine import (
     BalancingConfig,
     EngineConfig,
-    PricingConfig,
     ServingConfig,
     ServingSimulator,
 )
@@ -46,6 +48,9 @@ FAULTS = (
     DeviceFailure(iteration=20, device=9),
 )
 
+#: Fewer experts than the 16 devices of the 4x4 wafer.
+QWEN3_12E = replace(QWEN3_235B, name="qwen3-12e", num_experts=12)
+
 #: name -> run settings.
 SCENARIOS = {
     "none": dict(balancer=NoBalancer),
@@ -63,8 +68,15 @@ SCENARIOS = {
     "gaussian_split": dict(
         balancer=NonInvasiveBalancer, workload=dict(group_split="gaussian")
     ),
-    "sparse_pricing": dict(
-        balancer=GreedyBalancer, pricing=PricingConfig(sparse_pricing=True)
+    # 12 experts on 16 devices: every layer starts hosting 12 devices and
+    # grows to all 16 as shadows land on the empty ones (down to the 15
+    # survivors once device 9 fails).
+    "fewer_experts": dict(balancer=GreedyBalancer, model=QWEN3_12E, hosted=(12, 16)),
+    "fewer_experts_non_invasive": dict(
+        balancer=NonInvasiveBalancer, model=QWEN3_12E, hosted=(12, 16)
+    ),
+    "fewer_experts_faults": dict(
+        balancer=GreedyBalancer, model=QWEN3_12E, faulted=True, hosted=(12, 15)
     ),
     "serial_phases": dict(balancer=NonInvasiveBalancer, engine=dict(overlap=False)),
     "dynamic_batch": dict(balancer=NonInvasiveBalancer, batches=(64, 16, 128, 40)),
@@ -73,7 +85,7 @@ SCENARIOS = {
 
 def make_workload(system, settings):
     return GatingSimulator(
-        QWEN3_235B,
+        settings.get("model", QWEN3_235B),
         num_groups=system.mapping.dp,
         tokens_per_group=64,
         mixer=AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=30),
@@ -86,7 +98,7 @@ def make_workload(system, settings):
 def make_simulator(system, settings):
     return ServingSimulator(
         system.device,
-        QWEN3_235B,
+        settings.get("model", QWEN3_235B),
         system.mapping,
         make_workload(system, settings),
         settings["balancer"],
@@ -94,7 +106,6 @@ def make_simulator(system, settings):
         serving_config=ServingConfig(
             num_iterations=ITERATIONS,
             balancing=settings.get("balancing", BalancingConfig()),
-            pricing=settings.get("pricing", PricingConfig()),
         ),
         fault_schedule=FaultSchedule(list(FAULTS)) if settings.get("faulted") else None,
     )
@@ -121,9 +132,9 @@ def priced(monkeypatch):
     calls = []
     real = serving_module.layered_dispatch_plan
 
-    def recording(mapping, placement, sparse=False):
+    def recording(mapping, placement):
         calls.append(dict(placements=[layer.clone() for layer in placement.layers]))
-        return RecordingPlan(real(mapping, placement, sparse=sparse), calls)
+        return RecordingPlan(real(mapping, placement), calls)
 
     monkeypatch.setattr(serving_module, "layered_dispatch_plan", recording)
     return calls
@@ -132,14 +143,15 @@ def priced(monkeypatch):
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_loop_matches_per_layer_simulation(name, priced):
     settings = SCENARIOS[name]
-    system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
+    model = settings.get("model", QWEN3_235B)
+    system = build_wsc(model, side=4, tp=4, mapping="er")
     simulator = make_simulator(system, settings)
     twin = make_workload(system, settings)
     oracle = IterationSimulator(
-        system.device, QWEN3_235B, system.mapping, simulator.engine_config
+        system.device, model, system.mapping, simulator.engine_config
     )
     batches = settings.get("batches")
-    depth = QWEN3_235B.num_sparse_layers
+    depth = model.num_sparse_layers
     migrations = 0
     for iteration in range(ITERATIONS):
         tokens = None if batches is None else batches[iteration % len(batches)]
@@ -149,9 +161,7 @@ def test_loop_matches_per_layer_simulation(name, priced):
         assert len(priced) == iteration + 1
         call = priced[-1]
         # The loop priced every layer's own resolved demand, in bytes.
-        np.testing.assert_array_equal(
-            call["demand"], counts * QWEN3_235B.token_bytes
-        )
+        np.testing.assert_array_equal(call["demand"], counts * model.token_bytes)
         layers = [
             oracle.simulate_layer(
                 counts[layer],
@@ -182,3 +192,9 @@ def test_loop_matches_per_layer_simulation(name, priced):
         )
         assert record.latency == pytest.approx(expected, rel=1e-12), iteration
     assert (migrations == 0) == (settings["balancer"] is NoBalancer)
+    if "hosted" in settings:
+        hosted = [
+            [int(p.destination_shares.any(axis=0).sum()) for p in call["placements"]]
+            for call in (priced[0], priced[-1])
+        ]
+        assert hosted == [[count] * NUM_LAYERS for count in settings["hosted"]]

@@ -1,11 +1,11 @@
-"""The grouped ServingConfig: a frozen top-level config over two frozen
-sub-configs, each validated at construction."""
+"""The grouped ServingConfig: a frozen top-level config over a frozen
+balancing sub-config, each validated at construction."""
 
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from repro.engine import BalancingConfig, PricingConfig, ServingConfig
+from repro.engine import BalancingConfig, ServingConfig
 
 
 class TestGroupedConstruction:
@@ -13,17 +13,14 @@ class TestGroupedConstruction:
         config = ServingConfig()
         assert config.num_iterations == 150
         assert config.balancing == BalancingConfig()
-        assert config.pricing == PricingConfig()
 
     def test_grouped_kwargs(self):
         config = ServingConfig(
             num_iterations=7,
             balancing=BalancingConfig(alpha=0.25, shadow_slots=3),
-            pricing=PricingConfig(sparse_pricing=True),
         )
         assert config.balancing.alpha == 0.25
         assert config.balancing.shadow_slots == 3
-        assert config.pricing.sparse_pricing is True
 
     def test_replace_works_on_grouped_fields(self):
         config = ServingConfig(num_iterations=9)
@@ -50,5 +47,3 @@ class TestGroupedConstruction:
         """Settings live on the sub-config that owns them."""
         with pytest.raises(TypeError):
             ServingConfig(alpha=0.5)
-        with pytest.raises(TypeError):
-            ServingConfig(sparse_pricing=True)

@@ -1,9 +1,9 @@
 """Layer-batched all-to-all pricing against the per-layer exact path.
 
-The :class:`LayeredAllToAllPricer` aggregates per-link volumes through
-dense ``(group, dest) -> link`` operators — the same terms the per-layer
+The mapping's :func:`alltoall_pricer` aggregates per-link volumes through
+CSR ``(group, dest) -> link`` operators — the same terms the per-layer
 :class:`DispatchPlan` + :func:`simulate_phase` pipeline sums, in a
-different associative order — so traffic tensors and phase durations are
+different associative order — so link volumes and phase durations are
 pinned to the exact path with tight relative tolerances.  The
 :class:`LayeredDispatchPlan` the serving loop prices through is held to
 the same exact path layer by layer, with layer 0's price passed through
@@ -71,38 +71,20 @@ def exact_duration(mapping, demand, placement):
     return simulate_alltoall(mapping.topology, demand, placement, mapping).duration
 
 
+def stack_args(mapping, stack):
+    """``(shares, batches)`` pricing arguments for a stacked placement."""
+    return stack.destination_shares, alltoall_pricer(mapping).hosted_batches(
+        stack.layers
+    )
+
+
 class TestPricerAgainstPerLayerOracle:
-    def test_traffic_tensor_matches_dispatch_plans(self, mapping):
-        stack = diverged_stack()
-        demand = uniform_demand(4, 16, 256, 8, 100)
-        tensor = alltoall_pricer(mapping).traffic_tensor(
-            demand, stack.destination_shares
-        )
-        for layer, placement in enumerate(stack.layers):
-            np.testing.assert_allclose(
-                tensor[layer], dense_traffic_oracle(mapping, demand, placement),
-                **TIGHT,
-            )
-
-    def test_traffic_tensor_sparse_demand(self, mapping):
-        stack = diverged_stack()
-        demand = uniform_demand(4, 16, 256, 8, 100)
-        demand[1, :] = 0.0
-        demand[:, 7] = 0.0
-        tensor = alltoall_pricer(mapping).traffic_tensor(
-            demand, stack.destination_shares
-        )
-        for layer, placement in enumerate(stack.layers):
-            np.testing.assert_allclose(
-                tensor[layer], dense_traffic_oracle(mapping, demand, placement),
-                **TIGHT,
-            )
-
     def test_link_volumes_match_phase_oracle(self, mapping):
         stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
-        pricer = alltoall_pricer(mapping)
-        _cells, volumes = pricer.link_volumes(demand, stack.destination_shares)
+        volumes = alltoall_pricer(mapping).link_volumes(
+            np.repeat(demand[None], 5, axis=0), *stack_args(mapping, stack)
+        )
         keys = list(mapping.topology.links)
         for layer, placement in enumerate(stack.layers):
             result = simulate_alltoall(mapping.topology, demand, placement, mapping)
@@ -122,33 +104,39 @@ class TestPricerAgainstPerLayerOracle:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
         durations = alltoall_pricer(mapping).durations(
-            demand, stack.destination_shares
+            np.repeat(demand[None], 5, axis=0), *stack_args(mapping, stack)
         )
         for layer, placement in enumerate(stack.layers):
             exact = exact_duration(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
-    def test_dense_latencies_precompute_matches(self, mapping):
-        demand = uniform_demand(4, 16, 256, 8, 100)
-        pricer = alltoall_pricer(mapping)
-        shares = diverged_stack().destination_shares
-        fresh = pricer.durations(demand, shares)
-        cached = pricer.durations(
-            demand, shares, pricer.dense_demand_latencies(shares)
-        )
-        np.testing.assert_array_equal(fresh, cached)
-
     def test_pricer_link_volumes_accept_demand_stack(self, mapping):
-        stack = diverged_stack()
-        demand = demand_stack()
+        """Layers with different hosted sets batch together; each layer's
+        volumes equal pricing it alone, bit for bit, so a layer's price
+        cannot depend on which other layers share its batch."""
+        stack = StackedPlacement(5, 8, 16, shadow_slots=2)
+        stack.add_replica(1, 0, 1)
+        stack.add_replica(2, 3, 5)
+        stack.add_replica(2, 6, 9)
+        stack.add_replica(4, 0, 1)
         pricer = alltoall_pricer(mapping)
+        # Three hosted sets: native (layers 0, 3), +device 1 (layers 1, 4)
+        # and +devices 5, 9 (layer 2).
+        hosted = {id(pricer.state_for(layer).hosted) for layer in stack.layers}
+        assert len(hosted) == 3
+        demand = uniform_demand(4, 8, 256, 8, 100) * np.random.default_rng(
+            3
+        ).uniform(0.5, 1.5, size=(5, 4, 8))
+        demand[3, 2, :4] = 0.0
         shares = stack.destination_shares
-        _cells, batched = pricer.link_volumes(demand, shares)
+        batched = pricer.link_volumes(demand, *stack_args(mapping, stack))
         for layer in range(stack.num_layers):
-            _cells_l, single = pricer.link_volumes(
-                demand[layer], shares[layer : layer + 1]
+            alone = pricer.link_volumes(
+                demand[layer : layer + 1],
+                shares[layer : layer + 1],
+                pricer.hosted_batches([stack.layer(layer)]),
             )
-            np.testing.assert_allclose(batched[layer], single[0], **TIGHT)
+            np.testing.assert_array_equal(batched[layer], alone[0])
 
 
 class TestLayeredPlan:
@@ -242,12 +230,19 @@ class TestLayeredPlan:
             exact = exact_duration(mapping, demand[layer], stack.layer(layer))
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_single_layer_plan_passes_layer0_through(self, mapping, sparse):
+    def test_plan_reads_share_tensor_zero_copy(self, mapping):
+        """Even with fewer experts than devices the plan keeps a view of
+        the stacked share tensor, never a copy."""
+        stack = StackedPlacement(4, 8, 16, shadow_slots=2)
+        stack.add_replica(2, 0, 1)
+        plan = LayeredDispatchPlan(mapping, stack)
+        assert np.shares_memory(plan._shares, stack.destination_shares)
+
+    def test_single_layer_plan_passes_layer0_through(self, mapping):
         stack = StackedPlacement(1, 16, 16)
-        durations = LayeredDispatchPlan(
-            mapping, stack, sparse=sparse
-        ).alltoall_durations_resolved(demand_stack(num_layers=1), 3.0e-6)
+        durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
+            demand_stack(num_layers=1), 3.0e-6
+        )
         np.testing.assert_array_equal(durations, [3.0e-6])
 
 

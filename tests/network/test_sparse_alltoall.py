@@ -1,15 +1,14 @@
-"""Sparse incremental all-to-all pricing against the dense oracle.
+"""The CSR all-to-all pricer against the exact per-layer simulation.
 
-The :class:`SparseAllToAllPricer` stores only the nonzero holder-route
-cells of the ``(group, dest) -> link`` operator and reduces with a
-segmented bincount — the same terms as the dense matmul in a different
-associative order, so volumes and durations are pinned to the dense
-pricer (and the exact per-layer simulation) with tight relative
-tolerances.  The incremental contracts are structural: states revalidate
-by placement version (migration-free lookups rebuild nothing, asserted
-via the rebuild counter), a delta-rebuilt state equals a from-scratch
-build bitwise, and the layered-plan cache keys on the pricing mode so a
-mode toggle can never resolve to a plan priced the other way.
+The :class:`SparseAllToAllPricer` stores the ``(group, dest) -> link``
+operator as one CSR matrix per hosted-destination set and prices a layer
+stack with one share matmul plus one sparse product per set — the same
+terms as the per-layer :func:`simulate_alltoall` path in a different
+associative order, so volumes and durations are pinned to that path with
+tight relative tolerances and the latency maxima exactly.  The
+incremental contracts are structural: states revalidate by placement
+version (migration-free lookups rebuild nothing, asserted via the rebuild
+counter), and a delta-rebuilt state equals a from-scratch build bitwise.
 """
 
 import numpy as np
@@ -17,19 +16,17 @@ import pytest
 
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import ExpertPlacement
+from repro.models import QWEN3_235B
+from repro.faults import topology_health
 from repro.network.alltoall import (
-    LayeredDispatchPlan,
-    SPARSE_AUTO_THRESHOLD_BYTES,
     SparseAllToAllPricer,
     alltoall_pricer,
-    dense_operator_nbytes,
-    layered_dispatch_plan,
-    prefer_sparse_pricing,
+    clear_plan_caches,
     simulate_alltoall,
-    sparse_alltoall_pricer,
     uniform_demand,
 )
+from repro.systems import build_dgx, build_multi_wsc, build_nvl72, build_wsc
 from repro.topology.mesh import MeshTopology
 
 TIGHT = dict(rtol=1e-12, atol=0.0)
@@ -54,8 +51,14 @@ def diverged_placements(num_layers=5, num_experts=16, num_devices=16):
     return placements
 
 
-def shares_stack(placements):
-    return np.stack([p.destination_shares for p in placements])
+def stack_args(pricer, placements):
+    """``(shares, batches)`` pricing arguments for a placement list."""
+    shares = np.stack([p.destination_shares for p in placements])
+    return shares, pricer.hosted_batches(placements)
+
+
+def per_layer(demand, num_layers):
+    return np.repeat(demand[None], num_layers, axis=0)
 
 
 def random_migrations(placements, rng, count):
@@ -75,21 +78,26 @@ def random_migrations(placements, rng, count):
         applied += 1
 
 
-class TestSparseAgainstDenseOracle:
+class TestAgainstExactSimulation:
     @pytest.mark.parametrize("zero_cells", [False, True])
-    def test_link_volumes_match_dense_pricer(self, mapping, zero_cells):
+    def test_link_volumes_match_phase_link_bytes(self, mapping, zero_cells):
         placements = diverged_placements()
         demand = uniform_demand(4, 16, 256, 8, 100)
         if zero_cells:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
-        dense = alltoall_pricer(mapping)
-        sparse = sparse_alltoall_pricer(mapping)
-        _cells, expected = dense.link_volumes(demand, shares_stack(placements))
-        got = sparse.link_volumes(
-            demand, [sparse.state_for(p) for p in placements]
+        pricer = alltoall_pricer(mapping)
+        volumes = pricer.link_volumes(
+            per_layer(demand, len(placements)), *stack_args(pricer, placements)
         )
-        np.testing.assert_allclose(got, expected, **TIGHT)
+        keys = list(mapping.topology.links)
+        for layer, placement in enumerate(placements):
+            result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+            for phase, phase_result in enumerate((result.dispatch, result.combine)):
+                expected = [phase_result.link_bytes.get(key, 0.0) for key in keys]
+                np.testing.assert_allclose(
+                    volumes[layer, phase], expected, rtol=1e-12, atol=1e-9
+                )
 
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_durations_match_per_layer_simulation(self, mapping, zero_cells):
@@ -98,9 +106,9 @@ class TestSparseAgainstDenseOracle:
         if zero_cells:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
-        sparse = sparse_alltoall_pricer(mapping)
-        durations = sparse.durations(
-            demand, [sparse.state_for(p) for p in placements]
+        pricer = alltoall_pricer(mapping)
+        durations = pricer.durations(
+            per_layer(demand, len(placements)), *stack_args(pricer, placements)
         )
         for layer, placement in enumerate(placements):
             exact = simulate_alltoall(
@@ -108,7 +116,7 @@ class TestSparseAgainstDenseOracle:
             ).duration
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
-    def test_demand_stack_matches_dense_pricer(self, mapping):
+    def test_demand_stack_matches_per_layer_simulation(self, mapping):
         placements = diverged_placements()
         rng = np.random.default_rng(3)
         stack = uniform_demand(4, 16, 256, 8, 100) * rng.uniform(
@@ -116,55 +124,158 @@ class TestSparseAgainstDenseOracle:
         )
         stack[1, 0, 3] = 0.0
         stack[3, 2, :8] = 0.0
-        dense = alltoall_pricer(mapping)
-        sparse = sparse_alltoall_pricer(mapping)
-        expected = dense.durations(stack, shares_stack(placements))
-        got = sparse.durations(stack, [sparse.state_for(p) for p in placements])
-        np.testing.assert_allclose(got, expected, **TIGHT)
+        pricer = alltoall_pricer(mapping)
+        durations = pricer.durations(stack, *stack_args(pricer, placements))
+        for layer, placement in enumerate(placements):
+            exact = simulate_alltoall(
+                mapping.topology, stack[layer], placement, mapping
+            ).duration
+            assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_hosted_subset_when_fewer_experts_than_devices(self, mapping):
         """With E < D only the hosting devices appear as destination
-        columns — the sparse tier must price the subset exactly."""
+        columns — the pricer must price the subset exactly."""
         placements = [
             ExpertPlacement(8, 16, shadow_slots=2) for _ in range(3)
         ]
         placements[1].add_replica(2, 13)
-        sparse = sparse_alltoall_pricer(mapping)
-        states = [sparse.state_for(p) for p in placements]
-        assert states[0].gather.dests.size < 16
+        pricer = alltoall_pricer(mapping)
+        assert pricer.state_for(placements[0]).hosted.dests.size < 16
         demand = uniform_demand(4, 8, 256, 8, 100)
-        durations = sparse.durations(demand, states)
+        durations = pricer.durations(
+            per_layer(demand, 3), *stack_args(pricer, placements)
+        )
         for layer, placement in enumerate(placements):
             exact = simulate_alltoall(
                 mapping.topology, demand, placement, mapping
             ).duration
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
-    def test_active_masks_agree_with_dense(self, mapping):
-        """Zero demand cells must deactivate exactly the same latency
-        pairs as the dense pricer: nonnegative dot products cannot round
-        to a spurious zero, so the (cells > 0) masks agree bitwise and
-        the latency maxima are equal, not just close."""
+    @pytest.mark.parametrize("active", ["most", "one_cell"])
+    def test_latencies_equal_worst_active_path(self, mapping, active):
+        """Zero demand cells deactivate their latency pairs.  Nonnegative
+        products cannot round to a spurious zero, so the worst active path
+        latency of each phase equals the exact simulation's, not just
+        approximately."""
         placements = diverged_placements()
         demand = uniform_demand(4, 16, 256, 8, 100)
-        demand[1, :] = 0.0
-        demand[:, 7] = 0.0
-        dense = alltoall_pricer(mapping)
-        sparse = sparse_alltoall_pricer(mapping)
-        shares = shares_stack(placements)
-        states = [sparse.state_for(p) for p in placements]
-        dense_cells, _ = dense.link_volumes(demand, shares)
-        for layer, state in enumerate(states):
-            small = demand @ state.shares_small
-            np.testing.assert_array_equal(
-                small > 0, dense_cells[layer][:, state.gather.dests] > 0
+        if active == "most":
+            demand[1, :] = 0.0
+            demand[:, 7] = 0.0
+        else:
+            demand[:] = 0.0
+            demand[0, 0] = 100.0
+        pricer = alltoall_pricer(mapping)
+        _, latencies = pricer._price(
+            per_layer(demand, len(placements)),
+            *stack_args(pricer, placements),
+            with_latencies=True,
+        )
+        for layer, placement in enumerate(placements):
+            result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+            assert latencies[layer, 0] == result.dispatch.latency_time
+            assert latencies[layer, 1] == result.combine.latency_time
+        if active == "one_cell":
+            # One active cell sits below the all-cells maximum.
+            dense = pricer.state_for(placements[0]).hosted.dense_latency
+            assert (latencies[0] < dense).all()
+
+
+#: name -> mapping on every topology family the pricer serves.
+SYSTEMS = {
+    "er_wafer": lambda: build_wsc(QWEN3_235B, side=4, tp=4, mapping="er").mapping,
+    "baseline_wafer": lambda: build_wsc(
+        QWEN3_235B, side=4, tp=4, mapping="baseline"
+    ).mapping,
+    "er_without_allgather": lambda: build_wsc(
+        QWEN3_235B, side=4, tp=4, mapping="er", retain_allgather=False
+    ).mapping,
+    "her_two_wafers": lambda: build_multi_wsc(QWEN3_235B, 2, 4, tp=4).mapping,
+    "dgx_two_nodes": lambda: build_dgx(QWEN3_235B, 2, tp=4).mapping,
+    "nvl72": lambda: build_nvl72(QWEN3_235B, tp=4).mapping,
+}
+
+
+class TestSystems:
+    """Every topology family, with mixed hosted sets and zero cells."""
+
+    @pytest.fixture(params=list(SYSTEMS))
+    def case(self, request):
+        mapping = SYSTEMS[request.param]()
+        num_devices = mapping.topology.num_devices
+        num_experts = num_devices // 2
+        placements = [
+            ExpertPlacement(num_experts, num_devices, shadow_slots=2)
+            for _ in range(4)
+        ]
+        empty = [d for d in range(num_devices) if not placements[0].experts_on(d)]
+        placements[1].add_replica(0, empty[0])
+        placements[2].add_replica(1, empty[1])
+        placements[2].add_replica(2, empty[-1])
+        placements[3].add_replica(0, empty[0])
+        demand = uniform_demand(mapping.dp, num_experts, 256, 8, 100)
+        demand = demand * np.random.default_rng(7).uniform(
+            0.5, 1.5, size=(4, *demand.shape)
+        )
+        demand[1, 0, :3] = 0.0
+        demand[2, :, 1] = 0.0
+        return mapping, placements, demand
+
+    def test_durations_match_per_layer_simulation(self, case):
+        mapping, placements, demand = case
+        pricer = alltoall_pricer(mapping)
+        durations = pricer.durations(demand, *stack_args(pricer, placements))
+        for layer, placement in enumerate(placements):
+            exact = simulate_alltoall(
+                mapping.topology, demand[layer], placement, mapping
+            ).duration
+            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+
+    def test_latencies_equal_worst_active_path(self, case):
+        mapping, placements, demand = case
+        pricer = alltoall_pricer(mapping)
+        _, latencies = pricer._price(
+            demand, *stack_args(pricer, placements), with_latencies=True
+        )
+        for layer, placement in enumerate(placements):
+            result = simulate_alltoall(
+                mapping.topology, demand[layer], placement, mapping
             )
+            assert latencies[layer, 0] == result.dispatch.latency_time
+            assert latencies[layer, 1] == result.combine.latency_time
+
+    def test_dense_demand_matches_per_layer_simulation(self, case):
+        """Demand without zero cells takes the dense-latency shortcut:
+        every hosted cell is active."""
+        mapping, placements, demand = case
+        demand = demand + 1.0
+        pricer = alltoall_pricer(mapping)
+        durations = pricer.durations(demand, *stack_args(pricer, placements))
+        for layer, placement in enumerate(placements):
+            exact = simulate_alltoall(
+                mapping.topology, demand[layer], placement, mapping
+            ).duration
+            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+
+    def test_volumes_equal_full_width_operator_product(self, case):
+        """The hosted-row product equals the product over every
+        ``(group, dest)`` row bit for bit: the dropped rows belong to
+        unhosted destinations, whose cells are exact zeros."""
+        mapping, placements, demand = case
+        pricer = alltoall_pricer(mapping)
+        shares, batches = stack_args(pricer, placements)
+        assert len(batches) == 3
+        full = pricer._hosted_for(tuple(range(pricer.num_devices)))
+        cells = np.matmul(demand, shares)
+        expected = cells.reshape(len(placements), -1) @ full.operator
+        got = pricer.link_volumes(demand, shares, batches)
+        np.testing.assert_array_equal(got.reshape(len(placements), -1), expected)
 
 
 class TestIncremental:
     def test_revalidation_without_mutation_rebuilds_nothing(self, mapping):
         placements = diverged_placements()
-        pricer = sparse_alltoall_pricer(mapping)
+        pricer = alltoall_pricer(mapping)
         states = [pricer.state_for(p) for p in placements]
         built = pricer.state_rebuilds
         for _ in range(5):
@@ -174,7 +285,7 @@ class TestIncremental:
 
     def test_migration_rebuilds_only_touched_layers(self, mapping):
         placements = diverged_placements()
-        pricer = sparse_alltoall_pricer(mapping)
+        pricer = alltoall_pricer(mapping)
         states = [pricer.state_for(p) for p in placements]
         built = pricer.state_rebuilds
         placements[2].add_replica(7, 11)
@@ -186,18 +297,18 @@ class TestIncremental:
             else:
                 assert again[layer] is states[layer]
 
-    def test_gather_shared_across_layers_with_same_hosted_set(self, mapping):
+    def test_hosted_set_shared_across_layers(self, mapping):
         placements = [ExpertPlacement(16, 16) for _ in range(4)]
-        pricer = sparse_alltoall_pricer(mapping)
+        pricer = alltoall_pricer(mapping)
         states = [pricer.state_for(p) for p in placements]
-        assert all(s.gather is states[0].gather for s in states)
+        assert all(s.hosted is states[0].hosted for s in states)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_delta_rebuild_equals_from_scratch(self, mapping, seed):
         """N random migrations, revalidating incrementally along the way,
         leave exactly the state a cold pricer builds from scratch."""
         rng = np.random.default_rng(seed)
-        placements = diverged_placements()
+        placements = [ExpertPlacement(8, 16, shadow_slots=2) for _ in range(5)]
         warm = SparseAllToAllPricer(mapping)
         for p in placements:
             warm.state_for(p)
@@ -206,32 +317,21 @@ class TestIncremental:
             for p in placements:
                 warm.state_for(p)
         cold = SparseAllToAllPricer(mapping)
-        demand = uniform_demand(4, 16, 256, 8, 100)
         for placement in placements:
-            delta = warm.state_for(placement)
-            scratch = cold.state_for(placement)
-            assert delta.version == placement.version
-            np.testing.assert_array_equal(
-                delta.gather.row_starts, scratch.gather.row_starts
-            )
-            np.testing.assert_array_equal(
-                delta.gather.row_links, scratch.gather.row_links
-            )
-            np.testing.assert_array_equal(
-                delta.gather.weight, scratch.gather.weight
-            )
-            np.testing.assert_array_equal(delta.gather.cell, scratch.gather.cell)
-            np.testing.assert_array_equal(
-                delta.gather.latency, scratch.gather.latency
-            )
-            np.testing.assert_array_equal(
-                delta.shares_small, scratch.shares_small
-            )
-        states_delta = [warm.state_for(p) for p in placements]
-        states_cold = [cold.state_for(p) for p in placements]
+            delta = warm.state_for(placement).hosted
+            scratch = cold.state_for(placement).hosted
+            assert warm.state_for(placement).version == placement.version
+            np.testing.assert_array_equal(delta.dests, scratch.dests)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(delta.operator, name), getattr(scratch.operator, name)
+                )
+            np.testing.assert_array_equal(delta.latency_sorted, scratch.latency_sorted)
+            np.testing.assert_array_equal(delta.dense_latency, scratch.dense_latency)
+        demand = per_layer(uniform_demand(4, 8, 256, 8, 100), len(placements))
         np.testing.assert_array_equal(
-            warm.durations(demand, states_delta),
-            cold.durations(demand, states_cold),
+            warm.durations(demand, *stack_args(warm, placements)),
+            cold.durations(demand, *stack_args(cold, placements)),
         )
 
     def test_dest_rows_built_once_per_destination(self, mapping):
@@ -247,96 +347,78 @@ class TestIncremental:
         assert pricer.dest_row_builds == built
 
 
-def diverged_stack():
-    """:func:`diverged_placements` as the serving loop's stacked placement."""
-    stack = StackedPlacement(5, 16, 16, shadow_slots=2)
-    stack.add_replica(2, 0, 15)
-    stack.add_replica(2, 5, 9)
-    stack.add_replica(4, 3, 12)
-    return stack
-
-
-def demand_rows(seed=5):
-    rng = np.random.default_rng(seed)
-    return uniform_demand(4, 16, 256, 8, 100) * rng.uniform(
-        0.5, 1.5, size=(5, 4, 16)
-    )
-
-
-class TestPlanModeCache:
-    def test_modes_get_distinct_plans(self, mapping):
-        stack = diverged_stack()
-        dense_plan = layered_dispatch_plan(mapping, stack)
-        sparse_plan = layered_dispatch_plan(mapping, stack, sparse=True)
-        assert dense_plan is not sparse_plan
-        assert not dense_plan.sparse and dense_plan.pricer is not None
-        assert sparse_plan.sparse and sparse_plan.sparse_pricer is not None
-        # Each mode keeps hitting its own cached plan.
-        assert layered_dispatch_plan(mapping, stack) is dense_plan
-        assert layered_dispatch_plan(mapping, stack, sparse=True) is sparse_plan
-
-    def test_mode_toggle_never_serves_a_stale_plan(self, mapping):
-        """Toggling the pricing mode mid-session must never resolve to a
-        plan built for the other mode."""
-        stack = diverged_stack()
-        for sparse in (False, True, False, True):
-            assert layered_dispatch_plan(mapping, stack, sparse=sparse).sparse == sparse
-        dense_plan = layered_dispatch_plan(mapping, stack)
-        sparse_plan = layered_dispatch_plan(mapping, stack, sparse=True)
-        demand = np.repeat(uniform_demand(4, 16, 256, 8, 100)[None], 5, axis=0)
-        np.testing.assert_allclose(
-            sparse_plan.alltoall_durations_resolved(demand, 2.0e-6),
-            dense_plan.alltoall_durations_resolved(demand, 2.0e-6),
-            **TIGHT,
-        )
-
-    def test_mutation_invalidates_both_modes(self, mapping):
-        stack = diverged_stack()
-        dense_plan = layered_dispatch_plan(mapping, stack)
-        sparse_plan = layered_dispatch_plan(mapping, stack, sparse=True)
-        stack.add_replica(1, 2, 14)
-        assert layered_dispatch_plan(mapping, stack) is not dense_plan
-        assert layered_dispatch_plan(mapping, stack, sparse=True) is not sparse_plan
-
-    def test_sparse_plan_resolved_matches_dense_plan(self, mapping):
-        stack = diverged_stack()
-        demand = demand_rows()
-        dense_plan = LayeredDispatchPlan(mapping, stack)
-        sparse_plan = LayeredDispatchPlan(mapping, stack, sparse=True)
-        np.testing.assert_allclose(
-            sparse_plan.alltoall_durations_resolved(demand, 1.0e-6),
-            dense_plan.alltoall_durations_resolved(demand, 1.0e-6),
-            **TIGHT,
-        )
-
-    def test_sparse_plan_matches_per_layer_simulation(self, mapping):
-        stack = diverged_stack()
-        demand = demand_rows()
-        durations = LayeredDispatchPlan(
-            mapping, stack, sparse=True
-        ).alltoall_durations_resolved(demand, 1.0e-6)
-        assert durations[0] == 1.0e-6
-        for layer in range(1, stack.num_layers):
+class TestDegradedLinks:
+    def test_degraded_link_reprices_through_cached_operators(self, mapping):
+        """Link faults change bandwidth, not routes: the cached operators
+        keep serving and prices track the exact simulation, then return
+        bit for bit once the link is restored."""
+        placements = diverged_placements()
+        demand = per_layer(uniform_demand(4, 16, 256, 8, 100), len(placements))
+        pricer = alltoall_pricer(mapping)
+        args = stack_args(pricer, placements)
+        pristine = pricer.durations(demand, *args)
+        builds = pricer.dest_row_builds
+        busiest = list(mapping.topology.links)[
+            int(pricer.link_volumes(demand, *args)[0].max(axis=0).argmax())
+        ]
+        health = topology_health(mapping.topology, create=True)
+        health.degrade_link(*busiest, 0.25)
+        degraded = pricer.durations(demand, *args)
+        assert (degraded >= pristine).all() and (degraded > pristine).any()
+        for layer, placement in enumerate(placements):
             exact = simulate_alltoall(
-                mapping.topology, demand[layer], stack.layer(layer), mapping
+                mapping.topology, demand[layer], placement, mapping
             ).duration
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert degraded[layer] == pytest.approx(exact, rel=1e-12)
+        assert pricer.dest_row_builds == builds
+        health.restore_link(*busiest)
+        np.testing.assert_array_equal(pricer.durations(demand, *args), pristine)
+
+
+class TestCaches:
+    def test_evicted_hosted_set_rebuilds_identically(self, mapping, monkeypatch):
+        monkeypatch.setattr(SparseAllToAllPricer, "HOSTED_CACHE_CAP", 1)
+        pricer = SparseAllToAllPricer(mapping)
+        native, moved = ExpertPlacement(8, 16), ExpertPlacement(8, 16)
+        moved.add_replica(0, 1)
+        first = pricer.state_for(native).hosted
+        pricer.state_for(moved)
+        builds = pricer.dest_row_builds
+        rebuilt = pricer.state_for(ExpertPlacement(8, 16)).hosted
+        assert rebuilt is not first
+        assert pricer.dest_row_builds == builds
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(rebuilt.operator, name), getattr(first.operator, name)
+            )
+        np.testing.assert_array_equal(rebuilt.latency_order, first.latency_order)
+
+    def test_clear_plan_caches_drops_pricers(self, mapping):
+        pricer = alltoall_pricer(mapping)
+        assert alltoall_pricer(mapping) is pricer
+        clear_plan_caches()
+        assert alltoall_pricer(mapping) is not pricer
 
 
 class TestMemoryAccounting:
-    def test_analytic_dense_footprint_matches_materialized(self, mapping):
-        assert dense_operator_nbytes(mapping) == alltoall_pricer(
-            mapping
-        ).operator.nbytes
-
-    def test_sparse_operator_smaller_than_dense(self, mapping):
+    def test_operator_smaller_than_dense_footprint(self, mapping):
         pricer = SparseAllToAllPricer(mapping)
         for p in diverged_placements():
             pricer.state_for(p)
-        assert 0 < pricer.operator_nbytes() < dense_operator_nbytes(mapping)
-        assert pricer.peak_operator_nbytes >= pricer.operator_nbytes()
+        dense_nbytes = (
+            pricer.num_groups * pricer.num_devices * 2 * pricer.num_links * 8
+        )
+        assert 0 < pricer.operator_nbytes() < dense_nbytes
+        assert pricer.peak_operator_nbytes == pricer.operator_nbytes()
 
-    def test_auto_rule_thresholds_on_dense_footprint(self, mapping):
-        # 16 devices: a few-hundred-KB dense operator — dense stays.
-        assert dense_operator_nbytes(mapping) < SPARSE_AUTO_THRESHOLD_BYTES
-        assert not prefer_sparse_pricing(mapping)
+    def test_peak_keeps_high_water_mark_after_eviction(self, mapping, monkeypatch):
+        monkeypatch.setattr(SparseAllToAllPricer, "HOSTED_CACHE_CAP", 1)
+        pricer = SparseAllToAllPricer(mapping)
+        small, large = ExpertPlacement(8, 16), ExpertPlacement(8, 16)
+        for device in (1, 3, 5, 7):
+            large.add_replica(0, device)
+        pricer.state_for(large)
+        peak = pricer.peak_operator_nbytes
+        pricer.state_for(small)
+        assert pricer.operator_nbytes() < peak
+        assert pricer.peak_operator_nbytes == peak

@@ -1,16 +1,23 @@
 """Property-based tests for the network simulator."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
 from repro.mapping.placement import ExpertPlacement
+from repro.models import QWEN3_235B
 from repro.network.allreduce import ring_allreduce
-from repro.network.alltoall import build_dispatch_traffic, simulate_alltoall
+from repro.network.alltoall import (
+    SparseAllToAllPricer,
+    build_dispatch_traffic,
+    simulate_alltoall,
+)
 from repro.network.phase import simulate_phase
 from repro.network.traffic import Flow, TrafficMatrix
+from repro.systems import build_wsc
 from repro.topology.mesh import MeshTopology
 
 MESH = MeshTopology(4, 4)
@@ -113,3 +120,71 @@ class TestAllToAllProperties:
             MESH, demand, PLACEMENT, ER
         )
         assert result.dispatch.total_volume == result.combine.total_volume
+
+
+@st.composite
+def priced_stacks(draw):
+    """A small wafer, a placement stack with random extra replicas, and
+    per-layer integer demand (zero cells included)."""
+    side = draw(st.integers(2, 4))
+    tp = draw(st.sampled_from([1, 2, 4]))
+    mapping_name = draw(st.sampled_from(["er", "baseline"]))
+    try:
+        mapping = build_wsc(QWEN3_235B, side=side, tp=tp, mapping=mapping_name).mapping
+    except ValueError:
+        assume(False)
+    devices = side * side
+    experts = draw(st.integers(1, devices))
+    layers = draw(st.integers(1, 3))
+    placements = [
+        ExpertPlacement(experts, devices, shadow_slots=2) for _ in range(layers)
+    ]
+    extras = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, layers - 1),
+                st.integers(0, experts - 1),
+                st.integers(0, devices - 1),
+            ),
+            max_size=6,
+        )
+    )
+    for layer, expert, device in extras:
+        try:
+            placements[layer].add_replica(expert, device)
+        except ValueError:
+            pass
+    counts = draw(
+        st.lists(
+            st.integers(0, 40), min_size=layers * mapping.dp * experts,
+            max_size=layers * mapping.dp * experts,
+        )
+    )
+    demand = np.asarray(counts, dtype=float).reshape(layers, mapping.dp, experts)
+    return mapping, placements, demand * 7168.0
+
+
+class TestPricerProperties:
+    @given(priced_stacks())
+    @settings(max_examples=40, deadline=None)
+    def test_pricer_matches_exact_simulation(self, stack):
+        """Every layer's batched price equals the exact per-layer
+        simulation to summation-order rounding, and equals pricing that
+        layer alone bit for bit."""
+        mapping, placements, demand = stack
+        pricer = SparseAllToAllPricer(mapping)
+        shares = np.stack([p.destination_shares for p in placements])
+        durations = pricer.durations(
+            demand, shares, pricer.hosted_batches(placements)
+        )
+        for layer, placement in enumerate(placements):
+            exact = simulate_alltoall(
+                mapping.topology, demand[layer], placement, mapping
+            ).duration
+            assert durations[layer] == pytest.approx(exact, rel=1e-12, abs=0.0)
+            alone = pricer.durations(
+                demand[layer : layer + 1],
+                shares[layer : layer + 1],
+                pricer.hosted_batches([placement]),
+            )
+            assert alone[0] == durations[layer]

@@ -69,6 +69,17 @@ class TestCachedHandoutsAreFrozen:
         with pytest.raises(ValueError):
             plan.dense_bin[0] = 0
 
+    def test_pricer_operator_arrays_are_read_only(self):
+        from repro.network.alltoall import alltoall_pricer
+
+        mesh = MeshTopology(4, 4)
+        mapping = ERMapping(mesh, ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)))
+        hosted = alltoall_pricer(mapping).state_for(ExpertPlacement(16, 16)).hosted
+        with pytest.raises(ValueError):
+            hosted.operator.data[0] = 99.0
+        with pytest.raises(ValueError):
+            hosted.latency_sorted[0, 0] = 0.0
+
     def test_route_cache_bandwidth_is_read_only(self):
         from repro.network.phase import _route_cache
 

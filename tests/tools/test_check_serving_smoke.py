@@ -20,7 +20,6 @@ _spec.loader.exec_module(check_serving_smoke)
 def config(
     strategy="greedy",
     layers=58,
-    operator="dense",
     wall_s=1.0,
     iterations=150,
     devices=64,
@@ -31,14 +30,12 @@ def config(
         "strategy": strategy,
         "num_experts": 64,
         "layers": layers,
-        "operator": operator,
         "iterations": iterations,
         "wall_s": wall_s,
         "iters_per_s": iterations / wall_s,
         "load_ratio": 1.5,
         "migrations": 100,
-        "operator_bytes": 400_000 if operator == "sparse" else 3_670_016,
-        "dense_operator_bytes": 3_670_016,
+        "operator_bytes": 400_000,
         **extra,
     }
 
@@ -50,27 +47,17 @@ def record(configs):
     }
 
 
-def serving_grid(sparse_wall=1.0, scale_mem=150 * 2**20):
-    """The spec's shape: a 64-device group with dense and sparse operators
-    at both depths plus a sparse-only 1024-device scale group."""
-    configs = [
-        config(
-            layers=layers,
-            operator=operator,
-            wall_s=sparse_wall if operator == "sparse" else 1.0,
-        )
-        for layers in (2, 58)
-        for operator in ("dense", "sparse")
-    ]
+def serving_grid():
+    """The spec's shape: a 64-device group at both depths plus a
+    1024-device scale config."""
+    configs = [config(layers=layers) for layers in (2, 58)]
     configs.append(
         config(
             layers=58,
-            operator="sparse",
             wall_s=60.0,
             iterations=15,
             devices=1024,
-            operator_bytes=scale_mem,
-            dense_operator_bytes=4127 * 2**20,
+            operator_bytes=150 * 2**20,
         )
     )
     return configs
@@ -88,8 +75,6 @@ EXPECT_AXES = (
     "2,58",
     "--expect-devices",
     "64,1024",
-    "--max-sparse-ratio",
-    "2.0",
 )
 
 
@@ -101,9 +86,7 @@ class TestPassingRecord:
         path = tmp_path / "smoke.json"
         path.write_text(json.dumps(record(serving_grid())))
         assert check_serving_smoke.main([str(path), *EXPECT_AXES]) == 0
-        out = capsys.readouterr().out
-        assert "serving perf smoke ok" in out
-        assert "sparse operator cost 64dev/greedy@58" in out
+        assert "serving perf smoke ok" in capsys.readouterr().out
 
 
 class TestAxisViolations:
@@ -151,86 +134,6 @@ class TestAxisViolations:
         assert any("wall_s" in error for error in errors)
 
 
-class TestSparseRatioGate:
-    def test_sparse_ratio_over_budget(self):
-        errors = run_checks(serving_grid(sparse_wall=2.1), *EXPECT_AXES)
-        assert any(
-            "sparse operator" in error and "2.10x" in error for error in errors
-        )
-
-    def test_sparse_ratio_not_gated_by_default(self):
-        assert run_checks(serving_grid(sparse_wall=5.0)) == []
-
-    def test_sparse_ratio_demands_a_pair(self):
-        """--max-sparse-ratio against a record with no sparse/dense pair
-        must fail loudly rather than silently never enforcing."""
-        dense_only = [c for c in serving_grid() if c["operator"] == "dense"]
-        errors = run_checks(dense_only, "--max-sparse-ratio", "2.0")
-        assert any("no sparse/dense" in error for error in errors)
-
-    def test_gate_only_at_deepest_depth(self):
-        """A slow shallow config must not trip the gate (2-layer walls are
-        too small to gate on; only the deepest depth is budgeted)."""
-        configs = serving_grid()
-        for entry in configs:
-            if entry["layers"] == 2 and entry["operator"] == "sparse":
-                entry["wall_s"] = 5.0
-        assert run_checks(configs, *EXPECT_AXES) == []
-
-    def test_sparse_missing_at_gated_depth_reported(self):
-        """A partial run must not slip past with the budget unenforced."""
-        configs = [
-            c
-            for c in serving_grid()
-            if not (
-                c["devices"] == 64 and c["layers"] == 58 and c["operator"] == "sparse"
-            )
-        ]
-        errors = run_checks(configs, *EXPECT_AXES)
-        assert any(
-            "64dev/greedy@58: no sparse/dense pair at the gated depth" in error
-            for error in errors
-        )
-
-    def test_custom_budget_tightens_gate(self):
-        configs = serving_grid(sparse_wall=1.4)
-        assert run_checks(configs, *EXPECT_AXES) == []
-        errors = run_checks(configs, *EXPECT_AXES[:-1], "1.3")
-        assert len(errors) == 1
-
-    def test_scale_group_exempt_from_wall_gates(self):
-        """The sparse-only 1024-device group has no dense baseline by
-        design; its walls must not produce missing-pair errors."""
-        errors = run_checks(serving_grid(), *EXPECT_AXES)
-        assert not any("1024dev" in error for error in errors)
-
-
-class TestMemoryGate:
-    def test_scale_memory_over_fraction(self):
-        configs = serving_grid(scale_mem=500 * 2**20)
-        errors = run_checks(configs, *EXPECT_AXES)
-        assert any(
-            "1024dev" in error and "operator memory" in error for error in errors
-        )
-
-    def test_custom_fraction_tightens_gate(self):
-        configs = serving_grid(scale_mem=150 * 2**20)  # ~3.6% of dense
-        assert run_checks(configs, *EXPECT_AXES) == []
-        errors = run_checks(
-            configs, *EXPECT_AXES, "--max-operator-mem-fraction", "0.03"
-        )
-        assert any("operator memory" in error for error in errors)
-
-    def test_sparse_config_must_record_bytes(self):
-        configs = serving_grid()
-        del configs[-1]["operator_bytes"]
-        errors = run_checks(configs, *EXPECT_AXES)
-        assert any(
-            "must record positive" in error and "1024dev" in error
-            for error in errors
-        )
-
-
 class TestMainErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert check_serving_smoke.main([str(tmp_path / "nope.json")]) == 1
@@ -243,8 +146,10 @@ class TestMainErrors:
         assert "cannot read record" in capsys.readouterr().err
 
     def test_violation_exit_one(self, tmp_path, capsys):
+        configs = serving_grid()
+        configs[0]["wall_s"] = 0.0
         path = tmp_path / "smoke.json"
-        path.write_text(json.dumps(record(serving_grid(sparse_wall=9.0))))
+        path.write_text(json.dumps(record(configs)))
         assert check_serving_smoke.main([str(path), *EXPECT_AXES]) == 1
         assert "FAIL:" in capsys.readouterr().err
 
@@ -645,9 +550,7 @@ _RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 class TestTrackedRecords:
     """The tracked full-length records pass the gates CI applies to their
-    smoke siblings.  The serving record skips the sparse wall-clock ratio:
-    its walls are single samples, so only its axes and operator memory
-    are gated here."""
+    smoke siblings."""
 
     @pytest.mark.parametrize(
         "record, argv",
@@ -658,7 +561,6 @@ class TestTrackedRecords:
                     "--expect-iterations", "300",
                     "--expect-layers", "2,58",
                     "--expect-devices", "64,1024",
-                    "--max-operator-mem-fraction", "0.1",
                 ],
             ),
             (
