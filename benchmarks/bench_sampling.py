@@ -3,9 +3,8 @@
 Thin wrapper over the uncacheable ``sampling_speed`` spec in
 ``repro.experiments.figures.sampling_speed``: the batched binomial /
 multinomial-split kernels on the 58-layer serving demand-resolution shape
-(57 x 64 lanes into 16 DP groups), crossed with every importable backend,
-against the scalar ``Generator.binomial`` and legacy thinning-chain
-baselines, plus the hex-vs-quad 16-way split comparison.  Run standalone
+(57 x 64 lanes into 16 DP groups), against the scalar
+``Generator.binomial`` and legacy thinning-chain baselines.  Run standalone
 with ``python -m repro.experiments run sampling_speed``, or directly —
 
     python benchmarks/bench_sampling.py --repeats 50

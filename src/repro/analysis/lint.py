@@ -1,7 +1,7 @@
 """repro-lint: AST enforcement of the repo's determinism contracts.
 
 Eight PRs of "make the simulator honest and fast" piled up invariants
-that existed only as convention: fixed seed + fixed backend = fixed draw,
+that existed only as convention: a fixed seed fixes the draw,
 pinned oracles behind every ``ServingConfig`` flag, version-keyed caches
 that must never serve stale or aliased arrays, per-instance memos instead
 of method-level ``lru_cache``.  This module turns each convention into a

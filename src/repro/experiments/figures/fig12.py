@@ -37,7 +37,7 @@ def run_point(params: dict) -> dict:
     placement = ExpertPlacement(model.num_experts, EP)
     ratios = []
     for _ in range(ITERATIONS):
-        counts = workload.next_counts()
+        counts = workload.next_group_counts()
         loads = device_token_loads(counts[0].sum(axis=0), placement)
         ratios.append(loads / loads.sum())
     ratios = np.asarray(ratios)

@@ -6,22 +6,16 @@ demand resolution splits a ``(57, 64)`` per-(layer, expert) totals array
 (mean ~256 selection slots per lane, Dirichlet-skewed like the mixer's
 expert popularity) into 16 DP groups every iteration — against the two
 exact scalar oracles they replaced: numpy's per-draw
-``Generator.binomial`` and the legacy sequential thinning chain.
-
-The case axis crosses the kernels with every backend importable in this
-environment (``numpy`` always; ``numba`` when present — the CI numba leg
-exercises it), plus the two backend-independent scalar baselines.  The
-``hex_vs_quad`` pair pits the fused four-bit-plane 16-way split against
-two quad-tree levels on the same flat lane vector — the quad tree wins at
-serving lane counts (fewer numpy dispatches), the hex kernel is kept for
-wider fan-outs; the benchmark keeps both honest.
+``Generator.binomial`` and the legacy sequential thinning chain.  The
+case axis is the kernel: the four batched kernels, then the two scalar
+baselines.
 
 Every run writes machine-readable per-case timings to
 ``benchmarks/results/BENCH_sampling.json`` so the kernel-speed trajectory
 is tracked across PRs; ``REPRO_SAMPLING_BENCH_REPEATS`` shrinks the loop
 for CI smoke runs, which divert to the untracked
 ``BENCH_sampling.smoke.json``.  ``tools/ci/check_serving_smoke.py
---check-sampling`` gates the batched-vs-legacy speedup and an absolute
+--expect-sampling`` gates the batched-vs-legacy speedup and an absolute
 lanes/s floor on the smoke record.
 """
 
@@ -48,37 +42,20 @@ BENCH_SMOKE_JSON = "BENCH_sampling.smoke.json"
 LAYERS, EXPERTS, GROUPS = 57, 64, 16
 SLOTS_PER_LAYER = 16 * 128 * 8
 
-#: Kernels crossed with backends; the scalar baselines are
-#: backend-independent and appear once.
 BATCHED_KERNELS = [
     "binomial_half",
     "binomial_btrs",
     "binomial_inversion",
     "multinomial_split",
-    "quad_tree_flat",
 ]
-NUMPY_ONLY_KERNELS = ["hex_split"]
 BASELINE_KERNELS = ["legacy_chain", "generator_binomial"]
 
 
 def _cases(repeats):
-    cases = [
-        {"kernel": kernel, "backend": backend, "repeats": repeats}
-        for kernel in BATCHED_KERNELS
-        for backend in sampling.available_backends()
+    return [
+        {"kernel": kernel, "repeats": repeats}
+        for kernel in BATCHED_KERNELS + BASELINE_KERNELS
     ]
-    # The fused 16-way bit-plane kernel is a numpy-internal alternative to
-    # two quad levels (no numba counterpart); the scalar baselines consume
-    # the Generator directly, outside the backend contract.
-    cases += [
-        {"kernel": kernel, "backend": "numpy", "repeats": repeats}
-        for kernel in NUMPY_ONLY_KERNELS
-    ]
-    cases += [
-        {"kernel": kernel, "backend": "generator", "repeats": repeats}
-        for kernel in BASELINE_KERNELS
-    ]
-    return cases
 
 
 CASES = _cases(REPEATS)
@@ -106,33 +83,21 @@ def _legacy_chain(rng, totals):
     return split
 
 
-def _run_kernel(kernel, backend, rng, totals):
+def _run_kernel(kernel, rng, totals):
     flat = totals.reshape(-1)
     if kernel == "binomial_half":
-        return sampling.binomial_half(rng, flat, backend=backend)
+        return sampling.binomial_half(rng, flat)
     if kernel == "binomial_btrs":
         # Heterogeneous p with every lane mean >= 10: the BTRS bulk path.
         p = 0.2 + 0.6 * (flat % 7) / 10.0
-        return sampling.binomial(rng, np.maximum(flat, 64), p, backend=backend)
+        return sampling.binomial(rng, np.maximum(flat, 64), p)
     if kernel == "binomial_inversion":
         # Lane means < 10: the batched inverse-CDF path.
-        return sampling.binomial(rng, flat, 0.01, backend=backend)
+        return sampling.binomial(rng, flat, 0.01)
     if kernel == "multinomial_split":
         # The serving hot path: exact 16-way resolution, float64 sink.
         out = np.empty((LAYERS, GROUPS, EXPERTS))
-        return sampling.multinomial_split(
-            rng, totals, GROUPS, axis=1, backend=backend, out=out
-        )
-    if kernel == "quad_tree_flat":
-        # Two quad levels on the flat lane vector — the hex kernel's
-        # apples-to-apples rival (same lanes, same (16, lanes) sink).
-        out = np.empty((GROUPS, flat.size), dtype=np.int64)
-        return sampling.multinomial_split(
-            rng, flat, GROUPS, axis=0, backend=backend, out=out
-        )
-    if kernel == "hex_split":
-        out = np.empty((GROUPS, flat.size))
-        return sampling._hex_split(rng, flat, out)
+        return sampling.multinomial_split(rng, totals, GROUPS, axis=1, out=out)
     if kernel == "legacy_chain":
         return _legacy_chain(rng, totals)
     if kernel == "generator_binomial":
@@ -143,15 +108,14 @@ def _run_kernel(kernel, backend, rng, totals):
 
 def run_point(params: dict) -> dict:
     case = params["case"]
-    kernel, backend, repeats = case["kernel"], case["backend"], case["repeats"]
+    kernel, repeats = case["kernel"], case["repeats"]
     totals = _serving_totals()
     rng = np.random.default_rng(23)
-    # Warm once outside the clock: scratch-buffer allocation, and the
-    # numba backend's one-time JIT compilation.
-    _run_kernel(kernel, backend, rng, totals)
+    # Warm once outside the clock: scratch-buffer allocation.
+    _run_kernel(kernel, rng, totals)
     start = time.perf_counter()
     for _ in range(repeats):
-        _run_kernel(kernel, backend, rng, totals)
+        _run_kernel(kernel, rng, totals)
     wall = time.perf_counter() - start
     lanes = totals.size
     return {
@@ -184,7 +148,6 @@ def render(results) -> str:
             "configs": [
                 {
                     "kernel": result.params["case"]["kernel"],
-                    "backend": result.params["case"]["backend"],
                     "repeats": result.params["case"]["repeats"],
                     "wall_s": result.metrics["wall_s"],
                     "lanes": result.metrics["lanes"],
@@ -210,7 +173,6 @@ def render(results) -> str:
         rows.append(
             [
                 case["kernel"],
-                case["backend"],
                 case["repeats"],
                 f"{m['wall_s'] * 1e3 / case['repeats']:.3f}ms",
                 f"{m['lanes_per_s'] / 1e6:.2f} Mlanes/s",
@@ -220,7 +182,6 @@ def render(results) -> str:
     return format_table(
         [
             "Kernel",
-            "Backend",
             "Repeats",
             "Per call",
             "Throughput",

@@ -26,13 +26,9 @@ and 58 — full DeepSeek-V3 depth.  ``REPRO_SERVING_BENCH_LAYERS`` (or
 ``bench_serving_speed.py --layers``) overrides the base-system depths for
 ad-hoc sweeps without editing this spec.
 
-Every config also records the workload's resolved ``sampler``,
-``sampling_backend`` (``numba`` when importable, else ``numpy`` —
-``REPRO_SAMPLING_BACKEND`` overrides) and ``group_split``, so trajectory
-records from different sampling configurations are never conflated, plus
-``devices`` and the pricer's peak ``operator_bytes``.  The wall clock
-covers the whole run, including the first iteration's lazy route and
-pricer build.
+Every config also records ``devices`` and the pricer's peak
+``operator_bytes``.  The wall clock covers the whole run, including the
+first iteration's lazy route and pricer build.
 """
 
 import os
@@ -156,9 +152,6 @@ def run_point(params: dict) -> dict:
     trace = simulator.run()
     wall = time.perf_counter() - start
     return {
-        "sampler": workload.sampler,
-        "sampling_backend": workload.sampling_backend,
-        "group_split": workload.group_split,
         "wall_s": wall,
         "iters_per_s": case["iterations"] / wall,
         "load_ratio": trace.mean_load_ratio(50),
@@ -188,9 +181,6 @@ def render(results) -> str:
                     "strategy": result.params["case"]["strategy"],
                     "num_experts": result.params["case"]["num_experts"],
                     "layers": result.params["case"]["layers"],
-                    "sampler": result.metrics["sampler"],
-                    "sampling_backend": result.metrics["sampling_backend"],
-                    "group_split": result.metrics["group_split"],
                     "iterations": result.params["case"]["iterations"],
                     "wall_s": result.metrics["wall_s"],
                     "iters_per_s": result.metrics["iters_per_s"],

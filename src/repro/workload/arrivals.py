@@ -21,8 +21,7 @@ Determinism contract: every process consumes a single
 generated arrival-time sequence depends only on the constructor arguments
 — never on how the caller paces :meth:`ArrivalProcess.take_until` (one
 call per simulated hour and one call per microsecond drain the same
-stream), and never on the sampling backend (no kernel dispatch is
-involved).  Fixed seed = fixed request stream, bitwise.
+stream).  Fixed seed = fixed request stream, bitwise.
 """
 
 from abc import ABC, abstractmethod

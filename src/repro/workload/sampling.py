@@ -2,10 +2,11 @@
 
 numpy's ``Generator.binomial`` costs ~100 ns *per draw* regardless of
 array shape — each entry re-derives its rejection constants in scalar C —
-which put a ~13x floor under the exact ``group_split="multinomial"``
-demand resolution (58 layers x 16 groups x 64 experts x 15 thinning steps
-is ~5e4 binomials per iteration).  This module samples whole arrays of
-``Binomial(n_i, p_i)`` in a handful of vector operations instead:
+which put a ~13x floor under the exact demand resolution of
+:meth:`~repro.workload.gating.GatingSimulator.next_group_counts` (58
+layers x 16 groups x 64 experts x 15 thinning steps is ~5e4 binomials per
+iteration).  This module samples whole arrays of ``Binomial(n_i, p_i)`` in
+a handful of vector operations instead:
 
 * :func:`binomial_half` — exact ``Binomial(n, 1/2)`` as the popcount of
   ``n`` raw generator bits.  Lanes with ``n <= 64`` cost one ``uint64``
@@ -17,43 +18,26 @@ is ~5e4 binomials per iteration).  This module samples whole arrays of
   method for the small-mean lanes.  Matches ``Generator.binomial`` in
   distribution (moment + chi-squared tested), not bit-for-bit — it
   consumes the bit stream differently.
-* :func:`multinomial` — batched heterogeneous ``Multinomial(n_i, p_i)``
-  via binary splitting over the category axis: ``ceil(log2 K)`` batched
-  :func:`binomial` calls replace ``K - 1`` scalar conditional binomials
-  per lane.
 * :func:`multinomial_split` — exact totals-preserving
   ``Multinomial(total, 1/G)`` resolution of an integer array into ``G``
-  parts, factorized as a binary thinning tree: every level of the tree is
-  *one* batched ``Binomial(n, 1/2)`` call on strided views when ``G`` is
-  a power of two (the serving configurations), and at most two batched
-  :func:`binomial` calls per level otherwise.
+  parts, factorized as a binary thinning tree: when ``G`` is a power of
+  two (the serving configurations) pairs of halving levels fuse into one
+  batched 4-way split, and otherwise each level is at most two batched
+  :func:`binomial_half` / :func:`binomial` calls.
 
-Backends: the pure-numpy kernels above are always available; when
-``numba`` is importable the scalar-loop kernels in :mod:`_numba_kernels
-<repro.workload.sampling>` are JIT-compiled and selected automatically
-(``REPRO_SAMPLING_BACKEND=numpy|numba`` forces either).  Every backend
-consumes the passed ``Generator``'s bit stream deterministically — fixed
-seed + fixed backend = fixed draw — but the two backends' streams differ
-from each other and from ``Generator.binomial``'s.
+Every kernel consumes the passed ``Generator``'s bit stream
+deterministically: a fixed seed fixes the draw.  Each public entry checks
+its arguments once (counts nonnegative, ``p`` finite and in ``[0, 1]``);
+the tree levels below it call the unchecked kernels.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "BACKENDS",
-    "available_backends",
     "binomial",
     "binomial_half",
-    "default_backend",
-    "multinomial",
     "multinomial_split",
-    "resolve_backend",
 ]
-
-#: Recognized kernel backends, in preference order.
-BACKENDS = ("numba", "numpy")
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
@@ -75,56 +59,6 @@ else:
             .sum(axis=1, dtype=np.int64)
             .reshape(bits.shape)
         )
-
-# -- backend selection --------------------------------------------------------
-
-_numba_kernels = None
-_numba_checked = False
-
-
-def _load_numba_kernels():
-    """JIT-compiled scalar kernels, or ``None`` when numba is absent."""
-    global _numba_kernels, _numba_checked
-    if not _numba_checked:
-        _numba_checked = True
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            _numba_kernels = None
-        else:
-            _numba_kernels = _build_numba_kernels()
-    return _numba_kernels
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backends usable in this environment (numpy always is)."""
-    if _load_numba_kernels() is not None:
-        return BACKENDS
-    return ("numpy",)
-
-
-def default_backend() -> str:
-    """``REPRO_SAMPLING_BACKEND`` if set, else numba when importable."""
-    forced = os.environ.get("REPRO_SAMPLING_BACKEND")
-    if forced:
-        return resolve_backend(forced)
-    return available_backends()[0]
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Validate an explicit backend choice (``None`` = default)."""
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"sampling backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    if backend == "numba" and _load_numba_kernels() is None:
-        raise ValueError(
-            "sampling backend 'numba' requested but numba is not importable"
-        )
-    return backend
-
 
 # -- Binomial(n, 1/2): popcount of raw generator bits -------------------------
 
@@ -189,22 +123,43 @@ def _half_word_rounds(rng, n):
     return out
 
 
-def binomial_half(rng, n, backend: str | None = None) -> np.ndarray:
-    """Exact ``Binomial(n, 1/2)`` per lane, any shape of ``n >= 0``.
-
-    Stream contract (numpy backend): one ``Generator.integers`` word per
-    lane in flat order when every lane fits a word (``max(n) <= 64``),
-    else ``ceil(n / 64)`` consecutive words per lane in flat order.
-    """
+def _counts(n) -> np.ndarray:
+    """``n`` as an integer array: exact float counts are cast to int64."""
     n = np.asarray(n)
     if np.issubdtype(n.dtype, np.floating):
         n = n.astype(np.int64)
-    if resolve_backend(backend) == "numba":
-        kernels = _load_numba_kernels()
-        flat = np.ascontiguousarray(n.reshape(-1), dtype=np.int64)
-        out = np.empty(flat.shape, dtype=np.int64)
-        kernels.binomial_half(rng, flat, out)
-        return out.reshape(n.shape)
+    return n
+
+
+def _checked_counts(n) -> np.ndarray:
+    """:func:`_counts` for a public entry, which checks its lanes once.
+
+    A negative count would index the mask tables from the end and a
+    non-finite float one has no integer value, so both raise here; the
+    tree levels below an entry pass their own nonnegative parts unchecked.
+    """
+    n = np.asarray(n)
+    if np.issubdtype(n.dtype, np.floating) and not np.isfinite(n).all():
+        raise ValueError("counts must be finite")
+    n = _counts(n)
+    if n.size and n.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    return n
+
+
+def binomial_half(rng, n) -> np.ndarray:
+    """Exact ``Binomial(n, 1/2)`` per lane, any shape of ``n >= 0``.
+
+    Stream contract: one ``Generator.integers`` word per lane in flat
+    order when every lane fits a word (``max(n) <= 64``), else
+    ``ceil(n / 64)`` consecutive words per lane in flat order.
+    """
+    return _binomial_half(rng, _checked_counts(n))
+
+
+def _binomial_half(rng, n):
+    """:func:`binomial_half` without the argument check."""
+    n = _counts(n)
     shape = n.shape
     n = n.reshape(-1)
     if n.size == 0:
@@ -346,36 +301,30 @@ def _inversion(rng, n, p, out, idx):
     out[idx] = result.astype(np.int64)
 
 
-def binomial(rng, n, p, backend: str | None = None) -> np.ndarray:
+def binomial(rng, n, p) -> np.ndarray:
     """Batched ``Binomial(n_i, p_i)`` with heterogeneous parameters.
 
     Matches ``numpy.random.Generator.binomial`` in distribution; the bit
     stream is consumed differently (vector draws per rejection round).
-    Stream contract (numpy backend): BTRS lanes (``min(p,1-p)*n >= 10``)
-    draw first, then the inverse-CDF lanes, both in flat order, with
-    ``p > 1/2`` lanes sampled through the complement.
+    Stream contract: BTRS lanes (``min(p,1-p)*n >= 10``) draw first, then
+    the inverse-CDF lanes, both in flat order, with ``p > 1/2`` lanes
+    sampled through the complement.
     """
-    n = np.asarray(n)
+    p = np.asarray(p, dtype=np.float64)
+    # A NaN lane fails both comparisons, so the negated range test
+    # rejects it (no branch below would write that lane).
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError("p must be finite and in [0, 1]")
+    return _binomial(rng, _checked_counts(n), p)
+
+
+def _binomial(rng, n, p):
+    """:func:`binomial` without the argument check."""
+    n = _counts(n)
     p = np.asarray(p, dtype=np.float64)
     shape = np.broadcast_shapes(n.shape, p.shape)
-    if np.issubdtype(n.dtype, np.floating):
-        n = n.astype(np.int64)
-    if (n < 0).any():
-        raise ValueError("n must be nonnegative")
-    if ((p < 0.0) | (p > 1.0)).any():
-        raise ValueError("p must be in [0, 1]")
     n = np.broadcast_to(n, shape).reshape(-1)
     p = np.broadcast_to(p, shape).reshape(-1)
-    if resolve_backend(backend) == "numba":
-        kernels = _load_numba_kernels()
-        out = np.empty(n.shape, dtype=np.int64)
-        kernels.binomial(
-            rng,
-            np.ascontiguousarray(n, dtype=np.int64),
-            np.ascontiguousarray(p),
-            out,
-        )
-        return out.reshape(shape)
     out = np.empty(n.shape, dtype=np.int64)
     flip = p > 0.5
     q = np.where(flip, 1.0 - p, p)
@@ -392,92 +341,6 @@ def binomial(rng, n, p, backend: str | None = None) -> np.ndarray:
         out[small & (mean == 0.0)] = 0
     np.subtract(n, out, out=out, where=flip)
     return out.reshape(shape)
-
-
-def multinomial(rng, n, p, backend: str | None = None) -> np.ndarray:
-    """Batched ``Multinomial(n_i, p_i)`` over the last axis of ``p``.
-
-    ``p`` holds nonnegative category weights ``(..., K)`` (each row is
-    normalized by its own sum); ``n`` broadcasts against the batch shape
-    ``p.shape[:-1]``.  Returns int64 counts of shape ``p.shape`` whose
-    last-axis sums reproduce ``n`` exactly.
-
-    Matches ``Generator.multinomial`` in distribution via binary splitting
-    over the category axis: each tree node draws
-    ``Binomial(n_seg, w_left / w_seg)`` for the left half of its category
-    segment, so a ``K``-category draw is ``ceil(log2 K)`` batched
-    :func:`binomial` calls (segments of equal width share one call)
-    instead of ``K - 1`` scalar conditional binomials per lane.
-    Stream contract (numpy backend): levels in breadth-first order,
-    widths ascending within a level, segments in start order within a
-    width group.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim == 0:
-        raise ValueError("p must have at least one axis of category weights")
-    if (p < 0.0).any():
-        raise ValueError("category weights must be nonnegative")
-    num_categories = p.shape[-1]
-    batch = p.shape[:-1]
-    n = np.asarray(n)
-    if np.issubdtype(n.dtype, np.floating):
-        n = n.astype(np.int64)
-    if (n < 0).any():
-        raise ValueError("n must be nonnegative")
-    n = np.broadcast_to(n, batch)
-    if ((n > 0) & (p.sum(axis=-1) <= 0.0)).any():
-        raise ValueError("rows with n > 0 need positive total weight")
-    backend = resolve_backend(backend)
-    out = np.zeros(batch + (num_categories,), dtype=np.int64)
-    out[..., 0] = n
-    if num_categories == 1:
-        return out
-    if backend == "numba":
-        kernels = _load_numba_kernels()
-        kernels.multinomial(
-            rng,
-            np.ascontiguousarray(n.reshape(-1), dtype=np.int64),
-            np.ascontiguousarray(p.reshape(-1, num_categories)),
-            out.reshape(-1, num_categories),
-        )
-        return out
-    csum = np.cumsum(p, axis=-1)
-
-    def weight(start, stop):
-        high = csum[..., stop - 1]
-        if start == 0:
-            return high
-        return high - csum[..., start - 1]
-
-    segments = [(0, num_categories)]
-    while segments:
-        next_segments = []
-        by_width: dict[int, list[int]] = {}
-        for start, width in segments:
-            if width == 1:
-                continue
-            by_width.setdefault(width, []).append(start)
-            left_width = width // 2
-            next_segments.append((start, left_width))
-            next_segments.append((start + left_width, width - left_width))
-        for width in sorted(by_width):
-            starts = by_width[width]
-            left_width = width // 2
-            parents = np.stack([out[..., s] for s in starts])
-            left_w = np.stack([weight(s, s + left_width) for s in starts])
-            total_w = np.stack([weight(s, s + width) for s in starts])
-            # Zero-weight segments keep ratio 0 (their count is 0 anyway,
-            # given the positive-total check above); clip absorbs the
-            # cumsum-difference rounding dust at the [0, 1] edges.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(total_w > 0.0, left_w / total_w, 0.0)
-            np.clip(ratio, 0.0, 1.0, out=ratio)
-            left = binomial(rng, parents, ratio, backend=backend)
-            for i, start in enumerate(starts):
-                out[..., start] = left[i]
-                out[..., start + left_width] = parents[i] - left[i]
-        segments = next_segments
-    return out
 
 
 # -- exact Multinomial(total, 1/G) resolution ---------------------------------
@@ -645,242 +508,36 @@ def _quad_split(rng, n, out=None):
     return _quad_split_segmented(rng, n, out)
 
 
-#: Subset-lattice Mobius matrix for the 16-way split.  With ``P[t]`` the
-#: number of slots whose bits are 1 on every plane in subset ``t``
-#: (``P[0] = n``), the count of slots showing *exact* bit pattern ``s``
-#: is ``sum_{t >= s} (-1)^{|t \ s|} P[t]`` — inclusion-exclusion over the
-#: free planes.  All coefficients are +-1, so the float64 matmul below is
-#: exact on integer inputs (partial sums stay far under 2**53).
-_HEX_MOBIUS = np.zeros((16, 16))
-for _s in range(16):
-    for _t in range(16):
-        if _t & _s == _s:
-            _HEX_MOBIUS[_s, _t] = -1.0 if (_t ^ _s).bit_count() % 2 else 1.0
+def _multinomial_split_pow2_into(rng, totals, num_groups, out, axis):
+    """Binary halving fused into 4-way levels, the last one written
+    straight into ``out``.
 
-
-def _subset_ands(planes):
-    """AND over every nonempty subset of four plane word arrays, indexed
-    by the subset bitmask; each non-singleton reuses its parent."""
-    ands = [None] * 16
-    for j in range(4):
-        ands[1 << j] = planes[j]
-    for t in range(3, 16):
-        if ands[t] is None:
-            low = t & -t
-            ands[t] = ands[t ^ low] & ands[low]
-    return ands
-
-
-def _hex_counts(stats, out):
-    """Mobius-invert the (16, lanes) subset popcounts into category
-    counts, landing the exact-integer float matmul straight in ``out``
-    when it can take it."""
-    if out.dtype == np.float64 and out.flags.c_contiguous:
-        return np.matmul(_HEX_MOBIUS, stats, out=out)
-    out[...] = np.matmul(_HEX_MOBIUS, stats)
-    return out
-
-
-def _hex_split_single_word(rng, n, out):
-    """``Multinomial(n, 1/16)`` for ``n <= 64``: four planes, one word."""
-    planes = rng.integers(
-        0, _FULL, size=(4,) + n.shape, dtype=np.uint64, endpoint=True
-    )
-    mask = _MASK_BY_N[n]
-    ands = _subset_ands([planes[j] & mask for j in range(4)])
-    stats = _scratch("hexstats", (16,) + n.shape, np.float64)
-    stats[0] = n
-    for t in range(1, 16):
-        stats[t] = _popcount64(ands[t])
-    return _hex_counts(stats, out)
-
-
-def _hex_split_two_word(rng, n, out):
-    """``Multinomial(n, 1/16)`` for ``n <= 128``: four planes of two
-    fixed words per lane, purely elementwise."""
-    planes = rng.integers(
-        0, _FULL, size=(4, 2) + n.shape, dtype=np.uint64, endpoint=True
-    )
-    m0 = _MASK_BY_N[np.minimum(n, 64)]
-    m1 = _MASK_BY_N[np.maximum(n - 64, 0)]
-    a0 = _subset_ands([planes[j, 0] & m0 for j in range(4)])
-    a1 = _subset_ands([planes[j, 1] & m1 for j in range(4)])
-    stats = _scratch("hexstats", (16,) + n.shape, np.float64)
-    stats[0] = n
-    for t in range(1, 16):
-        # Word-popcount sums are bounded by 128: the ufunc's narrow
-        # dtype holds them before the float assignment widens.
-        stats[t] = _popcount64(a0[t]) + _popcount64(a1[t])
-    return _hex_counts(stats, out)
-
-
-def _hex_split_segmented(rng, n, out):
-    """General ``Multinomial(n, 1/16)``: ``ceil(n / 64)`` words per lane
-    in flat order, subset popcounts recovered by segmented sums (packed
-    21-bit triples when the slot total allows, five cumsums for all
-    fifteen stats)."""
-    words = np.maximum((n + 63) >> 6, 1)
-    ends = np.cumsum(words)
-    total = int(ends[-1])
-    planes = rng.integers(
-        0, _FULL, size=(4, total), dtype=np.uint64, endpoint=True
-    )
-    last = ends - 1
-    mask = _HALF_MASKS[(n & 63) + ((n == 0) << 6)]
-    for j in range(4):
-        planes[j, last] &= mask
-    ands = _subset_ands([planes[j] for j in range(4)])
-    stats = _scratch("hexstats", (16,) + n.shape, np.float64)
-    stats[0] = n
-    if int(n.sum()) < (1 << 21):
-        field = np.int64((1 << 21) - 1)
-        for base in (1, 4, 7, 10, 13):
-            packed = _popcount64(ands[base]).astype(np.int64)
-            packed += _popcount64(ands[base + 1]).astype(np.int64) << 21
-            packed += _popcount64(ands[base + 2]).astype(np.int64) << 42
-            segs = np.diff(np.cumsum(packed)[last], prepend=0)
-            stats[base] = segs & field
-            stats[base + 1] = (segs >> 21) & field
-            stats[base + 2] = (segs >> 42) & field
-    else:
-        combos = np.stack(
-            [_popcount64(ands[t]).astype(np.int64) for t in range(1, 16)]
-        )
-        csum = np.cumsum(combos, axis=1, dtype=np.int64)
-        stats[1:] = np.diff(csum[:, last], axis=1, prepend=0)
-    return _hex_counts(stats, out)
-
-
-def _hex_split(rng, n, out):
-    """Exact ``Multinomial(n, 1/16)`` per lane into ``(16, lanes)``.
-
-    Every selection slot draws *four* fair bits — its category in
-    ``{0, ..., 15}`` — from four raw generator bit-planes over the same
-    words per lane.  The fifteen nonempty plane-subset AND popcounts plus
-    ``n`` determine all sixteen exact pattern counts through the
-    :data:`_HEX_MOBIUS` inversion, touching the lane vector once instead
-    of the five-fold (1 + 4) lane blowup of two quad levels.  Identical
-    in law to four ``Binomial(n, 1/2)`` halvings (slot exchangeability).
-    Lane-size dispatch and the skew partition mirror :func:`_quad_split`;
-    ``out`` may be float64 (the counts are exact integers either way —
-    see the Mobius note).
-
-    The thinning tree does *not* use this level at serving shapes: the
-    subset lattice spends ~90 numpy dispatches against ~15 per quad
-    level, and its segmented reduction runs fifteen combos over the same
-    words where two quad levels pay three each — measured slower below
-    ~10^5 lanes.  Kept as a kernel for wider fan-outs and pitted against
-    the quad tree in the sampling micro-benchmark."""
-    top = int(n.max())
-    if top <= 64:
-        return _hex_split_single_word(rng, n, out)
-    if top <= 128:
-        return _hex_split_two_word(rng, n, out)
-    huge = np.flatnonzero(n > 128)
-    if n.ndim == 1 and huge.size * 4 <= n.size:
-        _hex_split_single_word(rng, np.minimum(n, 64), out)
-        mid = np.flatnonzero((n > 64) & (n <= 128))
-        if mid.size:
-            out[:, mid] = _hex_split_two_word(
-                rng, n[mid], np.empty((16, mid.size))
-            )
-        out[:, huge] = _hex_split_segmented(
-            rng, n[huge], np.empty((16, huge.size))
-        )
-        return out
-    return _hex_split_segmented(rng, n, out)
-
-
-
-
-def _multinomial_split_pow2(rng, totals, num_groups, backend):
-    """Binary halving fused into 4- and 16-way levels where possible.
-
-    Works on a contiguous *group-major* ``(parts, lanes)`` buffer widened
-    each level — every kernel input is a zero-copy reshape, every level
-    writes contiguous category blocks (:func:`_quad_split` /
-    :func:`_hex_split` land their counts straight in the next level's
-    buffer), and the final ``(G, lanes)`` -> ``(..., G, ...)`` transpose
-    copies lane-contiguous blocks instead of stride-``G`` gathers.  An
-    odd ``log2(G)`` runs one halving level up front; quad levels (two
-    bits per slot at once) carry the middle; a remaining factor of 16 is
-    fused into one :func:`_split16` bottom level (four bits per slot for
-    lanes where that pays).  The group slots come out in a fixed tree
-    order rather than thinning order; ``Multinomial(total, 1/G)`` is
-    exchangeable across slots, so any fixed slot order realizes the same
-    joint law.
-
-    Returns a ``(num_groups, lanes)`` array backed by module scratch —
-    the caller must copy it out before the next kernel call.  A final
-    16-way level leaves it float64 (exact integer values, see
-    :data:`_HEX_MOBIUS`); every other ending leaves int64.
-    """
-    lanes = totals.size
-    parts = totals.reshape(1, lanes).astype(np.int64, copy=True)
-    width = 1
-    exponent = num_groups.bit_length() - 1
-    if exponent % 2 == 1:
-        # Odd exponent: one halving level up front.
-        left = binomial_half(rng, parts.reshape(-1), backend=backend)
-        doubled = _scratch("tree", (2 * width, lanes), np.int64)
-        doubled[:width].reshape(-1)[...] = left
-        np.subtract(
-            parts.reshape(-1), left, out=doubled[width:].reshape(-1)
-        )
-        parts = doubled
-        width *= 2
-    while width < num_groups:
-        widened = _scratch("tree", (4 * width, lanes), np.int64)
-        _quad_split(
-            rng,
-            parts.reshape(-1),
-            out=widened.reshape(4, width * lanes),
-        )
-        parts = widened
-        width *= 4
-    return parts
-
-
-def _multinomial_split_pow2_into(rng, totals, num_groups, backend, out, axis):
-    """The pow2 tree with its final level written straight into ``out``.
-
-    ``out``'s group axis is viewed groups-first and the last quad level
-    (or the single halving, for ``G = 2``) writes its category rows into
-    that view — skipping the ``(G, lanes)`` staging buffer and the
-    full-size cast-copy :func:`_multinomial_split_pow2` would need.  The
-    consumed bit-stream is identical to the staging path (same lane
-    vector in the same flat order per level), so both paths realize the
-    same values for the same seed.  Falls back to staging if the
-    groups-first view cannot be reshaped without a copy.
+    Works on a contiguous *group-major* ``(parts, lanes)`` scratch buffer
+    widened each level, so every kernel input is a zero-copy reshape.  An
+    odd ``log2(G)`` runs one halving level up front; quad levels (two bits
+    per slot at once, :func:`_quad_split`) carry the rest.  ``out``'s group
+    axis is viewed groups-first and split as ``(4, G/4)`` (one axis split
+    is always a view), and the last quad level (or the single halving, for
+    ``G = 2``) writes its category rows into that view.  The group slots
+    come out in a fixed tree order rather than thinning order;
+    ``Multinomial(total, 1/G)`` is exchangeable across slots, so any fixed
+    slot order realizes the same joint law.
     """
     lanes = totals.size
     groups_first = np.moveaxis(out, axis, 0)
     if num_groups == 2:
         n = totals.reshape(-1).astype(np.int64)
-        left = binomial_half(rng, n, backend=backend)
+        left = _binomial_half(rng, n)
         groups_first[0] = left.reshape(totals.shape)
         groups_first[1] = (n - left).reshape(totals.shape)
         return out
     width = num_groups // 4
     final = groups_first.reshape((4, width) + totals.shape)
-    if not np.may_share_memory(final, out):
-        # Axis-splitting a uniform-stride axis is always viewable in
-        # practice; guard anyway — writes into a silent copy would be
-        # lost.
-        stacked = np.moveaxis(
-            _multinomial_split_pow2(rng, totals, num_groups, backend).reshape(
-                (num_groups,) + totals.shape
-            ),
-            0,
-            axis,
-        )
-        out[...] = stacked
-        return out
     parts = totals.reshape(1, lanes).astype(np.int64, copy=True)
     level = 1
     exponent = num_groups.bit_length() - 1
     if exponent % 2 == 1:
-        left = binomial_half(rng, parts.reshape(-1), backend=backend)
+        left = _binomial_half(rng, parts.reshape(-1))
         doubled = _scratch("tree", (2, lanes), np.int64)
         doubled[:1].reshape(-1)[...] = left
         np.subtract(parts.reshape(-1), left, out=doubled[1:].reshape(-1))
@@ -897,7 +554,7 @@ def _multinomial_split_pow2_into(rng, totals, num_groups, backend, out, axis):
     return out
 
 
-def _multinomial_split_general(rng, out, axis, num_groups, backend):
+def _multinomial_split_general(rng, out, axis, num_groups):
     """Binary halving for arbitrary ``G``: segments at one level share at
     most two distinct widths, so each level is at most two batched
     :func:`binomial` / :func:`binomial_half` calls."""
@@ -923,11 +580,9 @@ def _multinomial_split_general(rng, out, axis, num_groups, backend):
             left_width = width // 2
             parents = np.stack([view(start) for start in starts])
             if width % 2 == 0:
-                left = binomial_half(rng, parents, backend=backend)
+                left = _binomial_half(rng, parents)
             else:
-                left = binomial(
-                    rng, parents, left_width / width, backend=backend
-                )
+                left = _binomial(rng, parents, left_width / width)
             for i, start in enumerate(starts):
                 view(start + left_width)[...] = parents[i] - left[i]
                 view(start)[...] = left[i]
@@ -939,7 +594,6 @@ def multinomial_split(
     totals,
     num_groups: int,
     axis: int = 0,
-    backend: str | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Resolve integer ``totals`` into ``num_groups`` exact parts.
@@ -955,14 +609,12 @@ def multinomial_split(
     ``out``, when given, receives the result (cast to its dtype — the
     serving loop sinks splits straight into its float demand tensor,
     skipping one several-hundred-KB copy per iteration) and is returned;
-    otherwise a fresh int64 array is allocated.
+    otherwise a fresh int64 array is allocated.  Either way the draw is
+    the same for the same seed.
     """
     if num_groups <= 0:
         raise ValueError(f"num_groups must be positive, got {num_groups}")
-    totals = np.asarray(totals)
-    if np.issubdtype(totals.dtype, np.floating):
-        totals = totals.astype(np.int64)
-    backend = resolve_backend(backend)
+    totals = _checked_counts(totals)
     if axis < 0:
         axis += totals.ndim + 1
     shape = totals.shape[:axis] + (num_groups,) + totals.shape[axis:]
@@ -973,172 +625,13 @@ def multinomial_split(
             out[...] = totals.reshape(shape)
             return out
         return totals.reshape(shape).astype(np.int64, copy=True)
-    if backend == "numba":
-        kernels = _load_numba_kernels()
-        flat = np.ascontiguousarray(totals.reshape(-1), dtype=np.int64)
-        split = np.empty((flat.size, num_groups), dtype=np.int64)
-        kernels.multinomial_split(rng, flat, split)
-        stacked = np.moveaxis(
-            split.reshape(totals.shape + (num_groups,)), -1, axis
-        )
-        if out is not None:
-            out[...] = stacked
-            return out
-        return stacked.copy()
-    if num_groups & (num_groups - 1) == 0:
-        if out is not None:
-            return _multinomial_split_pow2_into(
-                rng, totals, num_groups, backend, out, axis
-            )
-        parts = _multinomial_split_pow2(rng, totals, num_groups, backend)
-        stacked = np.moveaxis(
-            parts.reshape((num_groups,) + totals.shape), 0, axis
-        )
-        # ``parts`` is module scratch: the result must always be copied
-        # (and a final 16-way level leaves it float64, so cast back).
-        result = np.empty(shape, dtype=np.int64)
-        result[...] = stacked
-        return result
     target = out if out is not None else np.empty(shape, dtype=np.int64)
+    if totals.size == 0:
+        return target
+    if num_groups & (num_groups - 1) == 0:
+        return _multinomial_split_pow2_into(rng, totals, num_groups, target, axis)
     index = [slice(None)] * target.ndim
     index[axis] = 0
     target[tuple(index)] = totals
-    _multinomial_split_general(rng, target, axis, num_groups, backend)
+    _multinomial_split_general(rng, target, axis, num_groups)
     return target
-
-
-# -- numba scalar-loop backend ------------------------------------------------
-
-
-def _build_numba_kernels():
-    """JIT-compile the scalar-loop kernels (numba importable).
-
-    The kernels consume the ``Generator`` through ``rng.random()`` only
-    (the widest-supported Generator method in numba's nopython mode), one
-    scalar rejection loop per lane — the classic shape JIT compilation
-    turns into ~tens of ns/draw.  Their stream differs from the numpy
-    backend's (scalar uniforms vs vector draws), which is why the backend
-    is part of the determinism contract.
-    """
-    import numba
-
-    logfact_table = _LOGFACT
-
-    @numba.njit(cache=False)
-    def _logfact(k):
-        if k < logfact_table.shape[0]:
-            return logfact_table[int(k)]
-        x = float(k)
-        return (
-            (x + 0.5) * np.log(x)
-            - x
-            + 0.9189385332046727
-            + 1.0 / (12.0 * x)
-            - 1.0 / (360.0 * x**3)
-        )
-
-    @numba.njit(cache=False)
-    def _draw_btrs(rng, n, p):
-        # Same acceptance test as the numpy _btrs: exact log-pmf ratio
-        # against the mode, via _logfact.
-        q = 1.0 - p
-        fn = float(n)
-        spq = np.sqrt(fn * p * q)
-        b = 1.15 + 2.53 * spq
-        a = -0.0873 + 0.0248 * b + 0.01 * p
-        c = fn * p + 0.5
-        vr = 0.92 - 4.2 / b
-        alpha = (2.83 + 5.1 / b) * spq
-        lpq = np.log(p / q)
-        m = np.floor((fn + 1.0) * p)
-        h = _logfact(m) + _logfact(fn - m)
-        while True:
-            u = rng.random() - 0.5
-            v = rng.random()
-            us = 0.5 - abs(u)
-            k = np.floor((2.0 * a / us + b) * u + c)
-            if k < 0.0 or k > fn:
-                continue
-            if us >= 0.07 and v <= vr:
-                return int(k)
-            lhs = np.log(v * alpha / (a / (us * us) + b))
-            rhs = h - _logfact(k) - _logfact(fn - k) + (k - m) * lpq
-            if lhs <= rhs:
-                return int(k)
-
-    @numba.njit(cache=False)
-    def _draw_inversion(rng, n, p):
-        q = 1.0 - p
-        f = q**n
-        cum = f
-        k = 0
-        ratio = p / q
-        u = rng.random()
-        while u > cum and k < n and f > 0.0:
-            f = f * ratio * (n - k) / (k + 1.0)
-            k += 1
-            cum += f
-        return k
-
-    @numba.njit(cache=False)
-    def _draw(rng, n, p):
-        if n <= 0 or p <= 0.0:
-            return 0
-        if p >= 1.0:
-            return n
-        if p > 0.5:
-            return n - _draw(rng, n, 1.0 - p)
-        if n * p >= 10.0:
-            return _draw_btrs(rng, n, p)
-        return _draw_inversion(rng, n, p)
-
-    @numba.njit(cache=False)
-    def binomial_kernel(rng, n, p, out):
-        for i in range(n.shape[0]):
-            out[i] = _draw(rng, int(n[i]), p[i])
-
-    @numba.njit(cache=False)
-    def binomial_half_kernel(rng, n, out):
-        for i in range(n.shape[0]):
-            out[i] = _draw(rng, int(n[i]), 0.5)
-
-    @numba.njit(cache=False)
-    def multinomial_split_kernel(rng, totals, out):
-        num_groups = out.shape[1]
-        for i in range(totals.shape[0]):
-            rest = int(totals[i])
-            for g in range(num_groups - 1):
-                taken = _draw(rng, rest, 1.0 / (num_groups - g))
-                out[i, g] = taken
-                rest -= taken
-            out[i, num_groups - 1] = rest
-
-    @numba.njit(cache=False)
-    def multinomial_kernel(rng, n, p, out):
-        num_categories = p.shape[1]
-        for i in range(n.shape[0]):
-            rest = int(n[i])
-            total_w = 0.0
-            for j in range(num_categories):
-                total_w += p[i, j]
-            for j in range(num_categories - 1):
-                w = p[i, j]
-                taken = 0
-                if rest > 0 and total_w > 0.0:
-                    ratio = w / total_w
-                    if ratio >= 1.0:
-                        taken = rest
-                    elif ratio > 0.0:
-                        taken = _draw(rng, rest, ratio)
-                out[i, j] = taken
-                rest -= taken
-                total_w -= w
-            out[i, num_categories - 1] = rest
-
-    class _Kernels:
-        binomial = staticmethod(binomial_kernel)
-        binomial_half = staticmethod(binomial_half_kernel)
-        multinomial = staticmethod(multinomial_kernel)
-        multinomial_split = staticmethod(multinomial_split_kernel)
-
-    return _Kernels

@@ -106,12 +106,6 @@ PINNED = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _numpy_sampling(monkeypatch):
-    # Draws are fixed per sampling backend; the pins hold the numpy one.
-    monkeypatch.setenv("REPRO_SAMPLING_BACKEND", "numpy")
-
-
 def run(balancer_cls, faulted):
     system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
     workload = GatingSimulator(

@@ -2,14 +2,15 @@
 
 ``test_default_fingerprint.py`` pins the default configuration; these pins
 hold the same single path under every knob it still takes: faults under
-each balancing strategy, the gaussian group split, the legacy sampler,
-serial (non-overlapped) phases, the migration side channel, large
-migration plans, the baseline mapping, a two-wafer system, a varying
-continuous-batching batch size, and fewer experts than devices (12 on 16,
-so the hosted destination sets grow as shadows land on empty devices).
-All were captured on the 4x4-wafer fixture of the default pins (Qwen3,
-6 simulated layers, seed 17, 40 iterations).  They live apart from the
-default pins so that deleting a knob deletes its pins here while the
+each balancing strategy, serial (non-overlapped) phases, the migration
+side channel, large migration plans, the baseline mapping, a two-wafer
+system, a 6x6 wafer with nine DP groups (a group split that is not a
+power of two), a varying continuous-batching batch size, and fewer
+experts than devices (12 on 16, so the hosted destination sets grow as
+shadows land on empty devices).  All were captured with the fixture of
+the default pins (Qwen3, 6 simulated layers, seed 17, 40 iterations), on
+its 4x4 wafer unless the pin names another system.  They live apart from
+the default pins so that deleting a knob deletes its pins here while the
 default pins stay byte-for-byte unchanged.
 
 Floats compare at ``rel=1e-12`` because BLAS reduction order differs
@@ -92,32 +93,6 @@ PINNED = {
             10: 0.012576082852863999,
             20: 0.016965992256142225,
             39: 0.005118067823843556,
-        },
-    ),
-    "greedy_gaussian_split": (
-        dict(balancer=GreedyBalancer, workload=dict(group_split="gaussian")),
-        0.17802093608176042,
-        6.346220141588631e-05,
-        93,
-        0,
-        {
-            0: 0.0041409757210706995,
-            10: 0.004364142865642082,
-            20: 0.004383172256241098,
-            39: 0.004371770809729892,
-        },
-    ),
-    "non_invasive_legacy_sampler": (
-        dict(balancer=NonInvasiveBalancer, workload=dict(sampler="legacy")),
-        0.17359973252027727,
-        6.248476444444444e-05,
-        112,
-        0,
-        {
-            0: 0.004140908013226668,
-            10: 0.004364612475904,
-            20: 0.004379679833998222,
-            39: 0.004371040708266666,
         },
     ),
     "greedy_serial_phases": (
@@ -207,6 +182,22 @@ PINNED = {
             39: 0.003647908524373334,
         },
     ),
+    # 6x6 ER wafer with tp=4: nine DP groups, so the group split takes
+    # the general (non-power-of-two) tree — Binomial(n, 1/2) levels plus
+    # BTRS and inverse-CDF lanes for the odd widths.
+    "non_invasive_dp9": (
+        dict(balancer=NonInvasiveBalancer, side=6),
+        0.1398234973983858,
+        9.158360177777779e-05,
+        212,
+        0,
+        {
+            0: 0.0033039675778133337,
+            10: 0.003525041171498667,
+            20: 0.0035290629396906668,
+            39: 0.003537317212544,
+        },
+    ),
     "greedy_fewer_experts": (
         dict(balancer=GreedyBalancer, model=QWEN3_12E),
         0.11478633203866741,
@@ -236,19 +227,15 @@ PINNED = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _numpy_sampling(monkeypatch):
-    # Draws are fixed per sampling backend; the pins hold the numpy one.
-    monkeypatch.setenv("REPRO_SAMPLING_BACKEND", "numpy")
-
-
 def run(settings):
     model = settings.get("model", QWEN3_235B)
     system_name = settings.get("system", "er")
     if system_name == "two_wafers":
         system = build_multi_wsc(model, num_wafers=2, side=4, tp=4)
     else:
-        system = build_wsc(model, side=4, tp=4, mapping=system_name)
+        system = build_wsc(
+            model, side=settings.get("side", 4), tp=4, mapping=system_name
+        )
     workload = GatingSimulator(
         model,
         num_groups=system.mapping.dp,
@@ -256,7 +243,6 @@ def run(settings):
         mixer=AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=30),
         num_layers=6,
         seed=17,
-        **settings.get("workload", {}),
     )
     simulator = ServingSimulator(
         system.device,

@@ -11,8 +11,8 @@ it, then rebuilds the iteration latency from those layer totals.  A layer
 priced against another layer's demand or placement, a stale plan, or a
 slip in overlap or straggler scaling shows up as a mismatch on some
 iteration — under migrations, faults, fewer experts than devices (hosted
-sets that grow as shadow replicas land on empty devices) and a varying
-batch size.
+sets that grow as shadow replicas land on empty devices), a DP group
+count that is not a power of two and a varying batch size.
 """
 
 from dataclasses import replace
@@ -65,9 +65,9 @@ SCENARIOS = {
             shadow_slots=2, beta_iters=3, migration_side_channel=True
         ),
     ),
-    "gaussian_split": dict(
-        balancer=NonInvasiveBalancer, workload=dict(group_split="gaussian")
-    ),
+    # 6x6 wafer, tp=4: nine DP groups, a group split that is not a
+    # power of two.
+    "dp9": dict(balancer=NonInvasiveBalancer, side=6),
     # 12 experts on 16 devices: every layer starts hosting 12 devices and
     # grows to all 16 as shadows land on the empty ones (down to the 15
     # survivors once device 9 fails).
@@ -91,7 +91,6 @@ def make_workload(system, settings):
         mixer=AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=30),
         num_layers=NUM_LAYERS,
         seed=17,
-        **settings.get("workload", {}),
     )
 
 
@@ -144,7 +143,7 @@ def priced(monkeypatch):
 def test_loop_matches_per_layer_simulation(name, priced):
     settings = SCENARIOS[name]
     model = settings.get("model", QWEN3_235B)
-    system = build_wsc(model, side=4, tp=4, mapping="er")
+    system = build_wsc(model, side=settings.get("side", 4), tp=4, mapping="er")
     simulator = make_simulator(system, settings)
     twin = make_workload(system, settings)
     oracle = IterationSimulator(

@@ -278,11 +278,10 @@ class TestFaultGates:
         assert "recovery single_tile/greedy" in out
 
 
-def sampling_config(kernel, backend, lanes_per_s, repeats=30):
+def sampling_config(kernel, lanes_per_s, repeats=30):
     lanes = 3648
     return {
         "kernel": kernel,
-        "backend": backend,
         "repeats": repeats,
         "lanes": lanes,
         "wall_s": lanes * repeats / lanes_per_s,
@@ -291,16 +290,16 @@ def sampling_config(kernel, backend, lanes_per_s, repeats=30):
     }
 
 
-def sampling_grid(backends=("numpy",), split_speed=2.0e6, legacy_speed=2.0e5):
-    """Every gated kernel per backend plus the scalar baselines."""
-    configs = []
-    for backend in backends:
-        for kernel in check_serving_smoke.SAMPLING_GATED_KERNELS:
-            speed = split_speed if kernel == "multinomial_split" else 5.0e6
-            configs.append(sampling_config(kernel, backend, speed))
-    configs.append(sampling_config("hex_split", "numpy", 1.0e6))
-    configs.append(sampling_config("legacy_chain", "generator", legacy_speed))
-    configs.append(sampling_config("generator_binomial", "generator", 6.0e6))
+def sampling_grid(split_speed=2.0e6, legacy_speed=2.0e5):
+    """Every gated kernel plus the scalar baselines."""
+    configs = [
+        sampling_config(
+            kernel, split_speed if kernel == "multinomial_split" else 5.0e6
+        )
+        for kernel in check_serving_smoke.SAMPLING_GATED_KERNELS
+    ]
+    configs.append(sampling_config("legacy_chain", legacy_speed))
+    configs.append(sampling_config("generator_binomial", 6.0e6))
     return configs
 
 
@@ -310,27 +309,12 @@ def run_sampling_checks(configs, *argv):
     return check_serving_smoke.check_record(data, args)
 
 
-SAMPLING_AXES = ("--expect-sampling", "numpy", "--min-sampling-speedup", "2.0")
+SAMPLING_AXES = ("--expect-sampling", "--min-sampling-speedup", "2.0")
 
 
 class TestSamplingGates:
     def test_passing_record(self):
         assert run_sampling_checks(sampling_grid(), *SAMPLING_AXES) == []
-
-    def test_numba_leg_covers_both_backends(self):
-        configs = sampling_grid(backends=("numpy", "numba"))
-        assert (
-            run_sampling_checks(
-                configs, "--expect-sampling", "numpy,numba"
-            )
-            == []
-        )
-
-    def test_backend_axis_mismatch(self):
-        errors = run_sampling_checks(
-            sampling_grid(), "--expect-sampling", "numpy,numba"
-        )
-        assert any("backend axis" in error for error in errors)
 
     def test_missing_gated_kernel(self):
         configs = [
@@ -583,7 +567,7 @@ class TestTrackedRecords:
             (
                 "BENCH_sampling.json",
                 [
-                    "--expect-sampling", "numpy",
+                    "--expect-sampling",
                     "--min-sampling-speedup", "2.0",
                     "--min-sampling-lanes-per-s", "100000",
                 ],

@@ -26,33 +26,35 @@ def make_sim(**kwargs):
 
 class TestCounts:
     def test_shape(self):
-        counts = make_sim().next_counts()
+        counts = make_sim().next_group_counts()
         assert counts.shape == (2, 4, 128)
 
     def test_total_selections(self):
-        counts = make_sim().next_counts()
-        per_group = counts.sum(axis=2)
-        np.testing.assert_allclose(per_group, 64 * 8)
+        counts = make_sim().next_group_counts()
+        # Layer 0 pins every group to its own slots; later layers pin
+        # only the layer total (a group's share fluctuates).
+        np.testing.assert_allclose(counts[0].sum(axis=1), 64 * 8)
+        np.testing.assert_allclose(counts.sum(axis=(1, 2)), 4 * 64 * 8)
 
     def test_nonnegative_integers(self):
-        counts = make_sim().next_counts()
+        counts = make_sim().next_group_counts()
         assert (counts >= 0).all()
         np.testing.assert_array_equal(counts, counts.astype(int))
 
     def test_iteration_advances(self):
         sim = make_sim()
         assert sim.iteration == 0
-        sim.next_counts()
+        sim.next_group_counts()
         assert sim.iteration == 1
 
     def test_seeded_reproducibility(self):
-        a = make_sim(seed=42).next_counts()
-        b = make_sim(seed=42).next_counts()
+        a = make_sim(seed=42).next_group_counts()
+        b = make_sim(seed=42).next_group_counts()
         np.testing.assert_array_equal(a, b)
 
     def test_expert_loads_sums_groups(self):
         sim = make_sim()
-        counts = sim.next_counts()
+        counts = sim.next_group_counts()
         loads = sim.expert_loads(counts)
         assert loads.shape == (2, 128)
         np.testing.assert_allclose(loads, counts.sum(axis=1))
@@ -64,14 +66,14 @@ class TestImbalanceProperties:
     def test_skewed_loads(self):
         sim = make_sim(tokens_per_group=256)
         for _ in range(30):
-            counts = sim.next_counts()
+            counts = sim.next_group_counts()
         placement = ExpertPlacement(128, 8)
         loads = device_token_loads(counts[0].sum(axis=0), placement)
         assert load_ratio(loads) > 1.5
 
     def test_balanced_mode_is_uniform(self):
         sim = make_sim(balanced=True, tokens_per_group=4096)
-        counts = sim.next_counts()
+        counts = sim.next_group_counts()
         placement = ExpertPlacement(128, 8)
         loads = device_token_loads(counts[0].sum(axis=0), placement)
         assert load_ratio(loads) < 1.15
@@ -82,7 +84,7 @@ class TestImbalanceProperties:
         placement = ExpertPlacement(128, 8)
         ratios = []
         for _ in range(60):
-            counts = sim.next_counts()
+            counts = sim.next_group_counts()
             loads = device_token_loads(counts[0].sum(axis=0), placement)
             ratios.append(loads / loads.sum())
         early_drift = np.abs(np.diff(ratios[:10], axis=0)).mean()
@@ -94,7 +96,7 @@ class TestImbalanceProperties:
         sim = make_sim(mixer=mixer, tokens_per_group=1024, adaptation=0.3)
         popularity_snapshots = []
         for iteration in range(180):
-            sim.next_counts()
+            sim.next_group_counts()
             if iteration % 60 == 0:
                 popularity_snapshots.append(sim._state[0].copy())
         assert not np.allclose(
@@ -102,12 +104,13 @@ class TestImbalanceProperties:
         )
 
 
-class TestVectorizedLoopParity:
-    """The vectorized next_counts must be bit-identical to the seed loop."""
+class TestSingleLayerLoopParity:
+    """At one layer (fig12's setup) next_group_counts draws nothing but
+    layer 0's group counts, bit-identical to the seed's nested loop."""
 
     @staticmethod
     def loop_next_counts(sim):
-        """The seed implementation of next_counts, verbatim."""
+        """The seed implementation of the per-(layer, group) draw."""
         model = sim.model
         selections = sim.tokens_per_group * model.experts_per_token
         counts = np.zeros(
@@ -142,11 +145,11 @@ class TestVectorizedLoopParity:
         mixer_b = AzureLikeMixer(
             [CHAT, CODING, MATH, PRIVACY], period_iters=40, noise=0.0
         )
-        new = make_sim(mixer=mixer_a, num_layers=3, balanced=balanced)
-        reference = make_sim(mixer=mixer_b, num_layers=3, balanced=balanced)
+        new = make_sim(mixer=mixer_a, num_layers=1, balanced=balanced)
+        reference = make_sim(mixer=mixer_b, num_layers=1, balanced=balanced)
         for _ in range(12):
             np.testing.assert_array_equal(
-                new.next_counts(), self.loop_next_counts(reference)
+                new.next_group_counts(), self.loop_next_counts(reference)
             )
         np.testing.assert_array_equal(new._state, reference._state)
         # RNG streams remained aligned throughout.
@@ -171,19 +174,6 @@ class TestNextLoads:
         # past the first draw one multinomial with all groups' trials.
         np.testing.assert_allclose(loads.sum(axis=1), 4 * 64 * 8)
 
-    def test_popularity_state_matches_next_counts(self):
-        mixer_a = AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=40)
-        mixer_b = AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=40)
-        via_loads = make_sim(mixer=mixer_a, num_layers=3)
-        via_counts = make_sim(mixer=mixer_b, num_layers=3)
-        for _ in range(8):
-            via_loads.next_loads()
-            via_counts.next_counts()
-        # Both paths advance the same popularity relaxation; only the
-        # number of RNG values consumed differs.
-        np.testing.assert_array_equal(via_loads._state, via_counts._state)
-        assert via_loads.iteration == via_counts.iteration
-
     def test_single_layer(self):
         counts0, loads = make_sim(num_layers=1).next_loads()
         assert loads.shape == (1, 128)
@@ -203,48 +193,40 @@ class TestNextGroupCounts:
         counts = make_sim(num_layers=3).next_group_counts()
         assert counts.shape == (3, 4, 128)
 
-    @pytest.mark.parametrize("group_split", ["gaussian", "multinomial"])
-    def test_layer0_bit_identical_to_next_loads(self, group_split):
+    def test_layer0_bit_identical_to_next_loads(self):
         """Layer 0 and the layer totals consume the RNG stream exactly as
         next_loads, so the first iteration's totals are bitwise equal."""
-        counts = make_sim(group_split=group_split).next_group_counts()
+        counts = make_sim().next_group_counts()
         counts0, loads = make_sim().next_loads()
         np.testing.assert_array_equal(counts[0], counts0)
         np.testing.assert_array_equal(counts.sum(axis=1)[0], loads[0])
 
-    @pytest.mark.parametrize("group_split", ["gaussian", "multinomial"])
-    def test_totals_match_next_loads_bitwise_first_iteration(self, group_split):
-        sim = make_sim(num_layers=5, group_split=group_split)
+    @pytest.mark.parametrize("num_groups", [4, 9])
+    def test_totals_match_next_loads_bitwise_first_iteration(self, num_groups):
+        sim = make_sim(num_layers=5, num_groups=num_groups)
         counts = sim.next_group_counts()
-        _counts0, loads = make_sim(num_layers=5).next_loads()
-        if group_split == "multinomial":
-            np.testing.assert_array_equal(counts.sum(axis=1), loads)
-        else:
-            np.testing.assert_allclose(counts.sum(axis=1), loads, rtol=1e-9)
+        _counts0, loads = make_sim(num_layers=5, num_groups=num_groups).next_loads()
+        np.testing.assert_array_equal(counts.sum(axis=1), loads)
 
-    @pytest.mark.parametrize("group_split", ["gaussian", "multinomial"])
-    def test_totals_preserved_every_iteration(self, group_split):
+    def test_totals_preserved_every_iteration(self):
         """Every layer's totals sum to num_groups * tokens * top_k — the
         split never creates or loses selection slots."""
-        sim = make_sim(num_layers=4, group_split=group_split)
+        sim = make_sim(num_layers=4)
         for _ in range(6):
             counts = sim.next_group_counts()
             np.testing.assert_allclose(counts.sum(axis=(1, 2)), 4 * 64 * 8)
             assert (counts >= 0).all()
 
-    def test_multinomial_split_is_integer(self):
-        counts = make_sim(group_split="multinomial").next_group_counts()
+    def test_split_is_integer(self):
+        counts = make_sim().next_group_counts()
         np.testing.assert_array_equal(counts, counts.astype(int))
 
-    @pytest.mark.parametrize("group_split", ["gaussian", "multinomial"])
-    def test_totals_match_next_loads_in_distribution(self, group_split):
+    def test_totals_match_next_loads_in_distribution(self):
         """Fixed-seed moment check: long-run per-expert layer totals agree
         with next_loads' within sampling tolerance (both draw layer totals
         from the identical multinomial law)."""
         iterations = 150
-        via_groups = make_sim(
-            num_layers=2, tokens_per_group=256, group_split=group_split, seed=5
-        )
+        via_groups = make_sim(num_layers=2, tokens_per_group=256, seed=5)
         via_loads = make_sim(num_layers=2, tokens_per_group=256, seed=6)
         group_totals = np.zeros(128)
         load_totals = np.zeros(128)
@@ -255,13 +237,10 @@ class TestNextGroupCounts:
             group_totals / iterations, load_totals / iterations, rtol=0.12, atol=6.0
         )
 
-    @pytest.mark.parametrize("group_split", ["gaussian", "multinomial"])
-    def test_group_split_variance_matches_flat_slot_model(self, group_split):
+    def test_group_split_variance_matches_flat_slot_model(self):
         """The split's cross-group fluctuation carries the multinomial
         split variance (total/G)(1 - 1/G) on well-populated cells."""
-        sim = make_sim(
-            num_groups=16, tokens_per_group=128, group_split=group_split, seed=1
-        )
+        sim = make_sim(num_groups=16, tokens_per_group=128, seed=1)
         num = den = 0.0
         for _ in range(300):
             counts = sim.next_group_counts()
@@ -293,18 +272,15 @@ class TestNextGroupCounts:
         assert counts.shape == (1, 4, 128)
         np.testing.assert_allclose(counts.sum(axis=2), 64 * 8)
 
-    def test_oracles_untouched(self):
-        """next_counts / next_loads stay bit-identical whether or not the
-        resolved path has consumed draws from a sibling simulator."""
+    def test_next_loads_after_group_counts(self):
+        """next_loads stays bit-identical whether or not the resolved
+        path has consumed draws from a sibling simulator."""
         a = make_sim(seed=9)
         b = make_sim(seed=9)
         a.next_group_counts()
         b.next_group_counts()
-        np.testing.assert_array_equal(a.next_counts(), b.next_counts())
-
-    def test_rejects_bad_group_split(self):
-        with pytest.raises(ValueError):
-            make_sim(group_split="poisson")
+        for left, right in zip(a.next_loads(), b.next_loads()):
+            np.testing.assert_array_equal(left, right)
 
 
 class TestValidation:
@@ -325,50 +301,18 @@ class TestValidation:
         assert isinstance(sim.mixer, ConstantMixer)
 
 
-class TestSamplerConfig:
-    def test_rejects_bad_sampler(self):
-        with pytest.raises(ValueError):
-            make_sim(sampler="compiled")
-
-    def test_rejects_bad_sampling_backend(self):
-        with pytest.raises(ValueError):
-            make_sim(sampling_backend="fortran")
-
-    def test_backend_resolved_at_construction(self):
-        sim = make_sim(sampling_backend="numpy")
-        assert sim.sampling_backend == "numpy"
-
-    def test_default_is_batched_multinomial(self):
-        sim = make_sim()
-        assert sim.group_split == "multinomial"
-        assert sim.sampler == "batched"
-
-    def test_legacy_sampler_splits_exactly(self):
-        sim = make_sim(sampler="legacy", num_layers=3)
-        counts = sim.next_group_counts()
-        assert (counts == np.round(counts)).all()
-        # Layer totals over groups match an oracle twin's draws exactly
-        # (the first two RNG consumptions are shared with next_loads).
-        _, loads = make_sim(sampler="legacy", num_layers=3).next_loads()
-        np.testing.assert_array_equal(counts.sum(axis=1), loads)
-
-    def test_batched_and_legacy_same_split_law(self):
-        """Tree vs sequential chain: same variance on the split cells."""
-        stats = []
-        for sampler in ("batched", "legacy"):
-            sim = make_sim(
-                sampler=sampler, num_layers=2, num_groups=4,
-                tokens_per_group=256, seed=3,
-            )
-            cells = np.stack(
-                [sim.next_group_counts()[1] for _ in range(400)]
-            )
-            totals = cells.sum(axis=1)
-            hot = totals.mean(axis=0) > 200
-            # Variance of cell - total/G isolates the split noise.
-            resid = cells[:, :, hot] - totals[:, None, hot] / 4
-            stats.append(resid.var())
-        assert abs(stats[0] / stats[1] - 1.0) < 0.15, stats
+class TestOneSampler:
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            dict(sampler="batched"),
+            dict(group_split="multinomial"),
+            dict(sampling_backend="numpy"),
+        ],
+    )
+    def test_removed_knobs_rejected(self, knob):
+        with pytest.raises(TypeError):
+            make_sim(**knob)
 
 
 class TestReturnLoads:
@@ -377,11 +321,6 @@ class TestReturnLoads:
         for _ in range(3):
             counts, loads = sim.next_group_counts(return_loads=True)
             np.testing.assert_array_equal(loads, counts.sum(axis=1))
-
-    def test_gaussian_loads_bitwise_equal_group_sum(self):
-        sim = make_sim(group_split="gaussian", num_layers=4)
-        counts, loads = sim.next_group_counts(return_loads=True)
-        np.testing.assert_array_equal(loads, counts.sum(axis=1))
 
     def test_return_loads_consumes_same_stream(self):
         a = make_sim(seed=11)
