@@ -620,12 +620,10 @@ def multinomial_split(
     shape = totals.shape[:axis] + (num_groups,) + totals.shape[axis:]
     if out is not None and out.shape != shape:
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
-    if num_groups == 1:
-        if out is not None:
-            out[...] = totals.reshape(shape)
-            return out
-        return totals.reshape(shape).astype(np.int64, copy=True)
     target = out if out is not None else np.empty(shape, dtype=np.int64)
+    if num_groups == 1:
+        target[...] = totals.reshape(shape)
+        return target
     if totals.size == 0:
         return target
     if num_groups & (num_groups - 1) == 0:

@@ -157,7 +157,8 @@ class TestSingleLayerLoopParity:
 
 
 class TestNextLoads:
-    """The serving-loop fast path: layer-0 group counts + layer totals."""
+    """Layer-0 group counts + layer totals, the reference for the
+    layer totals of next_group_counts."""
 
     def test_shapes(self):
         counts0, loads = make_sim().next_loads()
@@ -217,7 +218,7 @@ class TestNextGroupCounts:
             np.testing.assert_allclose(counts.sum(axis=(1, 2)), 4 * 64 * 8)
             assert (counts >= 0).all()
 
-    def test_split_is_integer(self):
+    def test_multinomial_split_is_integer(self):
         counts = make_sim().next_group_counts()
         np.testing.assert_array_equal(counts, counts.astype(int))
 
@@ -272,7 +273,7 @@ class TestNextGroupCounts:
         assert counts.shape == (1, 4, 128)
         np.testing.assert_allclose(counts.sum(axis=2), 64 * 8)
 
-    def test_next_loads_after_group_counts(self):
+    def test_oracles_untouched(self):
         """next_loads stays bit-identical whether or not the resolved
         path has consumed draws from a sibling simulator."""
         a = make_sim(seed=9)
