@@ -42,7 +42,7 @@ from repro import sanitize
 from repro.network.phase import (
     PhaseResult,
     phase_durations_from_link_volumes,
-    route_pair_arrays,
+    route_rows,
     simulate_phase,
 )
 from repro.network.traffic import ArrayTrafficMatrix, TrafficMatrix
@@ -445,15 +445,15 @@ class SparseAllToAllPricer:
     ``cells = demand @ destination_shares``; dispatch fills link slots
     ``[0, K)`` and combine, which routes ``dest -> holder``, ``[K, 2K)``.
     The operator is built lazily: per-destination rows
-    (:class:`_DestRows`) from route walks, concatenated into one CSR
-    matrix per hosted-destination set (:class:`_HostedSet`).
+    (:class:`_DestRows`) from batched route rows, concatenated into one
+    CSR matrix per hosted-destination set (:class:`_HostedSet`).
 
     Incrementality is version-keyed: layer states are cached per
     :class:`~repro.mapping.placement.ExpertPlacement` and revalidated
     against ``placement.version``, so migration-free iterations rebuild
     nothing (``state_rebuilds`` stays flat — the regression tests assert
     on it) and a migration burst rebuilds only the mutated layers' states,
-    each a hosted-set cache lookup (new destinations pay their route walks
+    each a hosted-set cache lookup (new destinations pay their row build
     once, in ``dest_row_builds``).
     """
 
@@ -482,56 +482,46 @@ class SparseAllToAllPricer:
     # -- construction ---------------------------------------------------
 
     def _rows_for(self, dest: int) -> _DestRows:
-        """Operator rows of one destination column, built on first use."""
+        """Operator rows of one destination column, built on first use.
+
+        One route-row gather per phase covers every group's remote holders
+        in holder-table order, and one ``bincount`` sums each (group, link
+        slot) over them in that order — the per-holder accumulation order.
+        """
         rows = self._dest_rows.get(dest)
         if rows is not None:
             return rows
-        num_links = self.num_links
-        scratch = np.zeros(2 * num_links)
-        idx_parts: list[np.ndarray] = []
-        weight_parts: list[np.ndarray] = []
-        group_parts: list[np.ndarray] = []
+        table = self._table
+        cells = np.arange(self.num_groups) * self.num_devices + dest
+        starts = table.offsets[cells]
+        sizes = table.offsets[cells + 1] - starts
+        entries = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        entries += np.arange(entries.size)
+        holders = table.holders[entries]
+        remote = holders != dest
+        holders = holders[remote]
+        fractions = table.fractions[entries[remote]]
+        group = np.repeat(np.arange(self.num_groups), sizes)[remote]
+        dests = np.full(holders.size, dest)
+        slots = 2 * self.num_links
         latency = np.zeros((2, self.num_groups))
-        for group in range(self.num_groups):
-            touched: list[np.ndarray] = []
-            for holder, fraction in self._table.entries(group, dest):
-                if holder == dest:
-                    continue
-                idx, weights, path_latency = route_pair_arrays(
-                    self.topology, holder, dest
-                )
-                scratch[idx] += fraction * weights
-                touched.append(idx)
-                if path_latency > latency[0, group]:
-                    latency[0, group] = path_latency
-                idx, weights, path_latency = route_pair_arrays(
-                    self.topology, dest, holder
-                )
-                scratch[num_links + idx] += fraction * weights
-                touched.append(num_links + idx)
-                if path_latency > latency[1, group]:
-                    latency[1, group] = path_latency
-            if touched:
-                cols = np.unique(np.concatenate(touched))
-                values = scratch[cols].copy()
-                scratch[cols] = 0.0
-                idx_parts.append(cols)
-                weight_parts.append(values)
-                group_parts.append(np.full(cols.size, group, dtype=np.intp))
-        if idx_parts:
-            rows = _DestRows(
-                link_idx=np.concatenate(idx_parts),
-                weight=np.concatenate(weight_parts),
-                group=np.concatenate(group_parts),
-                latency=latency,
-            )
-        else:
-            rows = _DestRows(
-                link_idx=np.empty(0, dtype=np.intp),
-                weight=np.empty(0),
-                group=np.empty(0, dtype=np.intp),
-                latency=latency,
-            )
+        keys = []
+        values = []
+        for phase, (src, dst) in enumerate(((holders, dests), (dests, holders))):
+            counts, links, weights, path_latency = route_rows(self.topology, src, dst)
+            keys.append(np.repeat(group * slots + phase * self.num_links, counts) + links)
+            values.append(np.repeat(fractions, counts) * weights)
+            np.maximum.at(latency[phase], group, path_latency)
+        touched, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        group_of, link_idx = np.divmod(touched, slots)
+        rows = _DestRows(
+            link_idx=link_idx,
+            weight=np.bincount(
+                inverse, weights=np.concatenate(values), minlength=touched.size
+            ),
+            group=group_of,
+            latency=latency,
+        )
         sanitize.freeze((rows.link_idx, rows.weight, rows.group, rows.latency))
         self._dest_rows[dest] = rows
         self.dest_row_builds += 1

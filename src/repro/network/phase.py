@@ -1,5 +1,6 @@
 """Single-phase congestion model (generalised Eq. 1)."""
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,6 +9,7 @@ from repro import sanitize
 from repro.faults.health import degraded_bandwidth, topology_health
 from repro.network.traffic import ArrayTrafficMatrix, Flow, TrafficMatrix
 from repro.topology.base import Topology
+from repro.topology.mesh import MeshTopology
 
 
 @dataclass
@@ -39,41 +41,87 @@ class PhaseResult:
             into[key] = into.get(key, 0.0) + volume
 
 
+#: Pairs per row-building batch: bounds the transient (hop, pair) arrays
+#: of a mesh batch, so a large fill never raises the peak RSS.
+_BATCH_PAIRS = 4096
+
+#: The builtin ``sum`` folds floats with Neumaier compensation from Python
+#: 3.12 on; batched path latencies fold the same way, so a mesh row's
+#: latency equals ``sum(link.latency for link in path)`` bit for bit.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def _walk_sums(terms: np.ndarray) -> np.ndarray:
+    """The builtin ``sum`` of every column of ``terms``, folded top down.
+
+    Zero padding below a column's last term leaves its sum unchanged.  A
+    pairwise reduction such as ``np.sum`` can round differently.
+    """
+    total = np.zeros(terms.shape[1])
+    compensation = np.zeros(terms.shape[1])
+    for term in terms:
+        folded = total + term
+        if _COMPENSATED_SUM:
+            compensation += np.where(
+                np.abs(total) >= np.abs(term),
+                (total - folded) + term,
+                (term - folded) + total,
+            )
+        total = folded
+    return total + compensation
+
+
+def _extended(array: np.ndarray, filled: int, values: np.ndarray) -> np.ndarray:
+    """``array`` with ``values`` written after its first ``filled`` items.
+
+    Capacity at least doubles when it runs out, so a run of appends copies
+    each item a constant number of times, amortized; items past the filled
+    prefix are unused capacity.
+    """
+    stop = filled + values.size
+    if stop > array.size:
+        grown = np.empty(max(stop, 2 * array.size), dtype=array.dtype)
+        grown[:filled] = array[:filled]
+        array = grown
+    array[filled:stop] = values
+    return array
+
+
 class _RouteCache:
-    """Per-topology route tables in index/weight array form.
+    """Per-topology route rows in CSR index/weight form.
 
     Topologies are immutable after construction, so for every (src, dst)
     pair the set of links a flow loads — primary route plus the O1TURN
     alternate when a mesh offers one — is fixed.  The cache stores that set
-    as a unique link-index array with per-link byte weights (route share,
-    pre-merged for links shared between routes) plus the worst per-route
-    latency, letting :func:`simulate_phase` charge a whole flow list with
-    one ``bincount`` instead of walking Link objects.
+    as one CSR row: sorted unique link indices with per-link byte weights
+    (route share times the number of the pair's routes crossing the link)
+    plus the worst per-route latency, letting :func:`simulate_phase` and
+    the layered pricer charge a whole flow list with one ``bincount``.
+    Meshes build missing rows in closed form, a batch at a time
+    (:meth:`MeshTopology.dimension_order_links`); other fabrics walk their
+    single route per pair.
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self.keys = list(topology.links)
         self.index = {key: position for position, key in enumerate(self.keys)}
-        self.bandwidth = sanitize.freeze(
-            np.array([topology.links[key].bandwidth for key in self.keys])
-        )
+        links = [topology.links[key] for key in self.keys]
+        self.bandwidth = sanitize.freeze(np.array([link.bandwidth for link in links]))
+        self.latency = np.array([link.latency for link in links])
         self.num_links = len(self.keys)
-        self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
-        # CSR table over pairs for the array-traffic fast path: pair key
-        # src * num_devices + dst -> row; rows concatenate into flat
-        # link-index / weight arrays, rebuilt lazily when new pairs appear.
+        # Pair key src * num_devices + dst -> CSR row.  Row r's entries are
+        # _indices/_weights[_offsets[r] : _offsets[r] + _counts[r]]; the
+        # arrays grow in place (see _extended) as batches of rows arrive.
         num_devices = topology.num_devices
         self._row_of = np.full(num_devices * num_devices, -1, dtype=np.intp)
-        self._row_indices: list[np.ndarray] = []
-        self._row_weights: list[np.ndarray] = []
-        self._row_latency: list[float] = []
-        self._csr_dirty = False
-        self._cat_indices = np.empty(0, dtype=np.intp)
-        self._cat_weights = np.empty(0)
-        self._cat_offsets = np.empty(0, dtype=np.intp)
-        self._cat_counts = np.empty(0, dtype=np.intp)
+        self._num_rows = 0
+        self._num_entries = 0
+        self._counts = np.empty(0, dtype=np.intp)
+        self._offsets = np.empty(0, dtype=np.intp)
         self._latencies = np.empty(0)
+        self._indices = np.empty(0, dtype=np.intp)
+        self._weights = np.empty(0)
         # Primary-route per-link arrays for store-and-forward migration
         # pricing (no O1TURN split: a weight copy is a single transfer).
         # Entries carry the links' positions in ``self.keys`` so the
@@ -104,40 +152,6 @@ class _RouteCache:
             self._effective_version = health.version
         return self._effective_bandwidth
 
-    def pair(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """(link indices, per-byte weights, path latency) for one pair."""
-        entry = self._pairs.get((src, dst))
-        if entry is None:
-            primary = self.topology.route(src, dst)
-            # O1TURN-style multipath: meshes split each flow evenly across
-            # the XY and YX dimension orders when they differ.
-            routes = [primary]
-            route_alternate = getattr(self.topology, "route_alternate", None)
-            if route_alternate is not None:
-                alternate = route_alternate(src, dst)
-                if [link.key for link in alternate] != [link.key for link in primary]:
-                    routes.append(alternate)
-            share = 1.0 / len(routes)
-            flat = np.array(
-                [self.index[link.key] for path in routes for link in path],
-                dtype=np.intp,
-            )
-            indices, counts = np.unique(flat, return_counts=True)
-            weights = share * counts
-            latency = max(
-                sum(link.latency for link in path) for path in routes
-            )
-            entry = sanitize.freeze((indices, weights, latency))
-            self._pairs[(src, dst)] = entry
-            self._row_of[src * self.topology.num_devices + dst] = len(
-                self._row_indices
-            )
-            self._row_indices.append(indices)
-            self._row_weights.append(weights)
-            self._row_latency.append(latency)
-            self._csr_dirty = True
-        return entry
-
     def migration_pair(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
         """(bandwidths, latencies) of the primary route's links, cached."""
         entry = self._migration_pairs.get((src, dst))
@@ -159,25 +173,95 @@ class _RouteCache:
             bandwidths = effective[positions]
         return bandwidths, latencies
 
-    def rows_for(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """CSR row per (src, dst) pair, computing missing routes on demand."""
-        keys = src * self.topology.num_devices + dst
+    def rows_for(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Route rows of (src, dst) pairs, building missing rows in batches.
+
+        Returns (entries per pair, link indices, per-byte link weights, path
+        latency per pair); the pairs' entries concatenate in pair order.
+        """
+        num_devices = self.topology.num_devices
+        if src.size and not (
+            src.min() >= 0
+            and dst.min() >= 0
+            and src.max() < num_devices
+            and dst.max() < num_devices
+        ):
+            raise ValueError(f"route endpoints must be devices 0..{num_devices - 1}")
+        keys = src * num_devices + dst
         rows = self._row_of[keys]
-        if (rows < 0).any():
-            for position in np.nonzero(rows < 0)[0]:
-                self.pair(int(src[position]), int(dst[position]))
+        missing = rows < 0
+        if missing.any():
+            # New rows follow first request order, so gathering this batch
+            # again later reads the table front to back.
+            new, first = np.unique(keys[missing], return_index=True)
+            self._add_rows(new[np.argsort(first)])
             rows = self._row_of[keys]
-        if self._csr_dirty:
-            self._cat_indices = np.concatenate(self._row_indices)
-            self._cat_weights = np.concatenate(self._row_weights)
-            self._cat_counts = np.array(
-                [row.size for row in self._row_indices], dtype=np.intp
+        counts = self._counts[rows]
+        ends = np.cumsum(counts)
+        entries = np.repeat(self._offsets[rows] + counts - ends, counts)
+        entries += np.arange(entries.size)
+        return counts, self._indices[entries], self._weights[entries], self._latencies[rows]
+
+    def _add_rows(self, keys: np.ndarray) -> None:
+        """Build and append the rows of new, distinct pair keys."""
+        src, dst = np.divmod(keys, self.topology.num_devices)
+        mesh = isinstance(self.topology, MeshTopology)
+        build = self._mesh_rows if mesh else self._walked_rows
+        for start in range(0, keys.size, _BATCH_PAIRS):
+            part = slice(start, start + _BATCH_PAIRS)
+            counts, indices, weights, latency = build(src[part], dst[part])
+            self._row_of[keys[part]] = np.arange(
+                self._num_rows, self._num_rows + counts.size
             )
-            ends = np.cumsum(self._cat_counts)
-            self._cat_offsets = ends - self._cat_counts
-            self._latencies = np.array(self._row_latency)
-            self._csr_dirty = False
-        return rows
+            offsets = self._num_entries + np.cumsum(counts) - counts
+            self._offsets = _extended(self._offsets, self._num_rows, offsets)
+            self._counts = _extended(self._counts, self._num_rows, counts)
+            self._latencies = _extended(self._latencies, self._num_rows, latency)
+            self._indices = _extended(self._indices, self._num_entries, indices)
+            self._weights = _extended(self._weights, self._num_entries, weights)
+            self._num_rows += counts.size
+            self._num_entries += indices.size
+
+    def _mesh_rows(self, src, dst):
+        """Closed-form rows of mesh pairs: the XY route plus, where it
+        differs, the YX route, each flow split evenly between them."""
+        xy = self.topology.dimension_order_links(src, dst, rows_first=True)
+        yx = self.topology.dimension_order_links(src, dst, rows_first=False)
+        alternate = (xy != yx).any(axis=0)
+        latency = np.maximum(self._path_latency(xy), self._path_latency(yx))
+        links = np.concatenate([xy, np.where(alternate, yx, -1)])
+        _, pair = np.nonzero(links >= 0)
+        return self._rows(pair, links[links >= 0], 1 + alternate, latency)
+
+    def _path_latency(self, links: np.ndarray) -> np.ndarray:
+        """Each padded column's path latency, summed in walk order."""
+        return _walk_sums(np.where(links >= 0, self.latency[links], 0.0))
+
+    def _walked_rows(self, src, dst):
+        """Rows of a single-route fabric, walked link by link."""
+        paths = [self.topology.route(s, d) for s, d in zip(src.tolist(), dst.tolist())]
+        pair = np.repeat(np.arange(len(paths)), [len(path) for path in paths])
+        links = np.array(
+            [self.index[link.key] for path in paths for link in path], dtype=np.intp
+        )
+        latency = np.array(
+            [sum(link.latency for link in path) for path in paths], dtype=float
+        )
+        return self._rows(pair, links, np.ones(len(paths), dtype=np.intp), latency)
+
+    def _rows(self, pair, links, routes, latency):
+        """CSR rows from the link positions of each pair's routes.
+
+        A pair's row holds its sorted unique links, each weighted by the
+        route share ``1 / routes`` times the routes crossing it.
+        """
+        keys, crossings = np.unique(pair * self.num_links + links, return_counts=True)
+        row_pair, indices = np.divmod(keys, self.num_links)
+        weights = (1.0 / routes)[row_pair] * crossings
+        counts = np.bincount(row_pair, minlength=routes.size)
+        return counts, indices, weights, latency
 
 
 def _route_cache(topology: Topology) -> _RouteCache:
@@ -200,17 +284,21 @@ def migration_route_arrays(
     return _route_cache(topology).migration_pair(src, dst)
 
 
-def route_pair_arrays(
-    topology: Topology, src: int, dst: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cached (link indices, per-byte link weights, path latency) for a pair.
+def route_rows(
+    topology: Topology, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cached route rows of a batch of (src, dst) device pairs.
 
-    The same CSR route rows :func:`simulate_phase` charges flows with —
-    O1TURN splitting pre-merged into the weights — exposed so layer-batched
-    all-to-all pricing can fold them into dense link operators.  Treat the
-    returned arrays as frozen.
+    Returns (entries per pair, link indices, per-byte link weights, path
+    latency per pair): the CSR rows :func:`simulate_phase` charges flows
+    with — O1TURN splitting pre-merged into the weights — concatenated in
+    pair order, links ascending within a pair, so layer-batched all-to-all
+    pricing can fold them into link operators.  Raises ``ValueError`` when
+    an endpoint is not a device.
     """
-    return _route_cache(topology).pair(src, dst)
+    return _route_cache(topology).rows_for(
+        np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    )
 
 
 def phase_durations_from_link_volumes(
@@ -252,7 +340,11 @@ def simulate_phase(
     """
     if isinstance(flows, ArrayTrafficMatrix):
         if not store_and_forward:
-            return _simulate_cut_through_arrays(topology, flows)
+            if not flows:
+                return PhaseResult(duration=0.0)
+            return _simulate_cut_through(
+                topology, flows.src, flows.dst, flows.volume, flows.total_volume
+            )
         triples = [
             (int(s), int(d), float(v))
             for s, d, v in zip(flows.src, flows.dst, flows.volume)
@@ -273,7 +365,17 @@ def simulate_phase(
         return PhaseResult(duration=0.0)
 
     if not store_and_forward:
-        return _simulate_cut_through(topology, triples)
+        src, dst, volume = zip(*triples)
+        total_volume = 0.0
+        for flow_volume in volume:
+            total_volume += flow_volume
+        return _simulate_cut_through(
+            topology,
+            np.array(src, dtype=np.intp),
+            np.array(dst, dtype=np.intp),
+            np.array(volume, dtype=float),
+            total_volume,
+        )
 
     flow_list = [Flow(src, dst, volume) for src, dst, volume in triples]
     route_alternate = getattr(topology, "route_alternate", None)
@@ -319,66 +421,26 @@ def simulate_phase(
     )
 
 
-def _simulate_cut_through_arrays(
-    topology: Topology, traffic: ArrayTrafficMatrix
-) -> PhaseResult:
-    """Cut-through pricing without the per-pair Python loop.
-
-    Pairs gather their cached route rows from the CSR table, volumes expand
-    across each row's links with one ``repeat``, and a single ``bincount``
-    charges every link — the per-link accumulation visits the same terms in
-    the same order as the triple-loop path, so results match it bitwise.
-    """
-    if not traffic:
-        return PhaseResult(duration=0.0)
-    cache = _route_cache(topology)
-    rows = cache.rows_for(traffic.src, traffic.dst)
-    counts = cache._cat_counts[rows]
-    starts = np.repeat(cache._cat_offsets[rows], counts)
-    ends = np.cumsum(counts)
-    within = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-    gather = starts + within
-    link_indices = cache._cat_indices[gather]
-    weights = cache._cat_weights[gather] * np.repeat(traffic.volume, counts)
-    volumes = np.bincount(link_indices, weights=weights, minlength=cache.num_links)
-    serialization = float((volumes / cache.effective_bandwidth()).max())
-    worst_latency = float(cache._latencies[rows].max())
-    link_bytes = {
-        cache.keys[position]: float(volumes[position])
-        for position in np.nonzero(volumes)[0]
-    }
-    return PhaseResult(
-        duration=serialization + worst_latency,
-        link_bytes=link_bytes,
-        serialization_time=serialization,
-        latency_time=worst_latency,
-        total_volume=traffic.total_volume,
-    )
-
-
 def _simulate_cut_through(
-    topology: Topology, triples: list[tuple[int, int, float]]
+    topology: Topology,
+    src: np.ndarray,
+    dst: np.ndarray,
+    volume: np.ndarray,
+    total_volume: float,
 ) -> PhaseResult:
-    """Vectorized cut-through pricing: one bincount over cached routes."""
+    """Cut-through pricing without a per-pair Python loop.
+
+    Pairs gather their cached route rows in one call, volumes expand across
+    each row's links with one ``repeat``, and a single ``bincount`` charges
+    every link — each link sums its flows' terms in flow order.
+    """
     cache = _route_cache(topology)
-    pair = cache.pair
-    index_arrays = []
-    weight_arrays = []
-    worst_latency = 0.0
-    total_volume = 0.0
-    for src, dst, volume in triples:
-        indices, weights, latency = pair(src, dst)
-        index_arrays.append(indices)
-        weight_arrays.append(weights * volume)
-        if latency > worst_latency:
-            worst_latency = latency
-        total_volume += volume
+    counts, links, weights, latency = cache.rows_for(src, dst)
     volumes = np.bincount(
-        np.concatenate(index_arrays),
-        weights=np.concatenate(weight_arrays),
-        minlength=cache.num_links,
+        links, weights=weights * np.repeat(volume, counts), minlength=cache.num_links
     )
     serialization = float((volumes / cache.effective_bandwidth()).max())
+    worst_latency = float(latency.max())
     link_bytes = {
         cache.keys[position]: float(volumes[position])
         for position in np.nonzero(volumes)[0]

@@ -8,6 +8,7 @@ deadlock-free choice for wafer meshes.
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from repro.hardware.interconnect import WSC_CROSS_WAFER, WSC_LINK, InterconnectSpec
 from repro.memo import instance_memo
@@ -48,6 +49,7 @@ class MeshTopology(CachedRoutingMixin, Topology):
         self.width = width
         self.link_spec = link
         self._build_links()
+        self._link_slots = self._link_slot_table()
 
     def _build_links(self) -> None:
         for x in range(self.height):
@@ -72,6 +74,22 @@ class MeshTopology(CachedRoutingMixin, Topology):
 
     def _edge_latency(self, a: Coord, b: Coord) -> float:
         return self.link_spec.link_latency
+
+    def _link_slot_table(self) -> np.ndarray:
+        """``(device, direction) -> position in links`` of each outgoing link.
+
+        Directions are row +1, row -1, column +1 and column -1; a direction
+        that leaves the mesh holds -1.
+        """
+        keys = np.array(list(self.links), dtype=np.intp).reshape(-1, 2)
+        src_row, src_col = np.divmod(keys[:, 0], self.width)
+        dst_row, dst_col = np.divmod(keys[:, 1], self.width)
+        direction = np.select(
+            [dst_row > src_row, dst_row < src_row, dst_col > src_col], [0, 1, 2], 3
+        )
+        table = np.full((self.num_devices, 4), -1, dtype=np.intp)
+        table[keys[:, 0], direction] = np.arange(len(keys))
+        return table
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -144,6 +162,38 @@ class MeshTopology(CachedRoutingMixin, Topology):
         """
         return list(self._alternate_route_cached(src, dst))
 
+    def dimension_order_links(
+        self, src: np.ndarray, dst: np.ndarray, rows_first: bool
+    ) -> np.ndarray:
+        """Link positions of a batch of XY (or YX) routes, in closed form.
+
+        Returns a ``(max_hops, pairs)`` array: column ``p`` lists the
+        positions in :attr:`links` of the links the ``rows_first`` walk from
+        ``src[p]`` to ``dst[p]`` crosses, in walk order, padded with -1.
+        Every id must be a device; the batch walks no :class:`Link` objects.
+        """
+        src_row, src_col = np.divmod(src, self.width)
+        dst_row, dst_col = np.divmod(dst, self.width)
+        # Per leg: hop count, device-id stride per hop, direction slot.
+        rows = (
+            np.abs(dst_row - src_row),
+            np.sign(dst_row - src_row) * self.width,
+            (dst_row < src_row).astype(np.intp),
+        )
+        cols = (np.abs(dst_col - src_col), np.sign(dst_col - src_col), 2 + (dst_col < src_col))
+        first, second = (rows, cols) if rows_first else (cols, rows)
+        (first_hops, first_stride, first_slot), (_, second_stride, second_slot) = first, second
+        hops = rows[0] + cols[0]
+        step = np.minimum(np.arange(int(hops.max(initial=0)))[:, None], hops)
+        # The device each hop leaves, clamped to dst past the route's end.
+        here = (
+            src
+            + np.minimum(step, first_hops) * first_stride
+            + np.maximum(step - first_hops, 0) * second_stride
+        )
+        slot = np.where(step < first_hops, first_slot, second_slot)
+        return np.where(step < hops, self._link_slots[here, slot], -1)
+
     def hops(self, src: int, dst: int) -> int:
         """XY routes are shortest paths, so hop count is Manhattan distance."""
         return self.manhattan(src, dst)
@@ -171,6 +221,10 @@ class MultiWaferTopology(MeshTopology):
     ) -> None:
         if num_wafers <= 0:
             raise ValueError(f"num_wafers must be positive, got {num_wafers}")
+        if wafer_height <= 0 or wafer_width <= 0:
+            raise ValueError(
+                f"wafer dimensions must be positive, got {wafer_height}x{wafer_width}"
+            )
         self.num_wafers = num_wafers
         self.wafer_height = wafer_height
         self.wafer_width = wafer_width

@@ -1,10 +1,12 @@
 """Tests for the single-phase congestion model."""
 
+import numpy as np
 import pytest
 
-from repro.network.phase import simulate_phase
-from repro.network.traffic import Flow, TrafficMatrix
-from repro.topology.mesh import MeshTopology
+from repro.network import phase
+from repro.network.phase import route_rows, simulate_phase
+from repro.network.traffic import ArrayTrafficMatrix, Flow, TrafficMatrix
+from repro.topology.mesh import MeshTopology, MultiWaferTopology
 
 
 @pytest.fixture
@@ -92,3 +94,84 @@ class TestCongestion:
         acc = {(0, 1): 1.0}
         result.merge_link_bytes(acc)
         assert acc[(0, 1)] == pytest.approx(1e3 + 1.0)
+
+
+class TestRouteRows:
+    def test_out_of_range_device_does_not_reuse_a_cached_row(self, mesh):
+        # On a 4x4 mesh (0, 19) has the pair key of (1, 3).
+        simulate_phase(mesh, ArrayTrafficMatrix([1], [3], [1e6]))
+        with pytest.raises(ValueError, match="devices"):
+            simulate_phase(mesh, ArrayTrafficMatrix([0], [19], [1e6]))
+
+    def test_negative_device_does_not_reuse_a_cached_row(self, mesh):
+        # On a 4x4 mesh (-1, 31) has the pair key of (0, 15).
+        simulate_phase(mesh, ArrayTrafficMatrix([0], [15], [1e6]))
+        with pytest.raises(ValueError, match="devices"):
+            simulate_phase(mesh, ArrayTrafficMatrix([-1], [31], [1e6]))
+
+    def test_mesh_rows_walk_no_route(self, monkeypatch):
+        topology = MultiWaferTopology(2, 3, 3)
+        calls = []
+
+        def counted(method):
+            def wrapper(self, *args):
+                calls.append(args)
+                return method(self, *args)
+
+            return wrapper
+
+        for name in ("route", "route_alternate"):
+            monkeypatch.setattr(MeshTopology, name, counted(getattr(MeshTopology, name)))
+        src, dst = np.divmod(np.arange(topology.num_devices**2), topology.num_devices)
+        counts, _, _, _ = route_rows(topology, src, dst)
+        assert counts.sum() > 0
+        assert calls == []
+        topology.route(0, 1)
+        assert calls == [(0, 1)]
+
+
+def plain_sum(terms):
+    """Python 3.11's float ``sum``: a plain fold in input order."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def neumaier_sum(terms):
+    """Python 3.12's float ``sum``: Neumaier-compensated, in input order."""
+    total = compensation = 0.0
+    for term in terms:
+        folded = total + term
+        if abs(total) >= abs(term):
+            compensation += (total - folded) + term
+        else:
+            compensation += (term - folded) + total
+        total = folded
+    return total + compensation if compensation else total
+
+
+class TestWalkSums:
+    @pytest.fixture
+    def columns(self):
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(0, 40, size=300)
+        terms = np.zeros((40, lengths.size))
+        for column, length in enumerate(lengths):
+            terms[:length, column] = rng.choice([5e-8, 1.5e-7, 3e-9], size=length)
+        return terms, [terms[:length, column].tolist() for column, length in enumerate(lengths)]
+
+    def test_equal_builtin_sum(self, columns):
+        terms, lists = columns
+        np.testing.assert_array_equal(phase._walk_sums(terms), [sum(c) for c in lists])
+
+    @pytest.mark.parametrize(
+        "compensated, reference", [(False, plain_sum), (True, neumaier_sum)]
+    )
+    def test_fold_of_each_python(self, monkeypatch, columns, compensated, reference):
+        terms, lists = columns
+        assert [plain_sum(c) for c in lists] != [neumaier_sum(c) for c in lists]
+        monkeypatch.setattr(phase, "_COMPENSATED_SUM", compensated)
+        np.testing.assert_array_equal(
+            phase._walk_sums(terms), [reference(c) for c in lists]
+        )

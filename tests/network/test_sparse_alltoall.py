@@ -26,6 +26,7 @@ from repro.network.alltoall import (
     simulate_alltoall,
     uniform_demand,
 )
+from repro.network.phase import route_rows
 from repro.systems import build_dgx, build_multi_wsc, build_nvl72, build_wsc
 from repro.topology.mesh import MeshTopology
 
@@ -373,6 +374,66 @@ class TestDegradedLinks:
         assert pricer.dest_row_builds == builds
         health.restore_link(*busiest)
         np.testing.assert_array_equal(pricer.durations(demand, *args), pristine)
+
+
+def loop_dest_rows(mapping, dest):
+    """One destination's operator rows from a per-holder loop over single
+    route rows: the construction the batched gather must equal bitwise."""
+    topology = mapping.topology
+    num_links = len(topology.links)
+    table = mapping.token_holder_table()
+    scratch = np.zeros(2 * num_links)
+    idx_parts, weight_parts, group_parts = [], [], []
+    latency = np.zeros((2, mapping.dp))
+    for group in range(mapping.dp):
+        touched = []
+        for holder, fraction in table.entries(group, dest):
+            if holder == dest:
+                continue
+            for phase, (src, dst) in enumerate(((holder, dest), (dest, holder))):
+                _, idx, weights, path_latency = route_rows(topology, [src], [dst])
+                scratch[phase * num_links + idx] += fraction * weights
+                touched.append(phase * num_links + idx)
+                if path_latency[0] > latency[phase, group]:
+                    latency[phase, group] = path_latency[0]
+        if touched:
+            cols = np.unique(np.concatenate(touched))
+            idx_parts.append(cols)
+            weight_parts.append(scratch[cols].copy())
+            group_parts.append(np.full(cols.size, group, dtype=np.intp))
+            scratch[cols] = 0.0
+    empty = [np.empty(0, dtype=np.intp)]
+    return (
+        np.concatenate(idx_parts or empty),
+        np.concatenate(weight_parts or [np.empty(0)]),
+        np.concatenate(group_parts or empty),
+        latency,
+    )
+
+
+class TestDestRows:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="er"),
+            lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="baseline"),
+            lambda: build_multi_wsc(QWEN3_235B, 2, 4, tp=4),
+            lambda: build_dgx(QWEN3_235B, 2, tp=4),
+            lambda: build_nvl72(QWEN3_235B, tp=4),
+        ],
+        ids=["er_8x8", "baseline_8x8", "her_two_wafers", "dgx_two_nodes", "nvl72"],
+    )
+    def test_gathered_rows_equal_the_per_holder_loop(self, build):
+        mapping = build().mapping
+        pricer = SparseAllToAllPricer(mapping)
+        for dest in range(mapping.topology.num_devices):
+            rows = pricer._rows_for(dest)
+            expected = loop_dest_rows(mapping, dest)
+            for got, want in zip(
+                (rows.link_idx, rows.weight, rows.group, rows.latency), expected
+            ):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestCaches:

@@ -1,8 +1,10 @@
 """Property-based tests for topologies."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.phase import route_rows
 from repro.topology.mesh import Coord, MeshTopology, MultiWaferTopology
 from repro.topology.switched import DGXClusterTopology
 
@@ -89,3 +91,58 @@ class TestSwitched:
             assert len(path) == 2
         else:
             assert len(path) == 4
+
+
+def walked_row(topology, src, dst):
+    """A pair's route row walked link by link: the reference the batched
+    closed form must equal bit for bit."""
+    index = {key: position for position, key in enumerate(topology.links)}
+    primary = topology.route(src, dst)
+    # O1TURN-style multipath: meshes split each flow evenly across the
+    # XY and YX dimension orders when they differ.
+    routes = [primary]
+    alternate = topology.route_alternate(src, dst)
+    if [link.key for link in alternate] != [link.key for link in primary]:
+        routes.append(alternate)
+    share = 1.0 / len(routes)
+    flat = np.array(
+        [index[link.key] for path in routes for link in path], dtype=np.intp
+    )
+    indices, counts = np.unique(flat, return_counts=True)
+    latency = max(sum(link.latency for link in path) for path in routes)
+    return indices, share * counts, latency
+
+
+@st.composite
+def mesh_pair_batches(draw):
+    """A mesh or multi-wafer row and two pair batches.  Both batches repeat
+    pairs, and the second also asks again for pairs of the first."""
+    if draw(st.booleans()):
+        topology = MeshTopology(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    else:
+        topology = MultiWaferTopology(
+            draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        )
+    device = st.integers(0, topology.num_devices - 1)
+    pairs = st.lists(st.tuples(device, device), min_size=1, max_size=40)
+    first = draw(pairs)
+    fresh = draw(pairs)
+    batches = [first + first[:3], first[:3] + fresh + fresh[-2:]]
+    return topology, [draw(st.permutations(batch)) for batch in batches]
+
+
+class TestRouteRows:
+    @given(mesh_pair_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_rows_equal_the_walk(self, case):
+        topology, batches = case
+        for batch in batches:
+            src, dst = np.array(batch, dtype=np.intp).T
+            counts, links, weights, latency = route_rows(topology, src, dst)
+            ends = np.cumsum(counts)
+            for position, (s, d) in enumerate(batch):
+                indices, expected_weights, expected_latency = walked_row(topology, s, d)
+                row = slice(ends[position] - counts[position], ends[position])
+                assert links[row].tobytes() == indices.tobytes()
+                assert weights[row].tobytes() == expected_weights.tobytes()
+                assert latency[position] == expected_latency

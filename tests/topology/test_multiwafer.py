@@ -19,9 +19,10 @@ class TestStructure:
         assert system.height == 4
         assert system.width == 16
 
-    def test_rejects_nonpositive_wafers(self):
-        with pytest.raises(ValueError):
-            MultiWaferTopology(0, 4, 4)
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4), (2, 4, 0)])
+    def test_rejects_nonpositive_wafers(self, shape):
+        with pytest.raises(ValueError, match="must be positive"):
+            MultiWaferTopology(*shape)
 
     def test_validate(self, system):
         system.validate()
