@@ -14,7 +14,7 @@ from repro.hardware.device import DeviceSpec
 from repro.models.configs import FP16_BYTES, MoEModelConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RooflineTimes:
     """Compute and memory-access components of one kernel invocation."""
 

@@ -61,7 +61,7 @@ class EngineConfig:
             raise ValueError("pipeline_stages must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationBreakdown:
     """Latency components of one sparse layer's iteration."""
 
@@ -150,6 +150,27 @@ class IterationSimulator:
             self._allreduce_cache[key] = result
         return result
 
+    def attention_and_allreduce(
+        self, tokens_per_group: int | None = None
+    ) -> tuple[RooflineTimes, CollectiveResult]:
+        """One layer's attention roofline and cached TP all-reduce, which
+        every layer of an iteration shares; ``tokens_per_group`` as in
+        :meth:`simulate_layer`."""
+        config = self.config
+        if tokens_per_group is None:
+            tokens_per_group = config.tokens_per_group
+        elif tokens_per_group <= 0:
+            raise ValueError("tokens_per_group must be positive")
+        attention = self.compute.attention_time(
+            tokens=tokens_per_group,
+            context_len=config.context_len,
+            tp=self.mapping.tp,
+            decode=config.decode,
+        )
+        return attention, self.simulate_allreduce(
+            self.allreduce_volume(tokens_per_group)
+        )
+
     def simulate_layer(
         self,
         counts: np.ndarray,
@@ -178,19 +199,7 @@ class IterationSimulator:
                 f"counts shape {counts.shape} != "
                 f"({self.mapping.dp}, {self.model.num_experts})"
             )
-        config = self.config
-        if tokens_per_group is None:
-            tokens_per_group = config.tokens_per_group
-        elif tokens_per_group <= 0:
-            raise ValueError("tokens_per_group must be positive")
-
-        attention = self.compute.attention_time(
-            tokens=tokens_per_group,
-            context_len=config.context_len,
-            tp=self.mapping.tp,
-            decode=config.decode,
-        )
-        allreduce = self.simulate_allreduce(self.allreduce_volume(tokens_per_group))
+        attention, allreduce = self.attention_and_allreduce(tokens_per_group)
 
         demand = counts * self.model.token_bytes
         alltoall = simulate_alltoall(
@@ -212,8 +221,8 @@ class IterationSimulator:
             combine=alltoall.combine.duration,
             moe=moe,
             migration_exposed=migration_exposed,
-            pipeline_stages=config.pipeline_stages,
-            overlap=config.overlap,
+            pipeline_stages=self.config.pipeline_stages,
+            overlap=self.config.overlap,
         )
         return LayerSimulation(
             breakdown=breakdown,

@@ -17,13 +17,15 @@ bit-exact reference the stacked engine is tested against.
 
 Each layer pays its own all-to-all for its own demand and its own expert
 placement: the workload resolves group-level gating counts for every layer
-(:meth:`~repro.workload.gating.GatingSimulator.next_group_counts`), layer
-0 gets the full network simulation, and every later layer is priced
-against its own demand rows and destination shares through the
-layer-batched :class:`~repro.network.alltoall.LayeredDispatchPlan`.
+(:meth:`~repro.workload.gating.GatingSimulator.next_group_counts`), and
+one call of the layer-batched
+:class:`~repro.network.alltoall.LayeredDispatchPlan` prices every layer's
+dispatch and combine against its own demand rows and destination shares.
+Layer 0 takes the same path as every other layer; its components fill
+``IterationRecord.breakdown``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,17 +102,21 @@ class ServingConfig:
             raise ValueError("num_iterations must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Everything measured in one serving iteration."""
 
     iteration: int
     latency: float
+    #: Layer 0's components (every layer shares its attention phase).
     breakdown: IterationBreakdown
     #: Mean all-to-all duration across the simulated layers, each layer
     #: priced against its own demand rows and its own placement
-    #: (``breakdown.alltoall`` is layer 0's exact price alone).
+    #: (``breakdown.alltoall`` is layer 0's price alone).
     alltoall_mean: float
+    #: Mean peak-device MoE roofline across the simulated layers
+    #: (``breakdown.moe`` is layer 0's alone).
+    moe_mean: RooflineTimes
     max_device_load: float
     mean_device_load: float
     migration_exposed: float
@@ -163,16 +169,19 @@ class ServingTrace:
         return float(np.mean([r.load_ratio for r in steady]))
 
     def mean_component(self, component: str, skip: int = 0) -> float:
-        """Mean of a per-layer breakdown component ('alltoall', 'moe', ...)."""
+        """Mean of a component ('alltoall', 'moe', ...), averaged over the
+        simulated layers except for the layer-0 ``*_layer0`` components."""
         steady = self._steady(skip)
         values = []
         for record in steady:
             if component == "moe":
-                values.append(record.breakdown.moe.total)
+                values.append(record.moe_mean.total)
             elif component == "moe_compute":
-                values.append(record.breakdown.moe.compute)
+                values.append(record.moe_mean.compute)
             elif component == "moe_memory":
-                values.append(record.breakdown.moe.memory)
+                values.append(record.moe_mean.memory)
+            elif component == "moe_layer0":
+                values.append(record.breakdown.moe.total)
             elif component == "alltoall":
                 values.append(record.alltoall_mean)
             elif component == "alltoall_layer0":
@@ -281,6 +290,16 @@ class ServingSimulator:
             raise ValueError(
                 f"{balancer_cls.__name__} has no stacked balancer engine; "
                 "register one in repro.balancer.stacked.STACKED_BALANCERS"
+            )
+        if workload.num_groups != mapping.dp:
+            raise ValueError(
+                f"workload draws demand for {workload.num_groups} DP groups "
+                f"but the mapping has {mapping.dp}"
+            )
+        if workload.model.num_experts != model.num_experts:
+            raise ValueError(
+                f"workload gates over {workload.model.num_experts} experts "
+                f"but the model has {model.num_experts}"
             )
         self.device = device
         self.model = model
@@ -460,65 +479,61 @@ class ServingSimulator:
 
         exposed, started = self._maybe_rebalance(iteration)
 
-        # Full network + compute simulation on layer 0; every later layer
-        # combines its own batched MoE roofline with its own all-to-all
-        # price from the layer-batched dispatch plan.
-        placement = self.engine.placement
-        sim = self.simulator.simulate_layer(
-            counts[0],
-            placement.layer(0),
-            device_scale=self._device_scale,
-            tokens_per_group=tokens_per_group,
+        # Every layer pays its own all-to-all and MoE roofline, priced in
+        # one batch over the layer-stacked placement; all layers share the
+        # attention phase.
+        attention, allreduce = self.simulator.attention_and_allreduce(
+            tokens_per_group
         )
-        breakdown = sim.breakdown
         if self._attention_scale != 1.0:
             # TP groups that lost members redistribute attention work over
             # the survivors; the slowest straggler paces the rest.  The
             # all-reduce is unscaled — the ring still runs over every
             # device position (routers survive fail-stop).
-            attention = breakdown.attention
-            breakdown = replace(
-                breakdown,
-                attention=RooflineTimes(
-                    compute=attention.compute * self._attention_scale,
-                    memory=attention.memory * self._attention_scale,
-                ),
+            attention = RooflineTimes(
+                compute=attention.compute * self._attention_scale,
+                memory=attention.memory * self._attention_scale,
             )
-
-        layer_totals = [breakdown.attention_phase + breakdown.moe_phase]
-        a2a_mean = breakdown.alltoall
-        if self.num_layers > 1:
-            plan = layered_dispatch_plan(self.mapping, placement)
-            # Scale to bytes in place: layer 0 was simulated above from
-            # the raw counts, and the buffer is fully redrawn next
-            # iteration, so nothing reads the unscaled values again.
-            counts *= self.model.token_bytes
-            a2a_layers = plan.alltoall_durations_resolved(
-                counts, breakdown.alltoall
-            )
-            moe_compute, moe_memory = self.simulator.compute.moe_peak_arrays(
-                layer_loads[1:],
-                placement.replica_tensor[1:],
-                placement.replica_counts[1:],
-                device_scale=self._device_scale,
-            )
-            moe_totals = moe_compute + moe_memory
-            layer_a2a = a2a_layers[1:]
-            if self.engine_config.overlap:
-                stages = self.engine_config.pipeline_stages
-                longer = np.maximum(moe_totals, layer_a2a)
-                shorter = np.minimum(moe_totals, layer_a2a)
-                moe_phases = longer + shorter / stages
-            else:
-                moe_phases = moe_totals + layer_a2a
-            layer_totals.extend(breakdown.attention_phase + moe_phases)
-            a2a_mean = float(np.mean(a2a_layers))
+        placement = self.engine.placement
+        # Scale to bytes in place: the buffer is fully redrawn next
+        # iteration, so nothing reads the unscaled counts again.
+        counts *= self.model.token_bytes
+        plan = layered_dispatch_plan(self.mapping, placement)
+        phases = plan.alltoall_durations_resolved(counts)
+        moe_compute, moe_memory = self.simulator.compute.moe_peak_arrays(
+            layer_loads,
+            placement.replica_tensor,
+            placement.replica_counts,
+            device_scale=self._device_scale,
+        )
+        breakdown = IterationBreakdown(
+            attention=attention,
+            allreduce=allreduce.duration,
+            dispatch=float(phases[0, 0]),
+            combine=float(phases[0, 1]),
+            moe=RooflineTimes(
+                compute=float(moe_compute[0]), memory=float(moe_memory[0])
+            ),
+            pipeline_stages=self.engine_config.pipeline_stages,
+            overlap=self.engine_config.overlap,
+        )
+        layer_a2a = phases.sum(axis=1)
+        moe_totals = moe_compute + moe_memory
+        if self.engine_config.overlap:
+            stages = self.engine_config.pipeline_stages
+            longer = np.maximum(moe_totals, layer_a2a)
+            shorter = np.minimum(moe_totals, layer_a2a)
+            moe_phases = longer + shorter / stages
+        else:
+            moe_phases = moe_totals + layer_a2a
+        a2a_mean = float(np.mean(layer_a2a))
 
         # Depth-scaled sum over the simulated layers: every layer
         # contributes its own MoE phase (compute roofline + all-to-all
         # price), normalized by the simulated depth.
         latency = (
-            self.model.num_sparse_layers * float(np.mean(layer_totals))
+            self.model.num_sparse_layers
+            * float(np.mean(breakdown.attention_phase + moe_phases))
             + exposed
             + repair_exposed
         )
@@ -534,6 +549,10 @@ class ServingSimulator:
             latency=latency,
             breakdown=breakdown,
             alltoall_mean=a2a_mean,
+            moe_mean=RooflineTimes(
+                compute=float(np.mean(moe_compute)),
+                memory=float(np.mean(moe_memory)),
+            ),
             max_device_load=max_load,
             mean_device_load=mean_load,
             migration_exposed=exposed,

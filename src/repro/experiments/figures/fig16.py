@@ -122,7 +122,9 @@ def _spec(model_key: str, artifact: str) -> ExperimentSpec:
             # per-layer placements under layer-0 demand).
             # v4: exact multinomial deep-layer splits from the batched
             # sampling kernels replace the rescaled-Gaussian group split.
-            version=4,
+            # v5: "MoE time" is the mean over every layer's peak-device
+            # roofline (v4 reported layer 0's alone).
+            version=5,
         )
     )
 

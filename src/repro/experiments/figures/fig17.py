@@ -139,8 +139,10 @@ def _spec(model_key: str, artifact: str) -> ExperimentSpec:
             # (the footprint auto rule selects it above 64 MiB; shifts are
             # summation-order rounding, ~1e-12 relative).  v5: exact
             # multinomial deep-layer splits from the batched sampling
-            # kernels replace the rescaled-Gaussian group split.
-            version=5,
+            # kernels replace the rescaled-Gaussian group split.  v6:
+            # "MoE/layer" is the mean over every layer's peak-device
+            # roofline (v5 reported layer 0's alone).
+            version=6,
         )
     )
 

@@ -8,14 +8,14 @@ the shard owner is — so the mapping supplies its precomputed
 :class:`~repro.mapping.base.HolderTable` and this module stays
 mapping-agnostic.  Combine mirrors dispatch with reversed flow directions.
 
-The hot path is array-native: a :class:`DispatchPlan` flattens the
-iteration-invariant structure — (group, expert) demand cell × placement
-destination shares × holder fractions — into parallel arrays once per
-``(mapping, placement version)``, after which each iteration's traffic is a
-gather, two multiplies, and one ``bincount``.  The plan enumerates terms in
-exactly the order the original per-entry loop visited them (kept below as
-:func:`loop_dispatch_traffic`, the reference oracle in the regression
-tests), so the aggregated volumes are bit-identical to the seed semantics.
+A single layer's pricing is array-native: a :class:`DispatchPlan`
+flattens the structure — (group, expert) demand cell × placement
+destination shares × holder fractions — into parallel arrays, after which
+the traffic is a gather, two multiplies, and one ``bincount``.  The plan
+enumerates terms in exactly the order the original per-entry loop visited
+them (kept below as :func:`loop_dispatch_traffic`, the reference oracle in
+the regression tests), so the aggregated volumes are bit-identical to the
+seed semantics.
 
 For the serving loop's layer stacks, :class:`SparseAllToAllPricer` and
 :class:`LayeredDispatchPlan` price every layer's all-to-all against its own
@@ -161,20 +161,6 @@ class DispatchPlan:
             self.dense_bin = np.empty(0, dtype=np.intp)
             self.dense_src = np.empty(0, dtype=np.intp)
             self.dense_dst = np.empty(0, dtype=np.intp)
-        # Plans are cached and served to every later iteration; under the
-        # sanitizer their arrays are frozen so an aliasing caller raises
-        # instead of corrupting subsequent traffic aggregation.
-        sanitize.freeze(
-            (
-                self.entry_cell,
-                self.entry_share,
-                self.entry_frac,
-                self.entry_key,
-                self.dense_bin,
-                self.dense_src,
-                self.dense_dst,
-            )
-        )
 
     def traffic(self, demand_bytes: np.ndarray) -> ArrayTrafficMatrix:
         """Aggregate one iteration's dispatch traffic from a demand matrix."""
@@ -200,12 +186,6 @@ class DispatchPlan:
         return ArrayTrafficMatrix(src[positive], dst[positive], volumes[positive])
 
 
-#: placement -> {id(mapping): (mapping weakref, placement version, plan)}.
-#: Keyed weakly so retired placements release their plans; the version
-#: check invalidates plans after migrations mutate the placement.
-_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _sweep_dead_mappings(per_mapping: dict) -> None:
     """Drop cache entries whose mapping weakref has expired.
 
@@ -217,22 +197,6 @@ def _sweep_dead_mappings(per_mapping: dict) -> None:
     dead = [key for key, entry in per_mapping.items() if entry[0]() is None]
     for key in dead:
         del per_mapping[key]
-
-
-def dispatch_plan(
-    mapping: "Mapping", placement: "ExpertPlacement"
-) -> DispatchPlan:
-    """The cached dispatch plan for this (mapping, placement version)."""
-    per_mapping = _PLAN_CACHE.setdefault(placement, {})
-    entry = per_mapping.get(id(mapping))
-    if entry is not None:
-        mapping_ref, version, plan = entry
-        if mapping_ref() is mapping and version == placement.version:
-            return plan
-    _sweep_dead_mappings(per_mapping)
-    plan = DispatchPlan(mapping, placement)
-    per_mapping[id(mapping)] = (weakref.ref(mapping), placement.version, plan)
-    return plan
 
 
 def _validate_demand(demand_bytes: np.ndarray) -> None:
@@ -258,7 +222,7 @@ def build_dispatch_traffic(
         mapping: mapping supplying the token-holder table.
     """
     _validate_demand(demand_bytes)
-    plan = dispatch_plan(mapping, placement)
+    plan = DispatchPlan(mapping, placement)
     if demand_bytes.shape != (plan.num_groups, plan.num_experts):
         raise ValueError(
             f"demand shape {demand_bytes.shape} != "
@@ -308,8 +272,8 @@ def simulate_alltoall(
 ) -> AllToAllResult:
     """Simulate dispatch and combine for one MoE layer invocation.
 
-    Dispatch traffic comes off the cached :class:`DispatchPlan`; combine is
-    its transpose — no per-flow objects are materialized anywhere on the
+    Dispatch traffic comes off a :class:`DispatchPlan`; combine is its
+    transpose — no per-flow objects are materialized anywhere on the
     path into :func:`~repro.network.phase.simulate_phase`.
     """
     dispatch_traffic = build_dispatch_traffic(demand_bytes, placement, mapping)
@@ -349,8 +313,8 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 # -- layer-batched pricing ---------------------------------------------------
 #
 # Every layer of a serving stack carries its own demand rows and, once
-# migrations land, its own placement, so layer 0's all-to-all price is not
-# representative of the others.  For one (immutable) mapping the dispatch
+# migrations land, its own placement, so no one layer's all-to-all price
+# is representative of the others.  For one (immutable) mapping the dispatch
 # traffic of any placement factorizes as
 # ``T[src, dst] = sum_g frac(g, dst, src) * M[g, dst]``, where
 # ``M = demand @ destination_shares`` is the only placement-dependent
@@ -365,7 +329,8 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 # columns from its result keeps each cell's value independent of which
 # devices are hosted.  The per-link volumes equal the per-layer
 # :func:`simulate_alltoall` sums mathematically (same terms, reassociated),
-# not bitwise; layer 0 keeps its exact price.
+# not bitwise: prices agree to a few ulps, and the single-layer figures
+# and the tests keep :func:`simulate_alltoall` as the reference.
 
 
 @dataclass
@@ -445,8 +410,9 @@ class SparseAllToAllPricer:
     ``cells = demand @ destination_shares``; dispatch fills link slots
     ``[0, K)`` and combine, which routes ``dest -> holder``, ``[K, 2K)``.
     The operator is built lazily: per-destination rows
-    (:class:`_DestRows`) from batched route rows, concatenated into one
-    CSR matrix per hosted-destination set (:class:`_HostedSet`).
+    (:class:`_DestRows`), built for a batch of destinations from batched
+    route rows, concatenated into one CSR matrix per hosted-destination
+    set (:class:`_HostedSet`).
 
     Incrementality is version-keyed: layer states are cached per
     :class:`~repro.mapping.placement.ExpertPlacement` and revalidated
@@ -461,6 +427,11 @@ class SparseAllToAllPricer:
     #: a handful of sets; the cap only bounds pathological churn (every
     #: eviction is rebuildable from the dest rows).
     HOSTED_CACHE_CAP = 64
+
+    #: Holder pairs per destination-row batch.  One batch over all 256
+    #: destinations of a 1024-device hosted set more than doubled the
+    #: build's peak RSS; batches of this size build as fast as larger ones.
+    ROW_BATCH_PAIRS = 4096
 
     def __init__(self, mapping: "Mapping") -> None:
         topology = mapping.topology
@@ -481,52 +452,57 @@ class SparseAllToAllPricer:
 
     # -- construction ---------------------------------------------------
 
-    def _rows_for(self, dest: int) -> _DestRows:
-        """Operator rows of one destination column, built on first use.
+    def _build_rows(self, dests: np.ndarray) -> None:
+        """Operator rows of a batch of destination columns.
 
-        One route-row gather per phase covers every group's remote holders
-        in holder-table order, and one ``bincount`` sums each (group, link
-        slot) over them in that order — the per-holder accumulation order.
+        One route-row gather per phase covers the batch's remote holders in
+        holder-table order, and one ``bincount`` sums each (destination,
+        group, link slot) over them in that order — the per-holder
+        accumulation order, so rows do not depend on the batching.
         """
-        rows = self._dest_rows.get(dest)
-        if rows is not None:
-            return rows
         table = self._table
-        cells = np.arange(self.num_groups) * self.num_devices + dest
+        num_groups = self.num_groups
+        # Batch cell (destination position * groups + group) of each pair.
+        cells = (dests[:, None] + np.arange(num_groups) * self.num_devices).ravel()
         starts = table.offsets[cells]
         sizes = table.offsets[cells + 1] - starts
         entries = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
         entries += np.arange(entries.size)
+        cell = np.repeat(np.arange(cells.size), sizes)
         holders = table.holders[entries]
+        dest = dests[cell // num_groups]
         remote = holders != dest
-        holders = holders[remote]
+        holders, dest, cell = holders[remote], dest[remote], cell[remote]
         fractions = table.fractions[entries[remote]]
-        group = np.repeat(np.arange(self.num_groups), sizes)[remote]
-        dests = np.full(holders.size, dest)
         slots = 2 * self.num_links
-        latency = np.zeros((2, self.num_groups))
+        latency = np.zeros((2, cells.size))
         keys = []
         values = []
-        for phase, (src, dst) in enumerate(((holders, dests), (dests, holders))):
+        for phase, (src, dst) in enumerate(((holders, dest), (dest, holders))):
             counts, links, weights, path_latency = route_rows(self.topology, src, dst)
-            keys.append(np.repeat(group * slots + phase * self.num_links, counts) + links)
+            keys.append(np.repeat(cell * slots + phase * self.num_links, counts) + links)
             values.append(np.repeat(fractions, counts) * weights)
-            np.maximum.at(latency[phase], group, path_latency)
+            np.maximum.at(latency[phase], cell, path_latency)
         touched, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        group_of, link_idx = np.divmod(touched, slots)
-        rows = _DestRows(
-            link_idx=link_idx,
-            weight=np.bincount(
-                inverse, weights=np.concatenate(values), minlength=touched.size
-            ),
-            group=group_of,
-            latency=latency,
+        weight = np.bincount(
+            inverse, weights=np.concatenate(values), minlength=touched.size
         )
-        sanitize.freeze((rows.link_idx, rows.weight, rows.group, rows.latency))
-        self._dest_rows[dest] = rows
-        self.dest_row_builds += 1
+        cell_of, link_idx = np.divmod(touched, slots)
+        position, group = np.divmod(cell_of, num_groups)
+        latency = latency.reshape(2, dests.size, num_groups).transpose(1, 0, 2).copy()
+        # Each destination's rows are views of the batch arrays.
+        sanitize.freeze((link_idx, weight, group, latency))
+        bounds = np.searchsorted(position, np.arange(dests.size + 1))
+        for pos, dest in enumerate(dests.tolist()):
+            part = slice(bounds[pos], bounds[pos + 1])
+            self._dest_rows[dest] = _DestRows(
+                link_idx=link_idx[part],
+                weight=weight[part],
+                group=group[part],
+                latency=latency[pos],
+            )
+        self.dest_row_builds += dests.size
         self._note_memory()
-        return rows
 
     def _hosted_for(self, dests: tuple[int, ...]) -> _HostedSet:
         """The operator of a hosted-destination set, cached."""
@@ -536,7 +512,12 @@ class SparseAllToAllPricer:
             return hosted
         n = len(dests)
         num_cells = self.num_groups * n
-        rows = [self._rows_for(dest) for dest in dests]
+        missing = [dest for dest in dests if dest not in self._dest_rows]
+        pairs_per_dest = self._table.holders.size // self.num_devices
+        batch = max(1, self.ROW_BATCH_PAIRS // pairs_per_dest)
+        for start in range(0, len(missing), batch):
+            self._build_rows(np.array(missing[start : start + batch], dtype=np.intp))
+        rows = [self._dest_rows[dest] for dest in dests]
         # A stable sort by cell keeps each cell's entries in link order.
         cell = np.concatenate([r.group * n + pos for pos, r in enumerate(rows)])
         order = np.argsort(cell, kind="stable")
@@ -623,7 +604,7 @@ class SparseAllToAllPricer:
     def durations(
         self, demand_bytes: np.ndarray, shares: np.ndarray, batches: HostedBatches
     ) -> np.ndarray:
-        """Dispatch+combine durations per layer: ``(layers,)`` seconds.
+        """Dispatch and combine durations per layer: ``(layers, 2)`` seconds.
 
         Arguments as in :meth:`link_volumes`.  Each layer's phases follow
         :func:`simulate_phase`'s cut-through semantics (busiest-link drain
@@ -632,10 +613,7 @@ class SparseAllToAllPricer:
         volumes, latencies = self._price(
             demand_bytes, shares, batches, with_latencies=True
         )
-        durations = phase_durations_from_link_volumes(
-            self.topology, volumes, latencies
-        )
-        return durations.sum(axis=1)
+        return phase_durations_from_link_volumes(self.topology, volumes, latencies)
 
     def _price(
         self,
@@ -716,41 +694,30 @@ def alltoall_pricer(mapping: "Mapping") -> SparseAllToAllPricer:
 class LayeredDispatchPlan:
     """Per-layer all-to-all pricing for one placement epoch of a stack.
 
-    Layer 0's price is the serving loop's exact :func:`simulate_alltoall`
-    result, passed through verbatim; every later layer is priced against
-    its own demand rows and its own destination shares by the mapping's
+    Every layer, layer 0 included, is priced against its own demand rows
+    and its own destination shares by the mapping's
     :class:`SparseAllToAllPricer`.  What the plan holds stays valid until
     the next migration: a zero-copy view of the
     :class:`~repro.mapping.placement.StackedPlacement` share tensor (safe
     because any mutation bumps a layer version and retires the plan) and
-    layers ``1..`` grouped by hosted set, whose version-validated states
+    the layers grouped by hosted set, whose version-validated states
     unmutated layers reuse across plans.  :func:`layered_dispatch_plan`
     caches one plan per ``(mapping, per-layer version vector)``.
     """
 
     def __init__(self, mapping: "Mapping", placement: "StackedPlacement") -> None:
-        self.num_layers = placement.num_layers
         self.pricer = alltoall_pricer(mapping)
-        self._shares = placement.destination_shares[1:]
-        self._batches = self.pricer.hosted_batches(placement.layers[1:])
+        self._shares = placement.destination_shares
+        self._batches = self.pricer.hosted_batches(placement.layers)
 
-    def alltoall_durations_resolved(
-        self, demand_stack: np.ndarray, layer0_duration: float
-    ) -> np.ndarray:
-        """Per-layer dispatch+combine durations, ``(num_layers,)``.
+    def alltoall_durations_resolved(self, demand_stack: np.ndarray) -> np.ndarray:
+        """Per-layer (dispatch, combine) durations, ``(num_layers, 2)``.
 
         ``demand_stack`` is the ``(layers, groups, experts)`` byte-demand
-        tensor.  Layer 0 keeps ``layer0_duration`` — the exact
-        :func:`simulate_alltoall` price of its own demand — and every other
-        layer is priced against its own placement and its own demand rows.
+        tensor; each layer is priced against its own placement and its own
+        demand rows.
         """
-        durations = np.empty(self.num_layers)
-        durations[0] = layer0_duration
-        if self.num_layers > 1:
-            durations[1:] = self.pricer.durations(
-                demand_stack[1:], self._shares, self._batches
-            )
-        return durations
+        return self.pricer.durations(demand_stack, self._shares, self._batches)
 
 
 #: stacked placement -> {id(mapping): (mapping weakref, version vector, plan)}.
@@ -786,6 +753,5 @@ def clear_plan_caches() -> None:
     cases via an autouse fixture (``tests/conftest.py``); fault tooling may
     call this after mutating a topology's health out-of-band.
     """
-    _PLAN_CACHE.clear()
     _PRICER_CACHE.clear()
     _LAYERED_PLAN_CACHE.clear()

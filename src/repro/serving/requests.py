@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 __all__ = ["RequestTrace"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestTrace:
     """One request's lifecycle through the serving front end.
 

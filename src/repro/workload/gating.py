@@ -158,12 +158,12 @@ class GatingSimulator:
         hierarchical and stays on the cheap large-``n`` path:
 
         1. Layer 0 keeps the exactly-resolved integer counts of
-           :meth:`next_loads` (its all-to-all is simulated in full), and
-           layers past the first draw the same layer-total multinomials —
-           the first two RNG consumptions are bit-identical to
-           :meth:`next_loads`, so layer totals match it exactly in
-           distribution.  With one layer that is the whole draw: one
-           ``(groups, experts)`` multinomial.
+           :meth:`next_loads` — one multinomial per group, so every group
+           fills exactly ``selections`` slots — and layers past the first
+           draw the same layer-total multinomials.  The first two RNG
+           consumptions are bit-identical to :meth:`next_loads`, so layer
+           totals match it exactly in distribution.  With one layer that
+           is the whole draw: one ``(groups, experts)`` multinomial.
         2. Each later layer's totals are resolved into DP groups under the
            *flat selection-slot* model — all ``groups x selections`` slots
            of a layer land independently, so a group's total fluctuates as

@@ -1,7 +1,7 @@
 """The serving loop's batched layer pricing against per-layer simulation.
 
-``ServingSimulator.step`` simulates layer 0 in full and prices every later
-layer in one batch: its all-to-all through the
+``ServingSimulator.step`` prices every layer, layer 0 included, in one
+batch: its all-to-all through the
 :class:`~repro.network.alltoall.LayeredDispatchPlan` and its MoE roofline
 through ``ComputeModel.moe_peak_arrays``.  The oracle here re-prices every
 simulated layer one at a time with ``IterationSimulator.simulate_layer``
@@ -117,10 +117,8 @@ class RecordingPlan:
         self.plan = plan
         self.calls = calls
 
-    def alltoall_durations_resolved(self, demand_stack, layer0_duration):
-        durations = self.plan.alltoall_durations_resolved(
-            demand_stack, layer0_duration
-        )
+    def alltoall_durations_resolved(self, demand_stack):
+        durations = self.plan.alltoall_durations_resolved(demand_stack)
         self.calls[-1].update(demand=demand_stack.copy(), durations=durations.copy())
         return durations
 
@@ -170,15 +168,27 @@ def test_loop_matches_per_layer_simulation(name, priced):
             ).breakdown
             for layer in range(NUM_LAYERS)
         ]
-        # Layer 0 is the loop's own exact simulation.
-        assert record.breakdown.alltoall == layers[0].alltoall
-        assert call["durations"][0] == layers[0].alltoall
-        for layer in range(1, NUM_LAYERS):
+        # Every layer, layer 0 included, prices each phase to
+        # summation-order rounding of the exact simulation.
+        for layer in range(NUM_LAYERS):
             assert call["durations"][layer] == pytest.approx(
-                layers[layer].alltoall, rel=1e-12
+                [layers[layer].dispatch, layers[layer].combine], rel=1e-12
             ), (iteration, layer)
+        assert record.breakdown.dispatch == call["durations"][0, 0]
+        assert record.breakdown.combine == call["durations"][0, 1]
+        moe = record.breakdown.moe
+        assert (moe.compute, moe.memory) == pytest.approx(
+            (layers[0].moe.compute, layers[0].moe.memory), rel=1e-12
+        )
         assert record.alltoall_mean == pytest.approx(
             np.mean([breakdown.alltoall for breakdown in layers]), rel=1e-12
+        )
+        assert (record.moe_mean.compute, record.moe_mean.memory) == pytest.approx(
+            (
+                np.mean([breakdown.moe.compute for breakdown in layers]),
+                np.mean([breakdown.moe.memory for breakdown in layers]),
+            ),
+            rel=1e-12,
         )
         # Every layer shares layer 0's (fault-scaled) attention phase and
         # pays its own MoE phase.

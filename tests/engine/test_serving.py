@@ -1,5 +1,7 @@
 """Tests for the serving simulator and balancer integration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,10 @@ from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSi
 COMPONENT_FIELDS = {
     "alltoall": lambda record: record.alltoall_mean,
     "alltoall_layer0": lambda record: record.breakdown.alltoall,
-    "moe": lambda record: record.breakdown.moe.total,
-    "moe_compute": lambda record: record.breakdown.moe.compute,
-    "moe_memory": lambda record: record.breakdown.moe.memory,
+    "moe": lambda record: record.moe_mean.total,
+    "moe_compute": lambda record: record.moe_mean.compute,
+    "moe_memory": lambda record: record.moe_mean.memory,
+    "moe_layer0": lambda record: record.breakdown.moe.total,
     "allreduce": lambda record: record.breakdown.allreduce,
     "attention": lambda record: record.breakdown.attention.total,
 }
@@ -173,6 +176,38 @@ class TestTraceStats:
 
         with pytest.raises(ValueError, match="no stacked balancer engine"):
             make_simulator(CustomBalancer, iterations=2)
+
+    def test_workload_groups_must_match_the_mapping(self):
+        system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
+        workload = GatingSimulator(
+            QWEN3_235B,
+            num_groups=2 * system.mapping.dp,
+            tokens_per_group=64,
+            mixer=MATH,
+            num_layers=2,
+            seed=3,
+        )
+        with pytest.raises(ValueError, match="8 DP groups but the mapping has 4"):
+            ServingSimulator(
+                system.device, QWEN3_235B, system.mapping, workload, NoBalancer
+            )
+        assert workload.iteration == 0
+
+    def test_workload_experts_must_match_the_model(self):
+        system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
+        smaller = replace(QWEN3_235B, name="qwen3-64e", num_experts=64)
+        workload = GatingSimulator(
+            smaller,
+            num_groups=system.mapping.dp,
+            tokens_per_group=64,
+            mixer=MATH,
+            num_layers=2,
+            seed=3,
+        )
+        with pytest.raises(ValueError, match="64 experts but the model has 128"):
+            ServingSimulator(
+                system.device, QWEN3_235B, system.mapping, workload, NoBalancer
+            )
 
 
 class TestSteadyTail:

@@ -6,8 +6,7 @@ CSR ``(group, dest) -> link`` operators — the same terms the per-layer
 different associative order — so link volumes and phase durations are
 pinned to the exact path with tight relative tolerances.  The
 :class:`LayeredDispatchPlan` the serving loop prices through is held to
-the same exact path layer by layer, with layer 0's price passed through
-verbatim.
+the same exact path layer by layer and phase by phase, layer 0 included.
 """
 
 import gc
@@ -20,9 +19,9 @@ from repro.mapping.er import ERMapping
 from repro.mapping.placement import StackedPlacement
 from repro.network.alltoall import (
     _LAYERED_PLAN_CACHE,
+    DispatchPlan,
     LayeredDispatchPlan,
     alltoall_pricer,
-    dispatch_plan,
     layered_dispatch_plan,
     simulate_alltoall,
     uniform_demand,
@@ -61,14 +60,16 @@ def demand_stack(num_layers=5, seed=3, zero_cells=False):
 
 def dense_traffic_oracle(mapping, demand, placement):
     """Per-layer DispatchPlan traffic scattered into a dense matrix."""
-    traffic = dispatch_plan(mapping, placement).traffic(demand)
+    traffic = DispatchPlan(mapping, placement).traffic(demand)
     dense = np.zeros((placement.num_devices, placement.num_devices))
     dense[traffic.src, traffic.dst] = traffic.volume
     return dense
 
 
-def exact_duration(mapping, demand, placement):
-    return simulate_alltoall(mapping.topology, demand, placement, mapping).duration
+def exact_phases(mapping, demand, placement):
+    """(dispatch, combine) durations of the exact per-layer simulation."""
+    result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+    return np.array([result.dispatch.duration, result.combine.duration])
 
 
 def stack_args(mapping, stack):
@@ -107,7 +108,7 @@ class TestPricerAgainstPerLayerOracle:
             np.repeat(demand[None], 5, axis=0), *stack_args(mapping, stack)
         )
         for layer, placement in enumerate(stack.layers):
-            exact = exact_duration(mapping, demand, placement)
+            exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_pricer_link_volumes_accept_demand_stack(self, mapping):
@@ -149,13 +150,12 @@ class TestLayeredPlan:
             rows = np.repeat(uniform_demand(4, 16, 256, 8, 100)[None], 5, axis=0)
         else:
             rows = demand_stack(zero_cells=demand == "zero_cells")
-        layer0 = exact_duration(mapping, rows[0], stack.layer(0))
         durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
-            rows, layer0
+            rows
         )
-        assert durations[0] == layer0
-        for layer in range(1, stack.num_layers):
-            exact = exact_duration(mapping, rows[layer], stack.layer(layer))
+        assert durations.shape == (stack.num_layers, 2)
+        for layer in range(stack.num_layers):
+            exact = exact_phases(mapping, rows[layer], stack.layer(layer))
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_uniform_stack_prices_each_layers_demand(self, mapping):
@@ -163,14 +163,13 @@ class TestLayeredPlan:
         demand rows set its price."""
         stack = StackedPlacement(4, 16, 16)
         demand = demand_stack(num_layers=4)
-        layer0 = exact_duration(mapping, demand[0], stack.layer(0))
         durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
-            demand, layer0
+            demand
         )
-        for layer in range(1, 4):
-            exact = exact_duration(mapping, demand[layer], stack.layer(layer))
+        for layer in range(4):
+            exact = exact_phases(mapping, demand[layer], stack.layer(layer))
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
-        assert len(set(durations.tolist())) > 1
+        assert len(set(durations[:, 0].tolist())) > 1
 
     def test_forced_replica_on_later_layer_moves_only_that_layer(self, mapping):
         """A replica forced onto layer 3 reprices layer 3 — exactly,
@@ -181,14 +180,14 @@ class TestLayeredPlan:
         forced = StackedPlacement(5, 16, 16, shadow_slots=2)
         forced.add_replica(3, 0, 15)
         base = LayeredDispatchPlan(mapping, native).alltoall_durations_resolved(
-            demand, 1.0e-5
+            demand
         )
         moved = LayeredDispatchPlan(mapping, forced).alltoall_durations_resolved(
-            demand, 1.0e-5
+            demand
         )
-        assert moved[3] != base[3]
+        assert (moved[3] != base[3]).any()
         assert moved[3] == pytest.approx(
-            exact_duration(mapping, demand[3], forced.layer(3)), rel=1e-12
+            exact_phases(mapping, demand[3], forced.layer(3)), rel=1e-12
         )
         mask = np.arange(5) != 3
         np.testing.assert_array_equal(moved[mask], base[mask])
@@ -206,9 +205,9 @@ class TestLayeredPlan:
         skewed[3] = 0.0
         skewed[3, :, 0] = demand[3].sum(axis=1) * 0.75
         skewed[3, :, 9] = demand[3].sum(axis=1) * 0.25
-        base = plan.alltoall_durations_resolved(demand, 1.0e-5)
-        moved = plan.alltoall_durations_resolved(skewed, 1.0e-5)
-        assert moved[3] != base[3]
+        base = plan.alltoall_durations_resolved(demand)
+        moved = plan.alltoall_durations_resolved(skewed)
+        assert (moved[3] != base[3]).any()
         mask = np.arange(5) != 3
         np.testing.assert_array_equal(moved[mask], base[mask])
 
@@ -222,12 +221,11 @@ class TestLayeredPlan:
         for layer, expert in zip(orphan_layers.tolist(), orphan_experts.tolist()):
             stack.add_replica(layer, expert, 10)
         demand = demand_stack()
-        layer0 = exact_duration(mapping, demand[0], stack.layer(0))
         durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
-            demand, layer0
+            demand
         )
-        for layer in range(1, stack.num_layers):
-            exact = exact_duration(mapping, demand[layer], stack.layer(layer))
+        for layer in range(stack.num_layers):
+            exact = exact_phases(mapping, demand[layer], stack.layer(layer))
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_plan_reads_share_tensor_zero_copy(self, mapping):
@@ -238,12 +236,22 @@ class TestLayeredPlan:
         plan = LayeredDispatchPlan(mapping, stack)
         assert np.shares_memory(plan._shares, stack.destination_shares)
 
-    def test_single_layer_plan_passes_layer0_through(self, mapping):
-        stack = StackedPlacement(1, 16, 16)
+    @pytest.mark.parametrize("zero_cells", [False, True])
+    def test_single_layer_plan_prices_layer0(self, mapping, zero_cells):
+        """A one-layer stack is priced like any other: layer 0 against the
+        exact simulation of its own demand."""
+        stack = StackedPlacement(1, 16, 16, shadow_slots=2)
+        stack.add_replica(0, 4, 11)
+        demand = demand_stack(num_layers=1)
+        if zero_cells:
+            demand[0, 1, :5] = 0.0
         durations = LayeredDispatchPlan(mapping, stack).alltoall_durations_resolved(
-            demand_stack(num_layers=1), 3.0e-6
+            demand
         )
-        np.testing.assert_array_equal(durations, [3.0e-6])
+        assert durations.shape == (1, 2)
+        assert durations[0] == pytest.approx(
+            exact_phases(mapping, demand[0], stack.layer(0)), rel=1e-12
+        )
 
 
 class TestLayeredPlanCache:
@@ -261,13 +269,13 @@ class TestLayeredPlanCache:
         stack = diverged_stack()
         demand = demand_stack()
         plan = layered_dispatch_plan(mapping, stack)
-        before = plan.alltoall_durations_resolved(demand, 1.0e-5)
+        before = plan.alltoall_durations_resolved(demand)
         stack.add_replica(1, 2, 14)
         stack.drop_replica(1, 2, 14)
         rebuilt = layered_dispatch_plan(mapping, stack)
         assert rebuilt is not plan
         np.testing.assert_array_equal(
-            rebuilt.alltoall_durations_resolved(demand, 1.0e-5), before
+            rebuilt.alltoall_durations_resolved(demand), before
         )
 
     def test_dead_mapping_entries_swept_on_insert(self):

@@ -58,6 +58,12 @@ def stack_args(pricer, placements):
     return shares, pricer.hosted_batches(placements)
 
 
+def exact_phases(mapping, demand, placement):
+    """(dispatch, combine) durations of the exact per-layer simulation."""
+    result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+    return np.array([result.dispatch.duration, result.combine.duration])
+
+
 def per_layer(demand, num_layers):
     return np.repeat(demand[None], num_layers, axis=0)
 
@@ -112,9 +118,7 @@ class TestAgainstExactSimulation:
             per_layer(demand, len(placements)), *stack_args(pricer, placements)
         )
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placement, mapping
-            ).duration
+            exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_demand_stack_matches_per_layer_simulation(self, mapping):
@@ -128,9 +132,7 @@ class TestAgainstExactSimulation:
         pricer = alltoall_pricer(mapping)
         durations = pricer.durations(stack, *stack_args(pricer, placements))
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, stack[layer], placement, mapping
-            ).duration
+            exact = exact_phases(mapping, stack[layer], placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_hosted_subset_when_fewer_experts_than_devices(self, mapping):
@@ -147,9 +149,7 @@ class TestAgainstExactSimulation:
             per_layer(demand, 3), *stack_args(pricer, placements)
         )
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placement, mapping
-            ).duration
+            exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("active", ["most", "one_cell"])
@@ -227,9 +227,7 @@ class TestSystems:
         pricer = alltoall_pricer(mapping)
         durations = pricer.durations(demand, *stack_args(pricer, placements))
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand[layer], placement, mapping
-            ).duration
+            exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_latencies_equal_worst_active_path(self, case):
@@ -253,9 +251,7 @@ class TestSystems:
         pricer = alltoall_pricer(mapping)
         durations = pricer.durations(demand, *stack_args(pricer, placements))
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand[layer], placement, mapping
-            ).duration
+            exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_volumes_equal_full_width_operator_product(self, case):
@@ -367,9 +363,7 @@ class TestDegradedLinks:
         degraded = pricer.durations(demand, *args)
         assert (degraded >= pristine).all() and (degraded > pristine).any()
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand[layer], placement, mapping
-            ).duration
+            exact = exact_phases(mapping, demand[layer], placement)
             assert degraded[layer] == pytest.approx(exact, rel=1e-12)
         assert pricer.dest_row_builds == builds
         health.restore_link(*busiest)
@@ -411,29 +405,59 @@ def loop_dest_rows(mapping, dest):
     )
 
 
+#: The five systems whose destination rows are held to the per-holder loop.
+DEST_ROW_SYSTEMS = {
+    "er_8x8": lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="er"),
+    "baseline_8x8": lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="baseline"),
+    "her_two_wafers": lambda: build_multi_wsc(QWEN3_235B, 2, 4, tp=4),
+    "dgx_two_nodes": lambda: build_dgx(QWEN3_235B, 2, tp=4),
+    "nvl72": lambda: build_nvl72(QWEN3_235B, tp=4),
+}
+
+
 class TestDestRows:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="er"),
-            lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="baseline"),
-            lambda: build_multi_wsc(QWEN3_235B, 2, 4, tp=4),
-            lambda: build_dgx(QWEN3_235B, 2, tp=4),
-            lambda: build_nvl72(QWEN3_235B, tp=4),
-        ],
-        ids=["er_8x8", "baseline_8x8", "her_two_wafers", "dgx_two_nodes", "nvl72"],
-    )
-    def test_gathered_rows_equal_the_per_holder_loop(self, build):
-        mapping = build().mapping
+    """Rows built for a whole hosted set at once, in one batch or many,
+    equal a per-holder loop over single route rows bit for bit."""
+
+    def built_rows(self, name, monkeypatch):
+        """Every destination's rows from one ``_hosted_for`` over all
+        devices, and the size of each batch that built them."""
+        mapping = DEST_ROW_SYSTEMS[name]().mapping
         pricer = SparseAllToAllPricer(mapping)
+        batches = []
+        build_rows = pricer._build_rows
+
+        def recording(dests):
+            batches.append(dests.size)
+            return build_rows(dests)
+
+        monkeypatch.setattr(pricer, "_build_rows", recording)
+        num_devices = mapping.topology.num_devices
+        pricer._hosted_for(tuple(range(num_devices)))
+        assert sum(batches) == pricer.dest_row_builds == num_devices
+        return mapping, pricer, batches
+
+    def assert_rows_equal_the_loop(self, mapping, pricer):
         for dest in range(mapping.topology.num_devices):
-            rows = pricer._rows_for(dest)
+            rows = pricer._dest_rows[dest]
             expected = loop_dest_rows(mapping, dest)
             for got, want in zip(
                 (rows.link_idx, rows.weight, rows.group, rows.latency), expected
             ):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(DEST_ROW_SYSTEMS))
+    def test_gathered_rows_equal_the_per_holder_loop(self, name, monkeypatch):
+        mapping, pricer, _ = self.built_rows(name, monkeypatch)
+        self.assert_rows_equal_the_loop(mapping, pricer)
+
+    @pytest.mark.parametrize("name", list(DEST_ROW_SYSTEMS))
+    def test_rows_do_not_depend_on_the_batching(self, name, monkeypatch):
+        monkeypatch.setattr(SparseAllToAllPricer, "ROW_BATCH_PAIRS", 24)
+        mapping, pricer, batches = self.built_rows(name, monkeypatch)
+        assert len(batches) > 1
+        self.assert_rows_equal_the_loop(mapping, pricer)
 
 
 class TestCaches:
