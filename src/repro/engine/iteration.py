@@ -167,9 +167,8 @@ class IterationSimulator:
             tp=self.mapping.tp,
             decode=config.decode,
         )
-        return attention, self.simulate_allreduce(
-            self.allreduce_volume(tokens_per_group)
-        )
+        allreduce = self.simulate_allreduce(self.allreduce_volume(tokens_per_group))
+        return attention, allreduce
 
     def simulate_layer(
         self,

@@ -511,9 +511,7 @@ class ServingSimulator:
             allreduce=allreduce.duration,
             dispatch=float(phases[0, 0]),
             combine=float(phases[0, 1]),
-            moe=RooflineTimes(
-                compute=float(moe_compute[0]), memory=float(moe_memory[0])
-            ),
+            moe=RooflineTimes(compute=float(moe_compute[0]), memory=float(moe_memory[0])),
             pipeline_stages=self.engine_config.pipeline_stages,
             overlap=self.engine_config.overlap,
         )

@@ -8,14 +8,14 @@ the shard owner is — so the mapping supplies its precomputed
 :class:`~repro.mapping.base.HolderTable` and this module stays
 mapping-agnostic.  Combine mirrors dispatch with reversed flow directions.
 
-A single layer's pricing is array-native: a :class:`DispatchPlan`
-flattens the structure — (group, expert) demand cell × placement
-destination shares × holder fractions — into parallel arrays, after which
-the traffic is a gather, two multiplies, and one ``bincount``.  The plan
-enumerates terms in exactly the order the original per-entry loop visited
-them (kept below as :func:`loop_dispatch_traffic`, the reference oracle in
-the regression tests), so the aggregated volumes are bit-identical to the
-seed semantics.
+Single-layer pricing is array-native: a :class:`DispatchPlan` flattens the
+iteration-invariant structure — (group, expert) demand cell × placement
+destination shares × holder fractions — into parallel arrays once per
+``(mapping, placement version)``, after which each call's traffic is a
+gather, two multiplies, and one ``bincount``.  The plan enumerates terms in
+exactly the order the original per-entry loop visited them (kept below as
+:func:`loop_dispatch_traffic`, the reference oracle in the regression
+tests), so the aggregated volumes are bit-identical to the seed semantics.
 
 For the serving loop's layer stacks, :class:`SparseAllToAllPricer` and
 :class:`LayeredDispatchPlan` price every layer's all-to-all against its own
@@ -161,6 +161,20 @@ class DispatchPlan:
             self.dense_bin = np.empty(0, dtype=np.intp)
             self.dense_src = np.empty(0, dtype=np.intp)
             self.dense_dst = np.empty(0, dtype=np.intp)
+        # Plans are cached and served to every later iteration; under the
+        # sanitizer their arrays are frozen so an aliasing caller raises
+        # instead of corrupting subsequent traffic aggregation.
+        sanitize.freeze(
+            (
+                self.entry_cell,
+                self.entry_share,
+                self.entry_frac,
+                self.entry_key,
+                self.dense_bin,
+                self.dense_src,
+                self.dense_dst,
+            )
+        )
 
     def traffic(self, demand_bytes: np.ndarray) -> ArrayTrafficMatrix:
         """Aggregate one iteration's dispatch traffic from a demand matrix."""
@@ -186,6 +200,12 @@ class DispatchPlan:
         return ArrayTrafficMatrix(src[positive], dst[positive], volumes[positive])
 
 
+#: placement -> {id(mapping): (mapping weakref, placement version, plan)}.
+#: Keyed weakly so retired placements release their plans; the version
+#: check invalidates plans after migrations mutate the placement.
+_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _sweep_dead_mappings(per_mapping: dict) -> None:
     """Drop cache entries whose mapping weakref has expired.
 
@@ -197,6 +217,22 @@ def _sweep_dead_mappings(per_mapping: dict) -> None:
     dead = [key for key, entry in per_mapping.items() if entry[0]() is None]
     for key in dead:
         del per_mapping[key]
+
+
+def dispatch_plan(
+    mapping: "Mapping", placement: "ExpertPlacement"
+) -> DispatchPlan:
+    """The cached dispatch plan for this (mapping, placement version)."""
+    per_mapping = _PLAN_CACHE.setdefault(placement, {})
+    entry = per_mapping.get(id(mapping))
+    if entry is not None:
+        mapping_ref, version, plan = entry
+        if mapping_ref() is mapping and version == placement.version:
+            return plan
+    _sweep_dead_mappings(per_mapping)
+    plan = DispatchPlan(mapping, placement)
+    per_mapping[id(mapping)] = (weakref.ref(mapping), placement.version, plan)
+    return plan
 
 
 def _validate_demand(demand_bytes: np.ndarray) -> None:
@@ -222,7 +258,7 @@ def build_dispatch_traffic(
         mapping: mapping supplying the token-holder table.
     """
     _validate_demand(demand_bytes)
-    plan = DispatchPlan(mapping, placement)
+    plan = dispatch_plan(mapping, placement)
     if demand_bytes.shape != (plan.num_groups, plan.num_experts):
         raise ValueError(
             f"demand shape {demand_bytes.shape} != "
@@ -272,8 +308,8 @@ def simulate_alltoall(
 ) -> AllToAllResult:
     """Simulate dispatch and combine for one MoE layer invocation.
 
-    Dispatch traffic comes off a :class:`DispatchPlan`; combine is its
-    transpose — no per-flow objects are materialized anywhere on the
+    Dispatch traffic comes off the cached :class:`DispatchPlan`; combine is
+    its transpose — no per-flow objects are materialized anywhere on the
     path into :func:`~repro.network.phase.simulate_phase`.
     """
     dispatch_traffic = build_dispatch_traffic(demand_bytes, placement, mapping)
@@ -329,8 +365,7 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 # columns from its result keeps each cell's value independent of which
 # devices are hosted.  The per-link volumes equal the per-layer
 # :func:`simulate_alltoall` sums mathematically (same terms, reassociated),
-# not bitwise: prices agree to a few ulps, and the single-layer figures
-# and the tests keep :func:`simulate_alltoall` as the reference.
+# not bitwise (a few ulps apart); :func:`simulate_alltoall` stays the reference.
 
 
 @dataclass
@@ -410,9 +445,8 @@ class SparseAllToAllPricer:
     ``cells = demand @ destination_shares``; dispatch fills link slots
     ``[0, K)`` and combine, which routes ``dest -> holder``, ``[K, 2K)``.
     The operator is built lazily: per-destination rows
-    (:class:`_DestRows`), built for a batch of destinations from batched
-    route rows, concatenated into one CSR matrix per hosted-destination
-    set (:class:`_HostedSet`).
+    (:class:`_DestRows`) from batched route rows, concatenated into one
+    CSR matrix per hosted-destination set (:class:`_HostedSet`).
 
     Incrementality is version-keyed: layer states are cached per
     :class:`~repro.mapping.placement.ExpertPlacement` and revalidated
@@ -476,17 +510,14 @@ class SparseAllToAllPricer:
         fractions = table.fractions[entries[remote]]
         slots = 2 * self.num_links
         latency = np.zeros((2, cells.size))
-        keys = []
-        values = []
+        keys, values = [], []
         for phase, (src, dst) in enumerate(((holders, dest), (dest, holders))):
             counts, links, weights, path_latency = route_rows(self.topology, src, dst)
             keys.append(np.repeat(cell * slots + phase * self.num_links, counts) + links)
             values.append(np.repeat(fractions, counts) * weights)
             np.maximum.at(latency[phase], cell, path_latency)
         touched, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        weight = np.bincount(
-            inverse, weights=np.concatenate(values), minlength=touched.size
-        )
+        weight = np.bincount(inverse, weights=np.concatenate(values), minlength=touched.size)
         cell_of, link_idx = np.divmod(touched, slots)
         position, group = np.divmod(cell_of, num_groups)
         latency = latency.reshape(2, dests.size, num_groups).transpose(1, 0, 2).copy()
@@ -496,10 +527,7 @@ class SparseAllToAllPricer:
         for pos, dest in enumerate(dests.tolist()):
             part = slice(bounds[pos], bounds[pos + 1])
             self._dest_rows[dest] = _DestRows(
-                link_idx=link_idx[part],
-                weight=weight[part],
-                group=group[part],
-                latency=latency[pos],
+                link_idx[part], weight[part], group[part], latency[pos]
             )
         self.dest_row_builds += dests.size
         self._note_memory()
@@ -753,5 +781,6 @@ def clear_plan_caches() -> None:
     cases via an autouse fixture (``tests/conftest.py``); fault tooling may
     call this after mutating a topology's health out-of-band.
     """
+    _PLAN_CACHE.clear()
     _PRICER_CACHE.clear()
     _LAYERED_PLAN_CACHE.clear()

@@ -1,5 +1,7 @@
 """Tests for the MoE all-to-all simulation."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
 from repro.mapping.placement import ExpertPlacement
 from repro.network.alltoall import (
+    _PLAN_CACHE,
     build_dispatch_traffic,
     demand_from_counts,
+    dispatch_plan,
     reverse_traffic,
     simulate_alltoall,
     uniform_demand,
@@ -97,6 +101,32 @@ class TestDispatchTraffic:
             build_dispatch_traffic(
                 np.full((4, 16), -1.0), placement, er
             )
+
+
+class TestDispatchPlanCache:
+    def test_dead_mapping_entries_swept_on_insert(self, mesh, placement):
+        """Entries for garbage-collected mappings must not accumulate in
+        the per-placement dict for the placement's lifetime."""
+        parallelism = ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2))
+        for _ in range(3):
+            dead = ERMapping(mesh, parallelism)
+            dispatch_plan(dead, placement)
+            del dead
+        gc.collect()
+        live = ERMapping(mesh, parallelism)
+        dispatch_plan(live, placement)
+        entries = _PLAN_CACHE[placement]
+        assert len(entries) == 1
+        assert next(iter(entries.values()))[0]() is live
+
+    def test_live_mapping_entry_survives_sweep(self, mesh, placement):
+        parallelism = ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2))
+        keep = ERMapping(mesh, parallelism)
+        plan = dispatch_plan(keep, placement)
+        other = BaselineMapping(mesh, parallelism)
+        dispatch_plan(other, placement)
+        assert dispatch_plan(keep, placement) is plan
+        assert len(_PLAN_CACHE[placement]) == 2
 
 
 class TestReverse:

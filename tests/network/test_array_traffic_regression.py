@@ -1,13 +1,14 @@
 """Regression tests: the array-native traffic pipeline vs the loop oracle.
 
-A :class:`~repro.network.alltoall.DispatchPlan` (demand gather x
-destination shares x holder-table fractions, aggregated with one bincount)
-replaced the callback-per-entry dispatch builder, and ``simulate_phase``
-prices the resulting :class:`ArrayTrafficMatrix` through a CSR route
-table.  The seed per-entry builder survives as ``loop_dispatch_traffic``;
-these tests pin the two paths together — bit-identical pair volumes and
-phase durations — across all four mapping families, placements with
-replicas, and mid-run migrations.
+PR 2 replaced the callback-per-entry dispatch builder with a cached
+:class:`~repro.network.alltoall.DispatchPlan` (demand gather x destination
+shares x holder-table fractions, aggregated with one bincount) and made
+``simulate_phase`` price the resulting :class:`ArrayTrafficMatrix` through
+a CSR route table.  The seed per-entry builder survives as
+``loop_dispatch_traffic``; these tests pin the two paths together —
+bit-identical pair volumes and phase durations — across all four mapping
+families, placements with replicas, and mid-run migrations (placement
+version invalidation).
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.mapping.her import HierarchicalERMapping
 from repro.mapping.placement import ExpertPlacement
 from repro.network.alltoall import (
     build_dispatch_traffic,
+    dispatch_plan,
     loop_dispatch_traffic,
     reverse_traffic,
     simulate_alltoall,
@@ -134,7 +136,7 @@ class TestDispatchOracle:
 
 
 class TestPlanInvalidation:
-    def test_mid_run_migration_reprices_new_destinations(self):
+    def test_mid_run_migration_invalidates_plan(self):
         mapping = MAPPINGS["er"]
         rng = np.random.default_rng(7)
         placement = ExpertPlacement(
@@ -142,13 +144,19 @@ class TestPlanInvalidation:
         )
         demand = random_demand(rng, mapping.dp)
         assert_matches_oracle(demand, placement, mapping)
+        before = dispatch_plan(mapping, placement)
+        assert dispatch_plan(mapping, placement) is before  # stable while unchanged
 
-        # Migration commit: replicate then later drop — each must price
-        # against the new destinations.
+        # Migration commit: replicate then later drop — each bumps the
+        # version and must rebuild the plan against the new destinations.
         placement.add_replica(0, placement.num_devices - 1)
+        after_add = dispatch_plan(mapping, placement)
+        assert after_add is not before
         assert_matches_oracle(demand, placement, mapping)
 
         placement.drop_replica(0, placement.num_devices - 1)
+        after_drop = dispatch_plan(mapping, placement)
+        assert after_drop is not after_add
         assert_matches_oracle(demand, placement, mapping)
 
     def test_version_counts_mutations(self):
@@ -171,6 +179,14 @@ class TestPlanInvalidation:
         assert shares[1].sum() == 1.0
         with pytest.raises(ValueError):
             placement.destination_shares[0, 0] = 1.0
+
+    def test_per_mapping_plans_coexist(self):
+        placement = ExpertPlacement(NUM_EXPERTS, 16)
+        er_plan = dispatch_plan(MAPPINGS["er"], placement)
+        baseline_plan = dispatch_plan(MAPPINGS["baseline"], placement)
+        assert er_plan is not baseline_plan
+        assert dispatch_plan(MAPPINGS["er"], placement) is er_plan
+        assert dispatch_plan(MAPPINGS["baseline"], placement) is baseline_plan
 
 
 class TestArrayTrafficMatrix:

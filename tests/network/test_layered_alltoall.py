@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from repro.mapping.base import ParallelismConfig
+from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
 from repro.mapping.placement import StackedPlacement
 from repro.network.alltoall import (
     _LAYERED_PLAN_CACHE,
-    DispatchPlan,
     LayeredDispatchPlan,
     alltoall_pricer,
+    dispatch_plan,
     layered_dispatch_plan,
     simulate_alltoall,
     uniform_demand,
@@ -60,7 +61,7 @@ def demand_stack(num_layers=5, seed=3, zero_cells=False):
 
 def dense_traffic_oracle(mapping, demand, placement):
     """Per-layer DispatchPlan traffic scattered into a dense matrix."""
-    traffic = DispatchPlan(mapping, placement).traffic(demand)
+    traffic = dispatch_plan(mapping, placement).traffic(demand)
     dense = np.zeros((placement.num_devices, placement.num_devices))
     dense[traffic.src, traffic.dst] = traffic.volume
     return dense
@@ -292,3 +293,23 @@ class TestLayeredPlanCache:
         entries = _LAYERED_PLAN_CACHE[stack]
         assert len(entries) == 1
         assert next(iter(entries.values()))[0]() is live
+
+    def test_live_mapping_entries_survive_sweep(self):
+        """Two live mappings' plans coexist on one stack, and sweeping a
+        dead mapping's entry leaves both cache hits."""
+        topology = MeshTopology(4, 4)
+        parallelism = ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2))
+        stack = StackedPlacement(2, 16, 16)
+        er = ERMapping(topology, parallelism)
+        baseline = BaselineMapping(topology, parallelism)
+        er_plan = layered_dispatch_plan(er, stack)
+        baseline_plan = layered_dispatch_plan(baseline, stack)
+        assert er_plan is not baseline_plan
+        dead = ERMapping(topology, parallelism)
+        layered_dispatch_plan(dead, stack)
+        del dead
+        gc.collect()
+        layered_dispatch_plan(ERMapping(topology, parallelism), stack)  # sweeps
+        assert len(_LAYERED_PLAN_CACHE[stack]) == 3
+        assert layered_dispatch_plan(er, stack) is er_plan
+        assert layered_dispatch_plan(baseline, stack) is baseline_plan

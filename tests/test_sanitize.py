@@ -7,6 +7,7 @@ from repro import sanitize
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
 from repro.mapping.placement import ExpertPlacement
+from repro.network.alltoall import dispatch_plan
 from repro.topology.mesh import MeshTopology
 from repro.workload.scenarios import MATH
 
@@ -58,6 +59,15 @@ class TestCachedHandoutsAreFrozen:
             popularity[0] = 0.5
         # The memo still serves the uncorrupted entry.
         assert MATH.popularity(64, layer=2)[0] == popularity[0]
+
+    def test_dispatch_plan_arrays_are_read_only(self):
+        mesh = MeshTopology(4, 4)
+        mapping = ERMapping(mesh, ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)))
+        plan = dispatch_plan(mapping, ExpertPlacement(16, 16))
+        with pytest.raises(ValueError):
+            plan.entry_share[0] = 99.0
+        with pytest.raises(ValueError):
+            plan.dense_bin[0] = 0
 
     def test_pricer_operator_arrays_are_read_only(self):
         from repro.network.alltoall import alltoall_pricer
