@@ -29,8 +29,12 @@ def stacked_device_token_loads(
 ) -> np.ndarray:
     """Per-device token loads for every layer: ``(layers, devices)``.
 
-    One batched matmul over the stacked replica tensor; each layer's row is
-    bitwise identical to :func:`device_token_loads` on that layer.
+    One sum over the stack's replica entries
+    (:meth:`~repro.mapping.placement.StackedPlacement.device_sums`).  Each
+    device sums its experts' shares in entry order, so with at most two experts per
+    device a layer's row is bitwise identical to
+    :func:`device_token_loads` on that layer, and within one rounding per
+    extra term beyond.
     """
     loads = np.asarray(layer_loads, dtype=float)
     expected = (placement.num_layers, placement.num_experts)
@@ -43,7 +47,7 @@ def stacked_device_token_loads(
         out=np.zeros_like(loads),
         where=counts > 0,
     )
-    return np.matmul(shares[:, None, :], placement.replica_tensor)[:, 0, :]
+    return placement.device_sums(shares)
 
 
 def load_ratio(device_loads: np.ndarray) -> float:

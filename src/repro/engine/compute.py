@@ -7,11 +7,15 @@ expert weight streaming — the two ratios Fig. 4 tracks.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.hardware.device import DeviceSpec
 from repro.models.configs import FP16_BYTES, MoEModelConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mapping.placement import StackedPlacement
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,32 +153,34 @@ class ComputeModel:
     def moe_peak_arrays(
         self,
         layer_loads: np.ndarray,
-        matrices: np.ndarray,
-        counts: np.ndarray,
+        placement: "StackedPlacement",
         device_scale: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-layer peak-device (compute, memory) arrays.
 
-        The serving engine's batched MoE roofline: one einsum over a
-        ``(layers, experts, devices)`` replica tensor, then an argmax along
-        the device axis.
+        The serving engine's batched MoE roofline: two sums over the
+        stack's replica entries
+        (:meth:`~repro.mapping.placement.StackedPlacement.device_sums`)
+        build every layer's per-device token shares and active-expert
+        counts, then an argmax along the device axis picks the peak.
+        Each device sums its entries in entry order; with at most two
+        experts per device that is the einsum over the dense replica
+        tensor bit for bit, and within one rounding per extra term beyond.
 
         Args:
             layer_loads: ``(layers, experts)`` token loads.
-            matrices: ``(layers, experts, devices)`` replica tensor (a
-                stacked-placement view or an ``np.stack`` of per-layer
-                matrices — einsum is bitwise identical on either).
-            counts: ``(layers, experts)`` replica counts.
+            placement: the layer-stacked placement.
             device_scale: optional ``(devices,)`` slowdown multipliers
                 (straggler injection) applied before the peak argmax.
         """
         loads = np.asarray(layer_loads, dtype=float)
         active = (loads > 0).astype(float)
+        counts = placement.replica_counts
         shares = np.divide(
             active * loads, counts, out=np.zeros_like(loads), where=counts > 0
         )
-        device_tokens = np.einsum("le,led->ld", shares, matrices)
-        device_active = np.einsum("le,led->ld", active, matrices)
+        device_tokens = placement.device_sums(shares)
+        device_active = placement.device_sums(active)
         compute = device_tokens * self.model.expert_flops_per_token / self.device.int8_ops
         memory = device_active * self.model.expert_bytes / self.device.hbm_bandwidth
         if device_scale is not None:

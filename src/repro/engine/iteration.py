@@ -126,9 +126,12 @@ class IterationSimulator:
         #: never on gating counts or expert placement — and the mapping is
         #: fixed per simulator, so serving loops pay the ring simulation
         #: once instead of every iteration; link faults bump the health
-        #: version and force a re-price over the degraded fabric.
+        #: version and force a re-price over the degraded fabric.  The
+        #: version only moves forward, so a lookup that sees a new one
+        #: drops the superseded entries, which could never hit again.
         #: Treat cached results as frozen; don't mutate their link_bytes.
         self._allreduce_cache: dict[tuple[float, int], CollectiveResult] = {}
+        self._allreduce_version = 0
 
     def allreduce_volume(self, tokens_per_group: int | None = None) -> float:
         """Bytes all-reduced per TP group: the group's token activations.
@@ -143,7 +146,11 @@ class IterationSimulator:
 
     def simulate_allreduce(self, volume_per_group: float) -> CollectiveResult:
         """The mapping's all-reduce for this volume, cached per simulator."""
-        key = (volume_per_group, health_version(self.mapping.topology))
+        version = health_version(self.mapping.topology)
+        if version != self._allreduce_version:
+            self._allreduce_cache.clear()
+            self._allreduce_version = version
+        key = (volume_per_group, version)
         result = self._allreduce_cache.get(key)
         if result is None:
             result = self.mapping.simulate_allreduce(volume_per_group)

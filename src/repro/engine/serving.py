@@ -501,10 +501,7 @@ class ServingSimulator:
         plan = layered_dispatch_plan(self.mapping, placement)
         phases = plan.alltoall_durations_resolved(counts)
         moe_compute, moe_memory = self.simulator.compute.moe_peak_arrays(
-            layer_loads,
-            placement.replica_tensor,
-            placement.replica_counts,
-            device_scale=self._device_scale,
+            layer_loads, placement, device_scale=self._device_scale
         )
         breakdown = IterationBreakdown(
             attention=attention,

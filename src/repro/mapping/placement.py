@@ -8,8 +8,11 @@ Algorithm 1.
 """
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
+
+from repro import sanitize
 
 
 class ExpertPlacement:
@@ -218,7 +221,9 @@ class ExpertPlacement:
         self._counts[expert] -= 1
         self._shadow_counts[device] -= 1
         self._shadow_mask[expert, device] = False
-        self._dest_share[expert] = self._matrix[expert] / self._counts[expert]
+        # Dropping a repaired expert's last replica orphans it: zero shares.
+        count = self._counts[expert]
+        self._dest_share[expert] = self._matrix[expert] / count if count else 0.0
         self._version += 1
 
     def add_replicas(self, experts: np.ndarray, devices: np.ndarray) -> None:
@@ -282,7 +287,10 @@ class ExpertPlacement:
         np.subtract.at(self._shadow_counts, devices, 1)
         self._shadow_mask[experts, devices] = False
         rows = np.unique(experts)
-        self._dest_share[rows] = self._matrix[rows] / self._counts[rows, None]
+        counts = self._counts[rows, None]
+        share_rows = np.zeros_like(self._matrix[rows])
+        np.divide(self._matrix[rows], counts, out=share_rows, where=counts > 0)
+        self._dest_share[rows] = share_rows
         self._version += experts.size
 
     def fail_device(self, device: int) -> list[int]:
@@ -375,15 +383,34 @@ class ExpertPlacement:
 _NO_HOST = np.iinfo(np.int64).max
 
 
+class ReplicaEntries(NamedTuple):
+    """Every live ``(layer, expert, device)`` hosting relation of a stack.
+
+    Entries are grouped by ``(layer, device)`` in ascending order; within
+    a group the natives come first, then the shadows, each
+    expert-ascending.  ``share`` is the entry's destination share and
+    ``bounds[l]:bounds[l + 1]`` is layer ``l``'s slice.
+    """
+
+    layer: np.ndarray  # (entries,)
+    expert: np.ndarray  # (entries,)
+    device: np.ndarray  # (entries,)
+    share: np.ndarray  # (entries,) destination share of each entry
+    bounds: np.ndarray  # (layers + 1,) per-layer slice bounds
+
+
 class StackedPlacement:
     """All sparse layers' expert placements as dense layer-stacked tensors.
 
     One :class:`ExpertPlacement` per layer remains the bookkeeping ground
-    truth (replica-order lists, per-layer version counters, and the
-    zero-copy views the all-to-all dispatch plan caches against), while the
-    stack maintains mirrored ``(layers, experts, devices)`` tensors so the
-    serving engine can compute heats, device loads, MoE rooflines and
-    eviction candidates for every layer in single vectorized operations.
+    truth (replica-order lists and the per-layer version counters the
+    all-to-all pricer caches against), while the stack maintains mirrored
+    ``(layers, experts, devices)`` tensors so the balancers can compute
+    heats and eviction candidates for every layer in single vectorized
+    operations.  The serving step's sums over hosting relations — device
+    loads, MoE rooflines and all-to-all cells — run over the cached
+    :meth:`replica_entries` table instead, since those tensors are almost
+    all zeros.
 
     Mutations must go through this class (:meth:`add_replica`,
     :meth:`drop_replica`, :meth:`drop_replicas`) so the layer objects and
@@ -419,7 +446,6 @@ class StackedPlacement:
         self._shadow_counts = np.stack(
             [layer._shadow_counts for layer in self._layers]
         )
-        self._dest_share = np.stack([layer._dest_share for layer in self._layers])
         self._shadow_mask = np.zeros(
             (num_layers, num_experts, num_devices), dtype=bool
         )
@@ -438,6 +464,7 @@ class StackedPlacement:
         self._shadow_entries_cache: tuple[
             np.ndarray, np.ndarray, np.ndarray
         ] | None = None
+        self._replica_entries: ReplicaEntries | None = None
         self._dead_devices: set[int] = set()
 
     # -- queries ----------------------------------------------------------------
@@ -480,10 +507,13 @@ class StackedPlacement:
 
     @property
     def destination_shares(self) -> np.ndarray:
-        """Read-only ``(layers, experts, devices)`` token-share tensor."""
-        view = self._dest_share.view()
-        view.flags.writeable = False
-        return view
+        """Read-only ``(layers, experts, devices)`` token-share tensor,
+        stacked from the layer objects on each call: the serving step
+        sums over :meth:`replica_entries` instead, so the stack keeps no
+        share mirror."""
+        shares = np.stack([layer._dest_share for layer in self._layers])
+        shares.flags.writeable = False
+        return shares
 
     @property
     def shadow_mask(self) -> np.ndarray:
@@ -523,18 +553,79 @@ class StackedPlacement:
         arrays, sorted (layer, expert)-major with devices ascending — the
         grouping the stacked eviction pass consumes.  The entries are
         maintained incrementally (swap-remove on drop); each query after a
-        mutation pays one lexsort over the live entries.
+        mutation pays one lexsort over the live entries.  The arrays are
+        cached until the next mutation: treat them as read-only (the
+        sanitizer freezes them).
         """
         if self._shadow_entries_cache is None:
-            count = self._entry_count
-            layers = self._entry_data[0, :count]
-            experts = self._entry_data[1, :count]
-            devices = self._entry_data[2, :count]
+            layers, experts, devices = self._entry_data[:, : self._entry_count]
             order = np.lexsort((devices, experts, layers))
-            self._shadow_entries_cache = (
-                layers[order].copy(), experts[order].copy(), devices[order].copy()
+            self._shadow_entries_cache = sanitize.freeze(
+                (layers[order], experts[order], devices[order])
             )
         return self._shadow_entries_cache
+
+    def replica_entries(self) -> ReplicaEntries:
+        """Every live hosting relation, natives and shadows, as one
+        entry table (see :class:`ReplicaEntries`).
+
+        Sums over hosting relations — MoE rooflines, device loads, the
+        all-to-all pricer's cells — run over these entries instead of the
+        mostly-zero ``(layers, experts, devices)`` tensors.  Built after a
+        mutation from the native layout and the shadow-entry table, with
+        one sort; cached until the next mutation.
+        """
+        if self._replica_entries is None:
+            self._replica_entries = sanitize.freeze(self._build_replica_entries())
+        return self._replica_entries
+
+    def device_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-device sums of ``(layers, experts)`` values over each
+        device's hosted experts, ``(layers, devices)``: one ``bincount``
+        over :meth:`replica_entries`, which adds a device's entries in
+        entry order."""
+        entries = self.replica_entries()
+        return np.bincount(
+            entries.layer * self.num_devices + entries.device,
+            weights=values[entries.layer, entries.expert],
+            minlength=self.num_layers * self.num_devices,
+        ).reshape(self.num_layers, self.num_devices)
+
+    def _build_replica_entries(self) -> ReplicaEntries:
+        num_layers, num_experts, num_devices = self.num_layers, self.num_experts, self.num_devices
+        experts = np.arange(num_experts, dtype=np.int64)
+        natives = self.native_devices
+        if self._dead_devices:
+            live = ~np.isin(natives, list(self._dead_devices))
+            experts, natives = experts[live], natives[live]
+        shadow_layers, shadow_experts, shadow_devices = self._entry_data[
+            :, : self._entry_count
+        ]
+        layer = np.concatenate(
+            [np.repeat(np.arange(num_layers), experts.size), shadow_layers]
+        )
+        expert = np.concatenate([np.tile(experts, num_layers), shadow_experts])
+        device = np.concatenate([np.tile(natives, num_layers), shadow_devices])
+        shadow = np.arange(layer.size) >= layer.size - shadow_layers.size
+        # Keys are unique: group by (layer, device), natives before
+        # shadows, experts ascending within each.
+        order = np.argsort(
+            ((layer * num_devices + device) * 2 + shadow) * num_experts + expert
+        )
+        layer, expert, device = layer[order], expert[order], device[order]
+        return ReplicaEntries(
+            layer=layer,
+            expert=expert,
+            device=device,
+            # Every share is 1 / replicas, as the layer objects compute it.
+            share=1.0 / self._counts[layer, expert],
+            bounds=np.searchsorted(layer, np.arange(num_layers + 1)),
+        )
+
+    def _invalidate_entries(self) -> None:
+        """Drop the cached entry tables; every mutation calls this."""
+        self._shadow_entries_cache = None
+        self._replica_entries = None
 
     def _entry_add(self, layer: int, expert: int, device: int) -> None:
         if self._entry_count == self._entry_data.shape[1]:
@@ -545,7 +636,6 @@ class StackedPlacement:
         self._entry_data[:, slot] = (layer, expert, device)
         self._entry_pos[(layer, expert, device)] = slot
         self._entry_count += 1
-        self._shadow_entries_cache = None
 
     def _entry_remove(self, layer: int, expert: int, device: int) -> None:
         slot = self._entry_pos.pop((layer, expert, device))
@@ -555,7 +645,6 @@ class StackedPlacement:
             self._entry_data[:, slot] = moved
             self._entry_pos[(int(moved[0]), int(moved[1]), int(moved[2]))] = slot
         self._entry_count = last
-        self._shadow_entries_cache = None
 
     # -- mutation ----------------------------------------------------------------
 
@@ -567,11 +656,11 @@ class StackedPlacement:
         self._counts[layer, expert] += 1
         self._shadow_counts[layer, device] += 1
         self._shadow_mask[layer, expert, device] = True
-        self._dest_share[layer, expert] = target._dest_share[expert]
         self._order[layer, expert, device] = self._order_next[layer]
         self._order_next[layer] += 1
         self._versions[layer] = target.version
         self._entry_add(layer, expert, device)
+        self._invalidate_entries()
 
     def drop_replica(self, layer: int, expert: int, device: int) -> None:
         """Release a shadow replica on ``layer`` (never the native copy)."""
@@ -581,10 +670,10 @@ class StackedPlacement:
         self._counts[layer, expert] -= 1
         self._shadow_counts[layer, device] -= 1
         self._shadow_mask[layer, expert, device] = False
-        self._dest_share[layer, expert] = target._dest_share[expert]
         self._order[layer, expert, device] = _NO_HOST
         self._versions[layer] = target.version
         self._entry_remove(layer, expert, device)
+        self._invalidate_entries()
 
     def add_replicas(
         self,
@@ -603,6 +692,9 @@ class StackedPlacement:
         layer_idx = np.asarray(layer_idx, dtype=np.int64)
         expert_idx = np.asarray(expert_idx, dtype=np.int64)
         device_idx = np.asarray(device_idx, dtype=np.int64)
+        # Before any layer applies: a batch that raises part-way (an
+        # invalid entry on a later layer) leaves the earlier layers mutated.
+        self._invalidate_entries()
         for layer in np.unique(layer_idx).tolist():
             selected = layer_idx == layer
             experts = expert_idx[selected]
@@ -613,8 +705,6 @@ class StackedPlacement:
             np.add.at(self._counts[layer], experts, 1)
             np.add.at(self._shadow_counts[layer], devices, 1)
             self._shadow_mask[layer, experts, devices] = True
-            rows = np.unique(experts)
-            self._dest_share[layer, rows] = target._dest_share[rows]
             self._order[layer, experts, devices] = self._order_next[
                 layer
             ] + np.arange(experts.size)
@@ -639,6 +729,7 @@ class StackedPlacement:
         layer_idx = np.asarray(layer_idx, dtype=np.int64)
         expert_idx = np.asarray(expert_idx, dtype=np.int64)
         device_idx = np.asarray(device_idx, dtype=np.int64)
+        self._invalidate_entries()
         for layer in np.unique(layer_idx).tolist():
             selected = layer_idx == layer
             experts = expert_idx[selected]
@@ -649,8 +740,6 @@ class StackedPlacement:
             np.subtract.at(self._counts[layer], experts, 1)
             np.subtract.at(self._shadow_counts[layer], devices, 1)
             self._shadow_mask[layer, experts, devices] = False
-            rows = np.unique(experts)
-            self._dest_share[layer, rows] = target._dest_share[rows]
             self._order[layer, experts, devices] = _NO_HOST
             self._versions[layer] = target.version
             for expert, device in zip(experts.tolist(), devices.tolist()):
@@ -683,10 +772,8 @@ class StackedPlacement:
         self._counts[:] = np.stack([layer._counts for layer in self._layers])
         self._shadow_counts[:, device] = 0
         self._shadow_mask[:, :, device] = False
-        self._dest_share[:] = np.stack(
-            [layer._dest_share for layer in self._layers]
-        )
         self._order[:, :, device] = _NO_HOST
+        self._invalidate_entries()
         return (
             np.array(orphan_layers, dtype=np.int64),
             np.array(orphan_experts, dtype=np.int64),
@@ -699,13 +786,7 @@ class StackedPlacement:
         self._tensor[self._shadow_mask] = 0.0
         if self._dead_devices:
             self._counts[:] = self._tensor.sum(axis=2)
-            counts = self._counts[:, :, None]
-            self._dest_share[:] = 0.0
-            np.divide(
-                self._tensor, counts, out=self._dest_share, where=counts > 0
-            )
         else:
-            self._dest_share[:] = self._tensor
             self._counts[:] = 1
         self._shadow_counts[:] = 0
         self._order[self._shadow_mask] = _NO_HOST
@@ -713,7 +794,7 @@ class StackedPlacement:
         self._versions[:] = [layer.version for layer in self._layers]
         self._entry_count = 0
         self._entry_pos.clear()
-        self._shadow_entries_cache = None
+        self._invalidate_entries()
 
     # -- invariants ---------------------------------------------------------------
 
@@ -731,11 +812,13 @@ class StackedPlacement:
                 self._shadow_counts[index], layer._shadow_counts
             )
             np.testing.assert_array_equal(
-                self._dest_share[index], layer._dest_share
-            )
-            np.testing.assert_array_equal(
                 self._shadow_mask[index], layer._shadow_mask
             )
+        entries = self.replica_entries()
+        np.testing.assert_array_equal(
+            entries.share,
+            self.destination_shares[entries.layer, entries.expert, entries.device],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shadows = int(self._shadow_mask.sum())

@@ -22,9 +22,10 @@ For the serving loop's layer stacks, :class:`SparseAllToAllPricer` and
 demand rows and its own (possibly migration-diverged) placement.  The
 ``(group, dest) -> link`` map is stored as one scipy CSR matrix per
 hosted-destination set, built lazily from per-destination rows, and a
-stack prices with one share matmul plus one sparse product per hosted set
-— see the layer-batched pricing section below.  Per-layer states are keyed
-on ``ExpertPlacement.version``, so migrations rebuild only the touched
+stack prices with one gather of its hosted cells from the demand stack
+plus one sparse product per hosted set — see the layer-batched pricing
+section below.  Per-layer states, gather rows included, are keyed on
+``ExpertPlacement.version``, so migrations rebuild only the touched
 layers' states, and memory is bounded by replica count and route length,
 not ``O(G * D * links)``, which is what makes 1024+-device multi-wafer
 systems simulable.  See ``docs/pricing-operators.md`` for the model.
@@ -352,20 +353,21 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 # migrations land, its own placement, so no one layer's all-to-all price
 # is representative of the others.  For one (immutable) mapping the dispatch
 # traffic of any placement factorizes as
-# ``T[src, dst] = sum_g frac(g, dst, src) * M[g, dst]``, where
-# ``M = demand @ destination_shares`` is the only placement-dependent
+# ``T[src, dst] = sum_g frac(g, dst, src) * M[g, dst]``, where the cells
+# ``M = demand @ destination_shares`` are the only placement-dependent
 # tensor.  Contracting the holder fractions with the cached route weights
-# gives a ``(group, dest) -> link`` operator, so a whole stack prices with
-# one share matmul plus one sparse product per hosted-destination set.
-# Only hosted destinations (devices holding a replica) receive traffic and
-# a cell's routes touch only a few links, so each operator is a scipy CSR
-# matrix over the hosted cells alone.  The share matmul still runs over
-# every destination column: BLAS may round a column differently when it
-# falls in another block of a narrower matrix, so gathering the hosted
-# columns from its result keeps each cell's value independent of which
-# devices are hosted.  The per-link volumes equal the per-layer
-# :func:`simulate_alltoall` sums mathematically (same terms, reassociated),
-# not bitwise (a few ulps apart); :func:`simulate_alltoall` stays the reference.
+# gives a ``(group, dest) -> link`` operator.  Only hosted destinations
+# (devices holding a replica) receive traffic and a cell's routes touch
+# only a few links, so each operator is a scipy CSR matrix over the hosted
+# cells alone.  The share tensor is almost all zeros, so the cells come
+# from the stack's replica entries instead of a matmul: a hosted cell is
+# its destination's first entry's demand times its share, plus each
+# further entry's product in entry order (natives before shadows) — a
+# fixed-order sum that no BLAS kernel choice can move.  A whole stack then
+# prices with one gather plus one sparse product per hosted-destination
+# set.  The per-link volumes equal the per-layer :func:`simulate_alltoall`
+# sums mathematically (same terms, reassociated), not bitwise (a few ulps
+# apart); :func:`simulate_alltoall` stays the reference.
 
 
 @dataclass
@@ -400,13 +402,17 @@ class _HostedSet:
     destinations, in ascending ``(group, dest)`` order: the rows of the
     full ``(G * D, 2K)`` operator with the unhosted columns' rows dropped.
     Those cells only ever carry exact zeros, so a product over the hosted
-    rows sums the same nonzero terms in the same order.  Shared by every
-    layer whose placement hosts exactly these destinations, and cached
-    across placement epochs.
+    rows sums the same nonzero terms in the same order.  ``transposed`` is
+    its CSC view, built once: scipy computes ``cells @ operator`` as
+    ``(operator.T @ cells.T).T``, so pricing calls ``transposed @ cells``
+    on cells gathered as ``(cells, layers)`` — the same sums, without a
+    transpose and a copy per call.  Shared by every layer whose placement
+    hosts exactly these destinations, and cached across placement epochs.
     """
 
     dests: np.ndarray  # (n,) hosted destination devices, ascending
     operator: "sparse.csr_array"  # (num_groups * n, 2 * num_links)
+    transposed: "sparse.csc_array"  # operator.T, sharing its arrays
     latency_order: np.ndarray  # (2, num_groups * n) cells, latency descending
     latency_sorted: np.ndarray  # (2, num_groups * n) the matching latencies
     dense_latency: np.ndarray  # (2,) latency maxima under dense demand
@@ -426,15 +432,83 @@ class _HostedSet:
 
 @dataclass
 class _LayerState:
-    """One layer placement's hosted set at a specific version."""
+    """One layer placement's hosted set and gather rows at a version.
+
+    The gather rows come from the layer's replica entries, one plane per
+    entry rank: ``experts[r, pos]`` is the ``r``-th entry on hosted
+    destination ``pos`` (natives first) and ``shares[r, pos]`` its
+    destination share, 0 where the destination has fewer entries.
+    """
 
     version: int
     hosted: _HostedSet
+    experts: np.ndarray  # (ranks, n) expert of each entry, 0 where padded
+    shares: np.ndarray  # (ranks, n) its destination share, 0.0 where padded
 
 
-#: Layers grouped by hosted set: ``[(hosted set, layer indices)]``, with a
-#: full slice when one set serves every layer.
-HostedBatches = list[tuple[_HostedSet, "slice | np.ndarray"]]
+@dataclass
+class _GatherBatch:
+    """The layers sharing one hosted set, with their stacked gather rows.
+
+    ``layers`` is a full slice when one set serves every layer.
+    ``sources[r, pos, row]`` is the flat demand-stack index, at group 0,
+    of the ``r``-th entry on destination ``pos`` for the batch's
+    ``row``-th layer, and ``shares`` its share: entry-sized planes,
+    expanded over the groups per step.
+    """
+
+    hosted: _HostedSet
+    layers: "slice | np.ndarray"
+    sources: np.ndarray  # (ranks, n, l)
+    shares: np.ndarray  # (ranks, n, l)
+
+    def cells(self, demand_bytes: np.ndarray) -> np.ndarray:
+        """The batch's hosted cells of a ``(layers, groups, experts)``
+        demand stack: ``(groups * n, l)``, one row per ``(group, dest)``
+        cell in ascending order and one column per layer.
+
+        A cell is its destination's first entry's demand times share,
+        plus each further entry's product, added rank by rank in entry
+        order; a padded rank adds an exact zero.
+        """
+        num_groups, num_experts = demand_bytes.shape[1:]
+        flat = demand_bytes.reshape(-1)
+        offsets = (np.arange(num_groups) * num_experts)[:, None, None]
+        cells = np.take(flat, self.sources[0] + offsets)
+        cells *= self.shares[0]
+        for sources, shares in zip(self.sources[1:], self.shares[1:]):
+            products = np.take(flat, sources + offsets)
+            products *= shares
+            cells += products
+        return cells.reshape(-1, cells.shape[2])
+
+
+#: A stack's layers grouped by hosted set.
+HostedBatches = list[_GatherBatch]
+
+
+def _gather_batch(
+    layers: list[int], states: list[_LayerState], num_layers: int, stride: int
+) -> _GatherBatch:
+    """Stack the gather rows of the layers that share one hosted set;
+    ``stride`` is one layer's size in the flat demand stack."""
+    ranks = max(len(state.experts) for state in states)
+    shape = (ranks, states[0].hosted.dests.size, len(states))
+    sources = np.zeros(shape, dtype=np.intp)
+    shares = np.zeros(shape)
+    for row, (layer, state) in enumerate(zip(layers, states)):
+        depth = len(state.experts)
+        sources[:depth, :, row] = state.experts + layer * stride
+        shares[:depth, :, row] = state.shares
+    batch = _GatherBatch(
+        hosted=states[0].hosted,
+        layers=slice(None) if len(layers) == num_layers else np.array(layers),
+        sources=sources,
+        shares=shares,
+    )
+    # Plans serve their batches for a whole placement epoch.
+    sanitize.freeze((batch.layers, batch.sources, batch.shares))
+    return batch
 
 
 class SparseAllToAllPricer:
@@ -444,17 +518,21 @@ class SparseAllToAllPricer:
     ``sum_{g, d} cells[g, d] * operator[(g, d), link]`` with
     ``cells = demand @ destination_shares``; dispatch fills link slots
     ``[0, K)`` and combine, which routes ``dest -> holder``, ``[K, 2K)``.
-    The operator is built lazily: per-destination rows
+    The cells are not a matmul: each hosted cell sums the demand-times-
+    share products of its destination's replica entries
+    (:meth:`~repro.mapping.placement.StackedPlacement.replica_entries`)
+    in entry order, gathered per step through the layer states' gather
+    rows.  The operator is built lazily: per-destination rows
     (:class:`_DestRows`) from batched route rows, concatenated into one
     CSR matrix per hosted-destination set (:class:`_HostedSet`).
 
-    Incrementality is version-keyed: layer states are cached per
+    Incrementality is version-keyed: layer states are cached per layer
     :class:`~repro.mapping.placement.ExpertPlacement` and revalidated
-    against ``placement.version``, so migration-free iterations rebuild
-    nothing (``state_rebuilds`` stays flat — the regression tests assert
-    on it) and a migration burst rebuilds only the mutated layers' states,
-    each a hosted-set cache lookup (new destinations pay their row build
-    once, in ``dest_row_builds``).
+    against its ``version``, so migration-free iterations rebuild nothing
+    (``state_rebuilds`` stays flat — the regression tests assert on it)
+    and a migration burst rebuilds only the mutated layers' states: their
+    gather rows and a hosted-set cache lookup (new destinations pay their
+    row build once, in ``dest_row_builds``).
     """
 
     #: Hosted sets retained across placement epochs.  Serving runs revisit
@@ -546,24 +624,32 @@ class SparseAllToAllPricer:
         for start in range(0, len(missing), batch):
             self._build_rows(np.array(missing[start : start + batch], dtype=np.intp))
         rows = [self._dest_rows[dest] for dest in dests]
+        # A layer whose experts fail-stops all orphaned hosts nothing; the
+        # empty leading parts keep its empty set well formed.
+        empty = np.empty(0, dtype=np.intp)
         # A stable sort by cell keeps each cell's entries in link order.
-        cell = np.concatenate([r.group * n + pos for pos, r in enumerate(rows)])
+        cell = np.concatenate([empty] + [r.group * n + pos for pos, r in enumerate(rows)])
         order = np.argsort(cell, kind="stable")
         indptr = np.zeros(num_cells + 1, dtype=np.intp)
         np.cumsum(np.bincount(cell, minlength=num_cells), out=indptr[1:])
         operator = sparse.csr_array(
             (
-                np.concatenate([r.weight for r in rows])[order],
-                np.concatenate([r.link_idx for r in rows])[order],
+                np.concatenate([np.empty(0)] + [r.weight for r in rows])[order],
+                np.concatenate([empty] + [r.link_idx for r in rows])[order],
                 indptr,
             ),
             shape=(num_cells, 2 * self.num_links),
         )
-        latency = np.stack([r.latency for r in rows], axis=2).reshape(2, num_cells)
+        latency = (
+            np.reshape([r.latency for r in rows], (n, 2, self.num_groups))
+            .transpose(1, 2, 0)
+            .reshape(2, num_cells)
+        )
         latency_order = np.argsort(-latency, axis=1)
         hosted = _HostedSet(
             dests=np.asarray(dests, dtype=np.intp),
             operator=operator,
+            transposed=operator.T,
             latency_order=latency_order,
             latency_sorted=np.take_along_axis(latency, latency_order, axis=1),
             dense_latency=latency.max(axis=1, initial=0.0),
@@ -574,6 +660,9 @@ class SparseAllToAllPricer:
                 operator.data,
                 operator.indices,
                 operator.indptr,
+                hosted.transposed.data,
+                hosted.transposed.indices,
+                hosted.transposed.indptr,
                 hosted.latency_order,
                 hosted.latency_sorted,
                 hosted.dense_latency,
@@ -585,52 +674,73 @@ class SparseAllToAllPricer:
         self._note_memory()
         return hosted
 
-    def state_for(self, placement: "ExpertPlacement") -> _LayerState:
-        """This placement's pricing state, rebuilt only when its version
-        moved since the cached state was taken."""
-        state = self._states.get(placement)
-        if state is not None and state.version == placement.version:
+    def state_for(self, placement: "StackedPlacement", layer: int) -> _LayerState:
+        """Layer ``layer``'s pricing state, rebuilt only when the layer's
+        version moved since the cached state was taken.
+
+        A rebuild reads the layer's slice of the stack's replica entries:
+        each run of entries on one device is a hosted destination, and
+        an entry's place in its run is its rank.
+        """
+        key = placement.layer(layer)
+        state = self._states.get(key)
+        if state is not None and state.version == key.version:
             return state
-        dests = np.flatnonzero(placement.destination_shares.any(axis=0))
+        entries = placement.replica_entries()
+        part = slice(entries.bounds[layer], entries.bounds[layer + 1])
+        device = entries.device[part]
+        starts_run = np.ones(device.size, dtype=bool)
+        starts_run[1:] = device[1:] != device[:-1]
+        starts = np.flatnonzero(starts_run)
+        position = np.cumsum(starts_run) - 1
+        rank = np.arange(device.size) - starts[position]
+        shape = (int(rank.max(initial=0)) + 1, starts.size)
+        experts = np.zeros(shape, dtype=np.intp)
+        shares = np.zeros(shape)
+        experts[rank, position] = entries.expert[part]
+        shares[rank, position] = entries.share[part]
         state = _LayerState(
-            version=placement.version,
-            hosted=self._hosted_for(tuple(dests.tolist())),
+            version=key.version,
+            hosted=self._hosted_for(tuple(device[starts].tolist())),
+            experts=experts,
+            shares=shares,
         )
-        self._states[placement] = state
+        sanitize.freeze((experts, shares))
+        self._states[key] = state
         self.state_rebuilds += 1
         return state
 
-    def hosted_batches(self, placements: list) -> HostedBatches:
-        """A placement stack's layers grouped by hosted set."""
-        by_set: dict[int, tuple[_HostedSet, list[int]]] = {}
-        for layer, placement in enumerate(placements):
-            hosted = self.state_for(placement).hosted
-            by_set.setdefault(id(hosted), (hosted, []))[1].append(layer)
+    def hosted_batches(self, placement: "StackedPlacement") -> HostedBatches:
+        """A placement stack's layers grouped by hosted set, with their
+        stacked gather rows."""
+        by_set: dict[int, tuple[list[int], list[_LayerState]]] = {}
+        for layer in range(placement.num_layers):
+            state = self.state_for(placement, layer)
+            layers, states = by_set.setdefault(id(state.hosted), ([], []))
+            layers.append(layer)
+            states.append(state)
+        stride = self.num_groups * placement.num_experts
         return [
-            (
-                hosted,
-                slice(None) if len(layers) == len(placements) else np.array(layers),
-            )
-            for hosted, layers in by_set.values()
+            _gather_batch(layers, states, placement.num_layers, stride)
+            for layers, states in by_set.values()
         ]
 
     # -- pricing --------------------------------------------------------
 
     def link_volumes(
-        self, demand_bytes: np.ndarray, shares: np.ndarray, batches: HostedBatches
+        self, demand_bytes: np.ndarray, batches: HostedBatches
     ) -> np.ndarray:
         """Per-link volumes ``(layers, 2, num_links)`` of a stack, in
         route-cache link order (dispatch phase first).
 
-        ``demand_bytes`` is the ``(layers, groups, experts)`` demand stack,
-        ``shares`` the ``(layers, experts, devices)`` destination shares
-        and ``batches`` their :meth:`hosted_batches`.
+        ``demand_bytes`` is the ``(layers, groups, experts)`` demand stack
+        and ``batches`` the placement stack's :meth:`hosted_batches`.
         """
-        volumes, _ = self._price(demand_bytes, shares, batches, with_latencies=False)
+        volumes, _ = self._price(demand_bytes, batches, with_latencies=False)
         return volumes
 
     def durations(
-        self, demand_bytes: np.ndarray, shares: np.ndarray, batches: HostedBatches
+        self, demand_bytes: np.ndarray, batches: HostedBatches
     ) -> np.ndarray:
         """Dispatch and combine durations per layer: ``(layers, 2)`` seconds.
 
@@ -638,52 +748,48 @@ class SparseAllToAllPricer:
         :func:`simulate_phase`'s cut-through semantics (busiest-link drain
         plus worst active path latency).
         """
-        volumes, latencies = self._price(
-            demand_bytes, shares, batches, with_latencies=True
-        )
+        volumes, latencies = self._price(demand_bytes, batches, with_latencies=True)
         return phase_durations_from_link_volumes(self.topology, volumes, latencies)
 
     def _price(
         self,
         demand_bytes: np.ndarray,
-        shares: np.ndarray,
         batches: HostedBatches,
         with_latencies: bool,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Per-link volumes and worst active path latencies of a stack.
 
-        One share matmul yields every layer's cells; each hosted set then
-        prices its layers with one CSR product.  A layer's per-link sums
-        run over its hosted cells in ascending ``(group, dest)`` order, so
-        its price does not depend on which layers share its batch.
+        Each hosted set gathers its layers' cells from the demand stack and
+        prices them with one CSR product.  A layer's cells and its per-link
+        sums over them, in ascending ``(group, dest)`` order, involve no
+        other layer, so its price does not depend on which layers share
+        its batch.
         """
         num_layers = demand_bytes.shape[0]
-        cells = np.matmul(demand_bytes, shares)
         volumes = np.empty((num_layers, 2 * self.num_links))
         latencies = np.empty((num_layers, 2)) if with_latencies else None
         dense_demand = with_latencies and bool((demand_bytes > 0).all())
-        for hosted, layers in batches:
-            block = cells[layers]
-            if hosted.dests.size < self.num_devices:
-                block = block[:, :, hosted.dests]
-            flat = block.reshape(block.shape[0], -1)
-            volumes[layers] = flat @ hosted.operator
+        for batch in batches:
+            hosted, layers = batch.hosted, batch.layers
+            cells = batch.cells(demand_bytes)
+            volumes[layers] = (hosted.transposed @ cells).T
             if not with_latencies:
                 continue
-            if dense_demand:
-                # Dense demand activates every hosted cell.
+            if dense_demand or not hosted.dests.size:
+                # Dense demand activates every hosted cell; an empty set
+                # has none, and a zero maximum.
                 latencies[layers] = hosted.dense_latency
                 continue
             # Zero demand cells deactivate their holder pairs.  The worst
             # active latency is the first active cell in descending-latency
             # order: selection only, so the maximum is exact.
-            active = flat > 0
-            rows = np.arange(active.shape[0])
+            active = cells > 0
+            columns = np.arange(active.shape[1])
             for phase in (0, 1):
-                ordered = active[:, hosted.latency_order[phase]]
-                first = ordered.argmax(axis=1)
+                ordered = active[hosted.latency_order[phase]]
+                first = ordered.argmax(axis=0)
                 latencies[layers, phase] = np.where(
-                    ordered[rows, first], hosted.latency_sorted[phase, first], 0.0
+                    ordered[first, columns], hosted.latency_sorted[phase, first], 0.0
                 )
         return volumes.reshape(num_layers, 2, self.num_links), latencies
 
@@ -692,7 +798,7 @@ class SparseAllToAllPricer:
     def operator_nbytes(self) -> int:
         """Bytes held by the operator structures (dest rows + hosted sets).
 
-        Share columns are excluded: they are the placement representation,
+        Gather rows are excluded: they are the placement representation,
         not the ``(group, dest) -> link`` map.
         """
         return sum(rows.nbytes for rows in self._dest_rows.values()) + sum(
@@ -723,20 +829,17 @@ class LayeredDispatchPlan:
     """Per-layer all-to-all pricing for one placement epoch of a stack.
 
     Every layer, layer 0 included, is priced against its own demand rows
-    and its own destination shares by the mapping's
+    and its own replica entries by the mapping's
     :class:`SparseAllToAllPricer`.  What the plan holds stays valid until
-    the next migration: a zero-copy view of the
-    :class:`~repro.mapping.placement.StackedPlacement` share tensor (safe
-    because any mutation bumps a layer version and retires the plan) and
-    the layers grouped by hosted set, whose version-validated states
-    unmutated layers reuse across plans.  :func:`layered_dispatch_plan`
-    caches one plan per ``(mapping, per-layer version vector)``.
+    the next migration: the layers grouped by hosted set, with gather rows
+    stacked from the version-validated layer states that unmutated layers
+    reuse across plans.  :func:`layered_dispatch_plan` caches one plan per
+    ``(mapping, per-layer version vector)``.
     """
 
     def __init__(self, mapping: "Mapping", placement: "StackedPlacement") -> None:
         self.pricer = alltoall_pricer(mapping)
-        self._shares = placement.destination_shares
-        self._batches = self.pricer.hosted_batches(placement.layers)
+        self._batches = self.pricer.hosted_batches(placement)
 
     def alltoall_durations_resolved(self, demand_stack: np.ndarray) -> np.ndarray:
         """Per-layer (dispatch, combine) durations, ``(num_layers, 2)``.
@@ -745,7 +848,7 @@ class LayeredDispatchPlan:
         tensor; each layer is priced against its own placement and its own
         demand rows.
         """
-        return self.pricer.durations(demand_stack, self._shares, self._batches)
+        return self.pricer.durations(demand_stack, self._batches)
 
 
 #: stacked placement -> {id(mapping): (mapping weakref, version vector, plan)}.

@@ -10,6 +10,7 @@ from repro.engine.iteration import (
     pipelined_time,
 )
 from repro.engine.compute import RooflineTimes
+from repro.faults import health_version, topology_health
 from repro.hardware.device import B200
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
@@ -156,3 +157,24 @@ class TestAllreduceCache:
         large = simulator.simulate_allreduce(2e6)
         assert small is not large
         assert large.duration > small.duration
+
+    def test_health_change_drops_superseded_entries(self, simulator, system):
+        """A lookup under a new fabric-health version drops the entries of
+        older versions, which can never hit again; every result it returns
+        still equals a fresh simulation bit for bit."""
+        topology = system.mapping.topology
+        volumes = (1e6, 2e6, 3e6)
+        for volume in volumes:
+            simulator.simulate_allreduce(volume)
+        health = topology_health(topology, create=True)
+        src, dst = next(iter(topology.links))
+        for step in range(3):
+            health.degrade_link(src, dst, 0.5 - 0.1 * step)
+            for volume in volumes[: step + 1]:
+                cached = simulator.simulate_allreduce(volume)
+                fresh = system.mapping.simulate_allreduce(volume)
+                assert cached.duration == fresh.duration
+                assert cached.link_bytes == fresh.link_bytes
+            versions = {version for _, version in simulator._allreduce_cache}
+            assert versions == {health_version(topology)}
+            assert len(simulator._allreduce_cache) == step + 1

@@ -17,7 +17,7 @@ from repro.balancer.base import BalancerConfig
 from repro.balancer.none import NoBalancer
 from repro.engine.compute import ComputeModel
 from repro.hardware.device import B200
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.models import QWEN3_235B
 from repro.topology.mesh import MeshTopology
 
@@ -35,6 +35,22 @@ def random_placement(rng, shadow_slots=2, fill=0.5):
             if not placement.hosts(device, expert):
                 placement.add_replica(expert, device)
     return placement
+
+
+def random_stack(rng, num_layers, shadow_slots=2, fill=0.5):
+    """:func:`random_placement`'s layout drawn independently per layer."""
+    stack = StackedPlacement(
+        num_layers, NUM_EXPERTS, NUM_DEVICES, shadow_slots=shadow_slots
+    )
+    for layer in range(num_layers):
+        for device in range(NUM_DEVICES):
+            for _ in range(shadow_slots):
+                if rng.random() > fill:
+                    continue
+                expert = int(rng.integers(NUM_EXPERTS))
+                if not stack.layer(layer).hosts(device, expert):
+                    stack.add_replica(layer, expert, device)
+    return stack
 
 
 def make_balancer(placement, rng, num_pending=3):
@@ -146,15 +162,11 @@ class TestVectorizedEquivalence:
 
     def test_batched_moe_matches_per_layer(self, seed):
         rng = np.random.default_rng(seed)
-        placements = [random_placement(rng) for _ in range(3)]
+        stack = random_stack(rng, num_layers=3)
         layer_loads = rng.uniform(0.0, 200.0, (3, NUM_EXPERTS))
         compute = ComputeModel(B200, QWEN3_235B)
-        batched_compute, batched_memory = compute.moe_peak_arrays(
-            layer_loads,
-            np.stack([p.replica_matrix for p in placements]),
-            np.stack([p.replica_counts for p in placements]),
-        )
-        for layer, placement in enumerate(placements):
+        batched_compute, batched_memory = compute.moe_peak_arrays(layer_loads, stack)
+        for layer, placement in enumerate(stack.layers):
             single = compute.moe_peak_time(layer_loads[layer], placement)
             assert batched_compute[layer] == pytest.approx(single.compute)
             assert batched_memory[layer] == pytest.approx(single.memory)

@@ -53,6 +53,19 @@ class TestExpertPlacementFailDevice:
         assert placement.replicas(2) == [3]
         assert placement.destination_shares[2, 3] == 1.0
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_dropping_a_repaired_last_replica_orphans_without_nan(self, batched):
+        placement = ExpertPlacement(8, 4, shadow_slots=2)
+        placement.fail_device(1)
+        placement.add_replica(2, 0)  # repair expert 2 onto device 0
+        if batched:
+            placement.drop_replicas(np.array([2]), np.array([0]))
+        else:
+            placement.drop_replica(2, 0)
+        assert placement.orphaned_experts() == [2, 3]
+        assert np.isfinite(placement.destination_shares).all()
+        np.testing.assert_array_equal(placement.destination_shares[2], 0.0)
+
     def test_reset_shadows_after_failure_reorphans(self):
         placement = ExpertPlacement(8, 4, shadow_slots=2)
         placement.fail_device(1)

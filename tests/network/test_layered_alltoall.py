@@ -73,19 +73,22 @@ def exact_phases(mapping, demand, placement):
     return np.array([result.dispatch.duration, result.combine.duration])
 
 
-def stack_args(mapping, stack):
-    """``(shares, batches)`` pricing arguments for a stacked placement."""
-    return stack.destination_shares, alltoall_pricer(mapping).hosted_batches(
-        stack.layers
-    )
+def layer_alone(stack, layer):
+    """A one-layer stack placed like ``layer`` of a fault-free stack."""
+    alone = StackedPlacement(1, stack.num_experts, stack.num_devices, stack.shadow_slots)
+    layers, experts, devices = stack.shadow_entry_arrays()
+    mine = layers == layer
+    alone.add_replicas(np.zeros(int(mine.sum()), dtype=np.int64), experts[mine], devices[mine])
+    return alone
 
 
 class TestPricerAgainstPerLayerOracle:
     def test_link_volumes_match_phase_oracle(self, mapping):
         stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
-        volumes = alltoall_pricer(mapping).link_volumes(
-            np.repeat(demand[None], 5, axis=0), *stack_args(mapping, stack)
+        pricer = alltoall_pricer(mapping)
+        volumes = pricer.link_volumes(
+            np.repeat(demand[None], 5, axis=0), pricer.hosted_batches(stack)
         )
         keys = list(mapping.topology.links)
         for layer, placement in enumerate(stack.layers):
@@ -105,8 +108,9 @@ class TestPricerAgainstPerLayerOracle:
         if sparse:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
-        durations = alltoall_pricer(mapping).durations(
-            np.repeat(demand[None], 5, axis=0), *stack_args(mapping, stack)
+        pricer = alltoall_pricer(mapping)
+        durations = pricer.durations(
+            np.repeat(demand[None], 5, axis=0), pricer.hosted_batches(stack)
         )
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand, placement)
@@ -124,19 +128,20 @@ class TestPricerAgainstPerLayerOracle:
         pricer = alltoall_pricer(mapping)
         # Three hosted sets: native (layers 0, 3), +device 1 (layers 1, 4)
         # and +devices 5, 9 (layer 2).
-        hosted = {id(pricer.state_for(layer).hosted) for layer in stack.layers}
+        hosted = {
+            id(pricer.state_for(stack, layer).hosted)
+            for layer in range(stack.num_layers)
+        }
         assert len(hosted) == 3
         demand = uniform_demand(4, 8, 256, 8, 100) * np.random.default_rng(
             3
         ).uniform(0.5, 1.5, size=(5, 4, 8))
         demand[3, 2, :4] = 0.0
-        shares = stack.destination_shares
-        batched = pricer.link_volumes(demand, *stack_args(mapping, stack))
+        batched = pricer.link_volumes(demand, pricer.hosted_batches(stack))
         for layer in range(stack.num_layers):
             alone = pricer.link_volumes(
                 demand[layer : layer + 1],
-                shares[layer : layer + 1],
-                pricer.hosted_batches([stack.layer(layer)]),
+                pricer.hosted_batches(layer_alone(stack, layer)),
             )
             np.testing.assert_array_equal(batched[layer], alone[0])
 
@@ -229,13 +234,41 @@ class TestLayeredPlan:
             exact = exact_phases(mapping, demand[layer], stack.layer(layer))
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
-    def test_plan_reads_share_tensor_zero_copy(self, mapping):
-        """Even with fewer experts than devices the plan keeps a view of
-        the stacked share tensor, never a copy."""
-        stack = StackedPlacement(4, 8, 16, shadow_slots=2)
-        stack.add_replica(2, 0, 1)
+    def test_layer_with_every_expert_orphaned_prices_zero(self, mapping):
+        """Fail-stops that orphan all of a layer's experts leave it hosting
+        nothing: it moves no bytes, and the other layers price as usual."""
+        stack = StackedPlacement(2, 2, 16, shadow_slots=1)
+        stack.add_replica(1, 0, 5)
+        stack.fail_device(0)
+        stack.fail_device(8)
+        dense = np.ascontiguousarray(demand_stack(num_layers=2)[:, :, :2])
+        sparse = dense.copy()
+        sparse[1, 0, 1] = 0.0
         plan = LayeredDispatchPlan(mapping, stack)
-        assert np.shares_memory(plan._shares, stack.destination_shares)
+        for demand in (dense, sparse):
+            durations = plan.alltoall_durations_resolved(demand)
+            np.testing.assert_array_equal(durations[0], 0.0)
+            assert durations[1] == pytest.approx(
+                exact_phases(mapping, demand[1], stack.layer(1)), rel=1e-12
+            )
+
+    def test_plan_gathers_every_replica_entry_once(self, mapping):
+        """The plan keeps no ``(layers, experts, devices)`` tensor: its
+        gather rows hold each replica entry once, in rank planes padded
+        with zero shares."""
+        stack = StackedPlacement(4, 8, 16, shadow_slots=2)
+        stack.add_replica(2, 0, 1)  # an unhosted device gains a first entry
+        stack.add_replica(2, 1, 4)  # a native's device gains a second one
+        stack.add_replica(3, 5, 4)
+        plan = LayeredDispatchPlan(mapping, stack)
+        entries = stack.replica_entries()
+        assert sum(np.count_nonzero(b.shares) for b in plan._batches) == entries.layer.size
+        for batch in plan._batches:
+            ranks, hosted, _ = batch.sources.shape
+            assert hosted == batch.hosted.dests.size
+            if ranks > 1:
+                # Only the layers that gained a second entry fill rank 1.
+                assert np.count_nonzero(batch.shares[1]) <= 2
 
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_single_layer_plan_prices_layer0(self, mapping, zero_cells):

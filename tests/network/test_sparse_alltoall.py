@@ -2,9 +2,9 @@
 
 The :class:`SparseAllToAllPricer` stores the ``(group, dest) -> link``
 operator as one CSR matrix per hosted-destination set and prices a layer
-stack with one share matmul plus one sparse product per set — the same
-terms as the per-layer :func:`simulate_alltoall` path in a different
-associative order, so volumes and durations are pinned to that path with
+stack with one gather of its hosted cells plus one sparse product per set
+— the same terms as the per-layer :func:`simulate_alltoall` path in a
+different associative order, so volumes and durations are pinned to that path with
 tight relative tolerances and the latency maxima exactly.  The
 incremental contracts are structural: states revalidate by placement
 version (migration-free lookups rebuild nothing, asserted via the rebuild
@@ -16,7 +16,7 @@ import pytest
 
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.faults import topology_health
 from repro.network.alltoall import (
@@ -40,22 +40,17 @@ def mapping():
     )
 
 
-def diverged_placements(num_layers=5, num_experts=16, num_devices=16):
+def diverged_stack(num_layers=5, num_experts=16, num_devices=16):
     """A placement stack with layers 2 and 4 mutated away from native."""
-    placements = [
-        ExpertPlacement(num_experts, num_devices, shadow_slots=2)
-        for _ in range(num_layers)
-    ]
-    placements[2].add_replica(0, 15)
-    placements[2].add_replica(5, 9)
-    placements[4].add_replica(3, 12)
-    return placements
+    stack = StackedPlacement(num_layers, num_experts, num_devices, shadow_slots=2)
+    stack.add_replica(2, 0, 15)
+    stack.add_replica(2, 5, 9)
+    stack.add_replica(4, 3, 12)
+    return stack
 
 
-def stack_args(pricer, placements):
-    """``(shares, batches)`` pricing arguments for a placement list."""
-    shares = np.stack([p.destination_shares for p in placements])
-    return shares, pricer.hosted_batches(placements)
+def all_states(pricer, stack):
+    return [pricer.state_for(stack, layer) for layer in range(stack.num_layers)]
 
 
 def exact_phases(mapping, demand, placement):
@@ -68,18 +63,19 @@ def per_layer(demand, num_layers):
     return np.repeat(demand[None], num_layers, axis=0)
 
 
-def random_migrations(placements, rng, count):
+def random_migrations(stack, rng, count):
     """Apply ``count`` random replica adds/drops across the stack."""
     applied = 0
     while applied < count:
-        placement = placements[int(rng.integers(len(placements)))]
-        expert = int(rng.integers(placement.num_experts))
-        device = int(rng.integers(placement.num_devices))
+        layer = int(rng.integers(stack.num_layers))
+        expert = int(rng.integers(stack.num_experts))
+        device = int(rng.integers(stack.num_devices))
+        replicas = stack.layer(layer).replicas(expert)
         try:
-            if rng.random() < 0.7 or len(placement.replicas(expert)) <= 1:
-                placement.add_replica(expert, device)
+            if rng.random() < 0.7 or len(replicas) <= 1:
+                stack.add_replica(layer, expert, device)
             else:
-                placement.drop_replica(expert, placement.replicas(expert)[-1])
+                stack.drop_replica(layer, expert, replicas[-1])
         except Exception:
             continue
         applied += 1
@@ -88,17 +84,17 @@ def random_migrations(placements, rng, count):
 class TestAgainstExactSimulation:
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_link_volumes_match_phase_link_bytes(self, mapping, zero_cells):
-        placements = diverged_placements()
+        stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
         if zero_cells:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
         pricer = alltoall_pricer(mapping)
         volumes = pricer.link_volumes(
-            per_layer(demand, len(placements)), *stack_args(pricer, placements)
+            per_layer(demand, stack.num_layers), pricer.hosted_batches(stack)
         )
         keys = list(mapping.topology.links)
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             result = simulate_alltoall(mapping.topology, demand, placement, mapping)
             for phase, phase_result in enumerate((result.dispatch, result.combine)):
                 expected = [phase_result.link_bytes.get(key, 0.0) for key in keys]
@@ -108,47 +104,43 @@ class TestAgainstExactSimulation:
 
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_durations_match_per_layer_simulation(self, mapping, zero_cells):
-        placements = diverged_placements()
+        stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
         if zero_cells:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
         pricer = alltoall_pricer(mapping)
         durations = pricer.durations(
-            per_layer(demand, len(placements)), *stack_args(pricer, placements)
+            per_layer(demand, stack.num_layers), pricer.hosted_batches(stack)
         )
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_demand_stack_matches_per_layer_simulation(self, mapping):
-        placements = diverged_placements()
+        stack = diverged_stack()
         rng = np.random.default_rng(3)
-        stack = uniform_demand(4, 16, 256, 8, 100) * rng.uniform(
+        demand = uniform_demand(4, 16, 256, 8, 100) * rng.uniform(
             0.5, 1.5, size=(5, 4, 16)
         )
-        stack[1, 0, 3] = 0.0
-        stack[3, 2, :8] = 0.0
+        demand[1, 0, 3] = 0.0
+        demand[3, 2, :8] = 0.0
         pricer = alltoall_pricer(mapping)
-        durations = pricer.durations(stack, *stack_args(pricer, placements))
-        for layer, placement in enumerate(placements):
-            exact = exact_phases(mapping, stack[layer], placement)
+        durations = pricer.durations(demand, pricer.hosted_batches(stack))
+        for layer, placement in enumerate(stack.layers):
+            exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_hosted_subset_when_fewer_experts_than_devices(self, mapping):
         """With E < D only the hosting devices appear as destination
         columns — the pricer must price the subset exactly."""
-        placements = [
-            ExpertPlacement(8, 16, shadow_slots=2) for _ in range(3)
-        ]
-        placements[1].add_replica(2, 13)
+        stack = StackedPlacement(3, 8, 16, shadow_slots=2)
+        stack.add_replica(1, 2, 13)
         pricer = alltoall_pricer(mapping)
-        assert pricer.state_for(placements[0]).hosted.dests.size < 16
+        assert pricer.state_for(stack, 0).hosted.dests.size < 16
         demand = uniform_demand(4, 8, 256, 8, 100)
-        durations = pricer.durations(
-            per_layer(demand, 3), *stack_args(pricer, placements)
-        )
-        for layer, placement in enumerate(placements):
+        durations = pricer.durations(per_layer(demand, 3), pricer.hosted_batches(stack))
+        for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
@@ -158,7 +150,7 @@ class TestAgainstExactSimulation:
         products cannot round to a spurious zero, so the worst active path
         latency of each phase equals the exact simulation's, not just
         approximately."""
-        placements = diverged_placements()
+        stack = diverged_stack()
         demand = uniform_demand(4, 16, 256, 8, 100)
         if active == "most":
             demand[1, :] = 0.0
@@ -168,17 +160,17 @@ class TestAgainstExactSimulation:
             demand[0, 0] = 100.0
         pricer = alltoall_pricer(mapping)
         _, latencies = pricer._price(
-            per_layer(demand, len(placements)),
-            *stack_args(pricer, placements),
+            per_layer(demand, stack.num_layers),
+            pricer.hosted_batches(stack),
             with_latencies=True,
         )
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             result = simulate_alltoall(mapping.topology, demand, placement, mapping)
             assert latencies[layer, 0] == result.dispatch.latency_time
             assert latencies[layer, 1] == result.combine.latency_time
         if active == "one_cell":
             # One active cell sits below the all-cells maximum.
-            dense = pricer.state_for(placements[0]).hosted.dense_latency
+            dense = pricer.state_for(stack, 0).hosted.dense_latency
             assert (latencies[0] < dense).all()
 
 
@@ -205,38 +197,35 @@ class TestSystems:
         mapping = SYSTEMS[request.param]()
         num_devices = mapping.topology.num_devices
         num_experts = num_devices // 2
-        placements = [
-            ExpertPlacement(num_experts, num_devices, shadow_slots=2)
-            for _ in range(4)
-        ]
-        empty = [d for d in range(num_devices) if not placements[0].experts_on(d)]
-        placements[1].add_replica(0, empty[0])
-        placements[2].add_replica(1, empty[1])
-        placements[2].add_replica(2, empty[-1])
-        placements[3].add_replica(0, empty[0])
+        stack = StackedPlacement(4, num_experts, num_devices, shadow_slots=2)
+        empty = [d for d in range(num_devices) if not stack.layer(0).experts_on(d)]
+        stack.add_replica(1, 0, empty[0])
+        stack.add_replica(2, 1, empty[1])
+        stack.add_replica(2, 2, empty[-1])
+        stack.add_replica(3, 0, empty[0])
         demand = uniform_demand(mapping.dp, num_experts, 256, 8, 100)
         demand = demand * np.random.default_rng(7).uniform(
             0.5, 1.5, size=(4, *demand.shape)
         )
         demand[1, 0, :3] = 0.0
         demand[2, :, 1] = 0.0
-        return mapping, placements, demand
+        return mapping, stack, demand
 
     def test_durations_match_per_layer_simulation(self, case):
-        mapping, placements, demand = case
+        mapping, stack, demand = case
         pricer = alltoall_pricer(mapping)
-        durations = pricer.durations(demand, *stack_args(pricer, placements))
-        for layer, placement in enumerate(placements):
+        durations = pricer.durations(demand, pricer.hosted_batches(stack))
+        for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_latencies_equal_worst_active_path(self, case):
-        mapping, placements, demand = case
+        mapping, stack, demand = case
         pricer = alltoall_pricer(mapping)
         _, latencies = pricer._price(
-            demand, *stack_args(pricer, placements), with_latencies=True
+            demand, pricer.hosted_batches(stack), with_latencies=True
         )
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             result = simulate_alltoall(
                 mapping.topology, demand[layer], placement, mapping
             )
@@ -246,58 +235,59 @@ class TestSystems:
     def test_dense_demand_matches_per_layer_simulation(self, case):
         """Demand without zero cells takes the dense-latency shortcut:
         every hosted cell is active."""
-        mapping, placements, demand = case
+        mapping, stack, demand = case
         demand = demand + 1.0
         pricer = alltoall_pricer(mapping)
-        durations = pricer.durations(demand, *stack_args(pricer, placements))
-        for layer, placement in enumerate(placements):
+        durations = pricer.durations(demand, pricer.hosted_batches(stack))
+        for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, rel=1e-12)
 
     def test_volumes_equal_full_width_operator_product(self, case):
         """The hosted-row product equals the product over every
         ``(group, dest)`` row bit for bit: the dropped rows belong to
-        unhosted destinations, whose cells are exact zeros."""
-        mapping, placements, demand = case
+        unhosted destinations, whose cells are exact zeros.  Every hosted
+        cell here has one replica entry, so the gathered cells equal the
+        share matmul's as well."""
+        mapping, stack, demand = case
         pricer = alltoall_pricer(mapping)
-        shares, batches = stack_args(pricer, placements)
+        batches = pricer.hosted_batches(stack)
         assert len(batches) == 3
         full = pricer._hosted_for(tuple(range(pricer.num_devices)))
-        cells = np.matmul(demand, shares)
-        expected = cells.reshape(len(placements), -1) @ full.operator
-        got = pricer.link_volumes(demand, shares, batches)
-        np.testing.assert_array_equal(got.reshape(len(placements), -1), expected)
+        cells = np.matmul(demand, stack.destination_shares)
+        expected = cells.reshape(stack.num_layers, -1) @ full.operator
+        got = pricer.link_volumes(demand, batches)
+        np.testing.assert_array_equal(got.reshape(stack.num_layers, -1), expected)
 
 
 class TestIncremental:
     def test_revalidation_without_mutation_rebuilds_nothing(self, mapping):
-        placements = diverged_placements()
+        stack = diverged_stack()
         pricer = alltoall_pricer(mapping)
-        states = [pricer.state_for(p) for p in placements]
+        states = all_states(pricer, stack)
         built = pricer.state_rebuilds
         for _ in range(5):
-            again = [pricer.state_for(p) for p in placements]
+            again = all_states(pricer, stack)
             assert all(a is b for a, b in zip(again, states))
         assert pricer.state_rebuilds == built
 
     def test_migration_rebuilds_only_touched_layers(self, mapping):
-        placements = diverged_placements()
+        stack = diverged_stack()
         pricer = alltoall_pricer(mapping)
-        states = [pricer.state_for(p) for p in placements]
+        states = all_states(pricer, stack)
         built = pricer.state_rebuilds
-        placements[2].add_replica(7, 11)
-        again = [pricer.state_for(p) for p in placements]
+        stack.add_replica(2, 7, 11)
+        again = all_states(pricer, stack)
         assert pricer.state_rebuilds == built + 1
-        for layer in range(len(placements)):
+        for layer in range(stack.num_layers):
             if layer == 2:
                 assert again[layer] is not states[layer]
             else:
                 assert again[layer] is states[layer]
 
     def test_hosted_set_shared_across_layers(self, mapping):
-        placements = [ExpertPlacement(16, 16) for _ in range(4)]
         pricer = alltoall_pricer(mapping)
-        states = [pricer.state_for(p) for p in placements]
+        states = all_states(pricer, StackedPlacement(4, 16, 16))
         assert all(s.hosted is states[0].hosted for s in states)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -305,19 +295,20 @@ class TestIncremental:
         """N random migrations, revalidating incrementally along the way,
         leave exactly the state a cold pricer builds from scratch."""
         rng = np.random.default_rng(seed)
-        placements = [ExpertPlacement(8, 16, shadow_slots=2) for _ in range(5)]
+        stack = StackedPlacement(5, 8, 16, shadow_slots=2)
         warm = SparseAllToAllPricer(mapping)
-        for p in placements:
-            warm.state_for(p)
+        all_states(warm, stack)
         for _ in range(4):
-            random_migrations(placements, rng, count=3)
-            for p in placements:
-                warm.state_for(p)
+            random_migrations(stack, rng, count=3)
+            all_states(warm, stack)
         cold = SparseAllToAllPricer(mapping)
-        for placement in placements:
-            delta = warm.state_for(placement).hosted
-            scratch = cold.state_for(placement).hosted
-            assert warm.state_for(placement).version == placement.version
+        for layer, placement in enumerate(stack.layers):
+            warm_state = warm.state_for(stack, layer)
+            cold_state = cold.state_for(stack, layer)
+            assert warm_state.version == placement.version
+            np.testing.assert_array_equal(warm_state.experts, cold_state.experts)
+            np.testing.assert_array_equal(warm_state.shares, cold_state.shares)
+            delta, scratch = warm_state.hosted, cold_state.hosted
             np.testing.assert_array_equal(delta.dests, scratch.dests)
             for name in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(
@@ -325,22 +316,21 @@ class TestIncremental:
                 )
             np.testing.assert_array_equal(delta.latency_sorted, scratch.latency_sorted)
             np.testing.assert_array_equal(delta.dense_latency, scratch.dense_latency)
-        demand = per_layer(uniform_demand(4, 8, 256, 8, 100), len(placements))
+        demand = per_layer(uniform_demand(4, 8, 256, 8, 100), stack.num_layers)
         np.testing.assert_array_equal(
-            warm.durations(demand, *stack_args(warm, placements)),
-            cold.durations(demand, *stack_args(cold, placements)),
+            warm.durations(demand, warm.hosted_batches(stack)),
+            cold.durations(demand, cold.hosted_batches(stack)),
         )
 
     def test_dest_rows_built_once_per_destination(self, mapping):
         pricer = SparseAllToAllPricer(mapping)
-        placements = diverged_placements()
-        for p in placements:
-            pricer.state_for(p)
+        stack = diverged_stack()
+        all_states(pricer, stack)
         built = pricer.dest_row_builds
         assert built <= 16
         # Another epoch over already-seen destinations pays no route walks.
-        placements[1].add_replica(4, 9)
-        pricer.state_for(placements[1])
+        stack.add_replica(1, 4, 9)
+        pricer.state_for(stack, 1)
         assert pricer.dest_row_builds == built
 
 
@@ -349,25 +339,25 @@ class TestDegradedLinks:
         """Link faults change bandwidth, not routes: the cached operators
         keep serving and prices track the exact simulation, then return
         bit for bit once the link is restored."""
-        placements = diverged_placements()
-        demand = per_layer(uniform_demand(4, 16, 256, 8, 100), len(placements))
+        stack = diverged_stack()
+        demand = per_layer(uniform_demand(4, 16, 256, 8, 100), stack.num_layers)
         pricer = alltoall_pricer(mapping)
-        args = stack_args(pricer, placements)
-        pristine = pricer.durations(demand, *args)
+        batches = pricer.hosted_batches(stack)
+        pristine = pricer.durations(demand, batches)
         builds = pricer.dest_row_builds
         busiest = list(mapping.topology.links)[
-            int(pricer.link_volumes(demand, *args)[0].max(axis=0).argmax())
+            int(pricer.link_volumes(demand, batches)[0].max(axis=0).argmax())
         ]
         health = topology_health(mapping.topology, create=True)
         health.degrade_link(*busiest, 0.25)
-        degraded = pricer.durations(demand, *args)
+        degraded = pricer.durations(demand, batches)
         assert (degraded >= pristine).all() and (degraded > pristine).any()
-        for layer, placement in enumerate(placements):
+        for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand[layer], placement)
             assert degraded[layer] == pytest.approx(exact, rel=1e-12)
         assert pricer.dest_row_builds == builds
         health.restore_link(*busiest)
-        np.testing.assert_array_equal(pricer.durations(demand, *args), pristine)
+        np.testing.assert_array_equal(pricer.durations(demand, batches), pristine)
 
 
 def loop_dest_rows(mapping, dest):
@@ -464,12 +454,12 @@ class TestCaches:
     def test_evicted_hosted_set_rebuilds_identically(self, mapping, monkeypatch):
         monkeypatch.setattr(SparseAllToAllPricer, "HOSTED_CACHE_CAP", 1)
         pricer = SparseAllToAllPricer(mapping)
-        native, moved = ExpertPlacement(8, 16), ExpertPlacement(8, 16)
-        moved.add_replica(0, 1)
-        first = pricer.state_for(native).hosted
-        pricer.state_for(moved)
+        native, moved = StackedPlacement(1, 8, 16), StackedPlacement(1, 8, 16)
+        moved.add_replica(0, 0, 1)
+        first = pricer.state_for(native, 0).hosted
+        pricer.state_for(moved, 0)
         builds = pricer.dest_row_builds
-        rebuilt = pricer.state_for(ExpertPlacement(8, 16)).hosted
+        rebuilt = pricer.state_for(StackedPlacement(1, 8, 16), 0).hosted
         assert rebuilt is not first
         assert pricer.dest_row_builds == builds
         for name in ("indptr", "indices", "data"):
@@ -488,8 +478,7 @@ class TestCaches:
 class TestMemoryAccounting:
     def test_operator_smaller_than_dense_footprint(self, mapping):
         pricer = SparseAllToAllPricer(mapping)
-        for p in diverged_placements():
-            pricer.state_for(p)
+        all_states(pricer, diverged_stack())
         dense_nbytes = (
             pricer.num_groups * pricer.num_devices * 2 * pricer.num_links * 8
         )
@@ -499,11 +488,11 @@ class TestMemoryAccounting:
     def test_peak_keeps_high_water_mark_after_eviction(self, mapping, monkeypatch):
         monkeypatch.setattr(SparseAllToAllPricer, "HOSTED_CACHE_CAP", 1)
         pricer = SparseAllToAllPricer(mapping)
-        small, large = ExpertPlacement(8, 16), ExpertPlacement(8, 16)
+        small, large = StackedPlacement(1, 8, 16), StackedPlacement(1, 8, 16)
         for device in (1, 3, 5, 7):
-            large.add_replica(0, device)
-        pricer.state_for(large)
+            large.add_replica(0, 0, device)
+        pricer.state_for(large, 0)
         peak = pricer.peak_operator_nbytes
-        pricer.state_for(small)
+        pricer.state_for(small, 0)
         assert pricer.operator_nbytes() < peak
         assert pricer.peak_operator_nbytes == peak

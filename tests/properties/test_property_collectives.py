@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.models import QWEN3_235B
 from repro.network.allreduce import ring_allreduce
 from repro.network.alltoall import (
@@ -136,9 +136,6 @@ def priced_stacks(draw):
     devices = side * side
     experts = draw(st.integers(1, devices))
     layers = draw(st.integers(1, 3))
-    placements = [
-        ExpertPlacement(experts, devices, shadow_slots=2) for _ in range(layers)
-    ]
     extras = draw(
         st.lists(
             st.tuples(
@@ -149,11 +146,15 @@ def priced_stacks(draw):
             max_size=6,
         )
     )
+    # The stack, and one single-layer stack per layer placed the same way.
+    stack = StackedPlacement(layers, experts, devices, shadow_slots=2)
+    alone = [StackedPlacement(1, experts, devices, shadow_slots=2) for _ in range(layers)]
     for layer, expert, device in extras:
         try:
-            placements[layer].add_replica(expert, device)
+            stack.add_replica(layer, expert, device)
         except ValueError:
-            pass
+            continue
+        alone[layer].add_replica(0, expert, device)
     counts = draw(
         st.lists(
             st.integers(0, 40), min_size=layers * mapping.dp * experts,
@@ -161,23 +162,20 @@ def priced_stacks(draw):
         )
     )
     demand = np.asarray(counts, dtype=float).reshape(layers, mapping.dp, experts)
-    return mapping, placements, demand * 7168.0
+    return mapping, stack, alone, demand * 7168.0
 
 
 class TestPricerProperties:
     @given(priced_stacks())
     @settings(max_examples=40, deadline=None)
-    def test_pricer_matches_exact_simulation(self, stack):
+    def test_pricer_matches_exact_simulation(self, case):
         """Every layer's batched price equals the exact per-layer
         simulation to summation-order rounding, and equals pricing that
         layer alone bit for bit."""
-        mapping, placements, demand = stack
+        mapping, stack, alone_stacks, demand = case
         pricer = SparseAllToAllPricer(mapping)
-        shares = np.stack([p.destination_shares for p in placements])
-        durations = pricer.durations(
-            demand, shares, pricer.hosted_batches(placements)
-        )
-        for layer, placement in enumerate(placements):
+        durations = pricer.durations(demand, pricer.hosted_batches(stack))
+        for layer, placement in enumerate(stack.layers):
             result = simulate_alltoall(
                 mapping.topology, demand[layer], placement, mapping
             )
@@ -185,7 +183,6 @@ class TestPricerProperties:
             assert durations[layer] == pytest.approx(exact, rel=1e-12, abs=0.0)
             alone = pricer.durations(
                 demand[layer : layer + 1],
-                shares[layer : layer + 1],
-                pricer.hosted_batches([placement]),
+                pricer.hosted_batches(alone_stacks[layer]),
             )
             np.testing.assert_array_equal(alone[0], durations[layer])

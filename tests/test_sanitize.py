@@ -6,8 +6,8 @@ import pytest
 from repro import sanitize
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
-from repro.network.alltoall import dispatch_plan
+from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.network.alltoall import dispatch_plan, layered_dispatch_plan
 from repro.topology.mesh import MeshTopology
 from repro.workload.scenarios import MATH
 
@@ -74,11 +74,43 @@ class TestCachedHandoutsAreFrozen:
 
         mesh = MeshTopology(4, 4)
         mapping = ERMapping(mesh, ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)))
-        hosted = alltoall_pricer(mapping).state_for(ExpertPlacement(16, 16)).hosted
+        hosted = alltoall_pricer(mapping).state_for(StackedPlacement(1, 16, 16), 0).hosted
         with pytest.raises(ValueError):
             hosted.operator.data[0] = 99.0
         with pytest.raises(ValueError):
             hosted.latency_sorted[0, 0] = 0.0
+
+    def test_stacked_placement_entry_tables_are_read_only(self):
+        stack = StackedPlacement(2, 8, 8, shadow_slots=1)
+        stack.add_replica(1, 0, 5)
+        devices = stack.shadow_entry_arrays()[2]
+        with pytest.raises(ValueError):
+            devices[0] = 0
+        for column in stack.replica_entries():
+            with pytest.raises(ValueError):
+                column[0] = 0
+        # The caches still serve the uncorrupted tables.
+        assert stack.shadow_entry_arrays()[2][0] == 5
+        assert stack.replica_entries().device[0] == 0
+
+    def test_pricing_gather_rows_are_read_only(self):
+        mesh = MeshTopology(4, 4)
+        mapping = ERMapping(mesh, ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)))
+        stack = StackedPlacement(2, 16, 16, shadow_slots=1)
+        stack.add_replica(1, 0, 5)  # a second entry on device 5
+        plan = layered_dispatch_plan(mapping, stack)
+        (batch,) = plan._batches
+        with pytest.raises(ValueError):
+            batch.sources[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            batch.shares[1, 5, 1] = 0.0
+        state = plan.pricer.state_for(stack, 1)
+        with pytest.raises(ValueError):
+            state.experts[0, 0] = 3
+        with pytest.raises(ValueError):
+            state.shares[1, 5] = 1.0
+        with pytest.raises(ValueError):
+            state.hosted.transposed.data[0] = 99.0
 
     def test_route_cache_bandwidth_is_read_only(self):
         from repro.network.phase import _route_cache
