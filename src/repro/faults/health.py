@@ -1,7 +1,7 @@
 """Topology health: the degraded state of a fabric, with a version.
 
-The network layer caches aggressively — route tables, dispatch plans,
-all-reduce results, layered pricing operators — all keyed on objects
+The network layer caches aggressively — route tables, all-reduce
+results, layered pricing operators — all keyed on objects
 that were immutable until faults existed.  Rather than hunting down and
 invalidating each cache, degraded state lives in one
 :class:`TopologyHealth` record attached to the topology instance, with a
@@ -150,8 +150,8 @@ def health_version(topology) -> int:
 
 def degraded_bandwidth(topology, key: tuple[int, int]) -> float:
     """Effective bandwidth of one link — for Python-loop pricing paths
-    (ring all-reduce steps, store-and-forward phases) that read
-    ``topology.links[key].bandwidth`` directly."""
+    (ring all-reduce steps) that read ``topology.links[key].bandwidth``
+    directly."""
     bandwidth = topology.links[key].bandwidth
     health = topology_health(topology)
     if health is None:

@@ -21,10 +21,10 @@ class HolderTable:
 
     Mappings are immutable after construction, so every ``(group, dest)``
     token-holder list is fixed; this materializes them once into CSR
-    arrays (``offsets``/``holders``/``fractions``) that the array-native
-    all-to-all pipeline slices without re-invoking per-pair callbacks.
-    Each row preserves its family's holder ordering exactly — the dispatch
-    plan's bit-compatibility with the per-entry loop depends on it.
+    arrays (``offsets``/``holders``/``fractions``) that the all-to-all
+    pricer gathers without re-invoking per-pair callbacks.  Each row
+    preserves its family's holder ordering exactly: the pricer sums a
+    cell's holders in that order, so its operator rows are reproducible.
     """
 
     def __init__(

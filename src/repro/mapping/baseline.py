@@ -16,8 +16,8 @@ class BaselineMapping(MeshMapping):
     Token holders follow the generic inverse-distance weighting of
     :class:`~repro.mapping.base.Mapping` (no FTD confinement), so this
     family's precomputed holder table has dense ``tp``-entry rows whose
-    fractions vary with mesh distance — the worst case for dispatch-plan
-    size, and exactly the long-haul traffic the paper's Fig. 8b analyses.
+    fractions vary with mesh distance — the worst case for operator size,
+    and exactly the long-haul traffic the paper's Fig. 8b analyses.
     """
 
     staggered_rings = False

@@ -31,10 +31,10 @@ class ERMapping(MeshMapping):
         ("dispatch and combine happen within FTD") — even when a member of
         a neighbouring tile is equidistant, crossing the tile boundary
         would reintroduce the congestion ER-Mapping eliminates.  In the
-        precomputed holder table this yields single-entry rows, so the
-        dispatch plan expands to at most one flow per (demand cell,
-        destination).  Without all-gather the tokens stay sharded and the
-        generic 1/TP fallback applies.
+        precomputed holder table this yields single-entry rows, so each
+        (group, destination) cell fetches along at most one route.
+        Without all-gather the tokens stay sharded and the generic 1/TP
+        fallback applies.
         """
         if self.retain_allgather and self._ftd_index is not None:
             member = self._member_in_ftd(group, self._ftd_index[dest])

@@ -21,11 +21,11 @@ class ExpertPlacement:
     Alongside the per-expert replica lists, the placement incrementally
     maintains a dense ``(num_experts, num_devices)`` replica matrix, the
     per-expert replica counts, and the destination-share matrix
-    (``replica_matrix / counts``), so balancers, the serving engine and the
-    all-to-all dispatch plan can price heats, device loads and traffic with
-    matrix products instead of Python loops over experts and replicas.  A
-    monotonic :attr:`version` counter bumps on every mutation so derived
-    caches (dispatch plans) invalidate precisely.
+    (``replica_matrix / counts``), so balancers and the serving engine can
+    price heats and device loads with matrix products instead of Python
+    loops over experts and replicas.  A monotonic :attr:`version` counter
+    bumps on every mutation so derived caches (the all-to-all pricer's
+    layer states) invalidate precisely.
     """
 
     def __init__(
@@ -150,8 +150,7 @@ class ExpertPlacement:
 
         Row ``e`` holds the Load/Num dispatch share of each replica device
         (``1 / num_replicas`` on hosting devices, 0 elsewhere), maintained
-        incrementally on add/drop so the all-to-all pipeline never rebuilds
-        it per iteration.
+        incrementally on add/drop.
         """
         view = self._dest_share.view()
         view.flags.writeable = False
@@ -161,8 +160,8 @@ class ExpertPlacement:
     def version(self) -> int:
         """Monotonic counter bumped on every add/drop (migration commit).
 
-        Derived structures — dispatch plans, cached traffic — key their
-        validity on ``(placement, version)``.
+        Derived structures — the all-to-all pricer's layer states — key
+        their validity on ``(placement, version)``.
         """
         return self._version
 
@@ -242,6 +241,12 @@ class ExpertPlacement:
         devices = np.asarray(devices, dtype=np.int64)
         if experts.size == 0:
             return
+        self._check_adds(experts, devices)
+        self._apply_adds(experts, devices)
+
+    def _check_adds(self, experts: np.ndarray, devices: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every add of the batch is valid in
+        sequence; changes nothing."""
         pending: set[tuple[int, int]] = set()
         pending_per_device: dict[int, int] = {}
         for expert, device in zip(experts.tolist(), devices.tolist()):
@@ -253,6 +258,9 @@ class ExpertPlacement:
                 raise ValueError(f"device {device} has no free shadow slot")
             pending.add((expert, device))
             pending_per_device[device] = pending_per_device.get(device, 0) + 1
+
+    def _apply_adds(self, experts: np.ndarray, devices: np.ndarray) -> None:
+        """Apply a batch of adds that :meth:`_check_adds` accepted."""
         for expert, device in zip(experts.tolist(), devices.tolist()):
             self._shadow[device].append(expert)
             self._replicas[expert].append(device)
@@ -270,6 +278,12 @@ class ExpertPlacement:
         devices = np.asarray(devices, dtype=np.int64)
         if experts.size == 0:
             return
+        self._check_drops(experts, devices)
+        self._apply_drops(experts, devices)
+
+    def _check_drops(self, experts: np.ndarray, devices: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every drop of the batch names a
+        distinct shadow replica; changes nothing."""
         dropped: set[tuple[int, int]] = set()
         for expert, device in zip(experts.tolist(), devices.tolist()):
             self._check_expert(expert)
@@ -279,6 +293,9 @@ class ExpertPlacement:
                     f"expert {expert} has no shadow replica on device {device}"
                 )
             dropped.add((expert, device))
+
+    def _apply_drops(self, experts: np.ndarray, devices: np.ndarray) -> None:
+        """Apply a batch of drops that :meth:`_check_drops` accepted."""
         for expert, device in zip(experts.tolist(), devices.tolist()):
             self._shadow[device].remove(expert)
             self._replicas[expert].remove(device)
@@ -470,8 +487,8 @@ class StackedPlacement:
     # -- queries ----------------------------------------------------------------
 
     def layer(self, layer: int) -> ExpertPlacement:
-        """The per-layer placement object (zero-copy views, dispatch-plan
-        cache key).  Treat it as read-only; mutate via the stack."""
+        """The per-layer placement object (zero-copy views, the pricer's
+        layer-state key).  Treat it as read-only; mutate via the stack."""
         return self._layers[layer]
 
     @property
@@ -688,19 +705,16 @@ class StackedPlacement:
         sequential walk would assign them) and each layer's dense mirrors
         update in one vectorized pass — bursty triggers that commit many
         migrations at once no longer pay a per-replica dest-share rebuild.
+        Every layer's entries are validated before any layer changes, so a
+        batch that raises leaves the stack as it was.
         """
-        layer_idx = np.asarray(layer_idx, dtype=np.int64)
-        expert_idx = np.asarray(expert_idx, dtype=np.int64)
-        device_idx = np.asarray(device_idx, dtype=np.int64)
-        # Before any layer applies: a batch that raises part-way (an
-        # invalid entry on a later layer) leaves the earlier layers mutated.
+        batches = self._layer_batches(layer_idx, expert_idx, device_idx)
+        for layer, experts, devices in batches:
+            self._layers[layer]._check_adds(experts, devices)
         self._invalidate_entries()
-        for layer in np.unique(layer_idx).tolist():
-            selected = layer_idx == layer
-            experts = expert_idx[selected]
-            devices = device_idx[selected]
+        for layer, experts, devices in batches:
             target = self._layers[layer]
-            target.add_replicas(experts, devices)
+            target._apply_adds(experts, devices)
             self._tensor[layer, experts, devices] = 1.0
             np.add.at(self._counts[layer], experts, 1)
             np.add.at(self._shadow_counts[layer], devices, 1)
@@ -724,18 +738,16 @@ class StackedPlacement:
         Mirrors :meth:`add_replicas`: per-layer vectorized dense updates
         (one dest-share row rebuild per touched expert) instead of
         one-replica-at-a-time bookkeeping — the stale-eviction sweep can
-        drop dozens of replicas per trigger.
+        drop dozens of replicas per trigger — and no layer changes unless
+        every layer's entries are valid.
         """
-        layer_idx = np.asarray(layer_idx, dtype=np.int64)
-        expert_idx = np.asarray(expert_idx, dtype=np.int64)
-        device_idx = np.asarray(device_idx, dtype=np.int64)
+        batches = self._layer_batches(layer_idx, expert_idx, device_idx)
+        for layer, experts, devices in batches:
+            self._layers[layer]._check_drops(experts, devices)
         self._invalidate_entries()
-        for layer in np.unique(layer_idx).tolist():
-            selected = layer_idx == layer
-            experts = expert_idx[selected]
-            devices = device_idx[selected]
+        for layer, experts, devices in batches:
             target = self._layers[layer]
-            target.drop_replicas(experts, devices)
+            target._apply_drops(experts, devices)
             self._tensor[layer, experts, devices] = 0.0
             np.subtract.at(self._counts[layer], experts, 1)
             np.subtract.at(self._shadow_counts[layer], devices, 1)
@@ -744,6 +756,21 @@ class StackedPlacement:
             self._versions[layer] = target.version
             for expert, device in zip(experts.tolist(), devices.tolist()):
                 self._entry_remove(layer, expert, device)
+
+    @staticmethod
+    def _layer_batches(
+        layer_idx: np.ndarray, expert_idx: np.ndarray, device_idx: np.ndarray
+    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(layer, experts, devices)`` per touched layer, ascending, each
+        layer's entries in batch order."""
+        layer_idx = np.asarray(layer_idx, dtype=np.int64)
+        expert_idx = np.asarray(expert_idx, dtype=np.int64)
+        device_idx = np.asarray(device_idx, dtype=np.int64)
+        batches = []
+        for layer in np.unique(layer_idx).tolist():
+            selected = layer_idx == layer
+            batches.append((layer, expert_idx[selected], device_idx[selected]))
+        return batches
 
     def fail_device(self, device: int) -> tuple[np.ndarray, np.ndarray]:
         """Fail-stop ``device`` on every layer.

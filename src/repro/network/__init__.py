@@ -9,10 +9,14 @@ generalised to congested links:
 
 Collectives are sequences of phases.  This mirrors the analytical backend
 the paper built into ASTRA-sim: serialisation on the bottleneck link plus a
-per-hop latency term.
+per-hop latency term.  Ring steps and ESP gathers list their flows for
+:func:`simulate_phase`; the MoE all-to-all's dispatch and combine phases
+fold the same route rows into per-mapping link operators
+(:mod:`repro.network.alltoall`), one way for the figures and the serving
+loop alike.
 """
 
-from repro.network.traffic import ArrayTrafficMatrix, Flow, TrafficMatrix
+from repro.network.traffic import Flow, TrafficMatrix
 from repro.network.phase import PhaseResult, simulate_phase
 from repro.network.allreduce import (
     CollectiveResult,
@@ -23,14 +27,11 @@ from repro.network.allreduce import (
 )
 from repro.network.alltoall import (
     AllToAllResult,
-    DispatchPlan,
-    build_dispatch_traffic,
     clear_plan_caches,
     simulate_alltoall,
 )
 
 __all__ = [
-    "ArrayTrafficMatrix",
     "Flow",
     "TrafficMatrix",
     "PhaseResult",
@@ -41,8 +42,6 @@ __all__ = [
     "ring_reduce_scatter",
     "hierarchical_allreduce",
     "AllToAllResult",
-    "DispatchPlan",
-    "build_dispatch_traffic",
     "clear_plan_caches",
     "simulate_alltoall",
 ]

@@ -8,18 +8,12 @@ the shard owner is — so the mapping supplies its precomputed
 :class:`~repro.mapping.base.HolderTable` and this module stays
 mapping-agnostic.  Combine mirrors dispatch with reversed flow directions.
 
-Single-layer pricing is array-native: a :class:`DispatchPlan` flattens the
-iteration-invariant structure — (group, expert) demand cell × placement
-destination shares × holder fractions — into parallel arrays once per
-``(mapping, placement version)``, after which each call's traffic is a
-gather, two multiplies, and one ``bincount``.  The plan enumerates terms in
-exactly the order the original per-entry loop visited them (kept below as
-:func:`loop_dispatch_traffic`, the reference oracle in the regression
-tests), so the aggregated volumes are bit-identical to the seed semantics.
-
-For the serving loop's layer stacks, :class:`SparseAllToAllPricer` and
-:class:`LayeredDispatchPlan` price every layer's all-to-all against its own
-demand rows and its own (possibly migration-diverged) placement.  The
+Every all-to-all is priced one way, by the mapping's
+:class:`SparseAllToAllPricer`.  The serving loop prices its layer stacks
+through :class:`LayeredDispatchPlan`, every layer against its own demand
+rows and its own (possibly migration-diverged) placement; the single-layer
+figures call :func:`simulate_alltoall`, which replays one placement into a
+one-layer stack and prices it on the same pricer.  The
 ``(group, dest) -> link`` map is stored as one scipy CSR matrix per
 hosted-destination set, built lazily from per-destination rows, and a
 stack prices with one gather of its hosted cells from the demand stack
@@ -34,7 +28,7 @@ systems simulable.  See ``docs/pricing-operators.md`` for the model.
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -43,20 +37,14 @@ from repro import sanitize
 from repro.network.phase import (
     PhaseResult,
     phase_durations_from_link_volumes,
+    phase_result_from_link_volumes,
     route_rows,
-    simulate_phase,
 )
-from repro.network.traffic import ArrayTrafficMatrix, TrafficMatrix
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mapping.base import Mapping
     from repro.mapping.placement import ExpertPlacement, StackedPlacement
-
-#: destinations(expert) -> [(device, share)], shares summing to 1.
-DestinationFn = Callable[[int], Iterable[tuple[int, float]]]
-#: holders(group, destination_device) -> [(device, fraction)], fractions summing to 1.
-HolderFn = Callable[[int, int], Iterable[tuple[int, float]]]
 
 
 @dataclass
@@ -82,243 +70,15 @@ class AllToAllResult:
         return self.dispatch.total_volume + self.combine.total_volume
 
 
-def _first_touch_bins(
-    keys: np.ndarray, num_devices: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factorize pair keys by first occurrence.
-
-    Returns (bin id per entry, bin src, bin dst) with bins numbered in the
-    order their pair first appears in ``keys`` — the insertion order of the
-    dict-backed loop, which downstream per-link float accumulation in
-    ``simulate_phase`` depends on for bit-compatibility.
-    """
-    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    ordered_keys = unique[order]
-    return rank[inverse], ordered_keys // num_devices, ordered_keys % num_devices
-
-
-class DispatchPlan:
-    """Flattened (demand cell, destination, holder) expansion for one
-    placement snapshot under one mapping.
-
-    Entry ``k`` contributes ``demand[cell_k] * share_k * frac_k`` bytes to
-    its (holder, destination) device pair; self-fetches are excluded at
-    build time.  Aggregation walks the entries in the order the per-entry
-    loop visited them and numbers pairs by first touch among the *active*
-    (nonzero-demand) entries — exactly the dict insertion order of
-    :func:`loop_dispatch_traffic` — so both the per-pair volumes and the
-    pair ordering (hence downstream link accumulation) match the loop
-    bitwise, for dense and sparse demand alike.  The dense-demand
-    factorization is precomputed; demand with zero cells pays one
-    ``np.unique`` per call.
-    """
-
-    def __init__(self, mapping: "Mapping", placement: "ExpertPlacement") -> None:
-        num_groups = mapping.dp
-        num_experts = placement.num_experts
-        num_devices = placement.num_devices
-        if mapping.topology.num_devices != num_devices:
-            raise ValueError(
-                f"placement covers {num_devices} devices but the mapping's "
-                f"topology has {mapping.topology.num_devices}"
-            )
-        self.num_groups = num_groups
-        self.num_experts = num_experts
-        self.num_devices = num_devices
-
-        table = mapping.token_holder_table()
-        shares = placement.destination_shares
-        replica_lists = [placement.replicas(expert) for expert in range(num_experts)]
-
-        cells: list[int] = []
-        share_terms: list[float] = []
-        frac_terms: list[float] = []
-        keys: list[int] = []
-        for group in range(num_groups):
-            for expert in range(num_experts):
-                cell = group * num_experts + expert
-                for dest in replica_lists[expert]:
-                    share = shares[expert, dest]
-                    for holder, fraction in table.entries(group, dest):
-                        if holder == dest:
-                            continue
-                        cells.append(cell)
-                        share_terms.append(share)
-                        frac_terms.append(fraction)
-                        keys.append(holder * num_devices + dest)
-
-        self.entry_cell = np.array(cells, dtype=np.intp)
-        self.entry_share = np.array(share_terms)
-        self.entry_frac = np.array(frac_terms)
-        self.entry_key = np.array(keys, dtype=np.intp)
-        if self.entry_key.size:
-            self.dense_bin, self.dense_src, self.dense_dst = _first_touch_bins(
-                self.entry_key, num_devices
-            )
-        else:
-            self.dense_bin = np.empty(0, dtype=np.intp)
-            self.dense_src = np.empty(0, dtype=np.intp)
-            self.dense_dst = np.empty(0, dtype=np.intp)
-        # Plans are cached and served to every later iteration; under the
-        # sanitizer their arrays are frozen so an aliasing caller raises
-        # instead of corrupting subsequent traffic aggregation.
-        sanitize.freeze(
-            (
-                self.entry_cell,
-                self.entry_share,
-                self.entry_frac,
-                self.entry_key,
-                self.dense_bin,
-                self.dense_src,
-                self.dense_dst,
-            )
-        )
-
-    def traffic(self, demand_bytes: np.ndarray) -> ArrayTrafficMatrix:
-        """Aggregate one iteration's dispatch traffic from a demand matrix."""
-        values = demand_bytes.ravel()[self.entry_cell]
-        active = values != 0
-        if active.all():
-            # Dense demand: the precomputed factorization already reflects
-            # first-touch order over every entry.
-            terms = values * self.entry_share
-            terms *= self.entry_frac
-            bins, src, dst = self.dense_bin, self.dense_src, self.dense_dst
-        else:
-            # Zero cells never enter the loop oracle's walk, so both the
-            # term sequence and the pair numbering must come from the
-            # active entries alone.
-            terms = values[active] * self.entry_share[active]
-            terms *= self.entry_frac[active]
-            bins, src, dst = _first_touch_bins(
-                self.entry_key[active], self.num_devices
-            )
-        volumes = np.bincount(bins, weights=terms, minlength=src.size)
-        positive = volumes > 0
-        return ArrayTrafficMatrix(src[positive], dst[positive], volumes[positive])
-
-
-#: placement -> {id(mapping): (mapping weakref, placement version, plan)}.
-#: Keyed weakly so retired placements release their plans; the version
-#: check invalidates plans after migrations mutate the placement.
-_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _sweep_dead_mappings(per_mapping: dict) -> None:
-    """Drop cache entries whose mapping weakref has expired.
-
-    Entries are keyed by ``id(mapping)``; once the mapping dies its id may
-    be recycled and, worse, the dead entry (holding a full plan) lives as
-    long as the placement does.  Sweeping on insert bounds the dict by the
-    number of *live* mappings.
-    """
-    dead = [key for key, entry in per_mapping.items() if entry[0]() is None]
-    for key in dead:
-        del per_mapping[key]
-
-
-def dispatch_plan(
-    mapping: "Mapping", placement: "ExpertPlacement"
-) -> DispatchPlan:
-    """The cached dispatch plan for this (mapping, placement version)."""
-    per_mapping = _PLAN_CACHE.setdefault(placement, {})
-    entry = per_mapping.get(id(mapping))
-    if entry is not None:
-        mapping_ref, version, plan = entry
-        if mapping_ref() is mapping and version == placement.version:
-            return plan
-    _sweep_dead_mappings(per_mapping)
-    plan = DispatchPlan(mapping, placement)
-    per_mapping[id(mapping)] = (weakref.ref(mapping), placement.version, plan)
-    return plan
-
-
 def _validate_demand(demand_bytes: np.ndarray) -> None:
     if demand_bytes.ndim != 2:
         raise ValueError(
             f"demand must be 2-D (groups x experts), got {demand_bytes.ndim}-D"
         )
+    if not np.isfinite(demand_bytes).all():
+        raise ValueError("demand volumes must be finite")
     if (demand_bytes < 0).any():
         raise ValueError("demand volumes must be >= 0")
-
-
-def build_dispatch_traffic(
-    demand_bytes: np.ndarray,
-    placement: "ExpertPlacement",
-    mapping: "Mapping",
-) -> ArrayTrafficMatrix:
-    """Aggregate token-fetch flows for a demand matrix, array-natively.
-
-    Args:
-        demand_bytes: ``(num_groups, num_experts)`` array; entry ``[g, e]``
-            is the byte volume of group ``g`` tokens routed to expert ``e``.
-        placement: expert placement supplying replica destination shares.
-        mapping: mapping supplying the token-holder table.
-    """
-    _validate_demand(demand_bytes)
-    plan = dispatch_plan(mapping, placement)
-    if demand_bytes.shape != (plan.num_groups, plan.num_experts):
-        raise ValueError(
-            f"demand shape {demand_bytes.shape} != "
-            f"({plan.num_groups}, {plan.num_experts})"
-        )
-    return plan.traffic(demand_bytes)
-
-
-def loop_dispatch_traffic(
-    demand_bytes: np.ndarray,
-    destinations: DestinationFn,
-    holders: HolderFn,
-) -> TrafficMatrix:
-    """The seed per-entry dispatch builder, kept as the reference oracle.
-
-    Walks every nonzero (group, expert) demand cell, querying the
-    ``destinations``/``holders`` callbacks per entry and accumulating into
-    a dict-backed :class:`TrafficMatrix`.  :class:`DispatchPlan` reproduces
-    this bit-for-bit; the regression tests hold the two paths together.
-    """
-    _validate_demand(demand_bytes)
-    traffic = TrafficMatrix()
-    groups, experts = np.nonzero(demand_bytes)
-    for group, expert in zip(groups.tolist(), experts.tolist()):
-        volume = float(demand_bytes[group, expert])
-        for dest, dest_share in destinations(expert):
-            routed = volume * dest_share
-            if routed <= 0:
-                continue
-            for source, fraction in holders(group, dest):
-                traffic.add(source, dest, routed * fraction)
-    return traffic
-
-
-def reverse_traffic(traffic: TrafficMatrix) -> TrafficMatrix:
-    out = TrafficMatrix()
-    for (src, dst), volume in traffic.items():
-        out.add(dst, src, volume)
-    return out
-
-
-def simulate_alltoall(
-    topology: Topology,
-    demand_bytes: np.ndarray,
-    placement: "ExpertPlacement",
-    mapping: "Mapping",
-) -> AllToAllResult:
-    """Simulate dispatch and combine for one MoE layer invocation.
-
-    Dispatch traffic comes off the cached :class:`DispatchPlan`; combine is
-    its transpose — no per-flow objects are materialized anywhere on the
-    path into :func:`~repro.network.phase.simulate_phase`.
-    """
-    dispatch_traffic = build_dispatch_traffic(demand_bytes, placement, mapping)
-    combine_traffic = dispatch_traffic.transposed()
-    return AllToAllResult(
-        dispatch=simulate_phase(topology, dispatch_traffic),
-        combine=simulate_phase(topology, combine_traffic),
-    )
 
 
 def uniform_demand(
@@ -342,6 +102,8 @@ def uniform_demand(
 def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
     """Convert a (groups x experts) token-count matrix to byte volumes."""
     counts = np.asarray(counts, dtype=float)
+    if not np.isfinite(counts).all():
+        raise ValueError("token counts must be finite")
     if (counts < 0).any():
         raise ValueError("token counts must be >= 0")
     return counts * token_bytes
@@ -365,9 +127,10 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 # further entry's product in entry order (natives before shadows) — a
 # fixed-order sum that no BLAS kernel choice can move.  A whole stack then
 # prices with one gather plus one sparse product per hosted-destination
-# set.  The per-link volumes equal the per-layer :func:`simulate_alltoall`
-# sums mathematically (same terms, reassociated), not bitwise (a few ulps
-# apart); :func:`simulate_alltoall` stays the reference.
+# set.  The per-link volumes equal the per-pair sums of the pair-list
+# pricing in ``tests/alltoall_reference.py`` mathematically (same terms,
+# reassociated), not bitwise (a few ulps apart); the tests hold the pricer
+# to that reference.
 
 
 @dataclass
@@ -825,6 +588,77 @@ def alltoall_pricer(mapping: "Mapping") -> SparseAllToAllPricer:
     return pricer
 
 
+def _one_layer_stack(placement: "ExpertPlacement") -> "StackedPlacement":
+    """``placement`` replayed into a one-layer stack: its dead devices
+    first, then its shadow replicas."""
+    from repro.mapping.placement import StackedPlacement  # import cycle
+
+    stack = StackedPlacement(
+        1, placement.num_experts, placement.num_devices, placement.shadow_slots
+    )
+    for device in sorted(placement.dead_devices):
+        stack.fail_device(device)
+    devices, experts = placement.shadow_entry_arrays()
+    stack.add_replicas(np.zeros(devices.size, dtype=np.int64), experts, devices)
+    return stack
+
+
+def _remote_fractions(mapping: "Mapping", dests: np.ndarray) -> np.ndarray:
+    """Per hosted ``(group, dest)`` cell, in ascending order, the share of
+    its bytes that ``dest`` fetches from other devices."""
+    table = mapping.token_holder_table()
+    num_cells = table.offsets.size - 1
+    cell = np.repeat(np.arange(num_cells), np.diff(table.offsets))
+    remote = table.holders != cell % table.num_devices
+    fractions = np.bincount(
+        cell[remote], weights=table.fractions[remote], minlength=num_cells
+    )
+    return fractions.reshape(table.num_groups, table.num_devices)[:, dests].ravel()
+
+
+def simulate_alltoall(
+    topology: Topology,
+    demand_bytes: np.ndarray,
+    placement: "ExpertPlacement",
+    mapping: "Mapping",
+) -> AllToAllResult:
+    """Simulate dispatch and combine for one MoE layer invocation.
+
+    ``demand_bytes[g, e]`` is the byte volume of group ``g``'s tokens
+    routed to expert ``e``.  The layer is priced by the mapping's
+    :func:`alltoall_pricer`, the one the serving loop uses, on
+    ``placement`` replayed into a one-layer stack.  Each phase's
+    ``total_volume`` counts the bytes that leave their holder.
+    """
+    if topology is not mapping.topology:
+        raise ValueError("the all-to-all is priced over mapping.topology; pass that object")
+    demand_bytes = np.asarray(demand_bytes, dtype=np.float64)
+    _validate_demand(demand_bytes)
+    if placement.num_devices != topology.num_devices:
+        raise ValueError(
+            f"placement covers {placement.num_devices} devices but the mapping's "
+            f"topology has {topology.num_devices}"
+        )
+    if demand_bytes.shape != (mapping.dp, placement.num_experts):
+        raise ValueError(
+            f"demand shape {demand_bytes.shape} != ({mapping.dp}, {placement.num_experts})"
+        )
+    pricer = alltoall_pricer(mapping)
+    batches = pricer.hosted_batches(_one_layer_stack(placement))
+    demand = demand_bytes[None]
+    volumes, latencies = pricer._price(demand, batches, with_latencies=True)
+    (batch,) = batches
+    remote = _remote_fractions(mapping, batch.hosted.dests)
+    total_volume = float((batch.cells(demand)[:, 0] * remote).sum())
+    dispatch, combine = (
+        phase_result_from_link_volumes(
+            topology, volumes[0, phase], float(latencies[0, phase]), total_volume
+        )
+        for phase in (0, 1)
+    )
+    return AllToAllResult(dispatch=dispatch, combine=combine)
+
+
 class LayeredDispatchPlan:
     """Per-layer all-to-all pricing for one placement epoch of a stack.
 
@@ -849,6 +683,19 @@ class LayeredDispatchPlan:
         demand rows.
         """
         return self.pricer.durations(demand_stack, self._batches)
+
+
+def _sweep_dead_mappings(per_mapping: dict) -> None:
+    """Drop cache entries whose mapping weakref has expired.
+
+    Entries are keyed by ``id(mapping)``; once the mapping dies its id may
+    be recycled and, worse, the dead entry (holding a full plan) lives as
+    long as the placement does.  Sweeping on insert bounds the dict by the
+    number of *live* mappings.
+    """
+    dead = [key for key, entry in per_mapping.items() if entry[0]() is None]
+    for key in dead:
+        del per_mapping[key]
 
 
 #: stacked placement -> {id(mapping): (mapping weakref, version vector, plan)}.
@@ -884,6 +731,5 @@ def clear_plan_caches() -> None:
     cases via an autouse fixture (``tests/conftest.py``); fault tooling may
     call this after mutating a topology's health out-of-band.
     """
-    _PLAN_CACHE.clear()
     _PRICER_CACHE.clear()
     _LAYERED_PLAN_CACHE.clear()

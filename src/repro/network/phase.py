@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import sanitize
-from repro.faults.health import degraded_bandwidth, topology_health
-from repro.network.traffic import ArrayTrafficMatrix, Flow, TrafficMatrix
+from repro.faults.health import topology_health
+from repro.network.traffic import Flow, TrafficMatrix
 from repro.topology.base import Topology
 from repro.topology.mesh import MeshTopology
 
@@ -95,9 +95,10 @@ class _RouteCache:
     alternate when a mesh offers one — is fixed.  The cache stores that set
     as one CSR row: sorted unique link indices with per-link byte weights
     (route share times the number of the pair's routes crossing the link)
-    plus the worst per-route latency, letting :func:`simulate_phase` and
-    the layered pricer charge a whole flow list with one ``bincount``.
-    Meshes build missing rows in closed form, a batch at a time
+    plus the worst per-route latency, letting :func:`simulate_phase`
+    charge a whole flow list with one ``bincount`` and the all-to-all
+    pricer fold the rows into its link operators.  Meshes build missing
+    rows in closed form, a batch at a time
     (:meth:`MeshTopology.dimension_order_links`); other fabrics walk their
     single route per pair.
     """
@@ -321,38 +322,46 @@ def phase_durations_from_link_volumes(
     return serialization + worst_latencies
 
 
+def phase_result_from_link_volumes(
+    topology: Topology,
+    link_volumes: np.ndarray,
+    worst_latency: float,
+    total_volume: float,
+) -> PhaseResult:
+    """One phase's :class:`PhaseResult` from its per-link volumes.
+
+    ``link_volumes`` is ``(num_links,)`` in route cache link order.  The
+    duration is formed as :func:`phase_durations_from_link_volumes` forms
+    it, and ``link_bytes`` holds the nonzero links in that order.
+    """
+    cache = _route_cache(topology)
+    serialization = float((link_volumes / cache.effective_bandwidth()).max())
+    return PhaseResult(
+        duration=serialization + worst_latency,
+        link_bytes={
+            cache.keys[position]: float(link_volumes[position])
+            for position in np.nonzero(link_volumes)[0]
+        },
+        serialization_time=serialization,
+        latency_time=worst_latency,
+        total_volume=total_volume,
+    )
+
+
 def simulate_phase(
     topology: Topology,
-    flows: TrafficMatrix | ArrayTrafficMatrix | list[Flow],
-    store_and_forward: bool = False,
+    flows: TrafficMatrix | list[Flow],
 ) -> PhaseResult:
     """Route every flow and apply the congested Eq. 1 model.
 
     Every flow's bytes are charged to each link on its deterministic route.
-    The default cut-through (wormhole) semantics end the phase when the
-    busiest link drains, plus the worst flow's cumulative per-hop latency —
-    distance still costs, because longer paths load more links and pay more
-    latency.  With ``store_and_forward=True`` a flow instead drains through
-    the accumulated queue of *every* link on its path (the literal reading
-    of Eq. 1's hops multiplier); that is the right model for single
-    transfers such as ring steps, but over-penalises large concurrent
-    all-to-alls, so it is opt-in.
+    Cut-through (wormhole) semantics end the phase when the busiest link
+    drains, plus the worst flow's cumulative per-hop latency — distance
+    still costs, because longer paths load more links and pay more latency.
     """
-    if isinstance(flows, ArrayTrafficMatrix):
-        if not store_and_forward:
-            if not flows:
-                return PhaseResult(duration=0.0)
-            return _simulate_cut_through(
-                topology, flows.src, flows.dst, flows.volume, flows.total_volume
-            )
-        triples = [
-            (int(s), int(d), float(v))
-            for s, d, v in zip(flows.src, flows.dst, flows.volume)
-        ]
-    elif isinstance(flows, TrafficMatrix):
-        # (src, dst, volume) triples straight off the matrix — the cut-through
-        # path never needs Flow objects, and a 256-device all-to-all has
-        # thousands of them per iteration.
+    if isinstance(flows, TrafficMatrix):
+        # (src, dst, volume) triples straight off the matrix: pricing never
+        # needs Flow objects.
         triples = [(src, dst, volume) for (src, dst), volume in flows.items()]
     else:
         triples = [
@@ -360,64 +369,18 @@ def simulate_phase(
             for flow in flows
             if flow.volume > 0 and flow.src != flow.dst
         ]
-
     if not triples:
         return PhaseResult(duration=0.0)
-
-    if not store_and_forward:
-        src, dst, volume = zip(*triples)
-        total_volume = 0.0
-        for flow_volume in volume:
-            total_volume += flow_volume
-        return _simulate_cut_through(
-            topology,
-            np.array(src, dtype=np.intp),
-            np.array(dst, dtype=np.intp),
-            np.array(volume, dtype=float),
-            total_volume,
-        )
-
-    flow_list = [Flow(src, dst, volume) for src, dst, volume in triples]
-    route_alternate = getattr(topology, "route_alternate", None)
-
-    link_bytes: dict[tuple[int, int], float] = {}
-    weighted_paths: list[list[tuple[object, float]]] = []
-    worst_latency = 0.0
+    src, dst, volume = zip(*triples)
     total_volume = 0.0
-    for flow in flow_list:
-        total_volume += flow.volume
-        primary = topology.route(flow.src, flow.dst)
-        # O1TURN-style multipath: meshes split each flow evenly across the
-        # XY and YX dimension orders when they differ.
-        routes = [primary]
-        if route_alternate is not None:
-            alternate = route_alternate(flow.src, flow.dst)
-            if [link.key for link in alternate] != [link.key for link in primary]:
-                routes.append(alternate)
-        share = flow.volume / len(routes)
-        for path in routes:
-            weighted_paths.append([(link, share) for link in path])
-            path_latency = 0.0
-            for link in path:
-                key = link.key
-                link_bytes[key] = link_bytes.get(key, 0.0) + share
-                path_latency += link.latency
-            worst_latency = max(worst_latency, path_latency)
-
-    busy = {
-        key: volume / degraded_bandwidth(topology, key)
-        for key, volume in link_bytes.items()
-    }
-    serialization = max(
-        sum(busy[link.key] for link, _share in path)
-        for path in weighted_paths
-    )
-    return PhaseResult(
-        duration=serialization + worst_latency,
-        link_bytes=link_bytes,
-        serialization_time=serialization,
-        latency_time=worst_latency,
-        total_volume=total_volume,
+    for flow_volume in volume:
+        total_volume += flow_volume
+    return _simulate_cut_through(
+        topology,
+        np.array(src, dtype=np.intp),
+        np.array(dst, dtype=np.intp),
+        np.array(volume, dtype=float),
+        total_volume,
     )
 
 
@@ -439,16 +402,6 @@ def _simulate_cut_through(
     volumes = np.bincount(
         links, weights=weights * np.repeat(volume, counts), minlength=cache.num_links
     )
-    serialization = float((volumes / cache.effective_bandwidth()).max())
-    worst_latency = float(latency.max())
-    link_bytes = {
-        cache.keys[position]: float(volumes[position])
-        for position in np.nonzero(volumes)[0]
-    }
-    return PhaseResult(
-        duration=serialization + worst_latency,
-        link_bytes=link_bytes,
-        serialization_time=serialization,
-        latency_time=worst_latency,
-        total_volume=total_volume,
+    return phase_result_from_link_volumes(
+        topology, volumes, float(latency.max()), total_volume
     )

@@ -1,19 +1,13 @@
 """Flows and traffic matrices.
 
-Two traffic representations coexist:
-
-* :class:`TrafficMatrix` — a dict-backed accumulator for incrementally
-  built patterns (ring steps, ESP gathers, hand-written tests);
-* :class:`ArrayTrafficMatrix` — a frozen array-backed matrix (parallel
-  ``src``/``dst``/``volume`` arrays over unique device pairs) produced in
-  bulk by the array-native all-to-all pipeline and consumed by
-  :func:`~repro.network.phase.simulate_phase` without materializing
-  per-pair Python objects.
+:class:`TrafficMatrix` is a dict-backed accumulator for incrementally built
+patterns (ring steps, ESP gathers, hand-written tests) that
+:func:`~repro.network.phase.simulate_phase` prices; the MoE all-to-all
+never builds per-pair traffic and prices through link operators instead
+(:mod:`repro.network.alltoall`).
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -79,67 +73,3 @@ class TrafficMatrix:
         for (src, dst), volume in self._volumes.items():
             out.add(src, dst, volume * factor)
         return out
-
-
-class ArrayTrafficMatrix:
-    """Immutable array-backed traffic: parallel src/dst/volume arrays.
-
-    The constructor validates shapes, non-negative volumes, and the absence
-    of self-flows.  Producers are additionally responsible for pair
-    uniqueness (duplicates are not merged here — the dispatch plan's
-    bincount guarantees it) and should drop zero-volume pairs, since phase
-    pricing charges path latency per listed pair.  Pair order is
-    semantically irrelevant but preserved — the dispatch plan emits pairs
-    in the same first-touch order the dict-backed loop used, which keeps
-    floating-point link accumulation in
-    :func:`~repro.network.phase.simulate_phase` bit-compatible.
-    """
-
-    __slots__ = ("src", "dst", "volume")
-
-    def __init__(self, src, dst, volume) -> None:
-        self.src = np.asarray(src, dtype=np.intp)
-        self.dst = np.asarray(dst, dtype=np.intp)
-        self.volume = np.asarray(volume, dtype=float)
-        if not (self.src.shape == self.dst.shape == self.volume.shape):
-            raise ValueError("src/dst/volume arrays must share a shape")
-        if self.src.ndim != 1:
-            raise ValueError("traffic arrays must be 1-D")
-        if (self.volume < 0).any():
-            raise ValueError("volumes must be >= 0")
-        if (self.src == self.dst).any():
-            raise ValueError("self-flows are not allowed")
-
-    def items(self):
-        """(``(src, dst)``, volume) pairs — dict-``TrafficMatrix`` compat."""
-        return (
-            ((int(s), int(d)), float(v))
-            for s, d, v in zip(self.src, self.dst, self.volume)
-        )
-
-    def flows(self) -> list[Flow]:
-        return [Flow(int(s), int(d), float(v)) for s, d, v in
-                zip(self.src, self.dst, self.volume)]
-
-    def transposed(self) -> "ArrayTrafficMatrix":
-        """The combine pattern: every dispatch flow with endpoints swapped."""
-        return ArrayTrafficMatrix(self.dst, self.src, self.volume)
-
-    def scaled(self, factor: float) -> "ArrayTrafficMatrix":
-        """A copy with every volume scaled; zero-volume pairs are dropped
-        (matching :meth:`TrafficMatrix.add`'s zero handling)."""
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        volume = self.volume * factor
-        keep = volume > 0
-        return ArrayTrafficMatrix(self.src[keep], self.dst[keep], volume[keep])
-
-    @property
-    def total_volume(self) -> float:
-        return float(self.volume.sum())
-
-    def __len__(self) -> int:
-        return int(self.src.size)
-
-    def __bool__(self) -> bool:
-        return self.src.size > 0

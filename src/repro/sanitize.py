@@ -1,7 +1,7 @@
 """Runtime cache-aliasing sanitizer.
 
-The caching layers hand out *shared* array objects: the dispatch-plan and
-route caches return the same arrays on every hit, per-instance memos
+The caching layers hand out *shared* array objects: the pricer's operator
+and the route caches return the same arrays on every hit, per-instance memos
 (:mod:`repro.memo`) return whatever the first call computed, and the
 layered pricing plans freeze share stacks for a whole placement epoch.  A
 caller mutating one of those arrays in place corrupts every later

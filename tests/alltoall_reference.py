@@ -1,0 +1,190 @@
+"""Pair-list all-to-all pricing: the test-only reference for the CSR pricer.
+
+``simulate_alltoall`` prices through the mapping's CSR pricer.  This module
+keeps the pricing it replaced, which builds the dispatch traffic as a list
+of (holder, destination) device pairs and charges each phase's pairs
+through the phase model's cut-through pricing:
+
+* :func:`loop_dispatch_traffic` is the seed per-entry builder, a dict walk
+  over every nonzero demand cell;
+* :class:`DispatchPlan` expands (demand cell, destination, holder) terms
+  into parallel arrays and aggregates them with one ``bincount``, bit for
+  bit equal to the loop, pair order included;
+* :func:`simulate_alltoall` prices the plan's pairs, dispatch and then the
+  transposed combine pairs.
+
+The tests hold the pricer to :func:`simulate_alltoall` here, through
+:func:`assert_close_to_reference`.  Nothing is cached, so every call prices
+the placement as it stands.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from repro.network.alltoall import AllToAllResult, _validate_demand
+from repro.network.phase import PhaseResult, _simulate_cut_through
+from repro.network.traffic import TrafficMatrix
+
+
+def _first_touch_bins(keys, num_devices):
+    """Factorize pair keys by first occurrence.
+
+    Returns (bin id per entry, bin src, bin dst) with bins numbered in the
+    order their pair first appears in ``keys``: the insertion order of the
+    dict-backed loop.
+    """
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    ordered_keys = unique[order]
+    return rank[inverse], ordered_keys // num_devices, ordered_keys % num_devices
+
+
+@dataclass(frozen=True)
+class PairTraffic:
+    """Parallel src/dst/volume arrays over distinct device pairs."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    volume: np.ndarray
+
+    def items(self):
+        """(``(src, dst)``, volume) pairs, as ``TrafficMatrix.items``."""
+        return (
+            ((int(s), int(d)), float(v))
+            for s, d, v in zip(self.src, self.dst, self.volume)
+        )
+
+    def transposed(self):
+        """The combine pattern: every dispatch pair with endpoints swapped."""
+        return PairTraffic(self.dst, self.src, self.volume)
+
+    @property
+    def total_volume(self):
+        return float(self.volume.sum())
+
+
+class DispatchPlan:
+    """Flattened (demand cell, destination, holder) expansion of one
+    placement under one mapping.
+
+    Entry ``k`` contributes ``demand[cell_k] * share_k * frac_k`` bytes to
+    its (holder, destination) device pair; self-fetches are excluded.  Pairs
+    are numbered by first touch among the active (nonzero-demand) entries,
+    which is the dict insertion order of :func:`loop_dispatch_traffic`, so
+    the per-pair volumes and the pair order match the loop bit for bit.
+    """
+
+    def __init__(self, mapping, placement):
+        num_devices = placement.num_devices
+        if mapping.topology.num_devices != num_devices:
+            raise ValueError(
+                f"placement covers {num_devices} devices but the mapping's "
+                f"topology has {mapping.topology.num_devices}"
+            )
+        self.num_groups = mapping.dp
+        self.num_experts = placement.num_experts
+        self.num_devices = num_devices
+        table = mapping.token_holder_table()
+        replica_lists = [
+            placement.replicas(expert) for expert in range(self.num_experts)
+        ]
+        cells, share_terms, frac_terms, keys = [], [], [], []
+        for group in range(self.num_groups):
+            for expert in range(self.num_experts):
+                cell = group * self.num_experts + expert
+                for dest in replica_lists[expert]:
+                    share = 1.0 / len(replica_lists[expert])
+                    for holder, fraction in table.entries(group, dest):
+                        if holder == dest:
+                            continue
+                        cells.append(cell)
+                        share_terms.append(share)
+                        frac_terms.append(fraction)
+                        keys.append(holder * num_devices + dest)
+        self.entry_cell = np.array(cells, dtype=np.intp)
+        self.entry_share = np.array(share_terms)
+        self.entry_frac = np.array(frac_terms)
+        self.entry_key = np.array(keys, dtype=np.intp)
+
+    def traffic(self, demand_bytes):
+        """Aggregate one layer's dispatch traffic from a demand matrix."""
+        values = demand_bytes.ravel()[self.entry_cell]
+        active = values != 0
+        terms = values[active] * self.entry_share[active]
+        terms *= self.entry_frac[active]
+        bins, src, dst = _first_touch_bins(self.entry_key[active], self.num_devices)
+        volumes = np.bincount(bins, weights=terms, minlength=src.size)
+        positive = volumes > 0
+        return PairTraffic(src[positive], dst[positive], volumes[positive])
+
+
+def build_dispatch_traffic(demand_bytes, placement, mapping):
+    """The token-fetch pairs of a ``(groups, experts)`` byte-demand matrix."""
+    _validate_demand(demand_bytes)
+    plan = DispatchPlan(mapping, placement)
+    if demand_bytes.shape != (plan.num_groups, plan.num_experts):
+        raise ValueError(
+            f"demand shape {demand_bytes.shape} != "
+            f"({plan.num_groups}, {plan.num_experts})"
+        )
+    return plan.traffic(demand_bytes)
+
+
+def loop_dispatch_traffic(demand_bytes, destinations, holders):
+    """The seed per-entry dispatch builder.
+
+    Walks every nonzero (group, expert) demand cell, querying the
+    ``destinations(expert)`` and ``holders(group, dest)`` callbacks per
+    entry and accumulating into a dict-backed :class:`TrafficMatrix`.
+    """
+    _validate_demand(demand_bytes)
+    traffic = TrafficMatrix()
+    groups, experts = np.nonzero(demand_bytes)
+    for group, expert in zip(groups.tolist(), experts.tolist()):
+        volume = float(demand_bytes[group, expert])
+        for dest, dest_share in destinations(expert):
+            routed = volume * dest_share
+            if routed <= 0:
+                continue
+            for source, fraction in holders(group, dest):
+                traffic.add(source, dest, routed * fraction)
+    return traffic
+
+
+def price_pairs(topology, traffic):
+    """One phase's cut-through price of a pair list."""
+    if not traffic.src.size:
+        return PhaseResult(duration=0.0)
+    return _simulate_cut_through(
+        topology, traffic.src, traffic.dst, traffic.volume, traffic.total_volume
+    )
+
+
+def simulate_alltoall(topology, demand_bytes, placement, mapping):
+    """Dispatch and combine of one MoE layer, priced pair by pair."""
+    dispatch = build_dispatch_traffic(demand_bytes, placement, mapping)
+    return AllToAllResult(
+        dispatch=price_pairs(topology, dispatch),
+        combine=price_pairs(topology, dispatch.transposed()),
+    )
+
+
+def assert_close_to_reference(result, reference, rel=1e-12):
+    """Every float field of both phases within ``rel`` of the reference,
+    worst path latencies exact and the same links loaded."""
+    for ours, expected in (
+        (result.dispatch, reference.dispatch),
+        (result.combine, reference.combine),
+    ):
+        for name in ("duration", "serialization_time", "total_volume"):
+            assert getattr(ours, name) == pytest.approx(
+                getattr(expected, name), rel=rel, abs=0.0
+            ), name
+        assert ours.latency_time == expected.latency_time
+        assert ours.link_bytes.keys() == expected.link_bytes.keys()
+        for key, volume in expected.link_bytes.items():
+            assert ours.link_bytes[key] == pytest.approx(volume, rel=rel, abs=0.0), key

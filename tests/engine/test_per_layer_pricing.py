@@ -7,10 +7,12 @@ through ``ComputeModel.moe_peak_arrays``.  The oracle here re-prices every
 simulated layer one at a time with ``IterationSimulator.simulate_layer``
 on that layer's own group demand (drawn from a twin workload with the same
 seed) and a snapshot of that layer's placement taken when the loop priced
-it, then rebuilds the iteration latency from those layer totals.  A layer
-priced against another layer's demand or placement, a stale plan, or a
-slip in overlap or straggler scaling shows up as a mismatch on some
-iteration — under migrations, faults, fewer experts than devices (hosted
+it, then rebuilds the iteration latency from those layer totals.  The
+oracle's all-to-all is the pair-list reference of
+``tests/alltoall_reference.py``, since ``simulate_alltoall`` itself prices
+through the pricer under test.  A layer priced against another layer's
+demand or placement, a stale plan, or a slip in overlap or straggler
+scaling shows up as a mismatch on some iteration — under migrations, faults, fewer experts than devices (hosted
 sets that grow as shadow replicas land on empty devices), a DP group
 count that is not a power of two and a varying batch size.
 """
@@ -20,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from alltoall_reference import simulate_alltoall as reference_alltoall
 from repro.balancer import (
     GreedyBalancer,
     NoBalancer,
@@ -32,6 +35,7 @@ from repro.engine import (
     ServingConfig,
     ServingSimulator,
 )
+from repro.engine import iteration as iteration_module
 from repro.engine import serving as serving_module
 from repro.engine.iteration import IterationSimulator
 from repro.faults import DeviceFailure, FaultSchedule, LinkDegradation, Straggler
@@ -41,6 +45,10 @@ from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSi
 
 NUM_LAYERS = 6
 ITERATIONS = 30
+
+#: Relative 1e-12 with no absolute floor: pytest.approx's default 1e-12
+#: absolute tolerance would pass any all-to-all duration, which is ~1e-7 s.
+TIGHT = dict(rel=1e-12, abs=0.0)
 
 FAULTS = (
     Straggler(iteration=8, device=6, factor=3.0, duration=10),
@@ -137,8 +145,15 @@ def priced(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def reference_layers(monkeypatch):
+    """``simulate_layer`` prices its all-to-all with the pair-list
+    reference (it looks ``simulate_alltoall`` up as a module global)."""
+    monkeypatch.setattr(iteration_module, "simulate_alltoall", reference_alltoall)
+
+
 @pytest.mark.parametrize("name", list(SCENARIOS))
-def test_loop_matches_per_layer_simulation(name, priced):
+def test_loop_matches_per_layer_simulation(name, priced, reference_layers):
     settings = SCENARIOS[name]
     model = settings.get("model", QWEN3_235B)
     system = build_wsc(model, side=settings.get("side", 4), tp=4, mapping="er")
@@ -172,23 +187,23 @@ def test_loop_matches_per_layer_simulation(name, priced):
         # summation-order rounding of the exact simulation.
         for layer in range(NUM_LAYERS):
             assert call["durations"][layer] == pytest.approx(
-                [layers[layer].dispatch, layers[layer].combine], rel=1e-12
+                [layers[layer].dispatch, layers[layer].combine], **TIGHT
             ), (iteration, layer)
         assert record.breakdown.dispatch == call["durations"][0, 0]
         assert record.breakdown.combine == call["durations"][0, 1]
         moe = record.breakdown.moe
         assert (moe.compute, moe.memory) == pytest.approx(
-            (layers[0].moe.compute, layers[0].moe.memory), rel=1e-12
+            (layers[0].moe.compute, layers[0].moe.memory), **TIGHT
         )
         assert record.alltoall_mean == pytest.approx(
-            np.mean([breakdown.alltoall for breakdown in layers]), rel=1e-12
+            np.mean([breakdown.alltoall for breakdown in layers]), **TIGHT
         )
         assert (record.moe_mean.compute, record.moe_mean.memory) == pytest.approx(
             (
                 np.mean([breakdown.moe.compute for breakdown in layers]),
                 np.mean([breakdown.moe.memory for breakdown in layers]),
             ),
-            rel=1e-12,
+            **TIGHT,
         )
         # Every layer shares layer 0's (fault-scaled) attention phase and
         # pays its own MoE phase.
@@ -199,7 +214,7 @@ def test_loop_matches_per_layer_simulation(name, priced):
         expected = (
             depth * np.mean(totals) + record.migration_exposed + record.repair_exposed
         )
-        assert record.latency == pytest.approx(expected, rel=1e-12), iteration
+        assert record.latency == pytest.approx(expected, **TIGHT), iteration
     assert (migrations == 0) == (settings["balancer"] is NoBalancer)
     if "hosted" in settings:
         hosted = [

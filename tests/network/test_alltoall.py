@@ -1,24 +1,20 @@
 """Tests for the MoE all-to-all simulation."""
 
-import gc
-
 import numpy as np
 import pytest
 
+from alltoall_reference import build_dispatch_traffic
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
 from repro.mapping.placement import ExpertPlacement
+from repro.models import QWEN3_235B
 from repro.network.alltoall import (
-    _PLAN_CACHE,
-    build_dispatch_traffic,
     demand_from_counts,
-    dispatch_plan,
-    reverse_traffic,
     simulate_alltoall,
     uniform_demand,
 )
-from repro.network.traffic import TrafficMatrix
+from repro.systems import build_wsc
 from repro.topology.mesh import MeshTopology
 
 
@@ -61,81 +57,79 @@ class TestDemandHelpers:
         with pytest.raises(ValueError):
             demand_from_counts(np.array([[-1.0]]), 10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_demand_from_counts_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            demand_from_counts(np.array([[1.0, bad]]), 10)
+
 
 class TestDispatchTraffic:
+    """Token-fetch pairs of the pair-list reference."""
+
     def test_volume_conserved(self, er, placement):
         demand = uniform_demand(4, 16, 256, 8, 100)
-        traffic = build_dispatch_traffic(
-            demand, placement, er
-        )
+        traffic = build_dispatch_traffic(demand, placement, er)
         # Self flows (holder == destination) are legitimately dropped.
         assert traffic.total_volume <= demand.sum() + 1e-6
         assert traffic.total_volume > 0.5 * demand.sum()
 
     def test_er_dispatch_stays_within_ftds(self, er, placement):
         demand = uniform_demand(4, 16, 256, 8, 100)
-        traffic = build_dispatch_traffic(
-            demand, placement, er
-        )
+        traffic = build_dispatch_traffic(demand, placement, er)
         for (src, dst), _volume in traffic.items():
             assert er.ftd_of(src) == er.ftd_of(dst)
 
     def test_baseline_dispatch_crosses_regions(self, baseline, placement):
         demand = uniform_demand(4, 16, 256, 8, 100)
-        traffic = build_dispatch_traffic(
-            demand, placement, baseline
-        )
+        traffic = build_dispatch_traffic(demand, placement, baseline)
         distances = [
             baseline.topology.hops(src, dst) for (src, dst), _ in traffic.items()
         ]
         assert max(distances) >= 3
 
+
+class TestDemandChecks:
     def test_rejects_non_2d_demand(self, er, placement):
         with pytest.raises(ValueError, match="2-D"):
-            build_dispatch_traffic(
-                np.zeros(4), placement, er
-            )
+            simulate_alltoall(er.topology, np.zeros(4), placement, er)
 
     def test_rejects_negative_demand(self, er, placement):
         with pytest.raises(ValueError, match=">= 0"):
-            build_dispatch_traffic(
-                np.full((4, 16), -1.0), placement, er
-            )
+            simulate_alltoall(er.topology, np.full((4, 16), -1.0), placement, er)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_demand(self, bad):
+        """Unchecked, a NaN cell drops out of the traffic silently: the
+        layer prices like the clean run and moves fewer bytes."""
+        system = build_wsc(QWEN3_235B, 4, tp=4, mapping="er")
+        mapping = system.mapping
+        demand = uniform_demand(
+            mapping.dp, QWEN3_235B.num_experts, 256, 8, QWEN3_235B.token_bytes
+        )
+        demand[:, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            simulate_alltoall(system.topology, demand, system.fresh_placement(), mapping)
 
-class TestDispatchPlanCache:
-    def test_dead_mapping_entries_swept_on_insert(self, mesh, placement):
-        """Entries for garbage-collected mappings must not accumulate in
-        the per-placement dict for the placement's lifetime."""
-        parallelism = ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2))
-        for _ in range(3):
-            dead = ERMapping(mesh, parallelism)
-            dispatch_plan(dead, placement)
-            del dead
-        gc.collect()
-        live = ERMapping(mesh, parallelism)
-        dispatch_plan(live, placement)
-        entries = _PLAN_CACHE[placement]
-        assert len(entries) == 1
-        assert next(iter(entries.values()))[0]() is live
+    def test_rejects_wrong_demand_shape(self, er, placement):
+        with pytest.raises(ValueError, match="shape"):
+            simulate_alltoall(er.topology, np.ones((4, 8)), placement, er)
 
-    def test_live_mapping_entry_survives_sweep(self, mesh, placement):
-        parallelism = ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2))
-        keep = ERMapping(mesh, parallelism)
-        plan = dispatch_plan(keep, placement)
-        other = BaselineMapping(mesh, parallelism)
-        dispatch_plan(other, placement)
-        assert dispatch_plan(keep, placement) is plan
-        assert len(_PLAN_CACHE[placement]) == 2
+    def test_rejects_placement_of_another_size(self, er):
+        with pytest.raises(ValueError, match="devices"):
+            simulate_alltoall(er.topology, np.ones((4, 16)), ExpertPlacement(16, 8), er)
 
+    def test_rejects_another_topology(self, er, placement):
+        """The pricer routes over the mapping's fabric, so pricing over an
+        equal but distinct topology object is refused."""
+        with pytest.raises(ValueError, match="mapping.topology"):
+            simulate_alltoall(MeshTopology(4, 4), np.ones((4, 16)), placement, er)
 
-class TestReverse:
-    def test_reverse_swaps_endpoints(self):
-        traffic = TrafficMatrix()
-        traffic.add(0, 1, 5.0)
-        traffic.add(2, 3, 7.0)
-        reverse = reverse_traffic(traffic)
-        assert dict(reverse.items()) == {(1, 0): 5.0, (3, 2): 7.0}
+    def test_integer_demand_prices_like_float(self, er, placement):
+        counts = np.arange(64).reshape(4, 16) % 7
+        as_int = simulate_alltoall(er.topology, counts, placement, er)
+        as_float = simulate_alltoall(er.topology, counts.astype(float), placement, er)
+        assert as_int == as_float
+        assert as_int.duration > 0
 
 
 class TestSimulateAllToAll:
@@ -187,15 +181,14 @@ class TestSimulateAllToAll:
         placement.add_replica(0, 15)
         demand = np.zeros((4, 16))
         demand[0, 0] = 1000.0
-        traffic = build_dispatch_traffic(
-            demand, placement, er
-        )
-        volumes = dict(traffic.items())
+        volumes = dict(build_dispatch_traffic(demand, placement, er).items())
         # Half the demand goes to the replica on device 15, fetched from
         # group 0's member inside device 15's FTD; the native half is a
         # self-fetch on device 0 and generates no traffic.
         assert sum(volumes.values()) == pytest.approx(500.0)
         assert {dst for (_, dst) in volumes} == {15}
+        result = simulate_alltoall(er.topology, demand, placement, er)
+        assert result.dispatch.total_volume == pytest.approx(500.0)
 
     def test_link_bytes_merged(self, er, placement):
         demand = uniform_demand(4, 16, 256, 8, 100)

@@ -1,34 +1,35 @@
-"""Regression tests: the array-native traffic pipeline vs the loop oracle.
+"""Regression tests: the pair-list reference against the seed loop, and
+``simulate_alltoall`` against the reference under mid-run migrations.
 
-PR 2 replaced the callback-per-entry dispatch builder with a cached
-:class:`~repro.network.alltoall.DispatchPlan` (demand gather x destination
-shares x holder-table fractions, aggregated with one bincount) and made
-``simulate_phase`` price the resulting :class:`ArrayTrafficMatrix` through
-a CSR route table.  The seed per-entry builder survives as
-``loop_dispatch_traffic``; these tests pin the two paths together —
-bit-identical pair volumes and phase durations — across all four mapping
-families, placements with replicas, and mid-run migrations (placement
-version invalidation).
+``tests/alltoall_reference.py`` keeps the pair-list pricing that
+``simulate_alltoall`` used before it priced through the CSR pricer: a
+:class:`DispatchPlan` (demand gather x destination shares x holder-table
+fractions, aggregated with one bincount) whose pairs are charged through
+the phase model's cut-through pricing.  The seed per-entry builder survives
+there as ``loop_dispatch_traffic``; these tests pin the two together —
+bit-identical pair volumes and phase prices — across all four mapping
+families, placements with replicas, and sparse demand.
 """
 
 import numpy as np
 import pytest
 
+from alltoall_reference import (
+    assert_close_to_reference,
+    build_dispatch_traffic,
+    loop_dispatch_traffic,
+    price_pairs,
+)
+from alltoall_reference import simulate_alltoall as reference_alltoall
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
 from repro.mapping.gpu import GPUMapping
 from repro.mapping.her import HierarchicalERMapping
 from repro.mapping.placement import ExpertPlacement
-from repro.network.alltoall import (
-    build_dispatch_traffic,
-    dispatch_plan,
-    loop_dispatch_traffic,
-    reverse_traffic,
-    simulate_alltoall,
-)
+from repro.network.alltoall import simulate_alltoall
 from repro.network.phase import migration_route_arrays, simulate_phase
-from repro.network.traffic import ArrayTrafficMatrix
+from repro.network.traffic import TrafficMatrix
 from repro.topology.mesh import MeshTopology, MultiWaferTopology
 from repro.topology.switched import DGXClusterTopology
 
@@ -73,6 +74,13 @@ def randomly_replicated(rng, mapping, shadow_slots=2, replicas=6):
     return placement
 
 
+def reversed_traffic(traffic):
+    out = TrafficMatrix()
+    for (src, dst), volume in traffic.items():
+        out.add(dst, src, volume)
+    return out
+
+
 def assert_matches_oracle(demand, placement, mapping):
     array_traffic = build_dispatch_traffic(demand, placement, mapping)
     oracle = loop_dispatch_traffic(
@@ -84,11 +92,11 @@ def assert_matches_oracle(demand, placement, mapping):
     assert list(array_traffic.items()) == list(oracle.items())
 
     combine = array_traffic.transposed()
-    assert list(combine.items()) == list(reverse_traffic(oracle).items())
+    assert list(combine.items()) == list(reversed_traffic(oracle).items())
 
     topology = mapping.topology
-    for ours, theirs in ((array_traffic, oracle), (combine, reverse_traffic(oracle))):
-        new_phase = simulate_phase(topology, ours)
+    for ours, theirs in ((array_traffic, oracle), (combine, reversed_traffic(oracle))):
+        new_phase = price_pairs(topology, ours)
         old_phase = simulate_phase(topology, theirs)
         assert new_phase.duration == old_phase.duration
         assert new_phase.serialization_time == old_phase.serialization_time
@@ -97,6 +105,16 @@ def assert_matches_oracle(demand, placement, mapping):
         assert new_phase.total_volume == pytest.approx(
             old_phase.total_volume, rel=1e-12
         )
+
+
+def assert_prices_like_reference(demand, placement, mapping):
+    """``simulate_alltoall`` on the placement as it stands now equals the
+    reference to summation-order rounding."""
+    ours = simulate_alltoall(mapping.topology, demand, placement, mapping)
+    assert_close_to_reference(
+        ours, reference_alltoall(mapping.topology, demand, placement, mapping)
+    )
+    return ours
 
 
 @pytest.mark.parametrize("family", sorted(MAPPINGS))
@@ -135,29 +153,26 @@ class TestDispatchOracle:
         assert_matches_oracle(demand, placement, mapping)
 
 
-class TestPlanInvalidation:
-    def test_mid_run_migration_invalidates_plan(self):
+class TestMidRunMigration:
+    def test_mid_run_migration_reprices_the_placement(self):
+        """Migration commits bump the placement version; every call then
+        prices the placement as mutated, against the reference."""
         mapping = MAPPINGS["er"]
         rng = np.random.default_rng(7)
         placement = ExpertPlacement(
             NUM_EXPERTS, mapping.topology.num_devices, shadow_slots=2
         )
         demand = random_demand(rng, mapping.dp)
-        assert_matches_oracle(demand, placement, mapping)
-        before = dispatch_plan(mapping, placement)
-        assert dispatch_plan(mapping, placement) is before  # stable while unchanged
+        native = assert_prices_like_reference(demand, placement, mapping)
 
-        # Migration commit: replicate then later drop — each bumps the
-        # version and must rebuild the plan against the new destinations.
+        # Migration commit: replicate then later drop.
         placement.add_replica(0, placement.num_devices - 1)
-        after_add = dispatch_plan(mapping, placement)
-        assert after_add is not before
-        assert_matches_oracle(demand, placement, mapping)
+        added = assert_prices_like_reference(demand, placement, mapping)
+        assert added.dispatch.link_bytes != native.dispatch.link_bytes
 
         placement.drop_replica(0, placement.num_devices - 1)
-        after_drop = dispatch_plan(mapping, placement)
-        assert after_drop is not after_add
-        assert_matches_oracle(demand, placement, mapping)
+        dropped = assert_prices_like_reference(demand, placement, mapping)
+        assert dropped == native
 
     def test_version_counts_mutations(self):
         placement = ExpertPlacement(8, 4, shadow_slots=1)
@@ -179,54 +194,6 @@ class TestPlanInvalidation:
         assert shares[1].sum() == 1.0
         with pytest.raises(ValueError):
             placement.destination_shares[0, 0] = 1.0
-
-    def test_per_mapping_plans_coexist(self):
-        placement = ExpertPlacement(NUM_EXPERTS, 16)
-        er_plan = dispatch_plan(MAPPINGS["er"], placement)
-        baseline_plan = dispatch_plan(MAPPINGS["baseline"], placement)
-        assert er_plan is not baseline_plan
-        assert dispatch_plan(MAPPINGS["er"], placement) is er_plan
-        assert dispatch_plan(MAPPINGS["baseline"], placement) is baseline_plan
-
-
-class TestArrayTrafficMatrix:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="self-flows"):
-            ArrayTrafficMatrix([0], [0], [1.0])
-        with pytest.raises(ValueError, match=">= 0"):
-            ArrayTrafficMatrix([0], [1], [-1.0])
-        with pytest.raises(ValueError, match="share a shape"):
-            ArrayTrafficMatrix([0, 1], [1], [1.0])
-
-    def test_transpose_and_scale(self):
-        traffic = ArrayTrafficMatrix([0, 2], [1, 3], [5.0, 7.0])
-        assert dict(traffic.transposed().items()) == {(1, 0): 5.0, (3, 2): 7.0}
-        assert dict(traffic.scaled(2.0).items()) == {(0, 1): 10.0, (2, 3): 14.0}
-        assert traffic.total_volume == 12.0
-        assert len(traffic) == 2 and bool(traffic)
-
-    def test_scale_by_zero_drops_pairs(self):
-        """Matches TrafficMatrix semantics: zero volumes vanish, so a
-        zeroed matrix prices to a zero-duration phase (no latency term)."""
-        traffic = ArrayTrafficMatrix([0, 2], [1, 3], [5.0, 7.0])
-        zeroed = traffic.scaled(0.0)
-        assert len(zeroed) == 0 and not zeroed
-        assert simulate_phase(MeshTopology(2, 2), zeroed).duration == 0.0
-
-    def test_empty_traffic_prices_to_zero(self):
-        mesh = MeshTopology(2, 2)
-        result = simulate_phase(
-            mesh, ArrayTrafficMatrix(np.empty(0), np.empty(0), np.empty(0))
-        )
-        assert result.duration == 0.0
-
-    def test_store_and_forward_accepts_arrays(self):
-        mesh = MeshTopology(2, 2)
-        traffic = ArrayTrafficMatrix([0, 1], [3, 2], [100.0, 50.0])
-        swf = simulate_phase(mesh, traffic, store_and_forward=True)
-        reference = simulate_phase(mesh, traffic.flows(), store_and_forward=True)
-        assert swf.duration == reference.duration
-
 
 class TestHolderTable:
     @pytest.mark.parametrize("family", sorted(MAPPINGS))

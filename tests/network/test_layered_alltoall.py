@@ -1,12 +1,12 @@
-"""Layer-batched all-to-all pricing against the per-layer exact path.
+"""Layer-batched all-to-all pricing against the pair-list reference.
 
 The mapping's :func:`alltoall_pricer` aggregates per-link volumes through
-CSR ``(group, dest) -> link`` operators — the same terms the per-layer
-:class:`DispatchPlan` + :func:`simulate_phase` pipeline sums, in a
+CSR ``(group, dest) -> link`` operators — the same terms the pair-list
+reference in ``tests/alltoall_reference.py`` sums pair by pair, in a
 different associative order — so link volumes and phase durations are
-pinned to the exact path with tight relative tolerances.  The
+pinned to the reference with tight relative tolerances.  The
 :class:`LayeredDispatchPlan` the serving loop prices through is held to
-the same exact path layer by layer and phase by phase, layer 0 included.
+the same reference layer by layer and phase by phase, layer 0 included.
 """
 
 import gc
@@ -14,6 +14,7 @@ import gc
 import numpy as np
 import pytest
 
+from alltoall_reference import simulate_alltoall as reference_alltoall
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
@@ -22,14 +23,14 @@ from repro.network.alltoall import (
     _LAYERED_PLAN_CACHE,
     LayeredDispatchPlan,
     alltoall_pricer,
-    dispatch_plan,
     layered_dispatch_plan,
-    simulate_alltoall,
     uniform_demand,
 )
 from repro.topology.mesh import MeshTopology
 
-TIGHT = dict(rtol=1e-12, atol=0.0)
+#: Relative 1e-12 with no absolute floor: pytest.approx's default 1e-12
+#: absolute tolerance would pass any all-to-all duration, which is ~1e-7 s.
+TIGHT = dict(rel=1e-12, abs=0.0)
 
 
 @pytest.fixture
@@ -59,17 +60,9 @@ def demand_stack(num_layers=5, seed=3, zero_cells=False):
     return stack
 
 
-def dense_traffic_oracle(mapping, demand, placement):
-    """Per-layer DispatchPlan traffic scattered into a dense matrix."""
-    traffic = dispatch_plan(mapping, placement).traffic(demand)
-    dense = np.zeros((placement.num_devices, placement.num_devices))
-    dense[traffic.src, traffic.dst] = traffic.volume
-    return dense
-
-
 def exact_phases(mapping, demand, placement):
-    """(dispatch, combine) durations of the exact per-layer simulation."""
-    result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+    """(dispatch, combine) durations of the pair-list reference."""
+    result = reference_alltoall(mapping.topology, demand, placement, mapping)
     return np.array([result.dispatch.duration, result.combine.duration])
 
 
@@ -92,7 +85,7 @@ class TestPricerAgainstPerLayerOracle:
         )
         keys = list(mapping.topology.links)
         for layer, placement in enumerate(stack.layers):
-            result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+            result = reference_alltoall(mapping.topology, demand, placement, mapping)
             for phase, phase_result in enumerate((result.dispatch, result.combine)):
                 expected = np.zeros(len(keys))
                 for position, key in enumerate(keys):
@@ -114,7 +107,7 @@ class TestPricerAgainstPerLayerOracle:
         )
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand, placement)
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_pricer_link_volumes_accept_demand_stack(self, mapping):
         """Layers with different hosted sets batch together; each layer's
@@ -162,7 +155,7 @@ class TestLayeredPlan:
         assert durations.shape == (stack.num_layers, 2)
         for layer in range(stack.num_layers):
             exact = exact_phases(mapping, rows[layer], stack.layer(layer))
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_uniform_stack_prices_each_layers_demand(self, mapping):
         """Identical placements do not collapse layers — each layer's own
@@ -174,7 +167,7 @@ class TestLayeredPlan:
         )
         for layer in range(4):
             exact = exact_phases(mapping, demand[layer], stack.layer(layer))
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
         assert len(set(durations[:, 0].tolist())) > 1
 
     def test_forced_replica_on_later_layer_moves_only_that_layer(self, mapping):
@@ -193,7 +186,7 @@ class TestLayeredPlan:
         )
         assert (moved[3] != base[3]).any()
         assert moved[3] == pytest.approx(
-            exact_phases(mapping, demand[3], forced.layer(3)), rel=1e-12
+            exact_phases(mapping, demand[3], forced.layer(3)), **TIGHT
         )
         mask = np.arange(5) != 3
         np.testing.assert_array_equal(moved[mask], base[mask])
@@ -232,7 +225,7 @@ class TestLayeredPlan:
         )
         for layer in range(stack.num_layers):
             exact = exact_phases(mapping, demand[layer], stack.layer(layer))
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_layer_with_every_expert_orphaned_prices_zero(self, mapping):
         """Fail-stops that orphan all of a layer's experts leave it hosting
@@ -249,7 +242,7 @@ class TestLayeredPlan:
             durations = plan.alltoall_durations_resolved(demand)
             np.testing.assert_array_equal(durations[0], 0.0)
             assert durations[1] == pytest.approx(
-                exact_phases(mapping, demand[1], stack.layer(1)), rel=1e-12
+                exact_phases(mapping, demand[1], stack.layer(1)), **TIGHT
             )
 
     def test_plan_gathers_every_replica_entry_once(self, mapping):
@@ -284,7 +277,7 @@ class TestLayeredPlan:
         )
         assert durations.shape == (1, 2)
         assert durations[0] == pytest.approx(
-            exact_phases(mapping, demand[0], stack.layer(0)), rel=1e-12
+            exact_phases(mapping, demand[0], stack.layer(0)), **TIGHT
         )
 
 

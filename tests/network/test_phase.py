@@ -5,7 +5,7 @@ import pytest
 
 from repro.network import phase
 from repro.network.phase import route_rows, simulate_phase
-from repro.network.traffic import ArrayTrafficMatrix, Flow, TrafficMatrix
+from repro.network.traffic import Flow, TrafficMatrix
 from repro.topology.mesh import MeshTopology, MultiWaferTopology
 
 
@@ -58,15 +58,6 @@ class TestCongestion:
         assert result.link_bytes[(1, 2)] == pytest.approx(2 * volume)
         assert result.serialization_time == pytest.approx(2 * volume / bandwidth)
 
-    def test_store_and_forward_accumulates_path_queues(self, mesh):
-        # Each flow drains its private link (1 volume) then the shared
-        # link's accumulated queue (2 volumes).
-        volume = 1e6
-        flows = [Flow(0, 2, volume), Flow(1, 3, volume)]
-        result = simulate_phase(mesh, flows, store_and_forward=True)
-        bandwidth = mesh.link(1, 2).bandwidth
-        assert result.serialization_time == pytest.approx(3 * volume / bandwidth)
-
     def test_disjoint_flows_do_not_serialise(self, mesh):
         volume = 1e6
         flows = [Flow(0, 1, volume), Flow(4, 5, volume)]
@@ -99,15 +90,15 @@ class TestCongestion:
 class TestRouteRows:
     def test_out_of_range_device_does_not_reuse_a_cached_row(self, mesh):
         # On a 4x4 mesh (0, 19) has the pair key of (1, 3).
-        simulate_phase(mesh, ArrayTrafficMatrix([1], [3], [1e6]))
+        route_rows(mesh, [1], [3])
         with pytest.raises(ValueError, match="devices"):
-            simulate_phase(mesh, ArrayTrafficMatrix([0], [19], [1e6]))
+            route_rows(mesh, [0], [19])
 
     def test_negative_device_does_not_reuse_a_cached_row(self, mesh):
         # On a 4x4 mesh (-1, 31) has the pair key of (0, 15).
-        simulate_phase(mesh, ArrayTrafficMatrix([0], [15], [1e6]))
+        route_rows(mesh, [0], [15])
         with pytest.raises(ValueError, match="devices"):
-            simulate_phase(mesh, ArrayTrafficMatrix([-1], [31], [1e6]))
+            route_rows(mesh, [-1], [31])
 
     def test_mesh_rows_walk_no_route(self, monkeypatch):
         topology = MultiWaferTopology(2, 3, 3)

@@ -1,19 +1,23 @@
-"""The CSR all-to-all pricer against the exact per-layer simulation.
+"""The CSR all-to-all pricer against the pair-list reference.
 
 The :class:`SparseAllToAllPricer` stores the ``(group, dest) -> link``
 operator as one CSR matrix per hosted-destination set and prices a layer
 stack with one gather of its hosted cells plus one sparse product per set
-— the same terms as the per-layer :func:`simulate_alltoall` path in a
-different associative order, so volumes and durations are pinned to that path with
-tight relative tolerances and the latency maxima exactly.  The
-incremental contracts are structural: states revalidate by placement
-version (migration-free lookups rebuild nothing, asserted via the rebuild
+— the same terms as the pair-list pricing of ``tests/alltoall_reference.py``
+in a different associative order, so volumes and durations are pinned to
+that reference with tight relative tolerances and the latency maxima
+exactly.  :func:`simulate_alltoall` prices one placement on the same
+pricer and is held to the reference field by field.  The incremental
+contracts are structural: states revalidate by placement version
+(migration-free lookups rebuild nothing, asserted via the rebuild
 counter), and a delta-rebuilt state equals a from-scratch build bitwise.
 """
 
 import numpy as np
 import pytest
 
+from alltoall_reference import assert_close_to_reference
+from alltoall_reference import simulate_alltoall as reference_alltoall
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
 from repro.mapping.placement import StackedPlacement
@@ -30,7 +34,9 @@ from repro.network.phase import route_rows
 from repro.systems import build_dgx, build_multi_wsc, build_nvl72, build_wsc
 from repro.topology.mesh import MeshTopology
 
-TIGHT = dict(rtol=1e-12, atol=0.0)
+#: Relative 1e-12 with no absolute floor: pytest.approx's default 1e-12
+#: absolute tolerance would pass any all-to-all duration, which is ~1e-7 s.
+TIGHT = dict(rel=1e-12, abs=0.0)
 
 
 @pytest.fixture
@@ -54,8 +60,8 @@ def all_states(pricer, stack):
 
 
 def exact_phases(mapping, demand, placement):
-    """(dispatch, combine) durations of the exact per-layer simulation."""
-    result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+    """(dispatch, combine) durations of the pair-list reference."""
+    result = reference_alltoall(mapping.topology, demand, placement, mapping)
     return np.array([result.dispatch.duration, result.combine.duration])
 
 
@@ -95,7 +101,7 @@ class TestAgainstExactSimulation:
         )
         keys = list(mapping.topology.links)
         for layer, placement in enumerate(stack.layers):
-            result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+            result = reference_alltoall(mapping.topology, demand, placement, mapping)
             for phase, phase_result in enumerate((result.dispatch, result.combine)):
                 expected = [phase_result.link_bytes.get(key, 0.0) for key in keys]
                 np.testing.assert_allclose(
@@ -115,7 +121,7 @@ class TestAgainstExactSimulation:
         )
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand, placement)
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_demand_stack_matches_per_layer_simulation(self, mapping):
         stack = diverged_stack()
@@ -129,7 +135,7 @@ class TestAgainstExactSimulation:
         durations = pricer.durations(demand, pricer.hosted_batches(stack))
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand[layer], placement)
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_hosted_subset_when_fewer_experts_than_devices(self, mapping):
         """With E < D only the hosting devices appear as destination
@@ -142,7 +148,7 @@ class TestAgainstExactSimulation:
         durations = pricer.durations(per_layer(demand, 3), pricer.hosted_batches(stack))
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand, placement)
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     @pytest.mark.parametrize("active", ["most", "one_cell"])
     def test_latencies_equal_worst_active_path(self, mapping, active):
@@ -165,7 +171,7 @@ class TestAgainstExactSimulation:
             with_latencies=True,
         )
         for layer, placement in enumerate(stack.layers):
-            result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+            result = reference_alltoall(mapping.topology, demand, placement, mapping)
             assert latencies[layer, 0] == result.dispatch.latency_time
             assert latencies[layer, 1] == result.combine.latency_time
         if active == "one_cell":
@@ -217,7 +223,7 @@ class TestSystems:
         durations = pricer.durations(demand, pricer.hosted_batches(stack))
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand[layer], placement)
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_latencies_equal_worst_active_path(self, case):
         mapping, stack, demand = case
@@ -226,7 +232,7 @@ class TestSystems:
             demand, pricer.hosted_batches(stack), with_latencies=True
         )
         for layer, placement in enumerate(stack.layers):
-            result = simulate_alltoall(
+            result = reference_alltoall(
                 mapping.topology, demand[layer], placement, mapping
             )
             assert latencies[layer, 0] == result.dispatch.latency_time
@@ -241,7 +247,7 @@ class TestSystems:
         durations = pricer.durations(demand, pricer.hosted_batches(stack))
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand[layer], placement)
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_volumes_equal_full_width_operator_product(self, case):
         """The hosted-row product equals the product over every
@@ -354,7 +360,7 @@ class TestDegradedLinks:
         assert (degraded >= pristine).all() and (degraded > pristine).any()
         for layer, placement in enumerate(stack.layers):
             exact = exact_phases(mapping, demand[layer], placement)
-            assert degraded[layer] == pytest.approx(exact, rel=1e-12)
+            assert degraded[layer] == pytest.approx(exact, **TIGHT)
         assert pricer.dest_row_builds == builds
         health.restore_link(*busiest)
         np.testing.assert_array_equal(pricer.durations(demand, batches), pristine)
@@ -448,6 +454,98 @@ class TestDestRows:
         mapping, pricer, batches = self.built_rows(name, monkeypatch)
         assert len(batches) > 1
         self.assert_rows_equal_the_loop(mapping, pricer)
+
+
+def reference_cases(system):
+    """(name, placement, demand) cases on one system: a fresh placement
+    under dense demand, shadows with zero cells, and a dead device whose
+    orphans were repaired onto survivors."""
+    mapping, model = system.mapping, system.model
+    num_devices = system.topology.num_devices
+    rng = np.random.default_rng(11)
+    dense = rng.uniform(0.5, 1.5, (mapping.dp, model.num_experts)) * 7168.0
+    sparse = dense * (rng.random(dense.shape) >= 0.4)
+    shadows = system.fresh_placement()
+    for expert, device in ((0, num_devices - 1), (5, 3), (9, num_devices // 2)):
+        if not shadows.hosts(device, expert):
+            shadows.add_replica(expert, device)
+    dead = shadows.clone()
+    for expert in dead.fail_device(1):
+        dead.add_replica(expert, next(d for d in range(2, num_devices) if dead.shadow_free(d)))
+    return [
+        ("fresh", system.fresh_placement(), dense),
+        ("shadows_zero_cells", shadows, sparse),
+        ("dead_device", dead, sparse),
+    ]
+
+
+class TestSimulateAllToAll:
+    """``simulate_alltoall`` prices one placement on the mapping's pricer:
+    every field within summation-order rounding of the pair-list
+    reference, the worst path latencies exact."""
+
+    @pytest.mark.parametrize("name", list(DEST_ROW_SYSTEMS))
+    def test_matches_the_reference(self, name):
+        system = DEST_ROW_SYSTEMS[name]()
+        for case, placement, demand in reference_cases(system):
+            result = simulate_alltoall(system.topology, demand, placement, system.mapping)
+            reference = reference_alltoall(system.topology, demand, placement, system.mapping)
+            assert_close_to_reference(result, reference)
+            assert result.dispatch.total_volume == result.combine.total_volume, case
+
+    def test_shared_pricer_prices_the_same_bits(self):
+        """The serving loop shares the mapping's pricer (destination rows
+        and hosted-set cache): a price is the same cold, after serving
+        steps warmed the pricer, and after newer hosted sets evicted its
+        own set."""
+        from repro.balancer import GreedyBalancer
+        from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+        from repro.workload import MATH, ConstantMixer, GatingSimulator
+
+        system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
+        mapping = system.mapping
+        _, placement, demand = reference_cases(system)[1]
+
+        def price():
+            return simulate_alltoall(system.topology, demand, placement, mapping)
+
+        cold = price()
+        workload = GatingSimulator(
+            QWEN3_235B,
+            num_groups=mapping.dp,
+            tokens_per_group=64,
+            mixer=ConstantMixer([MATH]),
+            num_layers=4,
+            seed=5,
+        )
+        serving = ServingSimulator(
+            system.device,
+            QWEN3_235B,
+            mapping,
+            workload,
+            GreedyBalancer,
+            engine_config=EngineConfig(tokens_per_group=64),
+            serving_config=ServingConfig(num_iterations=4),
+        )
+        for _ in range(4):
+            serving.step()
+        pricer = alltoall_pricer(mapping)
+        assert pricer.state_rebuilds > 1
+        assert price() == cold
+
+        everything = tuple(range(16))
+        assert everything in pricer._hosted
+        # Four experts host natively on devices 0, 4, 8 and 12; each
+        # newer set adds two of the other devices.
+        others = [d for d in range(16) if d % 4]
+        pairs = [(a, b) for a in others for b in others if a < b]
+        for a, b in pairs[: SparseAllToAllPricer.HOSTED_CACHE_CAP]:
+            stack = StackedPlacement(1, 4, 16)
+            stack.add_replica(0, 0, a)
+            stack.add_replica(0, 1, b)
+            pricer.state_for(stack, 0)
+        assert everything not in pricer._hosted
+        assert price() == cold
 
 
 class TestCaches:
