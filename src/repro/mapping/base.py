@@ -12,6 +12,7 @@ from repro.network.allreduce import (
     ring_allreduce,
     ring_reduce_scatter,
 )
+from repro.network.phase import _walk_sums
 from repro.topology.base import Topology
 from repro.topology.mesh import MeshTopology
 
@@ -25,29 +26,19 @@ class HolderTable:
     pricer gathers without re-invoking per-pair callbacks.  Each row
     preserves its family's holder ordering exactly: the pricer sums a
     cell's holders in that order, so its operator rows are reproducible.
+
+    Built from padded ``(num_groups, num_devices, width)`` rows: entry
+    ``[g, d, k]`` is the ``k``-th holder of cell ``(g, d)`` where ``valid``
+    is set, and valid entries come first in each row.
     """
 
     def __init__(
-        self,
-        num_groups: int,
-        num_devices: int,
-        rows: list,
+        self, holders: np.ndarray, fractions: np.ndarray, valid: np.ndarray
     ) -> None:
-        if len(rows) != num_groups * num_devices:
-            raise ValueError(
-                f"expected {num_groups * num_devices} rows, got {len(rows)}"
-            )
-        self.num_groups = num_groups
-        self.num_devices = num_devices
-        counts = np.array([len(row) for row in rows], dtype=np.intp)
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.holders = np.array(
-            [holder for row in rows for holder, _fraction in row],
-            dtype=np.intp,
-        )
-        self.fractions = np.array(
-            [fraction for row in rows for _holder, fraction in row]
-        )
+        self.num_groups, self.num_devices, _ = valid.shape
+        self.offsets = np.concatenate(([0], np.cumsum(valid.sum(axis=2).ravel())))
+        self.holders = holders[valid]
+        self.fractions = fractions[valid]
 
     def entries(self, group: int, dest: int) -> tuple[tuple[int, float], ...]:
         """The ordered ``(holder, fraction)`` tuples for one (group, dest)."""
@@ -209,23 +200,38 @@ class Mapping(ABC):
     def token_holder_table(self) -> HolderTable:
         """The full token-holder relation as one precomputed array table.
 
-        Built lazily from :meth:`token_holders` over every
-        ``(group, dest)`` pair — each family's override (FTD-confined for
-        ER, mirror devices for HER, inverse-distance weighted for baseline
-        and GPU mappings) flows through unchanged — then cached for the
-        mapping's lifetime.
+        Built lazily, in arrays, from each family's :meth:`_holder_rows`
+        (FTD-confined for ER, mirror devices for HER, inverse-distance
+        weighted for baseline and GPU mappings), which list every
+        ``(group, dest)`` pair's holders exactly as :meth:`token_holders`
+        does; then cached for the mapping's lifetime.
         """
         table = self.__dict__.get("_holder_table")
         if table is None:
-            num_devices = self.topology.num_devices
-            rows = [
-                self.token_holders(group, dest)
-                for group in range(self.dp)
-                for dest in range(num_devices)
-            ]
-            table = HolderTable(self.dp, num_devices, rows)
+            table = HolderTable(*self._holder_rows())
             self._holder_table = table
         return table
+
+    def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every cell's :meth:`token_holders` as padded ``(dp, devices, tp)``
+        ``(holders, fractions, valid)`` arrays: the group's members in ring
+        order, with inverse-distance weights under all-gather and equal
+        shards without it."""
+        members = np.array(self._tp_groups, dtype=np.intp)
+        dests = np.arange(self.topology.num_devices)
+        holders = np.broadcast_to(members[:, None, :], (self.dp, dests.size, self.tp))
+        valid = np.ones(holders.shape, dtype=bool)
+        if not self.retain_allgather:
+            return holders, np.full(holders.shape, 1.0 / self.tp), valid
+        hops = self.topology.hop_counts(holders, dests[:, None])
+        # One Python power per distance, as the per-pair weights take it.
+        levels = np.array(
+            [(1.0 / (1 + hop)) ** self.locality_power for hop in range(hops.max() + 1)]
+        )
+        weights = levels[hops]
+        # The builtin ``sum`` over each cell's members, in member order.
+        totals = _walk_sums(weights.reshape(-1, self.tp).T)
+        return holders, weights / totals.reshape(self.dp, -1, 1), valid
 
     # -- attention all-reduce -------------------------------------------------
 

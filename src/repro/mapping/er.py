@@ -14,6 +14,8 @@ The trade-off is that ring neighbours inside a TP group are ``a`` (or
 time-staggered schedule keeps conflict-free.
 """
 
+import numpy as np
+
 from repro.mapping.base import MeshMapping, snake_order
 from repro.topology.mesh import Coord
 
@@ -41,6 +43,23 @@ class ERMapping(MeshMapping):
             if member is not None:
                 return [(member, 1.0)]
         return super().token_holders(group, dest)
+
+    def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`token_holders` in arrays: a cell whose fetcher's tile
+        holds exactly one member of the group gets that member alone."""
+        holders, fractions, valid = super()._holder_rows()
+        if not (self.retain_allgather and self._ftd_index is not None):
+            return holders, fractions, valid
+        ftd = np.array([self._ftd_index[device] for device in self.topology.devices])
+        in_tile = ftd[holders] == ftd[:, None]
+        confined = (in_tile.sum(axis=2) == 1)[..., None]
+        member = np.take_along_axis(holders, in_tile.argmax(axis=2)[..., None], axis=2)
+        first = np.arange(self.tp) == 0
+        return (
+            np.where(confined, member, holders),
+            np.where(confined, 1.0, fractions),
+            np.where(confined, first, valid),
+        )
 
     def _build_tp_groups(self) -> list[list[int]]:
         tpx, tpy = self.parallelism.tp_shape

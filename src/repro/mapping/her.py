@@ -14,6 +14,7 @@ The MoE all-to-all then fetches each token shard from its unique on-wafer
 holder, never crossing a wafer border.
 """
 
+import numpy as np
 
 from repro.mapping.base import MeshMapping, ParallelismConfig, snake_order
 from repro.memo import instance_memo
@@ -101,6 +102,19 @@ class HierarchicalERMapping(MeshMapping):
         return list(
             self._mirror_holders_cached(group, self.wafer_topology.wafer_of(dest))
         )
+
+    def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`token_holders` in arrays: the mirrors of each group's
+        members on each destination's wafer."""
+        mesh = self.wafer_topology
+        row, column = np.divmod(np.array(self.tp_groups, dtype=np.intp), mesh.width)
+        dest_wafer = np.arange(mesh.num_devices) % mesh.width // mesh.wafer_width
+        holders = (
+            (row * mesh.width + column % mesh.wafer_width)[:, None, :]
+            + (dest_wafer * mesh.wafer_width)[None, :, None]
+        )
+        valid = np.ones(holders.shape, dtype=bool)
+        return holders, np.full(holders.shape, 1.0 / self.tp), valid
 
     @instance_memo("_mirror_holders_memo")
     def _mirror_holders_cached(

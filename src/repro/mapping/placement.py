@@ -116,8 +116,14 @@ class ExpertPlacement:
         return device in self._replicas[expert]
 
     def destinations(self, expert: int) -> list[tuple[int, float]]:
-        """Replica devices with equal token shares (the Load/Num rule)."""
+        """Replica devices with equal token shares (the Load/Num rule).
+
+        An expert orphaned by :meth:`fail_device` has none: its tokens go
+        nowhere, as its all-zero share row says.
+        """
         devices = self._replicas[expert]
+        if not devices:
+            return []
         share = 1.0 / len(devices)
         return [(device, share) for device in devices]
 

@@ -6,7 +6,8 @@ Which devices hold a token is the mapping's business — with all-gather
 retained every member of the token's TP group is a holder, without it only
 the shard owner is — so the mapping supplies its precomputed
 :class:`~repro.mapping.base.HolderTable` and this module stays
-mapping-agnostic.  Combine mirrors dispatch with reversed flow directions.
+mapping-agnostic.  Combine mirrors dispatch with reversed flow directions,
+so the pricer routes dispatch only and reads combine off the reversed links.
 
 Every all-to-all is priced one way, by the mapping's
 :class:`SparseAllToAllPricer`.  The serving loop prices its layer stacks
@@ -36,6 +37,7 @@ from scipy import sparse
 from repro import sanitize
 from repro.network.phase import (
     PhaseResult,
+    link_reversal,
     phase_durations_from_link_volumes,
     phase_result_from_link_volumes,
     route_rows,
@@ -127,22 +129,25 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 # further entry's product in entry order (natives before shadows) — a
 # fixed-order sum that no BLAS kernel choice can move.  A whole stack then
 # prices with one gather plus one sparse product per hosted-destination
-# set.  The per-link volumes equal the per-pair sums of the pair-list
-# pricing in ``tests/alltoall_reference.py`` mathematically (same terms,
-# reassociated), not bitwise (a few ulps apart); the tests hold the pricer
-# to that reference.
+# set, and combine with one gather through the link reversal.  The
+# per-link volumes equal the per-pair sums of the pair-list pricing in
+# ``tests/alltoall_reference.py`` mathematically (same terms, reassociated),
+# not bitwise (a few ulps apart); the tests hold the pricer to that
+# reference.
 
 
 @dataclass
 class _DestRows:
     """Operator entries of one destination column, for every group.
 
-    Entries are grouped by ``group`` (ascending) and ordered by link slot
-    within a group.  Depends only on the mapping, so rows are built once
+    Entries are the dispatch phase's (combine mirrors them), grouped by
+    ``group`` (ascending) and ordered by link slot within a group.  The
+    latencies cover both phases: combine's come from the ``dest ->
+    holder`` walks.  Depends only on the mapping, so rows are built once
     per destination and shared by every hosted set that contains it.
     """
 
-    link_idx: np.ndarray  # (nnz,) into [0, 2 * num_links)
+    link_idx: np.ndarray  # (nnz,) dispatch link slots, in [0, num_links)
     weight: np.ndarray  # (nnz,) holder-fraction-weighted link bytes/byte
     group: np.ndarray  # (nnz,) demand group of each entry
     latency: np.ndarray  # (2, num_groups) worst path latency per phase
@@ -162,8 +167,9 @@ class _HostedSet:
     """The link operator of one hosted-destination set.
 
     ``operator`` has one row per ``(group, dest)`` cell over the hosted
-    destinations, in ascending ``(group, dest)`` order: the rows of the
-    full ``(G * D, 2K)`` operator with the unhosted columns' rows dropped.
+    destinations, in ascending ``(group, dest)`` order, and one column per
+    dispatch link: the rows of the full ``(G * D, K)`` dispatch operator
+    with the unhosted columns' rows dropped.
     Those cells only ever carry exact zeros, so a product over the hosted
     rows sums the same nonzero terms in the same order.  ``transposed`` is
     its CSC view, built once: scipy computes ``cells @ operator`` as
@@ -174,7 +180,7 @@ class _HostedSet:
     """
 
     dests: np.ndarray  # (n,) hosted destination devices, ascending
-    operator: "sparse.csr_array"  # (num_groups * n, 2 * num_links)
+    operator: "sparse.csr_array"  # (num_groups * n, num_links)
     transposed: "sparse.csc_array"  # operator.T, sharing its arrays
     latency_order: np.ndarray  # (2, num_groups * n) cells, latency descending
     latency_sorted: np.ndarray  # (2, num_groups * n) the matching latencies
@@ -277,10 +283,12 @@ def _gather_batch(
 class SparseAllToAllPricer:
     """All-to-all pricer over CSR ``(group, dest) -> link`` operators.
 
-    The per-link volumes of one layer are
-    ``sum_{g, d} cells[g, d] * operator[(g, d), link]`` with
-    ``cells = demand @ destination_shares``; dispatch fills link slots
-    ``[0, K)`` and combine, which routes ``dest -> holder``, ``[K, 2K)``.
+    The dispatch volumes of one layer are
+    ``sum_{g, d} cells[g, d] * operator[(g, d), link]`` over the ``K``
+    links, with ``cells = demand @ destination_shares``.  Combine routes
+    ``dest -> holder`` over the reversed links, so its volume on a link is
+    the dispatch volume on the link's reverse, bit for bit, and the
+    operator has dispatch columns only; every link must have a reverse.
     The cells are not a matmul: each hosted cell sums the demand-times-
     share products of its destination's replica entries
     (:meth:`~repro.mapping.placement.StackedPlacement.replica_entries`)
@@ -314,6 +322,14 @@ class SparseAllToAllPricer:
         self.num_groups = mapping.dp
         self.num_devices = topology.num_devices
         self.num_links = len(topology.links)
+        self._reverse = link_reversal(topology)
+        one_way = np.flatnonzero(self._reverse < 0)
+        if one_way.size:
+            link = list(topology.links)[one_way[0]]
+            raise ValueError(
+                f"link {link} has no reverse link; the combine phase retraces "
+                "dispatch routes backwards"
+            )
         self._table = mapping.token_holder_table()
         self._dest_rows: dict[int, _DestRows] = {}
         self._hosted: "OrderedDict[tuple, _HostedSet]" = OrderedDict()
@@ -330,10 +346,12 @@ class SparseAllToAllPricer:
     def _build_rows(self, dests: np.ndarray) -> None:
         """Operator rows of a batch of destination columns.
 
-        One route-row gather per phase covers the batch's remote holders in
-        holder-table order, and one ``bincount`` sums each (destination,
-        group, link slot) over them in that order — the per-holder
-        accumulation order, so rows do not depend on the batching.
+        One route-row gather covers the batch's remote ``holder -> dest``
+        pairs in holder-table order, and one ``bincount`` sums each
+        (destination, group, link slot) over them in that order — the
+        per-holder accumulation order, so rows do not depend on the
+        batching.  The same rows carry each pair's reversed latency, the
+        combine phase's.
         """
         table = self._table
         num_groups = self.num_groups
@@ -349,17 +367,19 @@ class SparseAllToAllPricer:
         remote = holders != dest
         holders, dest, cell = holders[remote], dest[remote], cell[remote]
         fractions = table.fractions[entries[remote]]
-        slots = 2 * self.num_links
+        counts, links, weights, dispatch_latency, combine_latency = route_rows(
+            self.topology, holders, dest
+        )
         latency = np.zeros((2, cells.size))
-        keys, values = [], []
-        for phase, (src, dst) in enumerate(((holders, dest), (dest, holders))):
-            counts, links, weights, path_latency = route_rows(self.topology, src, dst)
-            keys.append(np.repeat(cell * slots + phase * self.num_links, counts) + links)
-            values.append(np.repeat(fractions, counts) * weights)
-            np.maximum.at(latency[phase], cell, path_latency)
-        touched, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        weight = np.bincount(inverse, weights=np.concatenate(values), minlength=touched.size)
-        cell_of, link_idx = np.divmod(touched, slots)
+        np.maximum.at(latency[0], cell, dispatch_latency)
+        np.maximum.at(latency[1], cell, combine_latency)
+        touched, inverse = np.unique(
+            np.repeat(cell * self.num_links, counts) + links, return_inverse=True
+        )
+        weight = np.bincount(
+            inverse, weights=np.repeat(fractions, counts) * weights, minlength=touched.size
+        )
+        cell_of, link_idx = np.divmod(touched, self.num_links)
         position, group = np.divmod(cell_of, num_groups)
         latency = latency.reshape(2, dests.size, num_groups).transpose(1, 0, 2).copy()
         # Each destination's rows are views of the batch arrays.
@@ -401,7 +421,7 @@ class SparseAllToAllPricer:
                 np.concatenate([empty] + [r.link_idx for r in rows])[order],
                 indptr,
             ),
-            shape=(num_cells, 2 * self.num_links),
+            shape=(num_cells, self.num_links),
         )
         latency = (
             np.reshape([r.latency for r in rows], (n, 2, self.num_groups))
@@ -523,19 +543,20 @@ class SparseAllToAllPricer:
         """Per-link volumes and worst active path latencies of a stack.
 
         Each hosted set gathers its layers' cells from the demand stack and
-        prices them with one CSR product.  A layer's cells and its per-link
-        sums over them, in ascending ``(group, dest)`` order, involve no
-        other layer, so its price does not depend on which layers share
-        its batch.
+        prices their dispatch with one CSR product.  A layer's cells and its
+        per-link sums over them, in ascending ``(group, dest)`` order,
+        involve no other layer, so its price does not depend on which
+        layers share its batch.  Combine is one gather of the dispatch
+        volumes through the link reversal.
         """
         num_layers = demand_bytes.shape[0]
-        volumes = np.empty((num_layers, 2 * self.num_links))
+        volumes = np.empty((num_layers, 2, self.num_links))
         latencies = np.empty((num_layers, 2)) if with_latencies else None
         dense_demand = with_latencies and bool((demand_bytes > 0).all())
         for batch in batches:
             hosted, layers = batch.hosted, batch.layers
             cells = batch.cells(demand_bytes)
-            volumes[layers] = (hosted.transposed @ cells).T
+            volumes[layers, 0] = (hosted.transposed @ cells).T
             if not with_latencies:
                 continue
             if dense_demand or not hosted.dests.size:
@@ -554,7 +575,8 @@ class SparseAllToAllPricer:
                 latencies[layers, phase] = np.where(
                     ordered[first, columns], hosted.latency_sorted[phase, first], 0.0
                 )
-        return volumes.reshape(num_layers, 2, self.num_links), latencies
+        volumes[:, 1] = volumes[:, 0, self._reverse]
+        return volumes, latencies
 
     # -- memory accounting ----------------------------------------------
 

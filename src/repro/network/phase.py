@@ -101,6 +101,11 @@ class _RouteCache:
     rows in closed form, a batch at a time
     (:meth:`MeshTopology.dimension_order_links`); other fabrics walk their
     single route per pair.
+
+    Each row also keeps the reversed pair's worst latency, so the
+    all-to-all's combine phase, which retraces dispatch, needs no rows of
+    its own.  A walk back adds the same hop latencies in the other order,
+    which can round differently.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -111,6 +116,10 @@ class _RouteCache:
         self.bandwidth = sanitize.freeze(np.array([link.bandwidth for link in links]))
         self.latency = np.array([link.latency for link in links])
         self.num_links = len(self.keys)
+        #: Position of each link's reverse (dst, src) link; -1 where none.
+        self.reverse = sanitize.freeze(
+            np.array([self.index.get((dst, src), -1) for src, dst in self.keys], dtype=np.intp)
+        )
         # Pair key src * num_devices + dst -> CSR row.  Row r's entries are
         # _indices/_weights[_offsets[r] : _offsets[r] + _counts[r]]; the
         # arrays grow in place (see _extended) as batches of rows arrive.
@@ -121,6 +130,7 @@ class _RouteCache:
         self._counts = np.empty(0, dtype=np.intp)
         self._offsets = np.empty(0, dtype=np.intp)
         self._latencies = np.empty(0)
+        self._reverse_latencies = np.empty(0)
         self._indices = np.empty(0, dtype=np.intp)
         self._weights = np.empty(0)
         # Primary-route per-link arrays for store-and-forward migration
@@ -176,11 +186,12 @@ class _RouteCache:
 
     def rows_for(
         self, src: np.ndarray, dst: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Route rows of (src, dst) pairs, building missing rows in batches.
 
         Returns (entries per pair, link indices, per-byte link weights, path
-        latency per pair); the pairs' entries concatenate in pair order.
+        latency per pair, path latency of each reversed pair); the pairs'
+        entries concatenate in pair order.
         """
         num_devices = self.topology.num_devices
         if src.size and not (
@@ -203,7 +214,13 @@ class _RouteCache:
         ends = np.cumsum(counts)
         entries = np.repeat(self._offsets[rows] + counts - ends, counts)
         entries += np.arange(entries.size)
-        return counts, self._indices[entries], self._weights[entries], self._latencies[rows]
+        return (
+            counts,
+            self._indices[entries],
+            self._weights[entries],
+            self._latencies[rows],
+            self._reverse_latencies[rows],
+        )
 
     def _add_rows(self, keys: np.ndarray) -> None:
         """Build and append the rows of new, distinct pair keys."""
@@ -212,7 +229,7 @@ class _RouteCache:
         build = self._mesh_rows if mesh else self._walked_rows
         for start in range(0, keys.size, _BATCH_PAIRS):
             part = slice(start, start + _BATCH_PAIRS)
-            counts, indices, weights, latency = build(src[part], dst[part])
+            counts, indices, weights, latency, reverse_latency = build(src[part], dst[part])
             self._row_of[keys[part]] = np.arange(
                 self._num_rows, self._num_rows + counts.size
             )
@@ -220,6 +237,9 @@ class _RouteCache:
             self._offsets = _extended(self._offsets, self._num_rows, offsets)
             self._counts = _extended(self._counts, self._num_rows, counts)
             self._latencies = _extended(self._latencies, self._num_rows, latency)
+            self._reverse_latencies = _extended(
+                self._reverse_latencies, self._num_rows, reverse_latency
+            )
             self._indices = _extended(self._indices, self._num_entries, indices)
             self._weights = _extended(self._weights, self._num_entries, weights)
             self._num_rows += counts.size
@@ -227,22 +247,37 @@ class _RouteCache:
 
     def _mesh_rows(self, src, dst):
         """Closed-form rows of mesh pairs: the XY route plus, where it
-        differs, the YX route, each flow split evenly between them."""
+        differs, the YX route, each flow split evenly between them.
+
+        The reversed pair's XY route retraces this pair's YX route
+        backwards, and its YX route the XY one, so their latencies fold the
+        same hop arrays flipped.  The flip moves the padding to the front,
+        where it adds exact zeros.
+        """
         xy = self.topology.dimension_order_links(src, dst, rows_first=True)
         yx = self.topology.dimension_order_links(src, dst, rows_first=False)
         alternate = (xy != yx).any(axis=0)
         latency = np.maximum(self._path_latency(xy), self._path_latency(yx))
+        reverse_latency = np.maximum(
+            self._path_latency(self._reversed(yx)), self._path_latency(self._reversed(xy))
+        )
         links = np.concatenate([xy, np.where(alternate, yx, -1)])
         _, pair = np.nonzero(links >= 0)
-        return self._rows(pair, links[links >= 0], 1 + alternate, latency)
+        return *self._rows(pair, links[links >= 0], 1 + alternate), latency, reverse_latency
+
+    def _reversed(self, links: np.ndarray) -> np.ndarray:
+        """The padded walks back: each column's reversed links, last hop first."""
+        return np.where(links >= 0, self.reverse[links], -1)[::-1]
 
     def _path_latency(self, links: np.ndarray) -> np.ndarray:
         """Each padded column's path latency, summed in walk order."""
         return _walk_sums(np.where(links >= 0, self.latency[links], 0.0))
 
     def _walked_rows(self, src, dst):
-        """Rows of a single-route fabric, walked link by link."""
-        paths = [self.topology.route(s, d) for s, d in zip(src.tolist(), dst.tolist())]
+        """Rows of a single-route fabric, walked link by link, and the
+        latencies of the reversed pairs' own walks."""
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        paths = [self.topology.route(s, d) for s, d in pairs]
         pair = np.repeat(np.arange(len(paths)), [len(path) for path in paths])
         links = np.array(
             [self.index[link.key] for path in paths for link in path], dtype=np.intp
@@ -250,9 +285,14 @@ class _RouteCache:
         latency = np.array(
             [sum(link.latency for link in path) for path in paths], dtype=float
         )
-        return self._rows(pair, links, np.ones(len(paths), dtype=np.intp), latency)
+        reverse_latency = np.array(
+            [sum(link.latency for link in self.topology.route(d, s)) for s, d in pairs],
+            dtype=float,
+        )
+        routes = np.ones(len(paths), dtype=np.intp)
+        return *self._rows(pair, links, routes), latency, reverse_latency
 
-    def _rows(self, pair, links, routes, latency):
+    def _rows(self, pair, links, routes):
         """CSR rows from the link positions of each pair's routes.
 
         A pair's row holds its sorted unique links, each weighted by the
@@ -262,7 +302,7 @@ class _RouteCache:
         row_pair, indices = np.divmod(keys, self.num_links)
         weights = (1.0 / routes)[row_pair] * crossings
         counts = np.bincount(row_pair, minlength=routes.size)
-        return counts, indices, weights, latency
+        return counts, indices, weights
 
 
 def _route_cache(topology: Topology) -> _RouteCache:
@@ -287,19 +327,26 @@ def migration_route_arrays(
 
 def route_rows(
     topology: Topology, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cached route rows of a batch of (src, dst) device pairs.
 
     Returns (entries per pair, link indices, per-byte link weights, path
-    latency per pair): the CSR rows :func:`simulate_phase` charges flows
-    with — O1TURN splitting pre-merged into the weights — concatenated in
-    pair order, links ascending within a pair, so layer-batched all-to-all
-    pricing can fold them into link operators.  Raises ``ValueError`` when
-    an endpoint is not a device.
+    latency per pair, path latency of each reversed ``dst -> src`` pair):
+    the CSR rows :func:`simulate_phase` charges flows with — O1TURN
+    splitting pre-merged into the weights — concatenated in pair order,
+    links ascending within a pair, so layer-batched all-to-all pricing can
+    fold them into link operators.  Raises ``ValueError`` when an endpoint
+    is not a device.
     """
     return _route_cache(topology).rows_for(
         np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     )
+
+
+def link_reversal(topology: Topology) -> np.ndarray:
+    """Per link, in route-cache link order, the position of its reverse
+    ``(dst, src)`` link, or -1 where the topology has none."""
+    return _route_cache(topology).reverse
 
 
 def phase_durations_from_link_volumes(
@@ -398,7 +445,7 @@ def _simulate_cut_through(
     every link — each link sums its flows' terms in flow order.
     """
     cache = _route_cache(topology)
-    counts, links, weights, latency = cache.rows_for(src, dst)
+    counts, links, weights, latency, _ = cache.rows_for(src, dst)
     volumes = np.bincount(
         links, weights=weights * np.repeat(volume, counts), minlength=cache.num_links
     )

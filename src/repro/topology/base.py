@@ -9,6 +9,8 @@ deterministic single-path routing function.  Devices always occupy node ids
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.memo import instance_memo
 
 
@@ -93,6 +95,10 @@ class Topology(ABC):
     def hops(self, src: int, dst: int) -> int:
         """Number of links on the route from src to dst."""
         return len(self.route(src, dst))
+
+    def hop_counts(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`hops` of every pair of the broadcast ``src`` and ``dst``."""
+        return np.vectorize(self.hops, otypes=[np.intp])(src, dst)
 
     def path_latency(self, src: int, dst: int) -> float:
         """Sum of per-hop link latencies along the route."""

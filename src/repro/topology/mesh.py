@@ -198,6 +198,12 @@ class MeshTopology(CachedRoutingMixin, Topology):
         """XY routes are shortest paths, so hop count is Manhattan distance."""
         return self.manhattan(src, dst)
 
+    def hop_counts(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Manhattan distances of every broadcast pair, in closed form."""
+        src_row, src_col = np.divmod(src, self.width)
+        dst_row, dst_col = np.divmod(dst, self.width)
+        return np.abs(dst_row - src_row) + np.abs(dst_col - src_col)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.height}x{self.width})"
 

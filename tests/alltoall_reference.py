@@ -16,6 +16,10 @@ through the phase model's cut-through pricing:
 The tests hold the pricer to :func:`simulate_alltoall` here, through
 :func:`assert_close_to_reference`.  Nothing is cached, so every call prices
 the placement as it stands.
+
+:func:`two_phase_price` is the bitwise reference for the pricer's mirrored
+combine phase: it routes each phase on its own, combine over the ``dest ->
+holder`` route rows, and sums every link's terms in the pricer's order.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.network.alltoall import AllToAllResult, _validate_demand
-from repro.network.phase import PhaseResult, _simulate_cut_through
+from repro.network.phase import PhaseResult, _simulate_cut_through, route_rows
 from repro.network.traffic import TrafficMatrix
 
 
@@ -188,3 +192,47 @@ def assert_close_to_reference(result, reference, rel=1e-12):
         assert ours.link_bytes.keys() == expected.link_bytes.keys()
         for key, volume in expected.link_bytes.items():
             assert ours.link_bytes[key] == pytest.approx(volume, rel=rel, abs=0.0), key
+
+
+def two_phase_price(mapping, dests, cells):
+    """A hosted set's per-link volumes and per-cell latencies with both
+    phases routed on their own: dispatch over the ``holder -> dest`` route
+    rows, combine over the ``dest -> holder`` ones.
+
+    ``cells`` is ``(groups * len(dests), layers)``, one row per ``(group,
+    dest)`` cell in ascending order.  A cell's operator weight on a link
+    sums its remote holders in holder-table order, and a link's volume sums
+    its cells' terms in ascending cell order, as the pricer's sparse
+    product does.  Returns the ``(layers, 2, links)`` volumes and the
+    ``(2, cells)`` worst path latency of each cell per phase.
+    """
+    topology = mapping.topology
+    num_links = len(topology.links)
+    table = mapping.token_holder_table()
+    pairs = [
+        (group * len(dests) + position, holder, dest, fraction)
+        for group in range(mapping.dp)
+        for position, dest in enumerate(dests)
+        for holder, fraction in table.entries(group, dest)
+        if holder != dest
+    ]
+    cell, holder, dest = (np.array([p[i] for p in pairs], dtype=np.intp) for i in range(3))
+    fraction = np.array([p[3] for p in pairs])
+    latency = np.zeros((2, mapping.dp * len(dests)))
+    keys, values = [], []
+    for phase, (src, dst) in enumerate(((holder, dest), (dest, holder))):
+        counts, links, weights, path_latency, _ = route_rows(topology, src, dst)
+        keys.append(np.repeat((2 * cell + phase) * num_links, counts) + links)
+        values.append(np.repeat(fraction, counts) * weights)
+        np.maximum.at(latency[phase], cell, path_latency)
+    # Sorted by cell, then phase and link; each weight sums in pair order.
+    touched, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    weight = np.bincount(inverse, weights=np.concatenate(values), minlength=touched.size)
+    entry_cell, slot = np.divmod(touched, 2 * num_links)
+    volumes = np.stack(
+        [
+            np.bincount(slot, weights=weight * column[entry_cell], minlength=2 * num_links)
+            for column in cells.T
+        ]
+    )
+    return volumes.reshape(-1, 2, num_links), latency

@@ -93,9 +93,9 @@ class TestRouteFill:
     def test_first_step_fills_route_rows_in_one_batch(self, monkeypatch):
         """The first step builds every destination's rows together, so the
         8x8 wafer's 960 remote holder pairs (64 devices, 15 other groups
-        each) reach the route cache in one fill; the combine phase's
-        reversed pairs are the same set.  Building one destination at a
-        time took 120 fills."""
+        each) reach the route cache in one fill; the combine phase reads
+        their reversed latencies and routes no pairs of its own.  Building
+        one destination at a time took 120 fills."""
         system = build_wsc(QWEN3_235B, side=8, tp=4, mapping="er")
         workload = GatingSimulator(
             QWEN3_235B,

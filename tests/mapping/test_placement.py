@@ -98,6 +98,15 @@ class TestDestinations:
         placement = ExpertPlacement(8, 4)
         assert placement.destinations(5) == [(2, 1.0)]
 
+    def test_orphaned_expert_has_no_destinations(self):
+        """A fail-stop orphans the dead device's only expert: no
+        destination, matching its all-zero share row."""
+        placement = ExpertPlacement(4, 4)
+        assert placement.fail_device(0) == [0]
+        assert placement.destinations(0) == []
+        assert not placement.destination_shares[0].any()
+        assert placement.destinations(1) == [(1, 1.0)]
+
 
 class TestClone:
     def test_clone_is_independent(self):

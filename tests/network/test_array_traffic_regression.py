@@ -31,7 +31,7 @@ from repro.network.alltoall import simulate_alltoall
 from repro.network.phase import migration_route_arrays, simulate_phase
 from repro.network.traffic import TrafficMatrix
 from repro.topology.mesh import MeshTopology, MultiWaferTopology
-from repro.topology.switched import DGXClusterTopology
+from repro.topology.switched import DGXClusterTopology, NVL72Topology
 
 NUM_EXPERTS = 32
 
@@ -195,7 +195,63 @@ class TestMidRunMigration:
         with pytest.raises(ValueError):
             placement.destination_shares[0, 0] = 1.0
 
+def per_pair_holder_arrays(mapping):
+    """``(offsets, holders, fractions)`` built pair by pair from
+    :meth:`token_holders`: the oracle for the array-built table."""
+    rows = [
+        mapping.token_holders(group, dest)
+        for group in range(mapping.dp)
+        for dest in range(mapping.topology.num_devices)
+    ]
+    offsets = np.concatenate(([0], np.cumsum([len(row) for row in rows], dtype=np.intp)))
+    holders = np.array([holder for row in rows for holder, _ in row], dtype=np.intp)
+    fractions = np.array([fraction for row in rows for _, fraction in row])
+    return offsets, holders, fractions
+
+
+def _holder_families():
+    """Every mapping family, with and without all-gather where it matters."""
+    families = {}
+    for retain in (True, False):
+        suffix = "" if retain else "_without_allgather"
+        families["er" + suffix] = ERMapping(
+            MeshTopology(8, 8), ParallelismConfig(tp=4, dp=16, tp_shape=(2, 2)), retain
+        )
+        families["baseline" + suffix] = BaselineMapping(
+            MeshTopology(8, 8), ParallelismConfig(tp=4, dp=16, tp_shape=(2, 2)), retain
+        )
+        families["her" + suffix] = HierarchicalERMapping(
+            MultiWaferTopology(2, 4, 4), ParallelismConfig(tp=4, dp=8, tp_shape=(2, 2)), retain
+        )
+        families["gpu_dgx" + suffix] = GPUMapping(
+            DGXClusterTopology(num_nodes=2), ParallelismConfig(tp=4, dp=4), retain
+        )
+    families["er_tiles_4x1"] = ERMapping(
+        MeshTopology(8, 8), ParallelismConfig(tp=4, dp=16, tp_shape=(4, 1))
+    )
+    families["baseline_two_wafers"] = BaselineMapping(
+        MultiWaferTopology(2, 4, 4), ParallelismConfig(tp=4, dp=8, tp_shape=(2, 2))
+    )
+    families["gpu_nvl72"] = GPUMapping(NVL72Topology(), ParallelismConfig(tp=4, dp=18))
+    return families
+
+
+HOLDER_FAMILIES = _holder_families()
+
+
 class TestHolderTable:
+    @pytest.mark.parametrize("family", sorted(HOLDER_FAMILIES))
+    def test_array_build_equals_the_per_pair_table(self, family):
+        """The array-built table holds the per-pair holder lists bit for
+        bit: offsets, holder ids and fractions, dtypes included."""
+        mapping = HOLDER_FAMILIES[family]
+        table = mapping.token_holder_table()
+        for got, want in zip(
+            (table.offsets, table.holders, table.fractions), per_pair_holder_arrays(mapping)
+        ):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("family", sorted(MAPPINGS))
     def test_table_mirrors_token_holders(self, family):
         mapping = MAPPINGS[family]

@@ -8,6 +8,10 @@ from repro.network.traffic import Flow, TrafficMatrix
 from repro.topology.mesh import MeshTopology
 from repro.topology.switched import DGXClusterTopology
 
+#: Relative 1e-12 with no absolute floor: pytest.approx's default 1e-12
+#: absolute tolerance would pass any phase time, which is ~1e-7 s here.
+TIGHT = dict(rel=1e-12, abs=0.0)
+
 
 def loop_simulate_phase(topology, flow_list):
     """The seed cut-through implementation, verbatim."""
@@ -65,11 +69,11 @@ class TestCutThroughEquivalence:
         )
         assert set(result.link_bytes) == set(link_bytes)
         for key, expected in link_bytes.items():
-            assert result.link_bytes[key] == pytest.approx(expected, rel=1e-12)
-        assert result.serialization_time == pytest.approx(serialization, rel=1e-12)
-        assert result.latency_time == pytest.approx(latency)
-        assert result.total_volume == pytest.approx(volume)
-        assert result.duration == pytest.approx(serialization + latency, rel=1e-12)
+            assert result.link_bytes[key] == pytest.approx(expected, **TIGHT)
+        assert result.serialization_time == pytest.approx(serialization, **TIGHT)
+        assert result.latency_time == pytest.approx(latency, **TIGHT)
+        assert result.total_volume == pytest.approx(volume, **TIGHT)
+        assert result.duration == pytest.approx(serialization + latency, **TIGHT)
 
     def test_flow_list_and_matrix_agree(self, seed, topology_factory):
         topology = topology_factory()
@@ -80,5 +84,5 @@ class TestCutThroughEquivalence:
             topology,
             [Flow(src, dst, volume) for (src, dst), volume in traffic.items()],
         )
-        assert from_matrix.duration == pytest.approx(from_list.duration)
+        assert from_matrix.duration == pytest.approx(from_list.duration, **TIGHT)
         assert from_matrix.link_bytes == from_list.link_bytes

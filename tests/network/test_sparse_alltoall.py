@@ -7,7 +7,10 @@ stack with one gather of its hosted cells plus one sparse product per set
 in a different associative order, so volumes and durations are pinned to
 that reference with tight relative tolerances and the latency maxima
 exactly.  :func:`simulate_alltoall` prices one placement on the same
-pricer and is held to the reference field by field.  The incremental
+pricer and is held to the reference field by field.  The operator holds the
+dispatch columns only; combine is their gather through the link reversal,
+held bit for bit to separately routed combine rows here and in
+``tests/properties/test_property_combine_mirror.py``.  The incremental
 contracts are structural: states revalidate by placement version
 (migration-free lookups rebuild nothing, asserted via the rebuild
 counter), and a delta-rebuilt state equals a from-scratch build bitwise.
@@ -30,9 +33,11 @@ from repro.network.alltoall import (
     simulate_alltoall,
     uniform_demand,
 )
-from repro.network.phase import route_rows
+from repro.mapping.gpu import GPUMapping
+from repro.network.phase import _route_cache, link_reversal, route_rows
 from repro.systems import build_dgx, build_multi_wsc, build_nvl72, build_wsc
 from repro.topology.mesh import MeshTopology
+from repro.topology.switched import NVL72Topology
 
 #: Relative 1e-12 with no absolute floor: pytest.approx's default 1e-12
 #: absolute tolerance would pass any all-to-all duration, which is ~1e-7 s.
@@ -254,16 +259,19 @@ class TestSystems:
         ``(group, dest)`` row bit for bit: the dropped rows belong to
         unhosted destinations, whose cells are exact zeros.  Every hosted
         cell here has one replica entry, so the gathered cells equal the
-        share matmul's as well."""
+        share matmul's as well.  Combine is the dispatch product gathered
+        through the link reversal."""
         mapping, stack, demand = case
         pricer = alltoall_pricer(mapping)
         batches = pricer.hosted_batches(stack)
         assert len(batches) == 3
         full = pricer._hosted_for(tuple(range(pricer.num_devices)))
+        assert full.operator.shape[1] == pricer.num_links
         cells = np.matmul(demand, stack.destination_shares)
-        expected = cells.reshape(stack.num_layers, -1) @ full.operator
+        dispatch = cells.reshape(stack.num_layers, -1) @ full.operator
+        combine = dispatch[:, link_reversal(mapping.topology)]
         got = pricer.link_volumes(demand, batches)
-        np.testing.assert_array_equal(got.reshape(stack.num_layers, -1), expected)
+        np.testing.assert_array_equal(got, np.stack([dispatch, combine], axis=1))
 
 
 class TestIncremental:
@@ -368,11 +376,13 @@ class TestDegradedLinks:
 
 def loop_dest_rows(mapping, dest):
     """One destination's operator rows from a per-holder loop over single
-    route rows: the construction the batched gather must equal bitwise."""
+    route rows: the construction the batched gather must equal bitwise.
+    The rows hold the dispatch links; each phase's latency comes from its
+    own direction's route rows."""
     topology = mapping.topology
     num_links = len(topology.links)
     table = mapping.token_holder_table()
-    scratch = np.zeros(2 * num_links)
+    scratch = np.zeros(num_links)
     idx_parts, weight_parts, group_parts = [], [], []
     latency = np.zeros((2, mapping.dp))
     for group in range(mapping.dp):
@@ -380,12 +390,13 @@ def loop_dest_rows(mapping, dest):
         for holder, fraction in table.entries(group, dest):
             if holder == dest:
                 continue
-            for phase, (src, dst) in enumerate(((holder, dest), (dest, holder))):
-                _, idx, weights, path_latency = route_rows(topology, [src], [dst])
-                scratch[phase * num_links + idx] += fraction * weights
-                touched.append(phase * num_links + idx)
-                if path_latency[0] > latency[phase, group]:
-                    latency[phase, group] = path_latency[0]
+            _, idx, weights, dispatch_latency, _ = route_rows(topology, [holder], [dest])
+            scratch[idx] += fraction * weights
+            touched.append(idx)
+            combine_latency = route_rows(topology, [dest], [holder])[3]
+            for phase, path_latency in enumerate((dispatch_latency[0], combine_latency[0])):
+                if path_latency > latency[phase, group]:
+                    latency[phase, group] = path_latency
         if touched:
             cols = np.unique(np.concatenate(touched))
             idx_parts.append(cols)
@@ -401,11 +412,17 @@ def loop_dest_rows(mapping, dest):
     )
 
 
-#: The five systems whose destination rows are held to the per-holder loop.
+#: The systems whose destination rows are held to the per-holder loop.  On
+#: the baseline two-wafer row, fetches cross the wafer border, where the
+#: walks back sum their hop latencies in another order: some combine
+#: latencies differ from the dispatch ones in the last bits.
 DEST_ROW_SYSTEMS = {
     "er_8x8": lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="er"),
     "baseline_8x8": lambda: build_wsc(QWEN3_235B, side=8, tp=4, mapping="baseline"),
     "her_two_wafers": lambda: build_multi_wsc(QWEN3_235B, 2, 4, tp=4),
+    "baseline_two_wafers": lambda: build_multi_wsc(
+        QWEN3_235B, 2, 4, tp=4, mapping="baseline"
+    ),
     "dgx_two_nodes": lambda: build_dgx(QWEN3_235B, 2, tp=4),
     "nvl72": lambda: build_nvl72(QWEN3_235B, tp=4),
 }
@@ -454,6 +471,55 @@ class TestDestRows:
         mapping, pricer, batches = self.built_rows(name, monkeypatch)
         assert len(batches) > 1
         self.assert_rows_equal_the_loop(mapping, pricer)
+
+    def test_combine_latencies_differ_on_the_baseline_two_wafer_row(self, monkeypatch):
+        """The case that makes the exact combine latencies matter: without
+        their own walks the combine latencies would read the dispatch ones."""
+        _, pricer, _ = self.built_rows("baseline_two_wafers", monkeypatch)
+        latency = np.array([rows.latency for rows in pricer._dest_rows.values()])
+        assert (latency[:, 0] != latency[:, 1]).any()
+
+
+class TestRouteCacheAndReversal:
+    def test_cache_holds_only_the_dispatch_pairs(self):
+        """Pricing a hosted set routes its remote ``holder -> dest`` pairs
+        and nothing else: the combine phase reads no rows of its own."""
+        system = build_multi_wsc(QWEN3_235B, 2, 4, tp=4, mapping="baseline")
+        mapping = system.mapping
+        num_devices = mapping.topology.num_devices
+        stack = StackedPlacement(1, num_devices // 2, num_devices)
+        pricer = SparseAllToAllPricer(mapping)
+        dests = pricer.state_for(stack, 0).hosted.dests
+        assert 0 < dests.size < num_devices
+        table = mapping.token_holder_table()
+        expected = {
+            (holder, dest)
+            for group in range(mapping.dp)
+            for dest in dests.tolist()
+            for holder, _ in table.entries(group, dest)
+            if holder != dest
+        }
+        assert any((dest, holder) not in expected for holder, dest in expected)
+        cached = np.flatnonzero(_route_cache(mapping.topology)._row_of >= 0)
+        assert set(zip(*(np.divmod(cached, num_devices)))) == expected
+        assert cached.size == len(expected)
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_reversal_maps_each_link_to_its_reverse(self, name):
+        topology = SYSTEMS[name]().topology
+        keys = list(topology.links)
+        reverse = link_reversal(topology).tolist()
+        assert [keys[position] for position in reverse] == [key[::-1] for key in keys]
+
+    def test_one_way_link_is_rejected(self):
+        """A topology whose link lacks a reverse cannot mirror combine."""
+        topology = NVL72Topology(num_devices=4)
+        leaf = topology.num_devices
+        del topology.links[(0, leaf)]
+        mapping = GPUMapping(topology, ParallelismConfig(tp=1, dp=4))
+        assert link_reversal(topology)[list(topology.links).index((leaf, 0))] == -1
+        with pytest.raises(ValueError, match=r"link \(4, 0\) has no reverse"):
+            SparseAllToAllPricer(mapping)
 
 
 def reference_cases(system):
@@ -577,9 +643,7 @@ class TestMemoryAccounting:
     def test_operator_smaller_than_dense_footprint(self, mapping):
         pricer = SparseAllToAllPricer(mapping)
         all_states(pricer, diverged_stack())
-        dense_nbytes = (
-            pricer.num_groups * pricer.num_devices * 2 * pricer.num_links * 8
-        )
+        dense_nbytes = pricer.num_groups * pricer.num_devices * pricer.num_links * 8
         assert 0 < pricer.operator_nbytes() < dense_nbytes
         assert pricer.peak_operator_nbytes == pricer.operator_nbytes()
 

@@ -23,6 +23,7 @@ from repro.hardware.device import B200
 from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.network.alltoall import SparseAllToAllPricer
+from repro.network.phase import link_reversal
 from repro.systems import build_wsc
 
 #: devices -> a small wafer mapping with that many devices.
@@ -135,14 +136,16 @@ def max_entries_per_device(stack) -> int:
 
 def dense_volumes(pricer, stack, demand):
     """Per-link volumes through a dense share matmul, then the same CSR
-    product over each layer's hosted columns."""
+    product over each layer's hosted columns; combine is the dispatch
+    volumes gathered through the link reversal."""
     cells = np.matmul(demand, stack.destination_shares)
-    volumes = np.empty((stack.num_layers, 2 * pricer.num_links))
+    volumes = np.empty((stack.num_layers, 2, pricer.num_links))
     for layer in range(stack.num_layers):
         hosted = pricer.state_for(stack, layer).hosted
         flat = cells[layer][:, hosted.dests].reshape(1, -1)
-        volumes[layer] = flat @ hosted.operator
-    return volumes.reshape(stack.num_layers, 2, pricer.num_links)
+        volumes[layer, 0] = flat @ hosted.operator
+    volumes[:, 1] = volumes[:, 0, link_reversal(pricer.topology)]
+    return volumes
 
 
 def dense_moe_peak(layer_loads, stack, device_scale=None):

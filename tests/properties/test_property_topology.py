@@ -138,7 +138,7 @@ class TestRouteRows:
         topology, batches = case
         for batch in batches:
             src, dst = np.array(batch, dtype=np.intp).T
-            counts, links, weights, latency = route_rows(topology, src, dst)
+            counts, links, weights, latency, reverse_latency = route_rows(topology, src, dst)
             ends = np.cumsum(counts)
             for position, (s, d) in enumerate(batch):
                 indices, expected_weights, expected_latency = walked_row(topology, s, d)
@@ -146,3 +146,6 @@ class TestRouteRows:
                 assert links[row].tobytes() == indices.tobytes()
                 assert weights[row].tobytes() == expected_weights.tobytes()
                 assert latency[position] == expected_latency
+                # The reversed pair's latency, folded from this pair's hops,
+                # equals the walk back's own sum.
+                assert reverse_latency[position] == walked_row(topology, d, s)[2]
