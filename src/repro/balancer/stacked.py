@@ -5,25 +5,27 @@ MoE layer each; simulating DeepSeek-V3's 58 (or Qwen3's 94) sparse layers
 that way costs O(layers) Python dispatch per serving iteration.  Following
 the batched-rebalancing framing of the parallel-FEM load-balancing
 literature, this module stacks all layers' state — predicted loads,
-replica tensors, pending migrations — and performs EWMA observation, heat
-computation, the Eq. 2 cumulative imbalance, stale-replica eviction and
-migration planning as single vectorized operations over the layer axis.
+the placement's replica entries, pending migrations — and performs EWMA
+observation, heat computation, the Eq. 2 cumulative imbalance,
+stale-replica eviction and migration planning as single vectorized
+operations over the layer axis.
 
 Bit-compatibility contract: a :class:`StackedBalancer` drives the *same*
 decision sequence as a list of per-layer balancers (the oracle kept in
 ``repro.balancer.{greedy,topology_aware,ni,none}``), producing identical
 migrations, placements and serving traces.  The load-bearing facts:
 
-* batched ``np.matmul`` over a ``(layers, 1, experts) @ (layers, experts,
-  devices)`` stack is bitwise identical to the per-layer ``vector @
-  matrix`` products the oracle computes (verified by the oracle tests);
+* heats sum each device's per-replica loads over the placement's replica
+  entries; with at most two entries per device (one native plus one
+  shadow slot) the sum is bitwise identical to the oracle's ``vector @
+  matrix`` product, whatever order either adds its terms in;
 * ``np.add.at``/``np.subtract.at`` accumulate in flat index order, so
   pending contributions are applied per layer in the same set-iteration
   order as the oracle's per-layer arrays;
 * argmax/argmin return the first extremum, matching the oracle's
   ``min(candidates)``/``max(experts)`` first-wins tie-breaks — with the
-  placement's host-order stamps reproducing the ``experts_on`` list order
-  where the oracle iterates it;
+  placement's host-order stamps reproducing the ``experts_on`` and
+  ``replicas`` list orders where the oracle iterates them;
 * planning runs as masked rounds over all layers at once; layers are
   independent in the oracle (each balancer owns its state), so
   round-major execution with layer-major emission is decision-equivalent.
@@ -36,7 +38,7 @@ from repro.balancer.greedy import GreedyBalancer
 from repro.balancer.ni import NonInvasiveBalancer, apply_noninvasive_default
 from repro.balancer.none import NoBalancer
 from repro.balancer.topology_aware import TopologyAwareBalancer
-from repro.mapping.placement import _NO_HOST, StackedPlacement
+from repro.mapping.placement import ReplicaEntries, StackedPlacement
 from repro.topology.base import Topology
 
 
@@ -156,15 +158,15 @@ class StackedBalancer:
         """Drop the coldest droppable shadow on ``layer``; return its device.
 
         Walks live devices coldest-first and evicts the first shadow
-        replica whose expert keeps another copy (so eviction never creates
-        a new orphan).  Returns -1 when nothing is droppable.
+        replica, in stamp order, whose expert keeps another copy (so
+        eviction never creates a new orphan).  Returns -1 when nothing is
+        droppable.
         """
-        layer = self.placement.layer(layer_index)
         counts = self.placement.replica_counts[layer_index]
         for device in np.argsort(layer_heats, kind="stable").tolist():
             if not self._live[device]:
                 continue
-            for expert in list(layer._shadow[device]):
+            for expert in self.placement.device_shadows(layer_index, device).tolist():
                 if counts[expert] >= 2:
                     self.placement.drop_replica(layer_index, expert, device)
                     return device
@@ -238,9 +240,7 @@ class StackedBalancer:
             out=np.zeros_like(self.predicted_loads),
             where=num_replicas > 0,
         )
-        heats = np.matmul(
-            per_replica[:, None, :], self.placement.replica_tensor
-        )[:, 0, :]
+        heats = self.placement.device_sums(per_replica)
         if include_pending:
             layers, experts, dsts = self._pending_flat()
             if layers.size:
@@ -341,12 +341,15 @@ class StackedBalancer:
             free[:, ~self._live] = 0
         return free
 
-    def _pending_dst_mask(self, chosen_expert: np.ndarray) -> np.ndarray:
-        """(layers, devices) mask of pending destinations whose expert is
-        the layer's chosen expert."""
+    def _hosts_mask(self, chosen_expert: np.ndarray) -> np.ndarray:
+        """(layers, devices) mask of the devices that host, or have a
+        pending migration of, each layer's chosen expert."""
         mask = np.zeros(
             (self.placement.num_layers, self.placement.num_devices), dtype=bool
         )
+        entries = self.placement.replica_entries()
+        hit = entries.expert == chosen_expert[entries.layer]
+        mask[entries.layer[hit], entries.device[hit]] = True
         layers, experts, dsts = self._pending_flat()
         if layers.size:
             match = experts == chosen_expert[layers]
@@ -360,7 +363,7 @@ class StackedBalancer:
     def commit(self, layer: int, migration: Migration) -> None:
         """Activate a completed migration on ``layer``."""
         self._pending_discard(layer, migration.expert, migration.dst)
-        if not self.placement.layer(layer).hosts(migration.dst, migration.expert):
+        if not self.placement.hosts(layer, migration.dst, migration.expert):
             self.placement.add_replica(layer, migration.expert, migration.dst)
 
     def commit_many(self, items: list[tuple[int, Migration]]) -> None:
@@ -368,9 +371,9 @@ class StackedBalancer:
 
         Decision-equivalent to committing sequentially — the hosts check
         accounts for earlier entries of the same batch — but the placement
-        mutations land through :meth:`StackedPlacement.add_replicas`, so a
-        bursty trigger (fig17's 16 migrations per layer) pays one
-        dest-share rebuild per touched expert instead of per migration.
+        mutations land through one :meth:`StackedPlacement.add_replicas`
+        call, so a bursty trigger (fig17's 16 migrations per layer) pays
+        one count update per touched layer instead of per migration.
         """
         layers: list[int] = []
         experts: list[int] = []
@@ -379,8 +382,8 @@ class StackedBalancer:
         for layer, migration in items:
             self._pending_discard(layer, migration.expert, migration.dst)
             key = (layer, migration.expert, migration.dst)
-            if key in added or self.placement.layer(layer).hosts(
-                migration.dst, migration.expert
+            if key in added or self.placement.hosts(
+                layer, migration.dst, migration.expert
             ):
                 continue
             added.add(key)
@@ -441,8 +444,7 @@ class StackedGreedyBalancer(StackedBalancer):
             if not active.any():
                 break
 
-            hosts = self.placement.replica_tensor[layer, hottest] > 0
-            hosts |= self._pending_dst_mask(hottest)
+            hosts = self._hosts_mask(hottest)
             candidates = ~hosts & (free > 0) & active[:, None]
             active &= candidates.any(axis=1)
             if not active.any():
@@ -463,9 +465,8 @@ class StackedGreedyBalancer(StackedBalancer):
                 src = int(natives[expert])
                 if not self._all_live and not self._live[src]:
                     # Dead native: source the copy from the expert's first
-                    # live replica instead (replica lists are native-first,
-                    # so this is exactly the native when it is alive).
-                    src = int(self.placement.layer(index).replicas(expert)[0])
+                    # live replica by stamp instead.
+                    src = self.placement.first_replica(index, expert)
                 plans[index].append(
                     Migration(
                         expert=expert,
@@ -505,6 +506,34 @@ class StackedTopologyAwareBalancer(StackedBalancer):
             self._hops_rows[src] = row
         return row
 
+    def _hottest_hosted(
+        self,
+        entries: ReplicaEntries,
+        entry_keys: np.ndarray,
+        device: np.ndarray,
+        per_replica: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per layer, the hottest expert hosted on ``device[layer]``, ties
+        broken by the lowest host-order stamp (the ``experts_on`` order),
+        and whether the device hosts any expert (0 stands in where not).
+
+        ``entry_keys`` is ``layer * num_devices + device`` of every entry:
+        ascending, so each device's entry run is one ``searchsorted``.
+        """
+        targets = self._layer_range * self.placement.num_devices + device
+        starts = np.searchsorted(entry_keys, targets, side="left")
+        sizes = np.searchsorted(entry_keys, targets, side="right") - starts
+        firsts = np.cumsum(sizes) - sizes
+        run = np.repeat(starts - firsts, sizes) + np.arange(sizes.sum())
+        run_layer = np.repeat(self._layer_range, sizes)
+        experts = entries.expert[run]
+        loads = per_replica[run_layer, experts]
+        order = np.lexsort((entries.stamp[run], -loads, run_layer))
+        hosted = sizes > 0
+        source = np.zeros(self.num_layers, dtype=np.int64)
+        source[hosted] = experts[order[firsts[hosted]]]
+        return source, hosted
+
     def plan(self, iteration: int) -> list[list[Migration]]:
         plans: list[list[Migration]] = [[] for _ in range(self.num_layers)]
         layer = self._layer_range
@@ -512,9 +541,8 @@ class StackedTopologyAwareBalancer(StackedBalancer):
         heats = self.heats(include_pending=True)
         free = self._free_slots()
         active = np.ones(self.num_layers, dtype=bool)
-        tensor = self.placement.replica_tensor
-        tensor_by_device = tensor.transpose(0, 2, 1)
-        order_by_device = self.placement.host_order.transpose(0, 2, 1)
+        entries = self.placement.replica_entries()
+        entry_keys = entries.layer * self.placement.num_devices + entries.device
 
         for _ in range(self.config.max_migrations_per_trigger):
             hottest_device = np.argmax(heats, axis=1)
@@ -522,23 +550,18 @@ class StackedTopologyAwareBalancer(StackedBalancer):
             if not active.any():
                 break
 
-            # The hottest device's hottest expert, tie-broken by the
-            # experts_on enumeration order via the host-order stamps.
             per_replica = np.divide(
                 self.predicted_loads,
                 num_replicas,
                 out=np.zeros_like(self.predicted_loads),
                 where=num_replicas > 0,
             )
-            hosted = tensor_by_device[layer, hottest_device] > 0
-            active &= hosted.any(axis=1)
+            source, hosted = self._hottest_hosted(
+                entries, entry_keys, hottest_device, per_replica
+            )
+            active &= hosted
             if not active.any():
                 break
-            loads_on = np.where(hosted, per_replica, -np.inf)
-            peak_load = loads_on.max(axis=1)
-            stamps = order_by_device[layer, hottest_device]
-            first_max = np.where(loads_on == peak_load[:, None], stamps, _NO_HOST)
-            source = np.argmin(first_max, axis=1)
             active &= self.predicted_loads[layer, source] > 0
             if not active.any():
                 break
@@ -547,8 +570,7 @@ class StackedTopologyAwareBalancer(StackedBalancer):
             new_share = self.predicted_loads[layer, source] / (
                 num_replicas[layer, source] + 1
             )
-            hosts = tensor[layer, source] > 0
-            hosts |= self._pending_dst_mask(source)
+            hosts = self._hosts_mask(source)
             cold = (
                 ~hosts
                 & (free > 0)

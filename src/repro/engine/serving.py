@@ -6,8 +6,9 @@ critical path, or non-invasively drained through cold links) -> iteration
 latency.  Produces the run-time traces behind Fig. 15 and the aggregate
 comparisons of Fig. 16/17.
 
-Every sparse layer's placement and balancer state lives in layer-stacked
-tensors (:class:`~repro.mapping.placement.StackedPlacement` +
+Every sparse layer's placement and balancer state is layer-stacked
+(:class:`~repro.mapping.placement.StackedPlacement`, one sparse
+replica-entry table for all layers, +
 :class:`~repro.balancer.stacked.StackedBalancer`), so observing loads,
 evaluating the Eq. 2 cumulative trigger, planning migrations and pricing
 MoE rooflines cost a handful of vectorized ops regardless of depth.  The
@@ -384,7 +385,8 @@ class ServingSimulator:
         return self.engine.invasive
 
     def layer_placement(self, layer: int) -> ExpertPlacement:
-        """One layer's placement view (read-only; mutate via the engine)."""
+        """One layer's placement, rebuilt as an :class:`ExpertPlacement`
+        snapshot (mutate the placement via the engine, not the snapshot)."""
         return self.engine.placement.layer(layer)
 
     # -- migration pricing -------------------------------------------------------
@@ -691,8 +693,7 @@ class ServingSimulator:
     # -- balancing ----------------------------------------------------------------
 
     def _commit_many(self, items: list[tuple[int, Migration]]) -> None:
-        """Commit a trigger's (or drain cycle's) migrations in one batch
-        (one dest-share rebuild per touched expert)."""
+        """Commit a trigger's (or drain cycle's) migrations in one batch."""
         if items:
             self.engine.commit_many(items)
 

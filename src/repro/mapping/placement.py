@@ -24,8 +24,7 @@ class ExpertPlacement:
     (``replica_matrix / counts``), so balancers and the serving engine can
     price heats and device loads with matrix products instead of Python
     loops over experts and replicas.  A monotonic :attr:`version` counter
-    bumps on every mutation so derived caches (the all-to-all pricer's
-    layer states) invalidate precisely.
+    bumps on every mutation so derived caches invalidate precisely.
     """
 
     def __init__(
@@ -113,6 +112,8 @@ class ExpertPlacement:
         return np.nonzero(self._counts == 0)[0].tolist()
 
     def hosts(self, device: int, expert: int) -> bool:
+        self._check_device(device)
+        self._check_expert(expert)
         return device in self._replicas[expert]
 
     def destinations(self, expert: int) -> list[tuple[int, float]]:
@@ -164,11 +165,8 @@ class ExpertPlacement:
 
     @property
     def version(self) -> int:
-        """Monotonic counter bumped on every add/drop (migration commit).
-
-        Derived structures — the all-to-all pricer's layer states — key
-        their validity on ``(placement, version)``.
-        """
+        """Monotonic counter bumped on every add/drop (migration commit),
+        by the replicas each mutation touches."""
         return self._version
 
     def shadow_entries(self) -> list[tuple[int, int]]:
@@ -402,49 +400,49 @@ class ExpertPlacement:
         )
 
 
-#: Host-order stamp marking "device does not host this expert".
-_NO_HOST = np.iinfo(np.int64).max
-
-
 class ReplicaEntries(NamedTuple):
     """Every live ``(layer, expert, device)`` hosting relation of a stack.
 
     Entries are grouped by ``(layer, device)`` in ascending order; within
     a group the natives come first, then the shadows, each
-    expert-ascending.  ``share`` is the entry's destination share and
+    expert-ascending.  ``stamp`` is the entry's host-order stamp (see
+    :class:`StackedPlacement`), ``share`` its destination share, and
     ``bounds[l]:bounds[l + 1]`` is layer ``l``'s slice.
     """
 
     layer: np.ndarray  # (entries,)
     expert: np.ndarray  # (entries,)
     device: np.ndarray  # (entries,)
+    stamp: np.ndarray  # (entries,) host-order stamp of each entry
     share: np.ndarray  # (entries,) destination share of each entry
     bounds: np.ndarray  # (layers + 1,) per-layer slice bounds
 
 
 class StackedPlacement:
-    """All sparse layers' expert placements as dense layer-stacked tensors.
+    """All sparse layers' expert placements as one sparse entry table.
 
-    One :class:`ExpertPlacement` per layer remains the bookkeeping ground
-    truth (replica-order lists and the per-layer version counters the
-    all-to-all pricer caches against), while the stack maintains mirrored
-    ``(layers, experts, devices)`` tensors so the balancers can compute
-    heats and eviction candidates for every layer in single vectorized
-    operations.  The serving step's sums over hosting relations — device
-    loads, MoE rooflines and all-to-all cells — run over the cached
-    :meth:`replica_entries` table instead, since those tensors are almost
-    all zeros.
+    A placement is a sparse relation: every expert's native copy plus the
+    few shadow replicas the balancers copy in.  The stack keeps the
+    natives implicit (:attr:`native_devices`, minus :attr:`dead_devices`)
+    and each live shadow replica once, as a ``(layer, expert, device,
+    stamp)`` column of swap-removable arrays, alongside per-(layer,
+    expert) replica counts, per-(layer, device) shadow counts and
+    per-layer versions.  Nothing it stores grows with layers x experts x
+    devices.  Readers go through :meth:`replica_entries` (the table of
+    every live hosting relation, cached per mutation epoch),
+    :meth:`shadow_entry_arrays` and the point queries :meth:`hosts`,
+    :meth:`first_replica` and :meth:`device_shadows`.
 
-    Mutations must go through this class (:meth:`add_replica`,
-    :meth:`drop_replica`, :meth:`drop_replicas`) so the layer objects and
-    the stacked mirrors stay coherent; :meth:`check_synced` asserts that
-    invariant for tests.
+    Host-order stamps reproduce the per-layer ``experts_on`` and
+    ``replicas`` enumeration order: natives stamp ``expert``, shadows
+    ``num_experts + insertion counter`` of their layer, so ties broken by
+    the lowest stamp replicate ``max()`` over those lists exactly.
+    Versions advance by the replicas each mutation touches, as
+    :attr:`ExpertPlacement.version` does, so derived caches key on
+    ``(stack, layer, version)``.
 
-    The ``host_order`` tensor assigns every (layer, expert, device) hosting
-    relation a stamp reproducing the per-layer ``experts_on`` enumeration
-    order — natives stamp ``expert`` (ascending, matching the init loop),
-    shadows stamp ``num_experts + insertion counter`` — so vectorized
-    argmax tie-breaks can replicate ``max()`` over those lists exactly.
+    :meth:`layer` rebuilds one layer as an :class:`ExpertPlacement` for
+    tests and figures; the serving step never calls it.
     """
 
     def __init__(
@@ -456,32 +454,21 @@ class StackedPlacement:
     ) -> None:
         if num_layers <= 0:
             raise ValueError(f"num_layers must be positive, got {num_layers}")
+        if num_experts <= 0 or num_devices <= 0:
+            raise ValueError("num_experts and num_devices must be positive")
+        if shadow_slots < 0:
+            raise ValueError(f"shadow_slots must be >= 0, got {shadow_slots}")
         self.num_layers = num_layers
         self.num_experts = num_experts
         self.num_devices = num_devices
         self.shadow_slots = shadow_slots
-        self._layers = [
-            ExpertPlacement(num_experts, num_devices, shadow_slots=shadow_slots)
-            for _ in range(num_layers)
-        ]
-        self._tensor = np.stack([layer._matrix for layer in self._layers])
-        self._counts = np.stack([layer._counts for layer in self._layers])
-        self._shadow_counts = np.stack(
-            [layer._shadow_counts for layer in self._layers]
-        )
-        self._shadow_mask = np.zeros(
-            (num_layers, num_experts, num_devices), dtype=bool
-        )
+        self._counts = np.ones((num_layers, num_experts), dtype=np.int64)
+        self._shadow_counts = np.zeros((num_layers, num_devices), dtype=np.int64)
         self._versions = np.zeros(num_layers, dtype=np.int64)
-        self._order = np.full(
-            (num_layers, num_experts, num_devices), _NO_HOST, dtype=np.int64
-        )
-        natives = self.native_devices
-        self._order[:, np.arange(num_experts), natives] = np.arange(num_experts)
-        self._order_next = np.full(num_layers, num_experts, dtype=np.int64)
-        # Shadow entries as swap-removable parallel arrays: O(1) add/drop,
-        # one small lexsort per (mutation epoch, query).
-        self._entry_data = np.zeros((3, 64), dtype=np.int64)
+        self._next_stamp = np.full(num_layers, num_experts, dtype=np.int64)
+        # Shadow entries as swap-removable (layer, expert, device, stamp)
+        # columns: O(1) add/drop, one small sort per (mutation epoch, query).
+        self._entry_data = np.zeros((4, 64), dtype=np.int64)
         self._entry_count = 0
         self._entry_pos: dict[tuple[int, int, int], int] = {}
         self._shadow_entries_cache: tuple[
@@ -493,26 +480,34 @@ class StackedPlacement:
     # -- queries ----------------------------------------------------------------
 
     def layer(self, layer: int) -> ExpertPlacement:
-        """The per-layer placement object (zero-copy views, the pricer's
-        layer-state key).  Treat it as read-only; mutate via the stack."""
-        return self._layers[layer]
+        """Layer ``layer`` rebuilt as an :class:`ExpertPlacement` snapshot.
+
+        The snapshot fails the dead devices, then adds the layer's shadows
+        in stamp order, so ``replicas()`` and ``experts_on()`` list them in
+        insertion order; its ``version`` is the layer's.  Later stack
+        mutations do not reach it.
+        """
+        self._check_layer(layer)
+        snapshot = ExpertPlacement(
+            self.num_experts, self.num_devices, shadow_slots=self.shadow_slots
+        )
+        for device in sorted(self._dead_devices):
+            snapshot.fail_device(device)
+        experts, devices = self._layer_shadows(layer)
+        snapshot.add_replicas(experts, devices)
+        snapshot._version = int(self._versions[layer])
+        return snapshot
 
     @property
     def layers(self) -> list[ExpertPlacement]:
-        return list(self._layers)
+        """Every layer's :meth:`layer` snapshot."""
+        return [self.layer(layer) for layer in range(self.num_layers)]
 
     @property
     def native_devices(self) -> np.ndarray:
         """Per-expert native device (identical across layers)."""
         experts = np.arange(self.num_experts, dtype=np.int64)
         return experts * self.num_devices // self.num_experts
-
-    @property
-    def replica_tensor(self) -> np.ndarray:
-        """Read-only ``(layers, experts, devices)`` 0/1 replica tensor."""
-        view = self._tensor.view()
-        view.flags.writeable = False
-        return view
 
     @property
     def replica_counts(self) -> np.ndarray:
@@ -529,32 +524,8 @@ class StackedPlacement:
         return view
 
     @property
-    def destination_shares(self) -> np.ndarray:
-        """Read-only ``(layers, experts, devices)`` token-share tensor,
-        stacked from the layer objects on each call: the serving step
-        sums over :meth:`replica_entries` instead, so the stack keeps no
-        share mirror."""
-        shares = np.stack([layer._dest_share for layer in self._layers])
-        shares.flags.writeable = False
-        return shares
-
-    @property
-    def shadow_mask(self) -> np.ndarray:
-        """Read-only ``(layers, experts, devices)`` shadow-replica mask."""
-        view = self._shadow_mask.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def host_order(self) -> np.ndarray:
-        """Read-only host-order stamps (``_NO_HOST`` where not hosting)."""
-        view = self._order.view()
-        view.flags.writeable = False
-        return view
-
-    @property
     def versions(self) -> np.ndarray:
-        """Read-only per-layer version counters (mirror the layer objects)."""
+        """Read-only per-layer version counters."""
         view = self._versions.view()
         view.flags.writeable = False
         return view
@@ -571,6 +542,35 @@ class StackedPlacement:
             return empty, empty
         return np.nonzero(self._counts == 0)
 
+    def hosts(self, layer: int, device: int, expert: int) -> bool:
+        """Whether ``device`` holds a live replica of ``expert`` on ``layer``."""
+        self._check_layer(layer)
+        self._check_device(device)
+        self._check_expert(expert)
+        return self._hosts(layer, device, expert)
+
+    def first_replica(self, layer: int, expert: int) -> int:
+        """The device of ``expert``'s first live replica on ``layer``: its
+        native while alive, else its lowest-stamp (oldest) shadow."""
+        self._check_layer(layer)
+        self._check_expert(expert)
+        native = expert * self.num_devices // self.num_experts
+        if native not in self._dead_devices:
+            return native
+        experts, devices = self._layer_shadows(layer)
+        mine = np.flatnonzero(experts == expert)
+        if mine.size == 0:
+            raise ValueError(f"expert {expert} has no live replica on layer {layer}")
+        return int(devices[mine[0]])
+
+    def device_shadows(self, layer: int, device: int) -> np.ndarray:
+        """Experts with a shadow replica on ``device`` at ``layer``, in
+        stamp (insertion) order."""
+        self._check_layer(layer)
+        self._check_device(device)
+        experts, devices = self._layer_shadows(layer)
+        return experts[devices == device]
+
     def shadow_entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All shadow replicas as ``(layers, experts, devices)`` index
         arrays, sorted (layer, expert)-major with devices ascending — the
@@ -581,7 +581,7 @@ class StackedPlacement:
         sanitizer freezes them).
         """
         if self._shadow_entries_cache is None:
-            layers, experts, devices = self._entry_data[:, : self._entry_count]
+            layers, experts, devices = self._entry_data[:3, : self._entry_count]
             order = np.lexsort((devices, experts, layers))
             self._shadow_entries_cache = sanitize.freeze(
                 (layers[order], experts[order], devices[order])
@@ -592,11 +592,10 @@ class StackedPlacement:
         """Every live hosting relation, natives and shadows, as one
         entry table (see :class:`ReplicaEntries`).
 
-        Sums over hosting relations — MoE rooflines, device loads, the
-        all-to-all pricer's cells — run over these entries instead of the
-        mostly-zero ``(layers, experts, devices)`` tensors.  Built after a
-        mutation from the native layout and the shadow-entry table, with
-        one sort; cached until the next mutation.
+        Sums over hosting relations — heats, MoE rooflines, device loads,
+        the all-to-all pricer's cells — run over these entries.  Built
+        after a mutation from the native layout and the shadow-entry
+        table, with one sort; cached until the next mutation.
         """
         if self._replica_entries is None:
             self._replica_entries = sanitize.freeze(self._build_replica_entries())
@@ -621,44 +620,70 @@ class StackedPlacement:
         if self._dead_devices:
             live = ~np.isin(natives, list(self._dead_devices))
             experts, natives = experts[live], natives[live]
-        shadow_layers, shadow_experts, shadow_devices = self._entry_data[
-            :, : self._entry_count
-        ]
+        shadow_layers, shadow_experts, shadow_devices, shadow_stamps = (
+            self._entry_data[:, : self._entry_count]
+        )
         layer = np.concatenate(
             [np.repeat(np.arange(num_layers), experts.size), shadow_layers]
         )
         expert = np.concatenate([np.tile(experts, num_layers), shadow_experts])
         device = np.concatenate([np.tile(natives, num_layers), shadow_devices])
+        stamp = np.concatenate([np.tile(experts, num_layers), shadow_stamps])
         shadow = np.arange(layer.size) >= layer.size - shadow_layers.size
         # Keys are unique: group by (layer, device), natives before
         # shadows, experts ascending within each.
         order = np.argsort(
             ((layer * num_devices + device) * 2 + shadow) * num_experts + expert
         )
-        layer, expert, device = layer[order], expert[order], device[order]
+        layer, expert = layer[order], expert[order]
         return ReplicaEntries(
             layer=layer,
             expert=expert,
-            device=device,
-            # Every share is 1 / replicas, as the layer objects compute it.
+            device=device[order],
+            stamp=stamp[order],
+            # Every share is 1 / replicas, as ExpertPlacement computes it.
             share=1.0 / self._counts[layer, expert],
             bounds=np.searchsorted(layer, np.arange(num_layers + 1)),
         )
+
+    def _layer_shadows(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(experts, devices)`` of ``layer``'s shadows in stamp order."""
+        layers, experts, devices, stamps = self._entry_data[:, : self._entry_count]
+        mine = np.flatnonzero(layers == layer)
+        mine = mine[np.argsort(stamps[mine])]
+        return experts[mine], devices[mine]
+
+    def _hosts(self, layer: int, device: int, expert: int) -> bool:
+        if (layer, expert, device) in self._entry_pos:
+            return True
+        native = expert * self.num_devices // self.num_experts
+        return device == native and device not in self._dead_devices
+
+    def _shadow_free(self, layer: int, device: int) -> int:
+        if device in self._dead_devices:
+            return 0
+        return self.shadow_slots - int(self._shadow_counts[layer, device])
 
     def _invalidate_entries(self) -> None:
         """Drop the cached entry tables; every mutation calls this."""
         self._shadow_entries_cache = None
         self._replica_entries = None
 
-    def _entry_add(self, layer: int, expert: int, device: int) -> None:
-        if self._entry_count == self._entry_data.shape[1]:
-            self._entry_data = np.concatenate(
-                [self._entry_data, np.zeros_like(self._entry_data)], axis=1
-            )
-        slot = self._entry_count
-        self._entry_data[:, slot] = (layer, expert, device)
-        self._entry_pos[(layer, expert, device)] = slot
-        self._entry_count += 1
+    def _entries_append(
+        self, layer: int, experts: np.ndarray, devices: np.ndarray, stamps: np.ndarray
+    ) -> None:
+        start = self._entry_count
+        stop = start + experts.size
+        capacity = self._entry_data.shape[1]
+        if stop > capacity:
+            grown = np.zeros((4, max(stop, 2 * capacity)), dtype=np.int64)
+            grown[:, :start] = self._entry_data[:, :start]
+            self._entry_data = grown
+        columns = self._entry_data[:, start:stop]
+        columns[0], columns[1], columns[2], columns[3] = layer, experts, devices, stamps
+        keys = zip([layer] * experts.size, experts.tolist(), devices.tolist())
+        self._entry_pos.update(zip(keys, range(start, stop)))
+        self._entry_count = stop
 
     def _entry_remove(self, layer: int, expert: int, device: int) -> None:
         slot = self._entry_pos.pop((layer, expert, device))
@@ -672,31 +697,16 @@ class StackedPlacement:
     # -- mutation ----------------------------------------------------------------
 
     def add_replica(self, layer: int, expert: int, device: int) -> None:
-        """Copy ``expert`` into a shadow slot of ``device`` on ``layer``."""
-        target = self._layers[layer]
-        target.add_replica(expert, device)
-        self._tensor[layer, expert, device] = 1.0
-        self._counts[layer, expert] += 1
-        self._shadow_counts[layer, device] += 1
-        self._shadow_mask[layer, expert, device] = True
-        self._order[layer, expert, device] = self._order_next[layer]
-        self._order_next[layer] += 1
-        self._versions[layer] = target.version
-        self._entry_add(layer, expert, device)
-        self._invalidate_entries()
+        """Copy ``expert`` into a shadow slot of ``device`` on ``layer``.
+
+        Raises ValueError when the device already hosts the expert or has
+        no free shadow slot (a dead device has none).
+        """
+        self.add_replicas([layer], [expert], [device])
 
     def drop_replica(self, layer: int, expert: int, device: int) -> None:
         """Release a shadow replica on ``layer`` (never the native copy)."""
-        target = self._layers[layer]
-        target.drop_replica(expert, device)
-        self._tensor[layer, expert, device] = 0.0
-        self._counts[layer, expert] -= 1
-        self._shadow_counts[layer, device] -= 1
-        self._shadow_mask[layer, expert, device] = False
-        self._order[layer, expert, device] = _NO_HOST
-        self._versions[layer] = target.version
-        self._entry_remove(layer, expert, device)
-        self._invalidate_entries()
+        self.drop_replicas([layer], [expert], [device])
 
     def add_replicas(
         self,
@@ -706,32 +716,23 @@ class StackedPlacement:
     ) -> None:
         """Batched :meth:`add_replica` over parallel index arrays.
 
-        Entries are grouped per touched layer (boolean masking preserves
-        their relative order, so host-order stamps come out exactly as the
-        sequential walk would assign them) and each layer's dense mirrors
-        update in one vectorized pass — bursty triggers that commit many
-        migrations at once no longer pay a per-replica dest-share rebuild.
-        Every layer's entries are validated before any layer changes, so a
-        batch that raises leaves the stack as it was.
+        Sequential semantics: an entry sees the slots and replicas of the
+        entries before it, and each layer stamps its entries in batch
+        order.  Every layer's entries are validated before any layer
+        changes, so a batch that raises leaves the stack as it was.
         """
         batches = self._layer_batches(layer_idx, expert_idx, device_idx)
         for layer, experts, devices in batches:
-            self._layers[layer]._check_adds(experts, devices)
-        self._invalidate_entries()
+            self._check_adds(layer, experts, devices)
         for layer, experts, devices in batches:
-            target = self._layers[layer]
-            target._apply_adds(experts, devices)
-            self._tensor[layer, experts, devices] = 1.0
+            stamps = self._next_stamp[layer] + np.arange(experts.size)
+            self._next_stamp[layer] += experts.size
             np.add.at(self._counts[layer], experts, 1)
             np.add.at(self._shadow_counts[layer], devices, 1)
-            self._shadow_mask[layer, experts, devices] = True
-            self._order[layer, experts, devices] = self._order_next[
-                layer
-            ] + np.arange(experts.size)
-            self._order_next[layer] += experts.size
-            self._versions[layer] = target.version
-            for expert, device in zip(experts.tolist(), devices.tolist()):
-                self._entry_add(layer, expert, device)
+            self._versions[layer] += experts.size
+            self._entries_append(layer, experts, devices, stamps)
+        if batches:
+            self._invalidate_entries()
 
     def drop_replicas(
         self,
@@ -739,123 +740,140 @@ class StackedPlacement:
         expert_idx: np.ndarray,
         device_idx: np.ndarray,
     ) -> None:
-        """Batched :meth:`drop_replica` over parallel index arrays.
-
-        Mirrors :meth:`add_replicas`: per-layer vectorized dense updates
-        (one dest-share row rebuild per touched expert) instead of
-        one-replica-at-a-time bookkeeping — the stale-eviction sweep can
-        drop dozens of replicas per trigger — and no layer changes unless
-        every layer's entries are valid.
-        """
+        """Batched :meth:`drop_replica` over parallel index arrays; no
+        layer changes unless every layer's entries are valid."""
         batches = self._layer_batches(layer_idx, expert_idx, device_idx)
         for layer, experts, devices in batches:
-            self._layers[layer]._check_drops(experts, devices)
-        self._invalidate_entries()
+            self._check_drops(layer, experts, devices)
         for layer, experts, devices in batches:
-            target = self._layers[layer]
-            target._apply_drops(experts, devices)
-            self._tensor[layer, experts, devices] = 0.0
             np.subtract.at(self._counts[layer], experts, 1)
             np.subtract.at(self._shadow_counts[layer], devices, 1)
-            self._shadow_mask[layer, experts, devices] = False
-            self._order[layer, experts, devices] = _NO_HOST
-            self._versions[layer] = target.version
+            self._versions[layer] += experts.size
             for expert, device in zip(experts.tolist(), devices.tolist()):
                 self._entry_remove(layer, expert, device)
+        if batches:
+            self._invalidate_entries()
 
-    @staticmethod
     def _layer_batches(
-        layer_idx: np.ndarray, expert_idx: np.ndarray, device_idx: np.ndarray
+        self, layer_idx: np.ndarray, expert_idx: np.ndarray, device_idx: np.ndarray
     ) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """``(layer, experts, devices)`` per touched layer, ascending, each
-        layer's entries in batch order."""
+        layer's entries in batch order; raises on a layer out of range."""
         layer_idx = np.asarray(layer_idx, dtype=np.int64)
         expert_idx = np.asarray(expert_idx, dtype=np.int64)
         device_idx = np.asarray(device_idx, dtype=np.int64)
+        layers = np.unique(layer_idx).tolist()
+        for layer in layers:
+            self._check_layer(layer)
         batches = []
-        for layer in np.unique(layer_idx).tolist():
+        for layer in layers:
             selected = layer_idx == layer
             batches.append((layer, expert_idx[selected], device_idx[selected]))
         return batches
 
+    def _check_adds(self, layer: int, experts: np.ndarray, devices: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every add of one layer's batch is
+        valid in sequence; changes nothing."""
+        pending: set[tuple[int, int]] = set()
+        pending_per_device: dict[int, int] = {}
+        for expert, device in zip(experts.tolist(), devices.tolist()):
+            self._check_expert(expert)
+            self._check_device(device)
+            if self._hosts(layer, device, expert) or (expert, device) in pending:
+                raise ValueError(f"device {device} already hosts expert {expert}")
+            taken = pending_per_device.get(device, 0)
+            if self._shadow_free(layer, device) - taken <= 0:
+                raise ValueError(f"device {device} has no free shadow slot")
+            pending.add((expert, device))
+            pending_per_device[device] = taken + 1
+
+    def _check_drops(self, layer: int, experts: np.ndarray, devices: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every drop of one layer's batch
+        names a distinct shadow replica; changes nothing."""
+        dropped: set[tuple[int, int, int]] = set()
+        for expert, device in zip(experts.tolist(), devices.tolist()):
+            self._check_expert(expert)
+            self._check_device(device)
+            key = (layer, expert, device)
+            if key not in self._entry_pos or key in dropped:
+                raise ValueError(
+                    f"expert {expert} has no shadow replica on device {device}"
+                )
+            dropped.add(key)
+
     def fail_device(self, device: int) -> tuple[np.ndarray, np.ndarray]:
         """Fail-stop ``device`` on every layer.
 
-        Batched :meth:`ExpertPlacement.fail_device`: the dense mirrors
-        update column-wise, the swap-removable shadow-entry table drops
-        the device's entries, and the ``(layer, expert)`` index arrays of
-        the experts orphaned by this failure are returned for the repair
-        path.  Idempotent.
+        Drops the device's natives and shadows on every layer and marks
+        it dead, so it has no free shadow slot from then on.  Returns the
+        ``(layer, expert)`` index arrays of the experts this failure
+        orphaned, each layer's in :class:`ExpertPlacement.fail_device`'s
+        order (natives, then shadows by stamp), for the repair path.
+        Idempotent.
         """
+        self._check_device(device)
         if device in self._dead_devices:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         self._dead_devices.add(device)
-        orphan_layers: list[int] = []
-        orphan_experts: list[int] = []
-        for index, layer in enumerate(self._layers):
-            shadows = list(layer._shadow[device])
-            orphans = layer.fail_device(device)
-            for expert in shadows:
-                self._entry_remove(index, expert, device)
-            self._versions[index] = layer.version
-            orphan_layers.extend([index] * len(orphans))
-            orphan_experts.extend(orphans)
-        self._tensor[:, :, device] = 0.0
-        self._counts[:] = np.stack([layer._counts for layer in self._layers])
+        natives = np.flatnonzero(self.native_devices == device)
+        layers, experts, devices, stamps = self._entry_data[:, : self._entry_count]
+        gone = np.flatnonzero(devices == device)
+        shadow_layers, shadow_experts = layers[gone], experts[gone]
+        shadow_stamps = stamps[gone]
+        for layer, expert in zip(shadow_layers.tolist(), shadow_experts.tolist()):
+            self._entry_remove(layer, expert, device)
+        self._counts[:, natives] -= 1
+        np.subtract.at(self._counts, (shadow_layers, shadow_experts), 1)
         self._shadow_counts[:, device] = 0
-        self._shadow_mask[:, :, device] = False
-        self._order[:, :, device] = _NO_HOST
+        self._versions += natives.size
+        np.add.at(self._versions, shadow_layers, 1)
         self._invalidate_entries()
-        return (
-            np.array(orphan_layers, dtype=np.int64),
-            np.array(orphan_experts, dtype=np.int64),
+        # A native stamps its expert, below every shadow stamp.
+        lost_layers = np.concatenate(
+            [np.repeat(np.arange(self.num_layers), natives.size), shadow_layers]
         )
+        lost_experts = np.concatenate([np.tile(natives, self.num_layers), shadow_experts])
+        lost_stamps = np.concatenate([np.tile(natives, self.num_layers), shadow_stamps])
+        order = np.lexsort((lost_stamps, lost_layers))
+        lost_layers, lost_experts = lost_layers[order], lost_experts[order]
+        orphan = self._counts[lost_layers, lost_experts] == 0
+        return lost_layers[orphan], lost_experts[orphan]
 
     def reset_shadows(self) -> None:
-        """Drop every shadow replica on every layer."""
-        for layer in self._layers:
-            layer.reset_shadows()
-        self._tensor[self._shadow_mask] = 0.0
-        if self._dead_devices:
-            self._counts[:] = self._tensor.sum(axis=2)
-        else:
-            self._counts[:] = 1
+        """Drop every shadow replica on every layer.
+
+        Each layer's version advances by its dropped replicas.  After
+        device failures the native layout excludes dead natives, so an
+        expert whose native died comes out orphaned.
+        """
+        if self._entry_count == 0:
+            return
+        layers = self._entry_data[0, : self._entry_count]
+        self._versions += np.bincount(layers, minlength=self.num_layers)
+        live = ~np.isin(self.native_devices, list(self._dead_devices))
+        self._counts[:] = live
         self._shadow_counts[:] = 0
-        self._order[self._shadow_mask] = _NO_HOST
-        self._shadow_mask[:] = False
-        self._versions[:] = [layer.version for layer in self._layers]
         self._entry_count = 0
         self._entry_pos.clear()
         self._invalidate_entries()
 
-    # -- invariants ---------------------------------------------------------------
+    # -- internals ----------------------------------------------------------------
 
-    def check_synced(self) -> None:
-        """Assert the stacked mirrors agree with every layer object."""
-        for index, layer in enumerate(self._layers):
-            if self._versions[index] != layer.version:
-                raise AssertionError(
-                    f"layer {index} mutated outside the stack "
-                    f"(version {layer.version} != mirror {self._versions[index]})"
-                )
-            np.testing.assert_array_equal(self._tensor[index], layer._matrix)
-            np.testing.assert_array_equal(self._counts[index], layer._counts)
-            np.testing.assert_array_equal(
-                self._shadow_counts[index], layer._shadow_counts
-            )
-            np.testing.assert_array_equal(
-                self._shadow_mask[index], layer._shadow_mask
-            )
-        entries = self.replica_entries()
-        np.testing.assert_array_equal(
-            entries.share,
-            self.destination_shares[entries.layer, entries.expert, entries.device],
-        )
+    def _check_layer(self, layer: int) -> None:
+        if not (0 <= layer < self.num_layers):
+            raise ValueError(f"layer {layer} out of range (0..{self.num_layers - 1})")
+
+    def _check_expert(self, expert: int) -> None:
+        if not (0 <= expert < self.num_experts):
+            raise ValueError(f"expert {expert} out of range (0..{self.num_experts - 1})")
+
+    def _check_device(self, device: int) -> None:
+        if not (0 <= device < self.num_devices):
+            raise ValueError(f"device {device} out of range (0..{self.num_devices - 1})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shadows = int(self._shadow_mask.sum())
         return (
             f"StackedPlacement({self.num_layers} layers x {self.num_experts} "
-            f"experts on {self.num_devices} devices, {shadows} shadow replicas)"
+            f"experts on {self.num_devices} devices, {self._entry_count} shadow replicas)"
         )

@@ -20,15 +20,16 @@ hosted-destination set, built lazily from per-destination rows, and a
 stack prices with one gather of its hosted cells from the demand stack
 plus one sparse product per hosted set — see the layer-batched pricing
 section below.  Per-layer states, gather rows included, are keyed on
-``ExpertPlacement.version``, so migrations rebuild only the touched
-layers' states, and memory is bounded by replica count and route length,
+the stack and layer and checked against the layer's version, so
+migrations rebuild only the touched layers' states, and memory is
+bounded by replica count and route length,
 not ``O(G * D * links)``, which is what makes 1024+-device multi-wafer
 systems simulable.  See ``docs/pricing-operators.md`` for the model.
 """
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,8 +124,9 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 # gives a ``(group, dest) -> link`` operator.  Only hosted destinations
 # (devices holding a replica) receive traffic and a cell's routes touch
 # only a few links, so each operator is a scipy CSR matrix over the hosted
-# cells alone.  The share tensor is almost all zeros, so the cells come
-# from the stack's replica entries instead of a matmul: a hosted cell is
+# cells alone.  The share matrix is almost all zeros and the stack keeps
+# only its nonzeros, the replica entries, so the cells come from those
+# entries instead of a matmul: a hosted cell is
 # its destination's first entry's demand times its share, plus each
 # further entry's product in entry order (natives before shadows) — a
 # fixed-order sum that no BLAS kernel choice can move.  A whole stack then
@@ -215,6 +217,29 @@ class _LayerState:
     shares: np.ndarray  # (ranks, n) its destination share, 0.0 where padded
 
 
+class _Scratch:
+    """Grow-only work arrays for one pricer's cell gathers.
+
+    Every gather writes into views of the same flat arrays, so a pricing
+    step allocates nothing that scales with the cells.  Fresh
+    group-sized arrays every step are handed out and trimmed back by the
+    allocator each time, and the page faults of touching them again cost
+    the 64-device serving step about a fifth of its time.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A ``shape`` view of the array ``name``, grown when too small;
+        the next request for ``name`` overwrites it."""
+        size = int(np.prod(shape))
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+
 @dataclass
 class _GatherBatch:
     """The layers sharing one hosted set, with their stacked gather rows.
@@ -223,13 +248,14 @@ class _GatherBatch:
     ``sources[r, pos, row]`` is the flat demand-stack index, at group 0,
     of the ``r``-th entry on destination ``pos`` for the batch's
     ``row``-th layer, and ``shares`` its share: entry-sized planes,
-    expanded over the groups per step.
+    expanded over the groups per step, in the pricer's ``scratch``.
     """
 
     hosted: _HostedSet
     layers: "slice | np.ndarray"
     sources: np.ndarray  # (ranks, n, l)
     shares: np.ndarray  # (ranks, n, l)
+    scratch: _Scratch = field(repr=False)
 
     def cells(self, demand_bytes: np.ndarray) -> np.ndarray:
         """The batch's hosted cells of a ``(layers, groups, experts)``
@@ -238,18 +264,27 @@ class _GatherBatch:
 
         A cell is its destination's first entry's demand times share,
         plus each further entry's product, added rank by rank in entry
-        order; a padded rank adds an exact zero.
+        order; a padded rank adds an exact zero.  The result is a view of
+        the pricer's scratch: the next gather overwrites it.
         """
         num_groups, num_experts = demand_bytes.shape[1:]
         flat = demand_bytes.reshape(-1)
+        shape = (num_groups,) + self.sources.shape[1:]
+        index = self.scratch.view("index", shape, np.intp)
+        cells = self.scratch.view("cells", shape)
         offsets = (np.arange(num_groups) * num_experts)[:, None, None]
-        cells = np.take(flat, self.sources[0] + offsets)
+        # The indices are in range by construction; "clip" lets take
+        # write into ``out`` without an intermediate copy.
+        np.add(self.sources[0], offsets, out=index)
+        np.take(flat, index, out=cells, mode="clip")
         cells *= self.shares[0]
         for sources, shares in zip(self.sources[1:], self.shares[1:]):
-            products = np.take(flat, sources + offsets)
+            products = self.scratch.view("products", shape)
+            np.add(sources, offsets, out=index)
+            np.take(flat, index, out=products, mode="clip")
             products *= shares
             cells += products
-        return cells.reshape(-1, cells.shape[2])
+        return cells.reshape(-1, shape[2])
 
 
 #: A stack's layers grouped by hosted set.
@@ -257,7 +292,11 @@ HostedBatches = list[_GatherBatch]
 
 
 def _gather_batch(
-    layers: list[int], states: list[_LayerState], num_layers: int, stride: int
+    layers: list[int],
+    states: list[_LayerState],
+    num_layers: int,
+    stride: int,
+    scratch: _Scratch,
 ) -> _GatherBatch:
     """Stack the gather rows of the layers that share one hosted set;
     ``stride`` is one layer's size in the flat demand stack."""
@@ -274,6 +313,7 @@ def _gather_batch(
         layers=slice(None) if len(layers) == num_layers else np.array(layers),
         sources=sources,
         shares=shares,
+        scratch=scratch,
     )
     # Plans serve their batches for a whole placement epoch.
     sanitize.freeze((batch.layers, batch.sources, batch.shares))
@@ -297,9 +337,10 @@ class SparseAllToAllPricer:
     (:class:`_DestRows`) from batched route rows, concatenated into one
     CSR matrix per hosted-destination set (:class:`_HostedSet`).
 
-    Incrementality is version-keyed: layer states are cached per layer
-    :class:`~repro.mapping.placement.ExpertPlacement` and revalidated
-    against its ``version``, so migration-free iterations rebuild nothing
+    Incrementality is version-keyed: layer states are cached per
+    ``(stack, layer)`` and revalidated against the stack's
+    :attr:`~repro.mapping.placement.StackedPlacement.versions`, so
+    migration-free iterations rebuild nothing
     (``state_rebuilds`` stays flat — the regression tests assert on it)
     and a migration burst rebuilds only the mutated layers' states: their
     gather rows and a hosted-set cache lookup (new destinations pay their
@@ -333,7 +374,9 @@ class SparseAllToAllPricer:
         self._table = mapping.token_holder_table()
         self._dest_rows: dict[int, _DestRows] = {}
         self._hosted: "OrderedDict[tuple, _HostedSet]" = OrderedDict()
+        #: stack -> {layer: state}, weakly keyed: states die with their stack.
         self._states: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._scratch = _Scratch()
         #: Layer states (re)built — flat across migration-free iterations.
         self.state_rebuilds = 0
         #: Destination columns whose rows were materialized.
@@ -465,9 +508,10 @@ class SparseAllToAllPricer:
         each run of entries on one device is a hosted destination, and
         an entry's place in its run is its rank.
         """
-        key = placement.layer(layer)
-        state = self._states.get(key)
-        if state is not None and state.version == key.version:
+        states = self._states.setdefault(placement, {})
+        version = int(placement.versions[layer])
+        state = states.get(layer)
+        if state is not None and state.version == version:
             return state
         entries = placement.replica_entries()
         part = slice(entries.bounds[layer], entries.bounds[layer + 1])
@@ -483,13 +527,13 @@ class SparseAllToAllPricer:
         experts[rank, position] = entries.expert[part]
         shares[rank, position] = entries.share[part]
         state = _LayerState(
-            version=key.version,
+            version=version,
             hosted=self._hosted_for(tuple(device[starts].tolist())),
             experts=experts,
             shares=shares,
         )
         sanitize.freeze((experts, shares))
-        self._states[key] = state
+        states[layer] = state
         self.state_rebuilds += 1
         return state
 
@@ -504,7 +548,7 @@ class SparseAllToAllPricer:
             states.append(state)
         stride = self.num_groups * placement.num_experts
         return [
-            _gather_batch(layers, states, placement.num_layers, stride)
+            _gather_batch(layers, states, placement.num_layers, stride, self._scratch)
             for layers, states in by_set.values()
         ]
 

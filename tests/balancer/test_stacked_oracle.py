@@ -144,11 +144,14 @@ def drive(
 
 
 def assert_same_state(stacked, reference):
-    stacked.placement.check_synced()
+    placement = stacked.placement
     for layer, balancer in enumerate(reference):
         assert stacked.pending[layer] == balancer.pending, layer
-        ours = stacked.placement.layer(layer)
+        ours = placement.layer(layer)
         ref = balancer.placement
+        assert placement.versions[layer] == ref.version, layer
+        np.testing.assert_array_equal(placement.replica_counts[layer], ref.replica_counts)
+        np.testing.assert_array_equal(placement.shadow_counts[layer], ref.shadow_counts)
         assert [ours.replicas(e) for e in range(ours.num_experts)] == [
             ref.replicas(e) for e in range(ref.num_experts)
         ], layer
@@ -230,3 +233,34 @@ def test_stacked_matches_under_aggressive_eviction(strategy):
         config=BalancerConfig(ewma=0.9, drop_fraction=0.5),
     )
     assert evicted > 0
+
+
+@pytest.mark.parametrize("strategy", ["topology", "non_invasive"])
+def test_stacked_matches_on_tied_shadows(strategy):
+    """The hottest device hosts two shadows whose per-replica loads tie
+    at the peak.  Layer 0 copied them in against expert order (5, then
+    2), layer 1 in expert order: both engines take the first in
+    ``experts_on`` order, the older shadow, so the sources differ."""
+    topology = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er").mapping.topology
+    balancer_cls = STRATEGIES[strategy]
+    stacked = STACKED_BALANCERS[balancer_cls](
+        StackedPlacement(2, 16, 16, shadow_slots=2), topology, expert_bytes=1.0
+    )
+    reference = [
+        balancer_cls(ExpertPlacement(16, 16, shadow_slots=2), topology, expert_bytes=1.0)
+        for _ in range(2)
+    ]
+    for layer, order in enumerate([(5, 2), (2, 5)]):
+        for expert in order:
+            stacked.placement.add_replica(layer, expert, 0)
+            reference[layer].placement.add_replica(expert, 0)
+    loads = np.ones((2, 16))
+    loads[:, 0] = 10.0
+    loads[:, [2, 5]] = 100.0
+    stacked.observe(loads)
+    for layer, balancer in enumerate(reference):
+        balancer.observe(loads[layer])
+    plans = stacked.plan(0)
+    assert plans == [balancer.plan(0) for balancer in reference]
+    assert [(plan[0].expert, plan[0].src) for plan in plans] == [(5, 0), (2, 0)]
+    assert_same_state(stacked, reference)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from placement_replay import LayerReplay, assert_matches_replay
+
 from repro.mapping.placement import ExpertPlacement, StackedPlacement
 
 
@@ -202,6 +204,7 @@ class TestStackedPlacement:
     def test_mirrors_track_mutations(self):
         rng = np.random.default_rng(3)
         stacked = StackedPlacement(3, 12, 8, shadow_slots=2)
+        replay = LayerReplay(3, 12, 8, shadow_slots=2)
         for _ in range(120):
             layer = int(rng.integers(3))
             expert = int(rng.integers(12))
@@ -209,15 +212,62 @@ class TestStackedPlacement:
             target = stacked.layer(layer)
             if not target.hosts(device, expert) and target.shadow_free(device) > 0:
                 stacked.add_replica(layer, expert, device)
+                replay.add_replica(layer, expert, device)
             elif target._shadow_mask[expert, device]:
                 stacked.drop_replica(layer, expert, device)
-        stacked.check_synced()
+                replay.drop_replica(layer, expert, device)
+        assert_matches_replay(stacked, replay)
 
-    def test_check_synced_detects_out_of_band_mutation(self):
+    def test_layer_snapshot_is_detached(self):
+        """``layer()`` rebuilds a snapshot: mutating it leaves the stack
+        alone, and the next snapshot shows the stack's state."""
         stacked = StackedPlacement(2, 8, 4)
-        stacked.layer(1).add_replica(0, 3)
-        with pytest.raises(AssertionError, match="outside the stack"):
-            stacked.check_synced()
+        entries = stacked.replica_entries()
+        snapshot = stacked.layer(1)
+        snapshot.add_replica(0, 3)
+        assert stacked.replica_entries() is entries
+        assert stacked.versions.tolist() == [0, 0]
+        assert stacked.layer(1).replicas(0) == [0]
+        assert_matches_replay(stacked, LayerReplay(2, 8, 4))
+
+    def test_store_is_sparse(self):
+        """The 58-layer, 256-expert, 1,024-device stack with its entry
+        table built holds at most 2 MiB of arrays: nothing it stores grows
+        with layers x experts x devices."""
+        stacked = StackedPlacement(58, 256, 1024)
+        stacked.replica_entries()
+        stacked.shadow_entry_arrays()
+
+        def nbytes(value) -> int:
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, dict):
+                return sum(nbytes(item) for item in value.values())
+            if isinstance(value, (list, tuple, set, frozenset)):
+                return sum(nbytes(item) for item in value)
+            return 0
+
+        assert 0 < nbytes(vars(stacked)) <= 2 * 2**20
+
+    def test_stack_queries(self):
+        stacked = StackedPlacement(2, 8, 4, shadow_slots=3)
+        stacked.add_replica(1, 6, 0)
+        stacked.add_replica(1, 2, 0)
+        stacked.add_replica(1, 0, 3)
+        assert stacked.hosts(1, 0, 6) and stacked.hosts(1, 0, 2)
+        assert stacked.hosts(1, 0, 0) and not stacked.hosts(0, 0, 6)
+        assert stacked.device_shadows(1, 0).tolist() == [6, 2]
+        assert stacked.device_shadows(0, 0).tolist() == []
+        assert stacked.first_replica(1, 0) == 0
+        stacked.fail_device(0)
+        assert not stacked.hosts(1, 0, 0)
+        assert stacked.first_replica(1, 0) == 3
+        with pytest.raises(ValueError, match="no live replica"):
+            stacked.first_replica(0, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            stacked.hosts(0, 4, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            stacked.hosts(0, 0, 8)
 
     def test_shadow_entry_arrays_grouped_and_sorted(self):
         stacked = StackedPlacement(2, 8, 4, shadow_slots=2)
@@ -235,11 +285,13 @@ class TestStackedPlacement:
 
     def test_reset_shadows_all_layers(self):
         stacked = StackedPlacement(2, 8, 4, shadow_slots=2)
-        stacked.add_replica(0, 0, 3)
-        stacked.add_replica(1, 4, 0)
-        stacked.reset_shadows()
-        stacked.check_synced()
-        assert not stacked.shadow_mask.any()
+        replay = LayerReplay(2, 8, 4, shadow_slots=2)
+        for target in (stacked, replay):
+            target.add_replica(0, 0, 3)
+            target.add_replica(1, 4, 0)
+            target.reset_shadows()
+        assert_matches_replay(stacked, replay)
+        assert not replay.shadow_mask().any()
         assert stacked.shadow_entry_arrays()[0].size == 0
         np.testing.assert_array_equal(
             stacked.replica_counts, np.ones((2, 8), dtype=np.int64)
@@ -248,12 +300,8 @@ class TestStackedPlacement:
     def test_views_are_read_only(self):
         stacked = StackedPlacement(2, 8, 4)
         for view in (
-            stacked.replica_tensor,
             stacked.replica_counts,
             stacked.shadow_counts,
-            stacked.destination_shares,
-            stacked.shadow_mask,
-            stacked.host_order,
             stacked.versions,
         ):
             with pytest.raises(ValueError):
@@ -263,14 +311,16 @@ class TestStackedPlacement:
         stacked = StackedPlacement(1, 8, 4, shadow_slots=2)
         stacked.add_replica(0, 7, 0)
         stacked.add_replica(0, 4, 0)
-        order = stacked.host_order[0]
+        entries = stacked.replica_entries()
+        on_device = (entries.layer == 0) & (entries.device == 0)
         hosted = [
             expert
             for _stamp, expert in sorted(
-                (int(order[e, 0]), e) for e in range(8) if order[e, 0] < 2**62
+                zip(entries.stamp[on_device].tolist(), entries.expert[on_device].tolist())
             )
         ]
         assert hosted == stacked.layer(0).experts_on(0)
+        assert hosted == [0, 1, 7, 4]
 
 
 class TestBatchedMutations:
@@ -388,15 +438,14 @@ class TestStackedBatchedMutations:
             layers.tolist(), experts.tolist(), devices.tolist()
         ):
             sequential.add_replica(layer, expert, device)
-        batched.check_synced()
+        replay = LayerReplay(4, 16, 8, shadow_slots=2)
+        replay.add_replicas(layers, experts, devices)
+        assert_matches_replay(batched, replay)
         np.testing.assert_array_equal(batched.versions, sequential.versions)
-        np.testing.assert_array_equal(
-            batched.replica_tensor, sequential.replica_tensor
-        )
-        np.testing.assert_array_equal(
-            batched.destination_shares, sequential.destination_shares
-        )
-        np.testing.assert_array_equal(batched.host_order, sequential.host_order)
+        for column, other in zip(
+            batched.replica_entries(), sequential.replica_entries()
+        ):
+            np.testing.assert_array_equal(column, other)
         assert [
             array.tolist() for array in batched.shadow_entry_arrays()
         ] == [array.tolist() for array in sequential.shadow_entry_arrays()]
@@ -413,15 +462,15 @@ class TestStackedBatchedMutations:
             layers.tolist(), experts.tolist(), devices.tolist()
         ):
             sequential.drop_replica(layer, expert, device)
-        batched.check_synced()
+        replay = LayerReplay(4, 16, 8, shadow_slots=2)
+        replay.add_replicas(layers, experts, devices)
+        replay.drop_replicas(layers, experts, devices)
+        assert_matches_replay(batched, replay)
         np.testing.assert_array_equal(batched.versions, sequential.versions)
-        np.testing.assert_array_equal(
-            batched.replica_tensor, sequential.replica_tensor
-        )
-        np.testing.assert_array_equal(
-            batched.destination_shares, sequential.destination_shares
-        )
-        np.testing.assert_array_equal(batched.host_order, sequential.host_order)
+        for column, other in zip(
+            batched.replica_entries(), sequential.replica_entries()
+        ):
+            np.testing.assert_array_equal(column, other)
 
     @staticmethod
     def snapshot(stacked):
@@ -443,7 +492,7 @@ class TestStackedBatchedMutations:
             stacked.add_replicas([0, 1], [0, 1], [1, 1])
         assert self.snapshot(stacked) == before
         assert stacked.versions.tolist() == [0, 0]
-        stacked.check_synced()
+        assert_matches_replay(stacked, LayerReplay(2, 4, 4))
 
     def test_drop_batch_with_a_bad_later_layer_changes_nothing(self):
         stacked = StackedPlacement(2, 4, 4)
@@ -454,4 +503,57 @@ class TestStackedBatchedMutations:
             stacked.drop_replicas([0, 1], [0, 0], [1, 1])
         assert self.snapshot(stacked) == before
         assert stacked.versions.tolist() == [1, 0]
-        stacked.check_synced()
+        replay = LayerReplay(2, 4, 4)
+        replay.add_replica(0, 0, 1)
+        assert_matches_replay(stacked, replay)
+
+
+class TestStackedArgumentChecks:
+    """Out-of-range layers and devices raise before any state changes."""
+
+    @staticmethod
+    def state(stacked):
+        return (
+            stacked.versions.tolist(),
+            sorted(stacked.dead_devices),
+            [column.tolist() for column in stacked.replica_entries()],
+            [array.tolist() for array in stacked.shadow_entry_arrays()],
+        )
+
+    @pytest.mark.parametrize("layer", [-1, 3])
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda stacked, layer: stacked.add_replica(layer, 0, 1),
+            lambda stacked, layer: stacked.add_replicas([0, layer], [0, 0], [1, 2]),
+            lambda stacked, layer: stacked.drop_replica(layer, 0, 1),
+            lambda stacked, layer: stacked.drop_replicas([0, layer], [0, 0], [1, 1]),
+        ],
+        ids=["add_replica", "add_replicas", "drop_replica", "drop_replicas"],
+    )
+    def test_layer_out_of_range(self, mutation, layer):
+        stacked = StackedPlacement(3, 4, 4, shadow_slots=2)
+        stacked.add_replica(0, 0, 1)
+        before = self.state(stacked)
+        with pytest.raises(ValueError, match=f"layer {layer} out of range"):
+            mutation(stacked, layer)
+        assert self.state(stacked) == before
+        assert stacked.replica_entries().bounds.tolist() == [0, 5, 9, 13]
+
+    @pytest.mark.parametrize("device", [-1, 4, 9])
+    def test_fail_device_out_of_range(self, device):
+        stacked = StackedPlacement(2, 4, 4)
+        stacked.add_replica(1, 0, 2)
+        before = self.state(stacked)
+        with pytest.raises(ValueError, match=f"device {device} out of range"):
+            stacked.fail_device(device)
+        assert self.state(stacked) == before
+        assert stacked.dead_devices == frozenset()
+
+    def test_expert_placement_hosts_checks_arguments(self):
+        placement = ExpertPlacement(4, 4)
+        with pytest.raises(ValueError, match="device 9 out of range"):
+            placement.hosts(9, 0)
+        with pytest.raises(ValueError, match="expert 9 out of range"):
+            placement.hosts(0, 9)
+        assert placement.hosts(0, 0) and not placement.hosts(1, 0)

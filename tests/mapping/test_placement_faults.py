@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from placement_replay import LayerReplay, assert_matches_replay
 
 from repro.mapping.placement import ExpertPlacement, StackedPlacement
 
@@ -95,16 +96,23 @@ class TestStackedPlacementFailDevice:
     def make(self, layers=3, experts=8, devices=4, shadow_slots=2):
         return StackedPlacement(layers, experts, devices, shadow_slots=shadow_slots)
 
+    def replay(self, layers=3, experts=8, devices=4, shadow_slots=2):
+        return LayerReplay(layers, experts, devices, shadow_slots=shadow_slots)
+
     def test_fails_every_layer_and_stays_synced(self):
-        stacked = self.make()
-        stacked.add_replica(0, 0, 1)
-        stacked.add_replica(2, 5, 1)
+        stacked, replay = self.make(), self.replay()
+        for target in (stacked, replay):
+            target.add_replica(0, 0, 1)
+            target.add_replica(2, 5, 1)
         layers, experts = stacked.fail_device(1)
+        want_layers, want_experts = replay.fail_device(1)
+        assert layers.tolist() == want_layers.tolist()
+        assert experts.tolist() == want_experts.tolist()
         # Experts 2 and 3 are native to device 1 in every layer; the
         # shadows that died there had live natives elsewhere.
         assert sorted(set(experts.tolist())) == [2, 3]
         assert layers.size == 6
-        stacked.check_synced()
+        assert_matches_replay(stacked, replay)
         assert stacked.dead_devices == frozenset({1})
         for layer in stacked.layers:
             assert layer.dead_devices == frozenset({1})
@@ -122,37 +130,62 @@ class TestStackedPlacementFailDevice:
         assert layers.size == 0 and experts.size == 0
 
     def test_tensors_zeroed_for_dead_column(self):
-        stacked = self.make()
-        stacked.add_replica(1, 0, 1)
-        stacked.fail_device(1)
-        assert not stacked.replica_tensor[:, :, 1].any()
-        assert not stacked.shadow_mask[:, :, 1].any()
+        stacked, replay = self.make(), self.replay()
+        for target in (stacked, replay):
+            target.add_replica(1, 0, 1)
+            target.fail_device(1)
+        assert_matches_replay(stacked, replay)
+        assert 1 not in stacked.replica_entries().device
+        assert not replay.replica_tensor()[:, :, 1].any()
+        assert not replay.shadow_mask()[:, :, 1].any()
         np.testing.assert_array_equal(stacked.shadow_counts[:, 1], 0)
         np.testing.assert_array_equal(
-            stacked.replica_counts, stacked.replica_tensor.sum(axis=2)
+            stacked.replica_counts, replay.replica_tensor().sum(axis=2)
         )
-        assert np.isfinite(stacked.destination_shares).all()
+        assert np.isfinite(replay.destination_shares()).all()
 
     def test_repair_then_check_synced(self):
-        stacked = self.make()
-        stacked.fail_device(1)
-        for layer in range(3):
-            stacked.add_replica(layer, 2, 0)
-            stacked.add_replica(layer, 3, 2)
+        stacked, replay = self.make(), self.replay()
+        for target in (stacked, replay):
+            target.fail_device(1)
+            for layer in range(3):
+                target.add_replica(layer, 2, 0)
+                target.add_replica(layer, 3, 2)
         layers, _ = stacked.orphaned()
         assert layers.size == 0
-        stacked.check_synced()
+        assert_matches_replay(stacked, replay)
 
     def test_reset_shadows_after_failure(self):
-        stacked = self.make()
-        stacked.fail_device(1)
-        for layer in range(3):
-            stacked.add_replica(layer, 2, 0)
-        stacked.reset_shadows()
-        stacked.check_synced()
+        stacked, replay = self.make(), self.replay()
+        for target in (stacked, replay):
+            target.fail_device(1)
+            for layer in range(3):
+                target.add_replica(layer, 2, 0)
+            target.reset_shadows()
+        assert_matches_replay(stacked, replay)
         layers, experts = stacked.orphaned()
         assert sorted(set(experts.tolist())) == [2, 3]
-        assert np.isfinite(stacked.destination_shares).all()
+        assert np.isfinite(replay.destination_shares()).all()
+
+    def test_orphan_order_matches_layers(self):
+        """Orphans come back per layer in ``ExpertPlacement.fail_device``'s
+        order: natives, then shadows in insertion (stamp) order."""
+        stacked = self.make(experts=8, devices=8, shadow_slots=3)
+        replay = self.replay(experts=8, devices=8, shadow_slots=3)
+        for target in (stacked, replay):
+            target.fail_device(0)
+            target.add_replica(1, 0, 5)
+            target.add_replica(1, 7, 3)
+            target.add_replica(1, 6, 3)
+            target.add_replica(2, 6, 3)
+            target.add_replica(2, 0, 3)
+            target.fail_device(6)
+        layers, experts = stacked.fail_device(3)
+        want_layers, want_experts = replay.fail_device(3)
+        got = list(zip(layers.tolist(), experts.tolist()))
+        assert got == list(zip(want_layers.tolist(), want_experts.tolist()))
+        assert got == [(0, 3), (1, 3), (1, 6), (2, 3), (2, 6), (2, 0)]
+        assert_matches_replay(stacked, replay)
 
     def test_idempotent(self):
         stacked = self.make()

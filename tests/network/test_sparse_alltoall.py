@@ -267,7 +267,8 @@ class TestSystems:
         assert len(batches) == 3
         full = pricer._hosted_for(tuple(range(pricer.num_devices)))
         assert full.operator.shape[1] == pricer.num_links
-        cells = np.matmul(demand, stack.destination_shares)
+        shares = np.stack([layer.destination_shares for layer in stack.layers])
+        cells = np.matmul(demand, shares)
         dispatch = cells.reshape(stack.num_layers, -1) @ full.operator
         combine = dispatch[:, link_reversal(mapping.topology)]
         got = pricer.link_volumes(demand, batches)
@@ -615,6 +616,22 @@ class TestSimulateAllToAll:
 
 
 class TestCaches:
+    def test_gathers_reuse_the_pricer_scratch(self, mapping):
+        """Every gather writes into the pricer's scratch, so pricing a
+        step allocates no group-sized arrays; a repeated gather returns
+        the same cells."""
+        stack = StackedPlacement(3, 8, 16)
+        stack.add_replica(1, 0, 1)
+        pricer = alltoall_pricer(mapping)
+        demand = per_layer(uniform_demand(4, 8, 256, 8, 100), stack.num_layers)
+        batches = pricer.hosted_batches(stack)
+        assert len(batches) == 2
+        first = batches[0].cells(demand).copy()
+        other = batches[-1].cells(demand)
+        again = batches[0].cells(demand)
+        assert np.shares_memory(again, other)
+        np.testing.assert_array_equal(again, first)
+
     def test_evicted_hosted_set_rebuilds_identically(self, mapping, monkeypatch):
         monkeypatch.setattr(SparseAllToAllPricer, "HOSTED_CACHE_CAP", 1)
         pricer = SparseAllToAllPricer(mapping)

@@ -1,13 +1,15 @@
 """The stacked placement's replica-entry table and the sums that run over it.
 
-``StackedPlacement.replica_entries`` lists every live hosting relation once;
-the all-to-all pricer's cells, the MoE rooflines and the device loads sum
-over those entries instead of contracting the mostly-zero
-``(layers, experts, devices)`` tensors.  Generated stacks (fewer, as many
-and more experts than devices; one to three shadow slots) go through
-random replica adds and drops, batched or single, fail-stops and shadow
-resets.  After every mutation the table must match the dense tensors, and
-the entry sums must match the dense contractions they replace: bit for bit
+``StackedPlacement`` stores a placement as one sparse entry table, and
+``replica_entries`` lists every live hosting relation once; heats, the
+all-to-all pricer's cells, the MoE rooflines and the device loads sum over
+those entries.  Generated stacks (fewer, as many and more experts than
+devices; one to three shadow slots) go through random replica adds and
+drops, batched or single, fail-stops and shadow resets, each applied as
+well to an independent replay into one ``ExpertPlacement`` per layer
+(``tests/placement_replay.py``).  After every mutation the stack must
+match the replay, and the entry sums must match the dense contractions
+over the replay's ``(layers, experts, devices)`` tensors: bit for bit
 where no device sums more than two exact products, within one rounding
 otherwise.
 """
@@ -17,7 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placement_replay import LayerReplay, assert_matches_replay
+
 from repro.analysis.load import stacked_device_token_loads
+from repro.balancer.stacked import StackedNoBalancer
 from repro.engine.compute import ComputeModel
 from repro.hardware.device import B200
 from repro.mapping.placement import StackedPlacement
@@ -48,9 +53,10 @@ def mutated_stacks(draw):
     else:
         num_experts = draw(st.integers(num_devices + 1, 2 * num_devices))
     num_layers = draw(st.integers(1, 3))
-    stack = StackedPlacement(
-        num_layers, num_experts, num_devices, shadow_slots=draw(st.integers(1, 3))
-    )
+    shape = (num_layers, num_experts, num_devices)
+    shadow_slots = draw(st.integers(1, 3))
+    stack = StackedPlacement(*shape, shadow_slots=shadow_slots)
+    replay = LayerReplay(*shape, shadow_slots=shadow_slots)
     entry = st.tuples(
         st.integers(0, num_layers - 1),
         st.integers(0, num_experts - 1),
@@ -71,11 +77,12 @@ def mutated_stacks(draw):
         )
     )
     demand = np.asarray(counts, dtype=float).reshape(num_layers, groups, num_experts)
-    return stack, mutations, demand * 7168.0
+    return stack, replay, mutations, demand * 7168.0
 
 
-def mutate(stack, kind, entries) -> bool:
-    """Apply one mutation; ``False`` when it was invalid and raised.
+def mutate(stack, replay, kind, entries) -> bool:
+    """Apply one mutation to the stack and the replay; ``False`` when it
+    was invalid and both raised.
 
     Drops pick existing shadow replicas by the drawn experts, so they
     usually apply."""
@@ -90,55 +97,60 @@ def mutate(stack, kind, entries) -> bool:
         layers, experts, devices = (
             shadow_layers[picks], shadow_experts[picks], shadow_devices[picks]
         )
-    try:
-        if kind == "add":
-            stack.add_replica(int(layers[0]), int(experts[0]), int(devices[0]))
-        elif kind == "add_many":
-            stack.add_replicas(layers, experts, devices)
-        elif kind == "drop":
-            stack.drop_replica(int(layers[0]), int(experts[0]), int(devices[0]))
-        elif kind == "drop_many":
-            stack.drop_replicas(layers, experts, devices)
-        elif kind == "fail":
-            stack.fail_device(int(devices[0]))
+    outcomes = []
+    for target in (stack, replay):
+        try:
+            if kind == "add":
+                target.add_replica(int(layers[0]), int(experts[0]), int(devices[0]))
+            elif kind == "add_many":
+                target.add_replicas(layers, experts, devices)
+            elif kind == "drop":
+                target.drop_replica(int(layers[0]), int(experts[0]), int(devices[0]))
+            elif kind == "drop_many":
+                target.drop_replicas(layers, experts, devices)
+            elif kind == "fail":
+                target.fail_device(int(devices[0]))
+            else:
+                target.reset_shadows()
+        except ValueError:
+            outcomes.append(False)
         else:
-            stack.reset_shadows()
-    except ValueError:
-        return False
-    return True
+            outcomes.append(True)
+    assert outcomes[0] == outcomes[1], kind
+    return outcomes[0]
 
 
-def assert_entries_match_tensors(stack):
+def assert_entries_match_tensors(stack, replay):
     entries = stack.replica_entries()
     shape = (stack.num_layers, stack.num_experts, stack.num_devices)
     index = (entries.layer, entries.expert, entries.device)
     listed = np.zeros(shape)
     np.add.at(listed, index, 1.0)
     # Every nonzero of the replica tensor exactly once, and nothing else.
-    np.testing.assert_array_equal(listed, stack.replica_tensor)
+    np.testing.assert_array_equal(listed, replay.replica_tensor())
     # Grouped by (layer, device), natives before shadows within a group.
     key = entries.layer * stack.num_devices + entries.device
     assert (np.diff(key) >= 0).all()
-    shadow = stack.shadow_mask[index]
+    shadow = replay.shadow_mask()[index]
     same_group = np.diff(key) == 0
     assert not (same_group & shadow[:-1] & ~shadow[1:]).any()
     shares = np.zeros(shape)
     shares[index] = entries.share
-    np.testing.assert_array_equal(shares, stack.destination_shares)
+    np.testing.assert_array_equal(shares, replay.destination_shares())
     np.testing.assert_array_equal(
         entries.bounds, np.searchsorted(entries.layer, np.arange(stack.num_layers + 1))
     )
 
 
-def max_entries_per_device(stack) -> int:
-    return int(stack.replica_tensor.sum(axis=1).max(initial=0))
+def max_entries_per_device(replay) -> int:
+    return int(replay.replica_tensor().sum(axis=1).max(initial=0))
 
 
-def dense_volumes(pricer, stack, demand):
+def dense_volumes(pricer, stack, replay, demand):
     """Per-link volumes through a dense share matmul, then the same CSR
     product over each layer's hosted columns; combine is the dispatch
     volumes gathered through the link reversal."""
-    cells = np.matmul(demand, stack.destination_shares)
+    cells = np.matmul(demand, replay.destination_shares())
     volumes = np.empty((stack.num_layers, 2, pricer.num_links))
     for layer in range(stack.num_layers):
         hosted = pricer.state_for(stack, layer).hosted
@@ -148,13 +160,13 @@ def dense_volumes(pricer, stack, demand):
     return volumes
 
 
-def dense_moe_peak(layer_loads, stack, device_scale=None):
+def dense_moe_peak(layer_loads, replay, device_scale=None):
     """The einsum roofline over the dense replica tensor."""
     loads = np.asarray(layer_loads, dtype=float)
     active = (loads > 0).astype(float)
-    counts = stack.replica_counts
+    counts = replay.replica_counts()
     shares = np.divide(active * loads, counts, out=np.zeros_like(loads), where=counts > 0)
-    tensor = stack.replica_tensor
+    tensor = replay.replica_tensor()
     compute = (
         np.einsum("le,led->ld", shares, tensor)
         * QWEN3_235B.expert_flops_per_token
@@ -169,20 +181,35 @@ def dense_moe_peak(layer_loads, stack, device_scale=None):
     return compute[rows, peak], memory[rows, peak]
 
 
-def dense_device_loads(layer_loads, stack):
+def dense_device_loads(layer_loads, replay):
     loads = np.asarray(layer_loads, dtype=float)
-    counts = stack.replica_counts
+    counts = replay.replica_counts()
     shares = np.divide(
         np.where(loads > 0, loads, 0.0), counts, out=np.zeros_like(loads), where=counts > 0
     )
-    return np.matmul(shares[:, None, :], stack.replica_tensor)[:, 0, :]
+    return np.matmul(shares[:, None, :], replay.replica_tensor())[:, 0, :]
 
 
-def assert_same_sums(stack, demand):
+def dense_heats(balancer, replay, include_pending):
+    """``StackedBalancer.heats`` as the per-replica loads times the
+    replay's dense replica tensor, plus the pending contributions."""
+    counts = replay.replica_counts().astype(float)
+    layers, experts, dsts = balancer._pending_flat()
+    if include_pending:
+        np.add.at(counts, (layers, experts), 1.0)
+    loads = balancer.predicted_loads
+    per_replica = np.divide(loads, counts, out=np.zeros_like(loads), where=counts > 0)
+    heats = np.matmul(per_replica[:, None, :], replay.replica_tensor())[:, 0, :]
+    if include_pending:
+        np.add.at(heats, (layers, dsts), per_replica[layers, experts])
+    return heats
+
+
+def assert_same_sums(stack, replay, demand):
     """Entry sums against the dense contractions: bit for bit while no
     device holds more than two experts (no cell sums more than two
     products), within one rounding per extra term otherwise."""
-    exact = max_entries_per_device(stack) <= 2
+    exact = max_entries_per_device(replay) <= 2
     check = (
         np.testing.assert_array_equal
         if exact
@@ -192,18 +219,27 @@ def assert_same_sums(stack, demand):
     scale = 1.0 + np.arange(stack.num_devices) % 3 / 4.0
     for device_scale in (None, scale):
         got = COMPUTE.moe_peak_arrays(layer_loads, stack, device_scale=device_scale)
-        for got_part, want_part in zip(got, dense_moe_peak(layer_loads, stack, device_scale)):
+        for got_part, want_part in zip(got, dense_moe_peak(layer_loads, replay, device_scale)):
             check(got_part, want_part)
-    check(stacked_device_token_loads(layer_loads, stack), dense_device_loads(layer_loads, stack))
+    check(stacked_device_token_loads(layer_loads, stack), dense_device_loads(layer_loads, replay))
 
-    pricer = SparseAllToAllPricer(MAPPINGS[stack.num_devices])
+    mapping = MAPPINGS[stack.num_devices]
+    balancer = StackedNoBalancer(stack, mapping.topology, expert_bytes=1.0)
+    balancer.observe(layer_loads)
+    for layer in range(stack.num_layers):
+        for expert in range(0, stack.num_experts, 3):
+            balancer._pending_add(layer, expert, (expert * 5 + layer) % stack.num_devices)
+    for include_pending in (False, True):
+        check(balancer.heats(include_pending), dense_heats(balancer, replay, include_pending))
+
+    pricer = SparseAllToAllPricer(mapping)
     volumes = pricer.link_volumes(demand, pricer.hosted_batches(stack))
-    single_entry_cells = (stack.replica_tensor.sum(axis=1) <= 1).all()
+    single_entry_cells = (replay.replica_tensor().sum(axis=1) <= 1).all()
     if single_entry_cells:
-        np.testing.assert_array_equal(volumes, dense_volumes(pricer, stack, demand))
+        np.testing.assert_array_equal(volumes, dense_volumes(pricer, stack, replay, demand))
     else:
         np.testing.assert_allclose(
-            volumes, dense_volumes(pricer, stack, demand), rtol=1e-15, atol=0.0
+            volumes, dense_volumes(pricer, stack, replay, demand), rtol=1e-15, atol=0.0
         )
 
 
@@ -211,20 +247,21 @@ class TestReplicaEntryTable:
     @given(mutated_stacks())
     @settings(max_examples=150, deadline=None)
     def test_table_tracks_every_mutation(self, case):
-        """After each mutation the cached table is rebuilt and lists the
-        dense tensors' hosting relations exactly."""
-        stack, mutations, _ = case
-        assert_entries_match_tensors(stack)
+        """After each mutation the cached table is rebuilt, lists the
+        replay's hosting relations exactly, and the stack matches the
+        replay's layer objects."""
+        stack, replay, mutations, _ = case
+        assert_entries_match_tensors(stack, replay)
         for kind, entries in mutations:
             before = stack.replica_entries()
             versions = stack.versions.copy()
             dead = stack.dead_devices
-            applied = mutate(stack, kind, entries)
+            applied = mutate(stack, replay, kind, entries)
             changed = (stack.versions != versions).any() or stack.dead_devices != dead
             if applied and changed:
                 assert stack.replica_entries() is not before, kind
-            assert_entries_match_tensors(stack)
-        stack.check_synced()
+            assert_entries_match_tensors(stack, replay)
+            assert_matches_replay(stack, replay)
 
     def test_table_is_cached_between_mutations(self):
         stack = StackedPlacement(2, 8, 4, shadow_slots=2)
@@ -236,36 +273,44 @@ class TestEntrySumsMatchDenseContractions:
     @given(mutated_stacks())
     @settings(max_examples=120, deadline=None)
     def test_generated_stacks(self, case):
-        stack, mutations, demand = case
+        stack, replay, mutations, demand = case
         for kind, entries in mutations:
-            mutate(stack, kind, entries)
-        assert_same_sums(stack, demand)
+            mutate(stack, replay, kind, entries)
+        assert_same_sums(stack, replay, demand)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dead_device_and_crowded_device(self, seed):
         """A fail-stop with repaired orphans, and one device hosting its
         native plus three shadows (1/3 and 1/4 shares included)."""
         stack = StackedPlacement(3, 16, 16, shadow_slots=3)
-        for expert in (2, 7, 11):
-            stack.add_replica(0, expert, 5)
-        stack.add_replica(0, 7, 6)
-        stack.add_replica(0, 11, 6)
-        stack.add_replica(0, 11, 12)
-        orphan_layers, orphan_experts = stack.fail_device(9)
-        stack.add_replicas(orphan_layers, orphan_experts, np.full(orphan_layers.size, 10))
-        assert max_entries_per_device(stack) >= 4
+        replay = LayerReplay(3, 16, 16, shadow_slots=3)
+        for target in (stack, replay):
+            for expert in (2, 7, 11):
+                target.add_replica(0, expert, 5)
+            target.add_replica(0, 7, 6)
+            target.add_replica(0, 11, 6)
+            target.add_replica(0, 11, 12)
+            orphan_layers, orphan_experts = target.fail_device(9)
+            target.add_replicas(
+                orphan_layers, orphan_experts, np.full(orphan_layers.size, 10)
+            )
+        assert_matches_replay(stack, replay)
+        assert max_entries_per_device(replay) >= 4
         assert 9 not in stack.replica_entries().device
         rng = np.random.default_rng(seed)
         demand = rng.integers(0, 40, size=(3, MAPPINGS[16].dp, 16)) * 7168.0
-        assert_same_sums(stack, demand)
+        assert_same_sums(stack, replay, demand)
 
     def test_two_experts_per_device_are_bit_identical(self):
         """Halved shares and at most two experts per device: every path
         agrees with its dense contraction bit for bit."""
         stack = StackedPlacement(2, 8, 16, shadow_slots=1)
-        stack.add_replica(0, 3, 0)
-        stack.add_replica(1, 5, 1)
-        stack.add_replica(1, 6, 10)
-        assert max_entries_per_device(stack) == 2
+        replay = LayerReplay(2, 8, 16, shadow_slots=1)
+        for target in (stack, replay):
+            target.add_replica(0, 3, 0)
+            target.add_replica(1, 5, 1)
+            target.add_replica(1, 6, 10)
+        assert_matches_replay(stack, replay)
+        assert max_entries_per_device(replay) == 2
         demand = np.random.default_rng(4).integers(1, 40, size=(2, MAPPINGS[16].dp, 8)) * 7168.0
-        assert_same_sums(stack, demand)
+        assert_same_sums(stack, replay, demand)
