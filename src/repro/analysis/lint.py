@@ -30,9 +30,10 @@ RL002
 RL003
     No wall-clock reads (``time.time``, ``perf_counter``,
     ``datetime.now``, ...) inside the simulation packages (``engine/``,
-    ``network/``, ``workload/``, ``mapping/``, ``faults/``).  Simulated
-    time is the *output* of those packages; timing code belongs in
-    ``benchmarks/`` and ``experiments/``.
+    ``network/``, ``workload/``, ``mapping/``, ``faults/``, ``serving/``,
+    ``balancer/``, ``topology/``).  Simulated time is the *output* of
+    those packages; timing code belongs in ``benchmarks/`` and
+    ``experiments/``.
 RL004
     No builtin ``hash()`` in ``src/``.  Int/tuple hashes happen to
     ignore ``PYTHONHASHSEED`` but str/bytes hashes do not, so seed and
@@ -86,7 +87,9 @@ RULES: dict[str, str] = {
 }
 
 #: packages whose simulated time must never read the host clock.
-SIM_PACKAGES = ("engine", "network", "workload", "mapping", "faults", "serving")
+SIM_PACKAGES = (
+    "engine", "network", "workload", "mapping", "faults", "serving", "balancer", "topology"
+)
 
 _CACHE_DECORATORS = {"functools.lru_cache", "functools.cache"}
 

@@ -1,6 +1,9 @@
 """Expert load balancing strategies (paper Sec. V).
 
-Four strategies, matching the Fig. 15 comparison:
+Each strategy is one :class:`Balancer` subclass that balances every
+sparse layer of a :class:`~repro.mapping.placement.StackedPlacement` at
+once; ``ServingSimulator(balancer_cls=...)`` takes the class itself.  Four
+strategies, matching the Fig. 15 comparison:
 
 * :class:`NoBalancer` — native placement only.
 * :class:`GreedyBalancer` — EPLB-style invasive balancing: replicate the
@@ -20,14 +23,6 @@ from repro.balancer.none import NoBalancer
 from repro.balancer.greedy import GreedyBalancer
 from repro.balancer.topology_aware import TopologyAwareBalancer
 from repro.balancer.ni import NonInvasiveBalancer
-from repro.balancer.stacked import (
-    STACKED_BALANCERS,
-    StackedBalancer,
-    StackedGreedyBalancer,
-    StackedNoBalancer,
-    StackedNonInvasiveBalancer,
-    StackedTopologyAwareBalancer,
-)
 from repro.balancer.heat import (
     LinkHeat,
     classify_links,
@@ -44,12 +39,6 @@ __all__ = [
     "GreedyBalancer",
     "TopologyAwareBalancer",
     "NonInvasiveBalancer",
-    "STACKED_BALANCERS",
-    "StackedBalancer",
-    "StackedNoBalancer",
-    "StackedGreedyBalancer",
-    "StackedTopologyAwareBalancer",
-    "StackedNonInvasiveBalancer",
     "LinkHeat",
     "classify_links",
     "cold_capacity",

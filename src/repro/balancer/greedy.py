@@ -12,61 +12,74 @@ from repro.balancer.base import Balancer, Migration
 
 
 class GreedyBalancer(Balancer):
-    """Replicate the globally hottest expert onto the coldest device."""
+    """Replicate each layer's hottest expert onto its coldest device, in
+    rounds over all layers at once."""
 
     invasive = True
 
-    def plan(self, iteration: int) -> list[Migration]:
-        migrations: list[Migration] = []
+    def plan(self, iteration: int) -> list[list[Migration]]:
+        plans: list[list[Migration]] = [[] for _ in range(self.num_layers)]
+        layer = self._layer_range
         num_replicas = self._replica_counts(include_pending=True)
         heats = self.heats(include_pending=True)
-        free_slots = self._free_slots()
+        free = self._free_slots()
+        active = np.ones(self.num_layers, dtype=bool)
+        natives = self.placement.native_devices
 
         for _ in range(self.config.max_migrations_per_trigger):
-            per_replica = self.predicted_loads / num_replicas
-            hottest_expert = int(np.argmax(per_replica))
-            share = per_replica[hottest_expert]
-            if share <= 0:
+            # Guarded: an orphaned expert (zero replicas, repair pending)
+            # contributes no per-replica load — identical to the plain
+            # divide everywhere counts are positive.
+            per_replica = np.divide(
+                self.predicted_loads,
+                num_replicas,
+                out=np.zeros_like(self.predicted_loads),
+                where=num_replicas > 0,
+            )
+            hottest = np.argmax(per_replica, axis=1)
+            share = per_replica[layer, hottest]
+            active &= share > 0
+            if not active.any():
                 break
 
-            hosts = set(self.placement.replicas(hottest_expert)) | {
-                dst for exp, dst in self.pending if exp == hottest_expert
-            }
-            planned = {m.dst for m in migrations if m.expert == hottest_expert}
-            candidates = [
-                device
-                for device in range(self.placement.num_devices)
-                if device not in hosts
-                and device not in planned
-                and free_slots[device] > 0
-            ]
-            if not candidates:
+            hosts = self._hosts_mask(hottest)
+            candidates = ~hosts & (free > 0) & active[:, None]
+            active &= candidates.any(axis=1)
+            if not active.any():
                 break
-            coldest = min(candidates, key=lambda device: heats[device])
+            coldest = np.argmin(np.where(candidates, heats, np.inf), axis=1)
 
             # Sharing with one more replica lowers the per-replica share;
             # only migrate when that actually reduces the peak heat.
-            new_share = self.predicted_loads[hottest_expert] / (
-                num_replicas[hottest_expert] + 1
+            new_share = self.predicted_loads[layer, hottest] / (
+                num_replicas[layer, hottest] + 1
             )
-            if heats[coldest] + new_share >= heats.max():
+            active &= heats[layer, coldest] + new_share < heats.max(axis=1)
+            if not active.any():
                 break
 
-            src = self.placement.replicas(hottest_expert)[0]
-            migrations.append(
-                Migration(
-                    expert=hottest_expert,
-                    src=src,
-                    dst=coldest,
-                    volume=self.expert_bytes,
+            chosen = np.nonzero(active)[0]
+            for index in chosen.tolist():
+                expert = int(hottest[index])
+                dst = int(coldest[index])
+                src = int(natives[expert])
+                if not self._all_live and not self._live[src]:
+                    # Dead native: source the copy from the expert's first
+                    # live replica by stamp instead.
+                    src = self.placement.first_replica(index, expert)
+                plans[index].append(
+                    Migration(
+                        expert=expert,
+                        src=src,
+                        dst=dst,
+                        volume=self.expert_bytes,
+                    )
                 )
-            )
-            self.pending.add((hottest_expert, coldest))
-            free_slots[coldest] -= 1
+                self._pending_add(index, expert, dst)
             # Update the working copies for the next round.
-            delta = share - new_share
-            for host in hosts:
-                heats[host] -= delta
-            heats[coldest] += new_share
-            num_replicas[hottest_expert] += 1
-        return migrations
+            delta = np.where(active, share - new_share, 0.0)
+            heats -= np.where(hosts & active[:, None], delta[:, None], 0.0)
+            heats[chosen, coldest[chosen]] += new_share[chosen]
+            free[chosen, coldest[chosen]] -= 1
+            num_replicas[chosen, hottest[chosen]] += 1
+        return plans

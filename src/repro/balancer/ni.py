@@ -10,6 +10,8 @@ is zero — the balancer may fine-tune shadow slots continuously.
 
 from repro.balancer.base import BalancerConfig
 from repro.balancer.topology_aware import TopologyAwareBalancer
+from repro.mapping.placement import StackedPlacement
+from repro.topology.base import Topology
 
 #: Default per-trigger plan cap for non-invasive balancing: continuous
 #: fine-tuning plans at most a couple of migrations per trigger but
@@ -17,25 +19,22 @@ from repro.balancer.topology_aware import TopologyAwareBalancer
 NONINVASIVE_PLAN_CAP = 2
 
 
-def apply_noninvasive_default(config: BalancerConfig) -> BalancerConfig:
-    """The default config adjustment shared by the per-layer and stacked
-    non-invasive balancers (an explicit config bypasses it)."""
-    if config.max_migrations_per_trigger <= NONINVASIVE_PLAN_CAP:
-        return config
-    return BalancerConfig(
-        ewma=config.ewma,
-        max_migrations_per_trigger=NONINVASIVE_PLAN_CAP,
-        drop_fraction=config.drop_fraction,
-    )
-
-
 class NonInvasiveBalancer(TopologyAwareBalancer):
-    """Topology-aware planning with hidden, multi-step migrations."""
+    """Topology-aware planning with hidden, multi-step migrations.
+
+    Without a config it plans at most :data:`NONINVASIVE_PLAN_CAP`
+    migrations per trigger; an explicit config is used as given.
+    """
 
     invasive = False
 
-    def __init__(self, *args, **kwargs) -> None:
-        explicit_config = kwargs.get("config") is not None or len(args) >= 4
-        super().__init__(*args, **kwargs)
-        if not explicit_config:
-            self.config = apply_noninvasive_default(self.config)
+    def __init__(
+        self,
+        placement: StackedPlacement,
+        topology: Topology,
+        expert_bytes: float,
+        config: BalancerConfig | None = None,
+    ) -> None:
+        if config is None:
+            config = BalancerConfig(max_migrations_per_trigger=NONINVASIVE_PLAN_CAP)
+        super().__init__(placement, topology, expert_bytes, config)

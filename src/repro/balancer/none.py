@@ -4,9 +4,9 @@ from repro.balancer.base import Balancer, Migration
 
 
 class NoBalancer(Balancer):
-    """Leaves the native expert placement untouched."""
+    """All layers keep their native placement; never migrates."""
 
     invasive = False
 
-    def plan(self, iteration: int) -> list[Migration]:
-        return []
+    def plan(self, iteration: int) -> list[list[Migration]]:
+        return [[] for _ in range(self.num_layers)]

@@ -8,13 +8,12 @@ comparisons of Fig. 16/17.
 
 Every sparse layer's placement and balancer state is layer-stacked
 (:class:`~repro.mapping.placement.StackedPlacement`, one sparse
-replica-entry table for all layers, +
-:class:`~repro.balancer.stacked.StackedBalancer`), so observing loads,
-evaluating the Eq. 2 cumulative trigger, planning migrations and pricing
-MoE rooflines cost a handful of vectorized ops regardless of depth.  The
-per-layer :class:`~repro.balancer.base.Balancer` classes name the
-strategy (``balancer_cls`` selects its stacked equivalent) and are the
-bit-exact reference the stacked engine is tested against.
+replica-entry table for all layers, + the strategy's
+:class:`~repro.balancer.base.Balancer`), so observing loads, evaluating
+the Eq. 2 cumulative trigger, planning migrations and pricing MoE
+rooflines cost a handful of vectorized ops regardless of depth.
+``balancer_cls`` is the strategy class the simulator instantiates as its
+:attr:`ServingSimulator.engine`.
 
 Each layer pays its own all-to-all for its own demand and its own expert
 placement: the workload resolves group-level gating counts for every layer
@@ -33,7 +32,6 @@ import numpy as np
 from repro.analysis.load import stacked_device_token_loads
 from repro.balancer.base import Balancer, BalancerConfig, Migration
 from repro.balancer.migration import PendingMigration, SegmentKind, split_migration
-from repro.balancer.stacked import STACKED_BALANCERS, StackedBalancer
 from repro.engine.compute import RooflineTimes
 from repro.engine.iteration import (
     EngineConfig,
@@ -61,7 +59,8 @@ class BalancingConfig:
     """Eq. 2 trigger and migration-execution parameters.
 
     Attributes:
-        alpha: Eq. 2 threshold on the imbalance degree summed over layers.
+        alpha: Eq. 2 threshold on the imbalance degree summed over layers
+            (``inf`` never triggers).
         beta_iters: minimum iterations between invasive migrations (Eq. 2's
             delta-t constraint; non-invasive balancers use beta = 0).
         warmup_iters: iterations before balancing may trigger (load
@@ -79,8 +78,10 @@ class BalancingConfig:
     migration_side_channel: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta_iters < 0 or self.warmup_iters < 0:
-            raise ValueError("alpha/beta_iters/warmup_iters must be >= 0")
+        if not self.alpha >= 0:  # also rejects NaN
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.beta_iters < 0 or self.warmup_iters < 0:
+            raise ValueError("beta_iters/warmup_iters must be >= 0")
         if self.shadow_slots < 0:
             raise ValueError("shadow_slots must be >= 0")
 
@@ -286,11 +287,10 @@ class ServingSimulator:
         balancer_config: BalancerConfig | None = None,
         fault_schedule: FaultSchedule | None = None,
     ) -> None:
-        stacked_cls = STACKED_BALANCERS.get(balancer_cls)
-        if stacked_cls is None:
+        if not (isinstance(balancer_cls, type) and issubclass(balancer_cls, Balancer)):
             raise ValueError(
-                f"{balancer_cls.__name__} has no stacked balancer engine; "
-                "register one in repro.balancer.stacked.STACKED_BALANCERS"
+                "balancer_cls must be a repro.balancer.Balancer subclass, "
+                f"got {balancer_cls!r}"
             )
         if workload.num_groups != mapping.dp:
             raise ValueError(
@@ -320,7 +320,7 @@ class ServingSimulator:
             num_devices,
             shadow_slots=self.serving_config.balancing.shadow_slots,
         )
-        self.engine: StackedBalancer = stacked_cls(
+        self.engine: Balancer = balancer_cls(
             placement,
             mapping.topology,
             expert_bytes=model.expert_bytes,

@@ -5,6 +5,7 @@ accept the more convenient TFLOPS / GB / TB-per-second units used in the
 paper text.
 """
 
+import math
 from dataclasses import dataclass
 
 TERA = 1e12
@@ -32,8 +33,9 @@ class DeviceSpec:
 
     def __post_init__(self) -> None:
         for field in ("fp16_flops", "int8_ops", "hbm_capacity", "hbm_bandwidth"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+            value = getattr(self, field)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{field} must be positive and finite, got {value}")
 
     @classmethod
     def from_units(

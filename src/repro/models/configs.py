@@ -6,6 +6,7 @@ cards and are consistent with those byte sizes via the standard gated-FFN
 layout of three ``hidden x intermediate`` projection matrices.
 """
 
+import math
 from dataclasses import dataclass
 
 MB = 2**20
@@ -45,6 +46,22 @@ class MoEModelConfig:
     head_dim: int
 
     def __post_init__(self) -> None:
+        for field in (
+            "total_params_b",
+            "num_layers",
+            "num_sparse_layers",
+            "hidden_size",
+            "moe_intermediate_size",
+            "num_experts",
+            "experts_per_token",
+            "expert_bytes",
+            "num_attention_heads",
+            "num_kv_heads",
+            "head_dim",
+        ):
+            value = getattr(self, field)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{self.name}: {field} must be positive and finite, got {value}")
         if self.experts_per_token > self.num_experts:
             raise ValueError(
                 f"{self.name}: top-k {self.experts_per_token} exceeds "
@@ -55,18 +72,6 @@ class MoEModelConfig:
                 f"{self.name}: sparse layers {self.num_sparse_layers} exceed "
                 f"total layers {self.num_layers}"
             )
-        for field in (
-            "hidden_size",
-            "moe_intermediate_size",
-            "num_experts",
-            "experts_per_token",
-            "expert_bytes",
-            "num_attention_heads",
-            "num_kv_heads",
-            "head_dim",
-        ):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{self.name}: {field} must be positive")
 
     # -- derived quantities ---------------------------------------------------
 

@@ -150,7 +150,16 @@ class TestRL002SeededRng:
 
 class TestRL003WallClock:
     def test_fires_inside_sim_packages(self, tmp_path):
-        for package in ("engine", "network", "workload", "mapping", "faults"):
+        for package in (
+            "engine",
+            "network",
+            "workload",
+            "mapping",
+            "faults",
+            "serving",
+            "balancer",
+            "topology",
+        ):
             path = _write(
                 tmp_path,
                 f"src/repro/{package}/mod.py",

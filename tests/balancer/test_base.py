@@ -1,11 +1,18 @@
-"""Tests for the balancer base: prediction, heat, eviction."""
+"""Tests for the balancer base: prediction, heat, eviction.
+
+Prediction, heat, commit and eviction run on the per-layer reference
+(``tests/balancer_reference.py``); construction checks run on the
+production classes.
+"""
 
 import numpy as np
 import pytest
 
-from repro.balancer.base import Balancer, BalancerConfig, Migration
-from repro.balancer.none import NoBalancer
-from repro.mapping.placement import ExpertPlacement
+from balancer_reference import NoBalancer
+
+from repro.balancer import GreedyBalancer, NonInvasiveBalancer, TopologyAwareBalancer
+from repro.balancer.base import BalancerConfig, Migration
+from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.topology.mesh import MeshTopology
 
 
@@ -23,6 +30,29 @@ class TestMigrationValidation:
     def test_rejects_same_src_dst(self):
         with pytest.raises(ValueError):
             Migration(expert=0, src=1, dst=1, volume=1.0)
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf")])
+    def test_rejects_non_finite_volume(self, volume):
+        with pytest.raises(ValueError, match="volume"):
+            Migration(expert=0, src=0, dst=1, volume=volume)
+
+
+STRATEGY_CLASSES = [GreedyBalancer, TopologyAwareBalancer, NonInvasiveBalancer]
+
+
+class TestBalancerConstruction:
+    @pytest.mark.parametrize("balancer_cls", STRATEGY_CLASSES)
+    @pytest.mark.parametrize("expert_bytes", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_expert_bytes(self, balancer_cls, expert_bytes):
+        with pytest.raises(ValueError, match="expert_bytes"):
+            balancer_cls(StackedPlacement(1, 8, 4), MeshTopology(2, 2), expert_bytes)
+
+    @pytest.mark.parametrize("balancer_cls", STRATEGY_CLASSES)
+    def test_rejects_device_count_mismatch(self, balancer_cls):
+        """Eight placement devices on a four-device mesh would plan
+        migrations to devices the mesh does not have."""
+        with pytest.raises(ValueError, match="8 devices but the topology has 4"):
+            balancer_cls(StackedPlacement(1, 8, 8), MeshTopology(2, 2), 1.0)
 
 
 class TestConfigValidation:

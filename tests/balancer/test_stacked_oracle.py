@@ -1,37 +1,41 @@
-"""Stacked balancer engine against the per-layer balancers, bit for bit.
+"""Stacked balancers against the per-layer reference, bit for bit.
 
-:class:`~repro.balancer.stacked.StackedBalancer` runs every layer's
-balancing as layer-stacked tensor ops; the per-layer ``Balancer`` classes
-are the reference it must reproduce exactly.  Each test drives
-``STACKED_BALANCERS[cls]`` and one ``cls`` instance per layer through the
-same load stream with the serving loop's cadence — observe, Eq. 2
-imbalance, evict, plan, then commit (invasive: at once; non-invasive:
-after a fixed delay) or abandon — and asserts identical plans, pending
-sets and placements after every iteration.  Any floating-point drift in
-heats, eviction or planning flips a decision somewhere and shows up here.
+Each :class:`repro.balancer.Balancer` strategy runs every layer's
+balancing as layer-stacked tensor ops; the per-layer classes of
+``tests/balancer_reference.py`` are the reference it must reproduce
+exactly.  Each test drives a strategy and one reference instance per
+layer (paired in :data:`STRATEGIES`) through the same load stream with
+the serving loop's cadence — observe, Eq. 2 imbalance, evict, plan, then
+commit (invasive: at once; non-invasive: after a fixed delay) or abandon
+— and asserts identical plans, pending sets and placements after every
+iteration.  Any floating-point drift in heats, eviction or planning flips
+a decision somewhere and shows up here.
 """
 
 import numpy as np
 import pytest
 
+import balancer_reference as reference_balancers
+
 from repro.balancer import (
+    Balancer,
     BalancerConfig,
     GreedyBalancer,
     NoBalancer,
     NonInvasiveBalancer,
     TopologyAwareBalancer,
 )
-from repro.balancer.stacked import STACKED_BALANCERS
 from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.models import QWEN3_235B
 from repro.systems import build_multi_wsc, build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
 
+#: strategy -> (production class, per-layer reference class).
 STRATEGIES = {
-    "none": NoBalancer,
-    "greedy": GreedyBalancer,
-    "topology": TopologyAwareBalancer,
-    "non_invasive": NonInvasiveBalancer,
+    "none": (NoBalancer, reference_balancers.NoBalancer),
+    "greedy": (GreedyBalancer, reference_balancers.GreedyBalancer),
+    "topology": (TopologyAwareBalancer, reference_balancers.TopologyAwareBalancer),
+    "non_invasive": (NonInvasiveBalancer, reference_balancers.NonInvasiveBalancer),
 }
 
 #: Iterations a non-invasive migration stays in flight before it lands.
@@ -41,7 +45,7 @@ ABANDON_EVERY = 5
 
 
 def drive(
-    balancer_cls,
+    strategy,
     num_layers=6,
     iterations=80,
     shadow_slots=1,
@@ -60,14 +64,15 @@ def drive(
         topology = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er").mapping.topology
     num_experts = QWEN3_235B.num_experts
     num_devices = topology.num_devices
-    stacked = STACKED_BALANCERS[balancer_cls](
+    balancer_cls, reference_cls = STRATEGIES[strategy]
+    stacked = balancer_cls(
         StackedPlacement(num_layers, num_experts, num_devices, shadow_slots),
         topology,
         expert_bytes=QWEN3_235B.expert_bytes,
         config=config,
     )
     reference = [
-        balancer_cls(
+        reference_cls(
             ExpertPlacement(num_experts, num_devices, shadow_slots),
             topology,
             expert_bytes=QWEN3_235B.expert_bytes,
@@ -162,7 +167,7 @@ def assert_same_state(stacked, reference):
 
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_stacked_matches_per_layer(strategy):
-    planned, _evicted = drive(STRATEGIES[strategy])
+    planned, _evicted = drive(strategy)
     # Every migrating strategy must actually plan (and, for the
     # non-invasive one, commit and abandon), or the comparison is idle.
     assert (planned == 0) == (strategy == "none")
@@ -173,14 +178,14 @@ def test_stacked_matches_per_layer(strategy):
 @pytest.mark.parametrize("strategy", ["greedy", "topology"])
 def test_stacked_matches_per_layer_side_channel(strategy):
     """Invasive commits under fig17's NVL72 side-channel settings."""
-    drive(STRATEGIES[strategy], shadow_slots=2, beta_iters=3)
+    drive(strategy, shadow_slots=2, beta_iters=3)
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "non_invasive"])
 def test_stacked_matches_per_layer_aggressive_plans(strategy):
     """fig17's large-plan config: 16 migrations per trigger + eviction."""
     drive(
-        STRATEGIES[strategy],
+        strategy,
         num_layers=4,
         iterations=60,
         warmup_iters=2,
@@ -191,12 +196,12 @@ def test_stacked_matches_per_layer_aggressive_plans(strategy):
 
 def test_stacked_matches_at_depth():
     """A deeper stack (the whole point) still matches the reference."""
-    drive(NonInvasiveBalancer, num_layers=12, iterations=40)
+    drive("non_invasive", num_layers=12, iterations=40)
 
 
 def test_stacked_matches_single_layer():
     """A one-layer stack: the trigger sums over a single layer."""
-    planned, _evicted = drive(NonInvasiveBalancer, num_layers=1)
+    planned, _evicted = drive("non_invasive", num_layers=1)
     assert planned > 0
 
 
@@ -205,7 +210,7 @@ def test_stacked_matches_on_two_wafers(strategy):
     """Inter-wafer links change hop distances, so topology-aware targets
     and migration sources differ from the single-wafer runs."""
     system = build_multi_wsc(QWEN3_235B, num_wafers=2, side=4, tp=4)
-    planned, _evicted = drive(STRATEGIES[strategy], topology=system.mapping.topology)
+    planned, _evicted = drive(strategy, topology=system.mapping.topology)
     assert planned > 0
 
 
@@ -213,7 +218,7 @@ def test_stacked_matches_on_two_wafers(strategy):
 def test_stacked_matches_under_eager_trigger(strategy):
     """alpha = 0 with no warmup and no cooldown: a plan every iteration."""
     planned, _evicted = drive(
-        STRATEGIES[strategy],
+        strategy,
         iterations=40,
         alpha=0.0,
         warmup_iters=0,
@@ -228,7 +233,7 @@ def test_stacked_matches_under_aggressive_eviction(strategy):
     so eviction order and the replica counts it leaves behind are
     compared, not just planning."""
     _planned, evicted = drive(
-        STRATEGIES[strategy],
+        strategy,
         shadow_slots=2,
         config=BalancerConfig(ewma=0.9, drop_fraction=0.5),
     )
@@ -242,12 +247,12 @@ def test_stacked_matches_on_tied_shadows(strategy):
     2), layer 1 in expert order: both engines take the first in
     ``experts_on`` order, the older shadow, so the sources differ."""
     topology = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er").mapping.topology
-    balancer_cls = STRATEGIES[strategy]
-    stacked = STACKED_BALANCERS[balancer_cls](
+    balancer_cls, reference_cls = STRATEGIES[strategy]
+    stacked = balancer_cls(
         StackedPlacement(2, 16, 16, shadow_slots=2), topology, expert_bytes=1.0
     )
     reference = [
-        balancer_cls(ExpertPlacement(16, 16, shadow_slots=2), topology, expert_bytes=1.0)
+        reference_cls(ExpertPlacement(16, 16, shadow_slots=2), topology, expert_bytes=1.0)
         for _ in range(2)
     ]
     for layer, order in enumerate([(5, 2), (2, 5)]):
@@ -264,3 +269,12 @@ def test_stacked_matches_on_tied_shadows(strategy):
     assert plans == [balancer.plan(0) for balancer in reference]
     assert [(plan[0].expert, plan[0].src) for plan in plans] == [(5, 0), (2, 0)]
     assert_same_state(stacked, reference)
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_reference_is_not_a_production_balancer(strategy):
+    """The oracle compares two implementations: no reference class shares
+    the production base, so none can stand in for a strategy."""
+    balancer_cls, reference_cls = STRATEGIES[strategy]
+    assert issubclass(balancer_cls, Balancer)
+    assert not issubclass(reference_cls, Balancer)

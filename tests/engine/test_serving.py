@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import balancer_reference as reference
+
 from repro.balancer import (
     GreedyBalancer,
     NoBalancer,
@@ -170,12 +172,35 @@ class TestTraceStats:
         with pytest.raises(ValueError):
             ServingConfig(balancing=BalancingConfig(beta_iters=-1))
 
-    def test_balancer_without_stacked_engine_rejected(self):
+    def test_alpha_rejects_nan(self):
+        # NaN would compare False against every imbalance sum and so
+        # trigger on every iteration after warmup.
+        with pytest.raises(ValueError, match="alpha"):
+            BalancingConfig(alpha=float("nan"))
+
+    def test_infinite_alpha_never_triggers(self):
+        trace = make_simulator(
+            GreedyBalancer, iterations=12, alpha=float("inf"), warmup_iters=0
+        ).run()
+        assert not any(record.triggered for record in trace.records)
+        assert trace.num_migrations() == 0
+
+    def test_balancer_cls_must_be_a_balancer_subclass(self):
+        """``object`` and the per-layer reference are not strategies."""
+        for balancer_cls in (object, reference.GreedyBalancer):
+            with pytest.raises(ValueError, match=f"Balancer subclass.*{balancer_cls.__name__}"):
+                make_simulator(balancer_cls, iterations=2)
+
+    def test_strategy_subclass_accepted(self):
         class CustomBalancer(GreedyBalancer):
             pass
 
-        with pytest.raises(ValueError, match="no stacked balancer engine"):
-            make_simulator(CustomBalancer, iterations=2)
+        simulator = make_simulator(CustomBalancer, iterations=12)
+        assert type(simulator.engine) is CustomBalancer
+        custom = simulator.run()
+        plain = make_simulator(GreedyBalancer, iterations=12).run()
+        assert custom.num_migrations() > 0
+        assert [r.latency for r in custom.records] == [r.latency for r in plain.records]
 
     def test_workload_groups_must_match_the_mapping(self):
         system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")

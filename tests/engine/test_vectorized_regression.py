@@ -12,9 +12,10 @@ sets.
 import numpy as np
 import pytest
 
+from balancer_reference import NoBalancer
+
 from repro.analysis.load import device_token_loads
 from repro.balancer.base import BalancerConfig
-from repro.balancer.none import NoBalancer
 from repro.engine.compute import ComputeModel
 from repro.hardware.device import B200
 from repro.mapping.placement import ExpertPlacement, StackedPlacement

@@ -16,7 +16,7 @@ from repro.balancer import (
 )
 from repro.balancer.base import BalancerConfig
 from repro.engine import ComputeModel, EngineConfig, ServingConfig, ServingSimulator
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import ExpertPlacement, StackedPlacement
 from repro.models import DEEPSEEK_V3, QWEN3_235B, get_model
 from repro.network.alltoall import simulate_alltoall, uniform_demand
 from repro.systems import build_dgx, build_multi_wsc, build_nvl72, build_wsc
@@ -183,7 +183,9 @@ class TestFig17Ablation:
 
         def per_device_throughput(system):
             mapping = system.mapping
-            placement = system.fresh_placement(shadow_slots=2)
+            stack = StackedPlacement(
+                1, model.num_experts, system.num_devices, shadow_slots=2
+            )
             compute = ComputeModel(system.device, model)
             total_selected = (
                 tokens_per_device * system.num_devices * model.experts_per_token
@@ -191,19 +193,19 @@ class TestFig17Ablation:
             loads = popularity * total_selected
 
             balancer = TopologyAwareBalancer(
-                placement,
+                stack,
                 system.topology,
                 expert_bytes=model.expert_bytes,
                 config=BalancerConfig(max_migrations_per_trigger=16),
             )
-            balancer.observe(loads)
+            balancer.observe(loads[None, :])
             for _ in range(40):
-                migrations = balancer.plan(0)
+                (migrations,) = balancer.plan(0)
                 if not migrations:
                     break
-                for migration in migrations:
-                    balancer.commit(migration)
+                balancer.commit_many([(0, migration) for migration in migrations])
 
+            placement = stack.layer(0)
             demand = np.tile(loads / mapping.dp, (mapping.dp, 1)) * model.token_bytes
             a2a = simulate_alltoall(
                 system.topology, demand, placement, mapping

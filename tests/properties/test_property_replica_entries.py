@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from placement_replay import LayerReplay, assert_matches_replay
 
 from repro.analysis.load import stacked_device_token_loads
-from repro.balancer.stacked import StackedNoBalancer
+from repro.balancer import NoBalancer
 from repro.engine.compute import ComputeModel
 from repro.hardware.device import B200
 from repro.mapping.placement import StackedPlacement
@@ -191,7 +191,7 @@ def dense_device_loads(layer_loads, replay):
 
 
 def dense_heats(balancer, replay, include_pending):
-    """``StackedBalancer.heats`` as the per-replica loads times the
+    """``Balancer.heats`` as the per-replica loads times the
     replay's dense replica tensor, plus the pending contributions."""
     counts = replay.replica_counts().astype(float)
     layers, experts, dsts = balancer._pending_flat()
@@ -224,7 +224,7 @@ def assert_same_sums(stack, replay, demand):
     check(stacked_device_token_loads(layer_loads, stack), dense_device_loads(layer_loads, replay))
 
     mapping = MAPPINGS[stack.num_devices]
-    balancer = StackedNoBalancer(stack, mapping.topology, expert_bytes=1.0)
+    balancer = NoBalancer(stack, mapping.topology, expert_bytes=1.0)
     balancer.observe(layer_loads)
     for layer in range(stack.num_layers):
         for expert in range(0, stack.num_experts, 3):

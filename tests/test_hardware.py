@@ -42,6 +42,18 @@ class TestDeviceSpec:
         with pytest.raises(ValueError, match=field):
             DeviceSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["fp16_flops", "int8_ops", "hbm_capacity", "hbm_bandwidth"]
+    )
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(
+            name="bad", fp16_flops=1.0, int8_ops=1.0, hbm_capacity=1.0, hbm_bandwidth=1.0
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            DeviceSpec(**kwargs)
+
     def test_frozen(self):
         with pytest.raises(AttributeError):
             B200.fp16_flops = 1.0

@@ -1,5 +1,7 @@
 """Tests for the Table I model zoo."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.models import (
@@ -109,6 +111,28 @@ class TestValidation:
         kwargs["hidden_size"] = 0
         with pytest.raises(ValueError, match="hidden_size"):
             MoEModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "total_params_b",
+            "num_layers",
+            "num_sparse_layers",
+            "hidden_size",
+            "moe_intermediate_size",
+            "num_experts",
+            "experts_per_token",
+            "expert_bytes",
+            "num_attention_heads",
+            "num_kv_heads",
+            "head_dim",
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        """NaN passes a ``<= 0`` check; both must fail naming the field."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            replace(QWEN3_235B, **{field: value})
 
 
 class TestRegistry:
