@@ -11,7 +11,7 @@ Run:  python examples/ftd_explorer.py
 from repro import get_model
 from repro.balancer.heat import classify_links, complementarity
 from repro.mapping import BaselineMapping, ERMapping, ParallelismConfig, analyze_ftds
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.network.alltoall import simulate_alltoall, uniform_demand
 from repro.topology.mesh import MeshTopology
 
@@ -46,7 +46,7 @@ def main():
             f"  |  overlap degree: {analysis.overlap_degree:.2f}"
         )
 
-        placement = ExpertPlacement(model.num_experts, mesh.num_devices)
+        placement = StackedPlacement(1, model.num_experts, mesh.num_devices)
         allreduce = mapping.simulate_allreduce(256 * model.token_bytes)
         demand = uniform_demand(
             mapping.dp, model.num_experts, 256,

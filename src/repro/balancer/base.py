@@ -33,6 +33,7 @@ migrations, placements and serving traces.  The load-bearing facts:
 """
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -77,8 +78,11 @@ class BalancerConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.ewma <= 1.0):
             raise ValueError(f"ewma must be in (0, 1], got {self.ewma}")
-        if self.max_migrations_per_trigger <= 0:
-            raise ValueError("max_migrations_per_trigger must be positive")
+        cap = self.max_migrations_per_trigger
+        if not isinstance(cap, numbers.Integral) or cap <= 0:
+            raise ValueError(
+                f"max_migrations_per_trigger must be a positive integer, got {cap!r}"
+            )
         if not (0.0 <= self.drop_fraction < 1.0):
             raise ValueError(f"drop_fraction must be in [0, 1), got {self.drop_fraction}")
 

@@ -85,70 +85,19 @@ class ComputeModel:
 
     # -- MoE --------------------------------------------------------------------
 
-    def moe_device_times(
-        self,
-        expert_loads: np.ndarray,
-        placement,
-    ) -> list[RooflineTimes]:
-        """Per-device MoE times for one layer given expert token loads.
-
-        A replicated expert's tokens split equally across its replicas
-        (the Load/Num rule).  Each device streams the weights of every
-        expert it activates once, then computes its token share.
-        """
-        compute, memory = self._moe_device_arrays(expert_loads, placement)
-        return [
-            RooflineTimes(compute=c, memory=m)
-            for c, m in zip(compute.tolist(), memory.tolist())
-        ]
-
-    def _moe_device_arrays(
-        self,
-        expert_loads: np.ndarray,
-        placement,
-        device_scale: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(compute, memory) per-device arrays via the replica matrix.
-
-        ``device_scale`` (per-device slowdown multipliers, straggler
-        injection) scales both components; an orphaned expert (zero
-        replicas after a fail-stop, before repair) contributes nothing —
-        its unavailability is charged by the repair path, not here.
-        """
-        loads = np.asarray(expert_loads, dtype=float)
-        if loads.shape != (placement.num_experts,):
-            raise ValueError(
-                f"expected {placement.num_experts} expert loads, got {loads.shape}"
-            )
-        active = (loads > 0).astype(float)
-        counts = placement.replica_counts
-        shares = np.divide(
-            active * loads, counts, out=np.zeros_like(loads), where=counts > 0
-        )
-        matrix = placement.replica_matrix
-        device_tokens = shares @ matrix
-        device_active = active @ matrix
-        compute = device_tokens * self.model.expert_flops_per_token / self.device.int8_ops
-        memory = device_active * self.model.expert_bytes / self.device.hbm_bandwidth
-        if device_scale is not None:
-            compute = compute * device_scale
-            memory = memory * device_scale
-        return compute, memory
-
     def moe_peak_time(
         self,
         expert_loads: np.ndarray,
-        placement,
+        placement: "StackedPlacement",
         device_scale: np.ndarray | None = None,
     ) -> RooflineTimes:
-        """The slowest device's MoE roofline — the layer's critical path."""
-        compute, memory = self._moe_device_arrays(
-            expert_loads, placement, device_scale=device_scale
+        """The slowest device's MoE roofline for one layer — its critical
+        path: :meth:`moe_peak_arrays` on a one-layer ``placement`` with
+        ``(experts,)`` loads."""
+        compute, memory = self.moe_peak_arrays(
+            np.asarray(expert_loads, dtype=float)[None], placement, device_scale
         )
-        slowest = int(np.argmax(compute + memory))
-        return RooflineTimes(
-            compute=float(compute[slowest]), memory=float(memory[slowest])
-        )
+        return RooflineTimes(compute=float(compute[0]), memory=float(memory[0]))
 
     def moe_peak_arrays(
         self,
@@ -158,14 +107,17 @@ class ComputeModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-layer peak-device (compute, memory) arrays.
 
-        The serving engine's batched MoE roofline: two sums over the
-        stack's replica entries
+        The one MoE roofline: two sums over the stack's replica entries
         (:meth:`~repro.mapping.placement.StackedPlacement.device_sums`)
-        build every layer's per-device token shares and active-expert
-        counts, then an argmax along the device axis picks the peak.
-        Each device sums its entries in entry order; with at most two
-        experts per device that is the einsum over the dense replica
-        tensor bit for bit, and within one rounding per extra term beyond.
+        build every layer's per-device token shares (the Load/Num rule)
+        and active-expert counts, then an argmax along the device axis
+        picks the peak.  Each device streams the weights of every expert
+        it activates once, then computes its token share; an orphaned
+        expert (zero replicas after a fail-stop, before repair) adds
+        nothing — the repair path charges its unavailability.  Each
+        device sums its entries in entry order; with at most two experts
+        per device that is the matrix product over a dense replica tensor
+        bit for bit, and within one rounding per extra term beyond.
 
         Args:
             layer_loads: ``(layers, experts)`` token loads.
@@ -174,6 +126,9 @@ class ComputeModel:
                 (straggler injection) applied before the peak argmax.
         """
         loads = np.asarray(layer_loads, dtype=float)
+        expected = (placement.num_layers, placement.num_experts)
+        if loads.shape != expected:
+            raise ValueError(f"expected {expected} layer loads, got {loads.shape}")
         active = (loads > 0).astype(float)
         counts = placement.replica_counts
         shares = np.divide(

@@ -18,7 +18,7 @@ from repro.engine.compute import ComputeModel, RooflineTimes
 from repro.faults.health import health_version
 from repro.hardware.device import DeviceSpec
 from repro.mapping.base import Mapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models.configs import MoEModelConfig
 from repro.network.allreduce import CollectiveResult
 from repro.network.alltoall import AllToAllResult, simulate_alltoall
@@ -180,16 +180,24 @@ class IterationSimulator:
     def simulate_layer(
         self,
         counts: np.ndarray,
-        placement: ExpertPlacement,
+        placement: StackedPlacement,
         migration_exposed: float = 0.0,
         device_scale: np.ndarray | None = None,
         tokens_per_group: int | None = None,
     ) -> LayerSimulation:
         """Simulate one sparse layer.
 
+        The serving step prices every layer in one batch and does not call
+        this.  It stays because perfbench's ``engine.layer0`` and
+        ``network.alltoall_layer0`` spans hook this method and this
+        module's ``simulate_alltoall`` global by name, and perfbench's
+        tests fail when a hooked name is missing.  The per-layer pricing
+        tests also use it as the one-layer oracle for the batched step.
+
         Args:
             counts: (groups, experts) token counts routed this iteration.
-            placement: current expert placement (with replicas).
+            placement: one-layer expert placement (with replicas), as
+                ``System.fresh_placement`` builds.
             migration_exposed: invasive migration latency charged to this
                 layer's critical path.
             device_scale: optional per-device compute slowdown multipliers

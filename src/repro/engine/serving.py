@@ -25,11 +25,12 @@ Layer 0 takes the same path as every other layer; its components fill
 ``IterationRecord.breakdown``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.load import stacked_device_token_loads
+from repro.analysis.load import device_token_loads
 from repro.balancer.base import Balancer, BalancerConfig, Migration
 from repro.balancer.migration import PendingMigration, SegmentKind, split_migration
 from repro.engine.compute import RooflineTimes
@@ -47,7 +48,7 @@ from repro.faults.schedule import (
 )
 from repro.hardware.device import DeviceSpec
 from repro.mapping.base import Mapping
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models.configs import MoEModelConfig
 from repro.network.alltoall import layered_dispatch_plan
 from repro.network.phase import migration_route_arrays
@@ -80,10 +81,10 @@ class BalancingConfig:
     def __post_init__(self) -> None:
         if not self.alpha >= 0:  # also rejects NaN
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta_iters < 0 or self.warmup_iters < 0:
-            raise ValueError("beta_iters/warmup_iters must be >= 0")
-        if self.shadow_slots < 0:
-            raise ValueError("shadow_slots must be >= 0")
+        for name in ("beta_iters", "warmup_iters", "shadow_slots"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -383,11 +384,6 @@ class ServingSimulator:
     @property
     def invasive(self) -> bool:
         return self.engine.invasive
-
-    def layer_placement(self, layer: int) -> ExpertPlacement:
-        """One layer's placement, rebuilt as an :class:`ExpertPlacement`
-        snapshot (mutate the placement via the engine, not the snapshot)."""
-        return self.engine.placement.layer(layer)
 
     # -- migration pricing -------------------------------------------------------
 
@@ -786,7 +782,7 @@ class ServingSimulator:
     # -- stats ----------------------------------------------------------------------
 
     def _device_load_stats(self, layer_loads: np.ndarray) -> tuple[float, float]:
-        device_loads = stacked_device_token_loads(layer_loads, self.engine.placement)
+        device_loads = device_token_loads(layer_loads, self.engine.placement)
         if self._dead:
             # Dead devices carry no load by construction; keeping their
             # zero columns would flatter the mean.

@@ -14,7 +14,7 @@ from repro.engine.compute import ComputeModel
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
 from repro.hardware.device import B200
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import get_model
 
 EP_POINTS = [8, 16, 32, 72, 256]
@@ -25,7 +25,7 @@ def run_point(params: dict) -> dict:
     model = get_model(params["model"])
     ep = params["ep"]
     compute = ComputeModel(B200, model)
-    placement = ExpertPlacement(model.num_experts, ep)
+    placement = StackedPlacement(1, model.num_experts, ep)
     total_selected = TOKENS_PER_DEVICE * ep * model.experts_per_token
     loads = np.full(model.num_experts, total_selected / model.num_experts)
     peak = compute.moe_peak_time(loads, placement)

@@ -11,7 +11,7 @@ from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.network.alltoall import simulate_alltoall, uniform_demand
 from repro.topology.mesh import MeshTopology
@@ -51,7 +51,7 @@ def run_point(params: dict) -> dict:
         mesh, ParallelismConfig(tp=tp, dp=side * side // tp, tp_shape=tp_shape)
     )
     model = QWEN3_235B
-    placement = ExpertPlacement(model.num_experts, mesh.num_devices)
+    placement = StackedPlacement(1, model.num_experts, mesh.num_devices)
     allreduce = mapping.simulate_allreduce(256 * model.token_bytes)
     demand = uniform_demand(
         mapping.dp, model.num_experts, 256, model.experts_per_token, model.token_bytes

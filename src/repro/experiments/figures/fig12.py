@@ -12,7 +12,7 @@ from repro.analysis.load import device_token_loads
 from repro.analysis.report import format_table
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.workload import GatingSimulator, get_scenario
 
@@ -34,11 +34,11 @@ def run_point(params: dict) -> dict:
         adaptation=0.05,
         seed=scenario.seed,
     )
-    placement = ExpertPlacement(model.num_experts, EP)
+    placement = StackedPlacement(1, model.num_experts, EP)
     ratios = []
     for _ in range(ITERATIONS):
         counts = workload.next_group_counts()
-        loads = device_token_loads(counts[0].sum(axis=0), placement)
+        (loads,) = device_token_loads(counts.sum(axis=1), placement)
         ratios.append(loads / loads.sum())
     ratios = np.asarray(ratios)
     quarter = ITERATIONS // 4

@@ -20,7 +20,7 @@ from repro.mapping.er import ERMapping
 from repro.mapping.her import HierarchicalERMapping
 from repro.mapping.gpu import GPUMapping
 from repro.mapping.ftd import FTDAnalysis, analyze_ftds
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 
 __all__ = [
     "ParallelismConfig",
@@ -32,5 +32,5 @@ __all__ = [
     "GPUMapping",
     "FTDAnalysis",
     "analyze_ftds",
-    "ExpertPlacement",
+    "StackedPlacement",
 ]

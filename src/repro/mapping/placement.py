@@ -5,399 +5,19 @@ Native placement is the uniform EP layout (expert ``e`` lives on device
 *shadow slots* (Fig. 7a); a replicated expert's tokens split equally across
 its replicas, mirroring the ``Load_e / Num_e`` sharing rule of
 Algorithm 1.
+
+:class:`StackedPlacement` is the one placement type: the serving loop
+keeps every MoE layer in one stack, and single-layer callers (the
+figures, ``simulate_alltoall``, ``System.fresh_placement``) use a
+one-layer stack.
 """
 
-import copy
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from repro import sanitize
-
-
-class ExpertPlacement:
-    """Mutable expert -> device assignment with bounded shadow capacity.
-
-    Alongside the per-expert replica lists, the placement incrementally
-    maintains a dense ``(num_experts, num_devices)`` replica matrix, the
-    per-expert replica counts, and the destination-share matrix
-    (``replica_matrix / counts``), so balancers and the serving engine can
-    price heats and device loads with matrix products instead of Python
-    loops over experts and replicas.  A monotonic :attr:`version` counter
-    bumps on every mutation so derived caches invalidate precisely.
-    """
-
-    def __init__(
-        self,
-        num_experts: int,
-        num_devices: int,
-        shadow_slots: int = 1,
-    ) -> None:
-        if num_experts <= 0 or num_devices <= 0:
-            raise ValueError("num_experts and num_devices must be positive")
-        if shadow_slots < 0:
-            raise ValueError(f"shadow_slots must be >= 0, got {shadow_slots}")
-        self.num_experts = num_experts
-        self.num_devices = num_devices
-        self.shadow_slots = shadow_slots
-        self._native: list[list[int]] = [[] for _ in range(num_devices)]
-        self._shadow: list[list[int]] = [[] for _ in range(num_devices)]
-        self._replicas: dict[int, list[int]] = {}
-        self._matrix = np.zeros((num_experts, num_devices))
-        self._counts = np.zeros(num_experts, dtype=np.int64)
-        self._shadow_counts = np.zeros(num_devices, dtype=np.int64)
-        self._dest_share = np.zeros((num_experts, num_devices))
-        self._shadow_mask = np.zeros((num_experts, num_devices), dtype=bool)
-        self._dead_devices: set[int] = set()
-        self._version = 0
-        for expert in range(num_experts):
-            device = self.native_device(expert)
-            self._native[device].append(expert)
-            self._replicas[expert] = [device]
-            self._matrix[expert, device] = 1.0
-            self._counts[expert] = 1
-            self._dest_share[expert, device] = 1.0
-
-    # -- construction ----------------------------------------------------------
-
-    def native_device(self, expert: int) -> int:
-        """Uniform EP layout: contiguous expert blocks across devices."""
-        self._check_expert(expert)
-        return expert * self.num_devices // self.num_experts
-
-    @classmethod
-    def uniform(
-        cls, num_experts: int, num_devices: int, shadow_slots: int = 1
-    ) -> "ExpertPlacement":
-        return cls(num_experts, num_devices, shadow_slots)
-
-    def clone(self) -> "ExpertPlacement":
-        return copy.deepcopy(self)
-
-    # -- queries ----------------------------------------------------------------
-
-    def replicas(self, expert: int) -> list[int]:
-        """Devices hosting ``expert`` (native first, then shadows)."""
-        self._check_expert(expert)
-        return list(self._replicas[expert])
-
-    def num_replicas(self, expert: int) -> int:
-        self._check_expert(expert)
-        return len(self._replicas[expert])
-
-    def experts_on(self, device: int) -> list[int]:
-        """All experts served by ``device`` (native + shadow replicas)."""
-        self._check_device(device)
-        return self._native[device] + self._shadow[device]
-
-    def native_experts_on(self, device: int) -> list[int]:
-        self._check_device(device)
-        return list(self._native[device])
-
-    def shadow_free(self, device: int) -> int:
-        self._check_device(device)
-        if device in self._dead_devices:
-            return 0
-        return self.shadow_slots - len(self._shadow[device])
-
-    @property
-    def dead_devices(self) -> frozenset[int]:
-        """Devices removed by :meth:`fail_device` (empty when healthy)."""
-        return frozenset(self._dead_devices)
-
-    def orphaned_experts(self) -> list[int]:
-        """Experts with zero live replicas (only possible after a failure)."""
-        if not self._dead_devices:
-            return []
-        return np.nonzero(self._counts == 0)[0].tolist()
-
-    def hosts(self, device: int, expert: int) -> bool:
-        self._check_device(device)
-        self._check_expert(expert)
-        return device in self._replicas[expert]
-
-    def destinations(self, expert: int) -> list[tuple[int, float]]:
-        """Replica devices with equal token shares (the Load/Num rule).
-
-        An expert orphaned by :meth:`fail_device` has none: its tokens go
-        nowhere, as its all-zero share row says.
-        """
-        devices = self._replicas[expert]
-        if not devices:
-            return []
-        share = 1.0 / len(devices)
-        return [(device, share) for device in devices]
-
-    # -- vectorized views --------------------------------------------------------
-
-    @property
-    def replica_matrix(self) -> np.ndarray:
-        """Read-only ``(num_experts, num_devices)`` 0/1 replica matrix."""
-        view = self._matrix.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def replica_counts(self) -> np.ndarray:
-        """Read-only per-expert replica counts (row sums of the matrix)."""
-        view = self._counts.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def shadow_counts(self) -> np.ndarray:
-        """Read-only per-device count of occupied shadow slots."""
-        view = self._shadow_counts.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def destination_shares(self) -> np.ndarray:
-        """Read-only ``(num_experts, num_devices)`` token-share matrix.
-
-        Row ``e`` holds the Load/Num dispatch share of each replica device
-        (``1 / num_replicas`` on hosting devices, 0 elsewhere), maintained
-        incrementally on add/drop.
-        """
-        view = self._dest_share.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter bumped on every add/drop (migration commit),
-        by the replicas each mutation touches."""
-        return self._version
-
-    def shadow_entries(self) -> list[tuple[int, int]]:
-        """All ``(device, expert)`` shadow replicas, device-major order.
-
-        Within a device, entries come out expert-ascending.  A device never
-        hosts two shadow replicas of the same expert, so any within-device
-        order yields identical eviction decisions — the per-expert walk
-        order across devices (device-major) is what matters.
-        """
-        devices, experts = self.shadow_entry_arrays()
-        return list(zip(devices.tolist(), experts.tolist()))
-
-    def shadow_entry_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shadow replicas as parallel ``(devices, experts)`` index arrays,
-        device-major — one ``nonzero`` over the maintained shadow mask
-        instead of a Python walk over per-device lists."""
-        devices, experts = np.nonzero(self._shadow_mask.T)
-        return devices, experts
-
-    # -- mutation ----------------------------------------------------------------
-
-    def add_replica(self, expert: int, device: int) -> None:
-        """Copy ``expert`` into a shadow slot of ``device``.
-
-        Raises ValueError when the device already hosts the expert or has no
-        free shadow slot — callers check capacity first (Algorithm 1 line 6).
-        """
-        self._check_expert(expert)
-        self._check_device(device)
-        if self.hosts(device, expert):
-            raise ValueError(f"device {device} already hosts expert {expert}")
-        if self.shadow_free(device) <= 0:
-            raise ValueError(f"device {device} has no free shadow slot")
-        self._shadow[device].append(expert)
-        self._replicas[expert].append(device)
-        self._matrix[expert, device] = 1.0
-        self._counts[expert] += 1
-        self._shadow_counts[device] += 1
-        self._shadow_mask[expert, device] = True
-        self._dest_share[expert] = self._matrix[expert] / self._counts[expert]
-        self._version += 1
-
-    def drop_replica(self, expert: int, device: int) -> None:
-        """Release a shadow replica (never the native copy)."""
-        self._check_expert(expert)
-        self._check_device(device)
-        if expert not in self._shadow[device]:
-            raise ValueError(
-                f"expert {expert} has no shadow replica on device {device}"
-            )
-        self._shadow[device].remove(expert)
-        self._replicas[expert].remove(device)
-        self._matrix[expert, device] = 0.0
-        self._counts[expert] -= 1
-        self._shadow_counts[device] -= 1
-        self._shadow_mask[expert, device] = False
-        # Dropping a repaired expert's last replica orphans it: zero shares.
-        count = self._counts[expert]
-        self._dest_share[expert] = self._matrix[expert] / count if count else 0.0
-        self._version += 1
-
-    def add_replicas(self, experts: np.ndarray, devices: np.ndarray) -> None:
-        """Batched :meth:`add_replica` over parallel index arrays.
-
-        Validates every entry up front (sequential semantics: an entry
-        sees the slots and replicas of the entries before it), then applies
-        the list bookkeeping per entry but the dense tensors — replica
-        matrix, counts, shadow counts, mask, and the destination-share
-        rows — in single vectorized updates.  The final dense state is
-        bitwise identical to the sequential path (each touched share row
-        ends as ``matrix_row / count``, computed once), and the version
-        advances by the batch size.
-        """
-        experts = np.asarray(experts, dtype=np.int64)
-        devices = np.asarray(devices, dtype=np.int64)
-        if experts.size == 0:
-            return
-        self._check_adds(experts, devices)
-        self._apply_adds(experts, devices)
-
-    def _check_adds(self, experts: np.ndarray, devices: np.ndarray) -> None:
-        """Raise ``ValueError`` unless every add of the batch is valid in
-        sequence; changes nothing."""
-        pending: set[tuple[int, int]] = set()
-        pending_per_device: dict[int, int] = {}
-        for expert, device in zip(experts.tolist(), devices.tolist()):
-            self._check_expert(expert)
-            self._check_device(device)
-            if self.hosts(device, expert) or (expert, device) in pending:
-                raise ValueError(f"device {device} already hosts expert {expert}")
-            if self.shadow_free(device) - pending_per_device.get(device, 0) <= 0:
-                raise ValueError(f"device {device} has no free shadow slot")
-            pending.add((expert, device))
-            pending_per_device[device] = pending_per_device.get(device, 0) + 1
-
-    def _apply_adds(self, experts: np.ndarray, devices: np.ndarray) -> None:
-        """Apply a batch of adds that :meth:`_check_adds` accepted."""
-        for expert, device in zip(experts.tolist(), devices.tolist()):
-            self._shadow[device].append(expert)
-            self._replicas[expert].append(device)
-        self._matrix[experts, devices] = 1.0
-        np.add.at(self._counts, experts, 1)
-        np.add.at(self._shadow_counts, devices, 1)
-        self._shadow_mask[experts, devices] = True
-        rows = np.unique(experts)
-        self._dest_share[rows] = self._matrix[rows] / self._counts[rows, None]
-        self._version += experts.size
-
-    def drop_replicas(self, experts: np.ndarray, devices: np.ndarray) -> None:
-        """Batched :meth:`drop_replica` (vectorized dense updates)."""
-        experts = np.asarray(experts, dtype=np.int64)
-        devices = np.asarray(devices, dtype=np.int64)
-        if experts.size == 0:
-            return
-        self._check_drops(experts, devices)
-        self._apply_drops(experts, devices)
-
-    def _check_drops(self, experts: np.ndarray, devices: np.ndarray) -> None:
-        """Raise ``ValueError`` unless every drop of the batch names a
-        distinct shadow replica; changes nothing."""
-        dropped: set[tuple[int, int]] = set()
-        for expert, device in zip(experts.tolist(), devices.tolist()):
-            self._check_expert(expert)
-            self._check_device(device)
-            if expert not in self._shadow[device] or (expert, device) in dropped:
-                raise ValueError(
-                    f"expert {expert} has no shadow replica on device {device}"
-                )
-            dropped.add((expert, device))
-
-    def _apply_drops(self, experts: np.ndarray, devices: np.ndarray) -> None:
-        """Apply a batch of drops that :meth:`_check_drops` accepted."""
-        for expert, device in zip(experts.tolist(), devices.tolist()):
-            self._shadow[device].remove(expert)
-            self._replicas[expert].remove(device)
-        self._matrix[experts, devices] = 0.0
-        np.subtract.at(self._counts, experts, 1)
-        np.subtract.at(self._shadow_counts, devices, 1)
-        self._shadow_mask[experts, devices] = False
-        rows = np.unique(experts)
-        counts = self._counts[rows, None]
-        share_rows = np.zeros_like(self._matrix[rows])
-        np.divide(self._matrix[rows], counts, out=share_rows, where=counts > 0)
-        self._dest_share[rows] = share_rows
-        self._version += experts.size
-
-    def fail_device(self, device: int) -> list[int]:
-        """Fail-stop: drop every replica — native and shadow — on ``device``.
-
-        The device is marked dead (``shadow_free`` reports 0, so planners
-        never target it again) and the experts left with *zero* replicas
-        are returned: those are orphaned until a repair re-replicates them
-        onto a survivor.  Idempotent — failing a dead device is a no-op.
-        """
-        self._check_device(device)
-        if device in self._dead_devices:
-            return []
-        self._dead_devices.add(device)
-        lost = self._native[device] + self._shadow[device]
-        if not lost:
-            return []
-        for expert in lost:
-            self._replicas[expert].remove(device)
-        self._native[device].clear()
-        self._shadow[device].clear()
-        self._matrix[:, device] = 0.0
-        rows = np.array(sorted(lost), dtype=np.int64)
-        self._counts[rows] -= 1
-        self._shadow_counts[device] = 0
-        self._shadow_mask[:, device] = False
-        counts = self._counts[rows, None]
-        share_rows = np.zeros_like(self._matrix[rows])
-        np.divide(self._matrix[rows], counts, out=share_rows, where=counts > 0)
-        self._dest_share[rows] = share_rows
-        self._version += len(lost)
-        return [expert for expert in lost if self._counts[expert] == 0]
-
-    def reset_shadows(self) -> None:
-        """Drop every shadow replica, returning to the native layout.
-
-        Rebuilds the dense state wholesale (one masked assignment per
-        tensor) instead of paying a per-drop dest-share row update; the
-        version still advances once per dropped replica so derived caches
-        observe the same counter as the incremental path.  After device
-        failures the "native layout" excludes dead natives — an expert
-        whose native died and whose only replicas were shadows comes out
-        orphaned (a reset explicitly discards repairs).
-        """
-        dropped = int(self._shadow_mask.sum())
-        if dropped == 0:
-            return
-        self._matrix[self._shadow_mask] = 0.0
-        if self._dead_devices:
-            self._counts[:] = self._matrix.sum(axis=1)
-            counts = self._counts[:, None]
-            self._dest_share[:] = 0.0
-            np.divide(
-                self._matrix, counts, out=self._dest_share, where=counts > 0
-            )
-            dead = self._dead_devices
-            for expert in range(self.num_experts):
-                native = expert * self.num_devices // self.num_experts
-                self._replicas[expert] = [] if native in dead else [native]
-        else:
-            self._dest_share[:] = self._matrix
-            self._counts[:] = 1
-            for expert in range(self.num_experts):
-                del self._replicas[expert][1:]
-        self._shadow_counts[:] = 0
-        self._shadow_mask[:] = False
-        for device in range(self.num_devices):
-            self._shadow[device].clear()
-        self._version += dropped
-
-    # -- internals ----------------------------------------------------------------
-
-    def _check_expert(self, expert: int) -> None:
-        if not (0 <= expert < self.num_experts):
-            raise ValueError(f"expert {expert} out of range (0..{self.num_experts - 1})")
-
-    def _check_device(self, device: int) -> None:
-        if not (0 <= device < self.num_devices):
-            raise ValueError(f"device {device} out of range (0..{self.num_devices - 1})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shadows = sum(len(entries) for entries in self._shadow)
-        return (
-            f"ExpertPlacement({self.num_experts} experts on "
-            f"{self.num_devices} devices, {shadows} shadow replicas)"
-        )
 
 
 class ReplicaEntries(NamedTuple):
@@ -433,16 +53,12 @@ class StackedPlacement:
     :meth:`shadow_entry_arrays` and the point queries :meth:`hosts`,
     :meth:`first_replica` and :meth:`device_shadows`.
 
-    Host-order stamps reproduce the per-layer ``experts_on`` and
-    ``replicas`` enumeration order: natives stamp ``expert``, shadows
-    ``num_experts + insertion counter`` of their layer, so ties broken by
-    the lowest stamp replicate ``max()`` over those lists exactly.
-    Versions advance by the replicas each mutation touches, as
-    :attr:`ExpertPlacement.version` does, so derived caches key on
-    ``(stack, layer, version)``.
-
-    :meth:`layer` rebuilds one layer as an :class:`ExpertPlacement` for
-    tests and figures; the serving step never calls it.
+    Host-order stamps give each layer's host enumeration order: natives
+    stamp ``expert``, shadows ``num_experts + insertion counter`` of their
+    layer, so a device lists its natives and then its shadows in insertion
+    order, and ties broken by the lowest stamp pick the first-listed
+    expert.  Versions advance by the replicas each mutation touches, so
+    derived caches key on ``(stack, layer, version)``.
     """
 
     def __init__(
@@ -456,8 +72,10 @@ class StackedPlacement:
             raise ValueError(f"num_layers must be positive, got {num_layers}")
         if num_experts <= 0 or num_devices <= 0:
             raise ValueError("num_experts and num_devices must be positive")
-        if shadow_slots < 0:
-            raise ValueError(f"shadow_slots must be >= 0, got {shadow_slots}")
+        if not isinstance(shadow_slots, numbers.Integral) or shadow_slots < 0:
+            raise ValueError(
+                f"shadow_slots must be a non-negative integer, got {shadow_slots!r}"
+            )
         self.num_layers = num_layers
         self.num_experts = num_experts
         self.num_devices = num_devices
@@ -478,30 +96,6 @@ class StackedPlacement:
         self._dead_devices: set[int] = set()
 
     # -- queries ----------------------------------------------------------------
-
-    def layer(self, layer: int) -> ExpertPlacement:
-        """Layer ``layer`` rebuilt as an :class:`ExpertPlacement` snapshot.
-
-        The snapshot fails the dead devices, then adds the layer's shadows
-        in stamp order, so ``replicas()`` and ``experts_on()`` list them in
-        insertion order; its ``version`` is the layer's.  Later stack
-        mutations do not reach it.
-        """
-        self._check_layer(layer)
-        snapshot = ExpertPlacement(
-            self.num_experts, self.num_devices, shadow_slots=self.shadow_slots
-        )
-        for device in sorted(self._dead_devices):
-            snapshot.fail_device(device)
-        experts, devices = self._layer_shadows(layer)
-        snapshot.add_replicas(experts, devices)
-        snapshot._version = int(self._versions[layer])
-        return snapshot
-
-    @property
-    def layers(self) -> list[ExpertPlacement]:
-        """Every layer's :meth:`layer` snapshot."""
-        return [self.layer(layer) for layer in range(self.num_layers)]
 
     @property
     def native_devices(self) -> np.ndarray:
@@ -641,7 +235,7 @@ class StackedPlacement:
             expert=expert,
             device=device[order],
             stamp=stamp[order],
-            # Every share is 1 / replicas, as ExpertPlacement computes it.
+            # Load/Num: every replica takes 1 / replicas of its expert.
             share=1.0 / self._counts[layer, expert],
             bounds=np.searchsorted(layer, np.arange(num_layers + 1)),
         )
@@ -807,8 +401,8 @@ class StackedPlacement:
         Drops the device's natives and shadows on every layer and marks
         it dead, so it has no free shadow slot from then on.  Returns the
         ``(layer, expert)`` index arrays of the experts this failure
-        orphaned, each layer's in :class:`ExpertPlacement.fail_device`'s
-        order (natives, then shadows by stamp), for the repair path.
+        orphaned, each layer's in host order (natives, then shadows by
+        stamp), for the repair path.
         Idempotent.
         """
         self._check_device(device)

@@ -13,8 +13,8 @@ Every all-to-all is priced one way, by the mapping's
 :class:`SparseAllToAllPricer`.  The serving loop prices its layer stacks
 through :class:`LayeredDispatchPlan`, every layer against its own demand
 rows and its own (possibly migration-diverged) placement; the single-layer
-figures call :func:`simulate_alltoall`, which replays one placement into a
-one-layer stack and prices it on the same pricer.  The
+figures call :func:`simulate_alltoall`, which prices a one-layer stack
+on the same pricer.  The
 ``(group, dest) -> link`` map is stored as one scipy CSR matrix per
 hosted-destination set, built lazily from per-destination rows, and a
 stack prices with one gather of its hosted cells from the demand stack
@@ -47,7 +47,7 @@ from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mapping.base import Mapping
-    from repro.mapping.placement import ExpertPlacement, StackedPlacement
+    from repro.mapping.placement import StackedPlacement
 
 
 @dataclass
@@ -654,21 +654,6 @@ def alltoall_pricer(mapping: "Mapping") -> SparseAllToAllPricer:
     return pricer
 
 
-def _one_layer_stack(placement: "ExpertPlacement") -> "StackedPlacement":
-    """``placement`` replayed into a one-layer stack: its dead devices
-    first, then its shadow replicas."""
-    from repro.mapping.placement import StackedPlacement  # import cycle
-
-    stack = StackedPlacement(
-        1, placement.num_experts, placement.num_devices, placement.shadow_slots
-    )
-    for device in sorted(placement.dead_devices):
-        stack.fail_device(device)
-    devices, experts = placement.shadow_entry_arrays()
-    stack.add_replicas(np.zeros(devices.size, dtype=np.int64), experts, devices)
-    return stack
-
-
 def _remote_fractions(mapping: "Mapping", dests: np.ndarray) -> np.ndarray:
     """Per hosted ``(group, dest)`` cell, in ascending order, the share of
     its bytes that ``dest`` fetches from other devices."""
@@ -685,19 +670,26 @@ def _remote_fractions(mapping: "Mapping", dests: np.ndarray) -> np.ndarray:
 def simulate_alltoall(
     topology: Topology,
     demand_bytes: np.ndarray,
-    placement: "ExpertPlacement",
+    placement: "StackedPlacement",
     mapping: "Mapping",
 ) -> AllToAllResult:
     """Simulate dispatch and combine for one MoE layer invocation.
 
     ``demand_bytes[g, e]`` is the byte volume of group ``g``'s tokens
-    routed to expert ``e``.  The layer is priced by the mapping's
-    :func:`alltoall_pricer`, the one the serving loop uses, on
-    ``placement`` replayed into a one-layer stack.  Each phase's
-    ``total_volume`` counts the bytes that leave their holder.
+    routed to expert ``e``, and ``placement`` a one-layer stack (see
+    ``System.fresh_placement``); any other layer count raises.  The layer
+    is priced by the mapping's :func:`alltoall_pricer`, the one the
+    serving loop uses, so calls on the same stack reuse its
+    version-checked layer state.  Each phase's ``total_volume`` counts
+    the bytes that leave their holder.
     """
     if topology is not mapping.topology:
         raise ValueError("the all-to-all is priced over mapping.topology; pass that object")
+    if placement.num_layers != 1:
+        raise ValueError(
+            f"simulate_alltoall prices one layer; the placement has "
+            f"{placement.num_layers} layers"
+        )
     demand_bytes = np.asarray(demand_bytes, dtype=np.float64)
     _validate_demand(demand_bytes)
     if placement.num_devices != topology.num_devices:
@@ -710,7 +702,7 @@ def simulate_alltoall(
             f"demand shape {demand_bytes.shape} != ({mapping.dp}, {placement.num_experts})"
         )
     pricer = alltoall_pricer(mapping)
-    batches = pricer.hosted_batches(_one_layer_stack(placement))
+    batches = pricer.hosted_batches(placement)
     demand = demand_bytes[None]
     volumes, latencies = pricer._price(demand, batches, with_latencies=True)
     (batch,) = batches

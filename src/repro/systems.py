@@ -13,7 +13,7 @@ from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
 from repro.mapping.gpu import GPUMapping
 from repro.mapping.her import HierarchicalERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models.configs import MoEModelConfig
 from repro.topology.mesh import MeshTopology, MultiWaferTopology
 from repro.topology.switched import DGXClusterTopology, NVL72Topology
@@ -35,9 +35,11 @@ class System:
     def num_devices(self) -> int:
         return self.topology.num_devices
 
-    def fresh_placement(self, shadow_slots: int = 1) -> ExpertPlacement:
-        return ExpertPlacement(
-            self.model.num_experts, self.num_devices, shadow_slots=shadow_slots
+    def fresh_placement(self, shadow_slots: int = 1) -> StackedPlacement:
+        """A one-layer placement in the native layout, for pricing one MoE
+        layer (``simulate_alltoall``, ``ComputeModel.moe_peak_time``)."""
+        return StackedPlacement(
+            1, self.model.num_experts, self.num_devices, shadow_slots=shadow_slots
         )
 
 

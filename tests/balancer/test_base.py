@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from balancer_reference import NoBalancer
+from placement_reference import ExpertPlacement
 
 from repro.balancer import GreedyBalancer, NonInvasiveBalancer, TopologyAwareBalancer
 from repro.balancer.base import BalancerConfig, Migration
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.topology.mesh import MeshTopology
 
 
@@ -63,6 +64,17 @@ class TestConfigValidation:
     def test_max_migrations_positive(self):
         with pytest.raises(ValueError):
             BalancerConfig(max_migrations_per_trigger=0)
+
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 2.5, 4.0, -1])
+    def test_max_migrations_is_a_positive_integer(self, cap):
+        """A NaN, infinite or fractional plan cap would construct and then
+        fail in ``range`` at the first plan."""
+        with pytest.raises(ValueError, match="max_migrations_per_trigger"):
+            BalancerConfig(max_migrations_per_trigger=cap)
+
+    def test_numpy_integer_cap_is_legal(self):
+        config = BalancerConfig(max_migrations_per_trigger=np.int64(3))
+        assert config.max_migrations_per_trigger == 3
 
     def test_drop_fraction_bounds(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from repro.balancer.heat import classify_links, cold_capacity, complementarity
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.network.alltoall import simulate_alltoall, uniform_demand
 from repro.topology.mesh import MeshTopology
 
@@ -50,7 +50,7 @@ class TestComplementarity:
     def test_er_allreduce_and_alltoall_are_complementary(self, mesh, er):
         """Paper Fig. 11: every link is cold in at least one phase."""
         ar = er.simulate_allreduce(256 * 8192)
-        placement = ExpertPlacement(16, 16)
+        placement = StackedPlacement(1, 16, 16)
         demand = uniform_demand(4, 16, 256, 8, 8192)
         a2a = simulate_alltoall(mesh, demand, placement, er)
 
@@ -69,7 +69,7 @@ class TestComplementarity:
                     assert heat.is_cold(key)
 
     def test_inter_ftd_links_cold_during_alltoall(self, mesh, er):
-        placement = ExpertPlacement(16, 16)
+        placement = StackedPlacement(1, 16, 16)
         demand = uniform_demand(4, 16, 256, 8, 8192)
         a2a = simulate_alltoall(mesh, demand, placement, er)
         heat = classify_links(mesh, a2a.link_bytes)
@@ -85,7 +85,7 @@ class TestComplementarity:
         mesh = MeshTopology(6, 6)
         er = ERMapping(mesh, ParallelismConfig(tp=4, dp=9, tp_shape=(2, 2)))
         ar = er.simulate_allreduce(256 * 8192)
-        placement = ExpertPlacement(36, 36)
+        placement = StackedPlacement(1, 36, 36)
         demand = uniform_demand(9, 36, 256, 8, 8192)
         a2a = simulate_alltoall(mesh, demand, placement, er)
         score = complementarity(
@@ -104,7 +104,7 @@ class TestComplementarity:
         mesh = MeshTopology(4, 4)
         er = ERMapping(mesh, ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)))
         ar = er.simulate_allreduce(256 * 8192)
-        placement = ExpertPlacement(16, 16)
+        placement = StackedPlacement(1, 16, 16)
         demand = uniform_demand(4, 16, 256, 8, 8192)
         a2a = simulate_alltoall(mesh, demand, placement, er)
         score = complementarity(

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import balancer_reference as reference_balancers
+from placement_reference import ExpertPlacement
+from placement_replay import snapshot
 
 from repro.balancer import (
     Balancer,
@@ -25,7 +27,7 @@ from repro.balancer import (
     NonInvasiveBalancer,
     TopologyAwareBalancer,
 )
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.systems import build_multi_wsc, build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
@@ -152,7 +154,7 @@ def assert_same_state(stacked, reference):
     placement = stacked.placement
     for layer, balancer in enumerate(reference):
         assert stacked.pending[layer] == balancer.pending, layer
-        ours = placement.layer(layer)
+        ours = snapshot(placement, layer)
         ref = balancer.placement
         assert placement.versions[layer] == ref.version, layer
         np.testing.assert_array_equal(placement.replica_counts[layer], ref.replica_counts)

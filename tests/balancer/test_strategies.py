@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import balancer_reference as reference
+from placement_reference import ExpertPlacement
 
 from repro.balancer import GreedyBalancer, NonInvasiveBalancer, TopologyAwareBalancer
 from repro.balancer.base import BalancerConfig
 from repro.balancer.ni import NONINVASIVE_PLAN_CAP
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.topology.mesh import MeshTopology
 
 #: strategy -> (production class, per-layer reference class).

@@ -4,7 +4,7 @@
 layer's balancing as layer-stacked array operations over one
 :class:`~repro.mapping.placement.StackedPlacement`.  This module keeps the
 implementations they replaced: one balancer instance manages one layer's
-:class:`~repro.mapping.placement.ExpertPlacement`, predicts expert loads
+:class:`~placement_reference.ExpertPlacement`, predicts expert loads
 from historical iteration statistics (EWMA — the temporal locality of
 Sec. V-B makes history predictive), derives device *heat* (``sum of
 Load_e / Num_e`` over hosted experts, Algorithm 1), and plans shadow-slot
@@ -21,8 +21,9 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from placement_reference import ExpertPlacement
+
 from repro.balancer.base import BalancerConfig, Migration
-from repro.mapping.placement import ExpertPlacement
 from repro.topology.base import Topology
 
 #: Default per-trigger plan cap for non-invasive balancing: continuous

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.compute import ComputeModel, RooflineTimes
 from repro.hardware.device import B200
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import DEEPSEEK_V3, QWEN3_235B
 
 
@@ -55,16 +55,27 @@ class TestAttention:
             model.attention_time(64, -1, tp=4)
 
 
+def device_times(model, loads, placement):
+    """Every device's MoE roofline on a one-layer stack, read through
+    ``moe_peak_time``: a one-hot ``device_scale`` zeroes every other
+    device, so the peak is that device's time (0 when it is idle)."""
+    devices = np.eye(placement.num_devices)
+    return [
+        model.moe_peak_time(loads, placement, device_scale=scale) for scale in devices
+    ]
+
+
 class TestMoE:
     def test_balanced_load_uniform_times(self, model):
-        placement = ExpertPlacement(256, 256)
+        placement = StackedPlacement(1, 256, 256)
         loads = np.full(256, 8.0)
-        times = model.moe_device_times(loads, placement)
+        times = device_times(model, loads, placement)
         totals = [t.total for t in times]
         assert max(totals) == pytest.approx(min(totals))
+        assert min(totals) > 0
 
     def test_hot_expert_creates_peak(self, model):
-        placement = ExpertPlacement(256, 256)
+        placement = StackedPlacement(1, 256, 256)
         loads = np.full(256, 8.0)
         loads[3] = 800.0
         peak = model.moe_peak_time(loads, placement)
@@ -72,18 +83,18 @@ class TestMoE:
         assert peak.total > balanced.total
 
     def test_replication_splits_tokens(self, model):
-        placement = ExpertPlacement(256, 256, shadow_slots=1)
+        placement = StackedPlacement(1, 256, 256, shadow_slots=1)
         loads = np.zeros(256)
         loads[0] = 100.0
         before = model.moe_peak_time(loads, placement)
-        placement.add_replica(0, 128)
+        placement.add_replica(0, 0, 128)
         after = model.moe_peak_time(loads, placement)
         assert after.compute == pytest.approx(before.compute / 2)
 
     def test_memory_counts_activated_experts_once(self, model):
-        placement = ExpertPlacement(256, 64)  # 4 experts per device
+        placement = StackedPlacement(1, 256, 64)  # 4 experts per device
         loads = np.full(256, 1.0)
-        times = model.moe_device_times(loads, placement)
+        times = device_times(model, loads, placement)
         expected = 4 * DEEPSEEK_V3.expert_bytes / B200.hbm_bandwidth
         assert times[0].memory == pytest.approx(expected)
 
@@ -91,7 +102,7 @@ class TestMoE:
         """Fig. 4: growing EP cuts the per-device memory-access share."""
         fractions = []
         for num_devices in (32, 64, 128, 256):
-            placement = ExpertPlacement(256, num_devices)
+            placement = StackedPlacement(1, 256, num_devices)
             tokens_per_device = 64
             loads = np.full(256, tokens_per_device * num_devices * 8 / 256)
             peak = model.moe_peak_time(loads, placement)
@@ -99,14 +110,28 @@ class TestMoE:
         assert fractions == sorted(fractions, reverse=True)
 
     def test_shape_validated(self, model):
-        placement = ExpertPlacement(256, 16)
-        with pytest.raises(ValueError):
-            model.moe_device_times(np.zeros(8), placement)
+        placement = StackedPlacement(2, 256, 16)
+        with pytest.raises(ValueError, match=r"expected \(2, 256\) layer loads"):
+            model.moe_peak_arrays(np.zeros((1, 256)), placement)
+        with pytest.raises(ValueError, match=r"expected \(2, 256\) layer loads"):
+            model.moe_peak_arrays(np.zeros((2, 261)), placement)
+        with pytest.raises(ValueError, match=r"expected \(2, 256\) layer loads"):
+            model.moe_peak_time(np.zeros(256), placement)
 
     def test_idle_expert_no_memory_charge(self, model):
-        placement = ExpertPlacement(256, 256)
+        placement = StackedPlacement(1, 256, 256)
         loads = np.zeros(256)
         loads[0] = 10.0
-        times = model.moe_device_times(loads, placement)
+        times = device_times(model, loads, placement)
+        assert times[0].total > 0
         assert times[1].memory == 0.0
         assert times[1].compute == 0.0
+
+    def test_peak_time_is_the_one_layer_peak_array(self, model):
+        placement = StackedPlacement(1, 256, 16, shadow_slots=1)
+        placement.add_replica(0, 3, 9)
+        loads = np.random.default_rng(5).uniform(0.0, 50.0, 256)
+        scale = np.linspace(1.0, 2.0, 16)
+        peak = model.moe_peak_time(loads, placement, device_scale=scale)
+        compute, memory = model.moe_peak_arrays(loads[None], placement, scale)
+        assert (peak.compute, peak.memory) == (compute[0], memory[0])

@@ -190,9 +190,9 @@ class TestFailStopRecovery:
         assert trace.records[fault_at].repair_migrations > 0
         layers, experts = simulator.engine.placement.orphaned()
         assert layers.size == 0 and experts.size == 0
-        for layer in simulator.engine.placement.layers:
-            assert 27 in layer.dead_devices
-            assert not layer.replica_matrix[:, 27].any()
+        placement = simulator.engine.placement
+        assert 27 in placement.dead_devices
+        assert 27 not in placement.replica_entries().device
         recovery = trace.time_to_recovery(epsilon=0.1)
         assert np.isfinite(recovery)
         assert recovery <= 15

@@ -6,11 +6,13 @@ batch: its all-to-all through the
 through ``ComputeModel.moe_peak_arrays``.  The oracle here re-prices every
 simulated layer one at a time with ``IterationSimulator.simulate_layer``
 on that layer's own group demand (drawn from a twin workload with the same
-seed) and a snapshot of that layer's placement taken when the loop priced
-it, then rebuilds the iteration latency from those layer totals.  The
-oracle's all-to-all is the pair-list reference of
-``tests/alltoall_reference.py``, since ``simulate_alltoall`` itself prices
-through the pricer under test.  A layer priced against another layer's
+seed) and a one-layer copy of that layer's placement taken when the loop
+priced it, then rebuilds the iteration latency from those layer totals.
+``simulate_alltoall`` and ``moe_peak_time`` price through the code under
+test, so the oracle prices a reference snapshot of each copy instead: its
+all-to-all with the pair-list reference of ``tests/alltoall_reference.py``
+and its MoE roofline with the dense replica-matrix reference of
+``tests/placement_reference.py``.  A layer priced against another layer's
 demand or placement, a stale plan, or a slip in overlap or straggler
 scaling shows up as a mismatch on some iteration — under migrations, faults, fewer experts than devices (hosted
 sets that grow as shadow replicas land on empty devices), a DP group
@@ -23,6 +25,8 @@ import numpy as np
 import pytest
 
 from alltoall_reference import simulate_alltoall as reference_alltoall
+from placement_reference import dense_moe_peak_time
+from placement_replay import one_layer_stack, snapshot
 from repro.balancer import (
     GreedyBalancer,
     NoBalancer,
@@ -133,12 +137,14 @@ class RecordingPlan:
 
 @pytest.fixture
 def priced(monkeypatch):
-    """Per-iteration pricing calls: placement snapshots, demand, durations."""
+    """Per-iteration pricing calls: one-layer copies of every layer's
+    placement, demand, durations."""
     calls = []
     real = serving_module.layered_dispatch_plan
 
     def recording(mapping, placement):
-        calls.append(dict(placements=[layer.clone() for layer in placement.layers]))
+        layers = range(placement.num_layers)
+        calls.append(dict(placements=[one_layer_stack(placement, layer) for layer in layers]))
         return RecordingPlan(real(mapping, placement), calls)
 
     monkeypatch.setattr(serving_module, "layered_dispatch_plan", recording)
@@ -146,22 +152,39 @@ def priced(monkeypatch):
 
 
 @pytest.fixture
-def reference_layers(monkeypatch):
-    """``simulate_layer`` prices its all-to-all with the pair-list
-    reference (it looks ``simulate_alltoall`` up as a module global)."""
-    monkeypatch.setattr(iteration_module, "simulate_alltoall", reference_alltoall)
+def reference_oracle(monkeypatch):
+    """Builds an ``IterationSimulator`` whose ``simulate_layer`` prices a
+    reference snapshot of the one-layer stack it is given: the all-to-all
+    with the pair-list reference (it looks ``simulate_alltoall`` up as a
+    module global) and the MoE roofline with the dense reference."""
+
+    def alltoall(topology, demand, placement, mapping):
+        return reference_alltoall(topology, demand, snapshot(placement, 0), mapping)
+
+    monkeypatch.setattr(iteration_module, "simulate_alltoall", alltoall)
+
+    def build(system, model, engine_config):
+        oracle = IterationSimulator(system.device, model, system.mapping, engine_config)
+
+        def moe_peak_time(loads, placement, device_scale=None):
+            return dense_moe_peak_time(
+                oracle.compute, loads, snapshot(placement, 0), device_scale
+            )
+
+        monkeypatch.setattr(oracle.compute, "moe_peak_time", moe_peak_time)
+        return oracle
+
+    return build
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
-def test_loop_matches_per_layer_simulation(name, priced, reference_layers):
+def test_loop_matches_per_layer_simulation(name, priced, reference_oracle):
     settings = SCENARIOS[name]
     model = settings.get("model", QWEN3_235B)
     system = build_wsc(model, side=settings.get("side", 4), tp=4, mapping="er")
     simulator = make_simulator(system, settings)
     twin = make_workload(system, settings)
-    oracle = IterationSimulator(
-        system.device, model, system.mapping, simulator.engine_config
-    )
+    oracle = reference_oracle(system, model, simulator.engine_config)
     batches = settings.get("batches")
     depth = model.num_sparse_layers
     migrations = 0
@@ -218,7 +241,10 @@ def test_loop_matches_per_layer_simulation(name, priced, reference_layers):
     assert (migrations == 0) == (settings["balancer"] is NoBalancer)
     if "hosted" in settings:
         hosted = [
-            [int(p.destination_shares.any(axis=0).sum()) for p in call["placements"]]
+            [
+                int(snapshot(p, 0).destination_shares.any(axis=0).sum())
+                for p in call["placements"]
+            ]
             for call in (priced[0], priced[-1])
         ]
         assert hosted == [[count] * NUM_LAYERS for count in settings["hosted"]]

@@ -172,6 +172,21 @@ class TestTraceStats:
         with pytest.raises(ValueError):
             ServingConfig(balancing=BalancingConfig(beta_iters=-1))
 
+    @pytest.mark.parametrize("field", ["beta_iters", "warmup_iters", "shadow_slots"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, 2.0, -1])
+    def test_counts_are_non_negative_integers(self, field, value):
+        """A NaN ``beta_iters`` never blocks the cooldown and a NaN
+        ``shadow_slots`` silently disables balancing, so every count
+        must be a non-negative integer at construction."""
+        with pytest.raises(ValueError, match=field):
+            BalancingConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_legal(self):
+        config = BalancingConfig(
+            beta_iters=np.int64(3), warmup_iters=np.int32(0), shadow_slots=np.int64(2)
+        )
+        assert (config.beta_iters, config.warmup_iters, config.shadow_slots) == (3, 0, 2)
+
     def test_alpha_rejects_nan(self):
         # NaN would compare False against every imbalance sum and so
         # trigger on every iteration after warmup.

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.load import device_token_loads
+from placement_reference import dense_device_token_loads
+from placement_replay import snapshot
+
 from repro.balancer import NonInvasiveBalancer
 from repro.engine import EngineConfig, ServingConfig, ServingSimulator
 from repro.models import QWEN3_235B
@@ -37,12 +39,13 @@ def simulator():
 
 
 def loop_device_load_stats(simulator, layer_loads):
-    """The seed implementation of _device_load_stats, verbatim."""
+    """The seed implementation of _device_load_stats, on the dense
+    per-layer device loads."""
     max_loads = []
     mean_loads = []
     for layer in range(simulator.num_layers):
-        device_loads = device_token_loads(
-            layer_loads[layer], simulator.layer_placement(layer)
+        device_loads = dense_device_token_loads(
+            layer_loads[layer], snapshot(simulator.engine.placement, layer)
         )
         max_loads.append(device_loads.max())
         mean_loads.append(device_loads.mean())

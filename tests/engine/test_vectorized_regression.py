@@ -1,24 +1,27 @@
 """Regression tests: vectorized hot paths match the original loop semantics.
 
 The seed implementations of ``Balancer.heats``, ``device_token_loads``,
-``ComputeModel.moe_device_times`` and the serving engine's device-load
-stats were pure-Python loops over experts and replicas.  This PR replaced
-them with matrix products over the placement's incrementally-maintained
-replica matrix; these tests re-state the original loops verbatim and check
-the vectorized versions agree on randomized placements, loads, and pending
-sets.
+the per-device MoE roofline and the serving engine's device-load stats
+were pure-Python loops over experts and replicas.  The reference
+balancer's heats are matrix products over the reference placement's
+replica matrix, and the production load and roofline sums run over a
+stack's replica entries; these tests re-state the original loops
+verbatim and check the vectorized versions agree on randomized
+placements, loads, and pending sets.
 """
 
 import numpy as np
 import pytest
 
 from balancer_reference import NoBalancer
+from placement_reference import ExpertPlacement, dense_moe_peak_time
+from placement_replay import snapshot
 
 from repro.analysis.load import device_token_loads
 from repro.balancer.base import BalancerConfig
 from repro.engine.compute import ComputeModel
 from repro.hardware.device import B200
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.topology.mesh import MeshTopology
 
@@ -49,7 +52,7 @@ def random_stack(rng, num_layers, shadow_slots=2, fill=0.5):
                 if rng.random() > fill:
                     continue
                 expert = int(rng.integers(NUM_EXPERTS))
-                if not stack.layer(layer).hosts(device, expert):
+                if not stack.hosts(layer, device, expert):
                     stack.add_replica(layer, expert, device)
     return stack
 
@@ -141,24 +144,30 @@ class TestVectorizedEquivalence:
 
     def test_device_token_loads_matches_loop(self, seed):
         rng = np.random.default_rng(seed)
-        placement = random_placement(rng)
-        loads = rng.uniform(0.0, 50.0, NUM_EXPERTS)
-        loads[rng.integers(NUM_EXPERTS)] = 0.0
-        np.testing.assert_allclose(
-            device_token_loads(loads, placement),
-            loop_device_token_loads(loads, placement),
-            rtol=1e-12,
-        )
+        stack = random_stack(rng, num_layers=3)
+        layer_loads = rng.uniform(0.0, 50.0, (3, NUM_EXPERTS))
+        layer_loads[:, rng.integers(NUM_EXPERTS)] = 0.0
+        loads = device_token_loads(layer_loads, stack)
+        for layer in range(3):
+            np.testing.assert_allclose(
+                loads[layer],
+                loop_device_token_loads(layer_loads[layer], snapshot(stack, layer)),
+                rtol=1e-12,
+            )
 
     def test_moe_peak_time_matches_loop(self, seed):
         rng = np.random.default_rng(seed)
-        placement = random_placement(rng)
+        stack = random_stack(rng, num_layers=1)
         loads = rng.uniform(0.0, 200.0, NUM_EXPERTS)
         compute = ComputeModel(B200, QWEN3_235B)
-        totals = loop_moe_device_totals(QWEN3_235B, B200, loads, placement)
-        peak = compute.moe_peak_time(loads, placement)
+        totals = loop_moe_device_totals(QWEN3_235B, B200, loads, snapshot(stack, 0))
+        peak = compute.moe_peak_time(loads, stack)
         assert peak.total == pytest.approx(totals.max(), rel=1e-12)
-        vector_totals = [t.total for t in compute.moe_device_times(loads, placement)]
+        # A one-hot device scale makes each device the peak in turn.
+        vector_totals = [
+            compute.moe_peak_time(loads, stack, device_scale=scale).total
+            for scale in np.eye(NUM_DEVICES)
+        ]
         np.testing.assert_allclose(vector_totals, totals, rtol=1e-12)
 
     def test_batched_moe_matches_per_layer(self, seed):
@@ -167,8 +176,8 @@ class TestVectorizedEquivalence:
         layer_loads = rng.uniform(0.0, 200.0, (3, NUM_EXPERTS))
         compute = ComputeModel(B200, QWEN3_235B)
         batched_compute, batched_memory = compute.moe_peak_arrays(layer_loads, stack)
-        for layer, placement in enumerate(stack.layers):
-            single = compute.moe_peak_time(layer_loads[layer], placement)
+        for layer in range(3):
+            single = dense_moe_peak_time(compute, layer_loads[layer], snapshot(stack, layer))
             assert batched_compute[layer] == pytest.approx(single.compute)
             assert batched_memory[layer] == pytest.approx(single.memory)
 

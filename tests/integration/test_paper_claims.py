@@ -16,7 +16,7 @@ from repro.balancer import (
 )
 from repro.balancer.base import BalancerConfig
 from repro.engine import ComputeModel, EngineConfig, ServingConfig, ServingSimulator
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import DEEPSEEK_V3, QWEN3_235B, get_model
 from repro.network.alltoall import simulate_alltoall, uniform_demand
 from repro.systems import build_dgx, build_multi_wsc, build_nvl72, build_wsc
@@ -115,7 +115,7 @@ class TestFig4EPScaling:
         tokens_per_device = 64
         fractions, throughputs = [], []
         for num_devices in (32, 72, 256):
-            placement = ExpertPlacement(model.num_experts, num_devices)
+            placement = StackedPlacement(1, model.num_experts, num_devices)
             total_selected = tokens_per_device * num_devices * model.experts_per_token
             loads = np.full(model.num_experts, total_selected / model.num_experts)
             peak = compute.moe_peak_time(loads, placement)
@@ -205,12 +205,9 @@ class TestFig17Ablation:
                     break
                 balancer.commit_many([(0, migration) for migration in migrations])
 
-            placement = stack.layer(0)
             demand = np.tile(loads / mapping.dp, (mapping.dp, 1)) * model.token_bytes
-            a2a = simulate_alltoall(
-                system.topology, demand, placement, mapping
-            )
-            moe = compute.moe_peak_time(loads, placement)
+            a2a = simulate_alltoall(system.topology, demand, stack, mapping)
+            moe = compute.moe_peak_time(loads, stack)
             layer_time = max(moe.total, a2a.duration) + min(moe.total, a2a.duration) / 4
             return tokens_per_device / layer_time
 

@@ -73,14 +73,14 @@ class TestTokenHolders:
 class TestHierarchicalAllreduce:
     def test_total_comm_cheaper_than_flat_er(self, system):
         """HER wins on total communication: AR comparable, A2A far lower."""
-        from repro.mapping.placement import ExpertPlacement
+        from repro.mapping.placement import StackedPlacement
         from repro.network.alltoall import simulate_alltoall, uniform_demand
 
         parallelism = ParallelismConfig(tp=4, dp=16, tp_shape=(2, 2))
         her = HierarchicalERMapping(system, parallelism)
         flat = ERMapping(system, parallelism)
         volume = 256 * 8192
-        placement = ExpertPlacement(128, 64)
+        placement = StackedPlacement(1, 128, 64)
         demand = uniform_demand(16, 128, 256, 8, 8192)
 
         def total(mapping):
@@ -127,7 +127,7 @@ class TestAllToAllConfinement:
         import numpy as np
 
         from alltoall_reference import build_dispatch_traffic
-        from repro.mapping.placement import ExpertPlacement
+        from placement_reference import ExpertPlacement
         from repro.network.alltoall import uniform_demand
 
         placement = ExpertPlacement(128, 64)

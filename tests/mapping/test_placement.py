@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from placement_replay import LayerReplay, assert_matches_replay
+from placement_reference import ExpertPlacement
+from placement_replay import LayerReplay, assert_matches_replay, snapshot, snapshots
 
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 
 
 class TestNativeLayout:
@@ -201,6 +202,18 @@ class TestStackedPlacement:
         with pytest.raises(ValueError, match="num_layers"):
             StackedPlacement(0, 8, 4)
 
+    @pytest.mark.parametrize("slots", [float("nan"), float("inf"), 1.5, 1.0, -1])
+    def test_shadow_slots_is_a_non_negative_integer(self, slots):
+        """A fractional slot count let one device take two shadows."""
+        with pytest.raises(ValueError, match="shadow_slots"):
+            StackedPlacement(1, 8, 4, shadow_slots=slots)
+
+    def test_numpy_integer_shadow_slots_are_legal(self):
+        stacked = StackedPlacement(1, 8, 4, shadow_slots=np.int64(1))
+        stacked.add_replica(0, 0, 3)
+        with pytest.raises(ValueError, match="no free shadow slot"):
+            stacked.add_replica(0, 1, 3)
+
     def test_mirrors_track_mutations(self):
         rng = np.random.default_rng(3)
         stacked = StackedPlacement(3, 12, 8, shadow_slots=2)
@@ -209,7 +222,7 @@ class TestStackedPlacement:
             layer = int(rng.integers(3))
             expert = int(rng.integers(12))
             device = int(rng.integers(8))
-            target = stacked.layer(layer)
+            target = snapshot(stacked, layer)
             if not target.hosts(device, expert) and target.shadow_free(device) > 0:
                 stacked.add_replica(layer, expert, device)
                 replay.add_replica(layer, expert, device)
@@ -219,15 +232,15 @@ class TestStackedPlacement:
         assert_matches_replay(stacked, replay)
 
     def test_layer_snapshot_is_detached(self):
-        """``layer()`` rebuilds a snapshot: mutating it leaves the stack
+        """``snapshot()`` rebuilds a layer: mutating it leaves the stack
         alone, and the next snapshot shows the stack's state."""
         stacked = StackedPlacement(2, 8, 4)
         entries = stacked.replica_entries()
-        snapshot = stacked.layer(1)
-        snapshot.add_replica(0, 3)
+        detached = snapshot(stacked, 1)
+        detached.add_replica(0, 3)
         assert stacked.replica_entries() is entries
         assert stacked.versions.tolist() == [0, 0]
-        assert stacked.layer(1).replicas(0) == [0]
+        assert snapshot(stacked, 1).replicas(0) == [0]
         assert_matches_replay(stacked, LayerReplay(2, 8, 4))
 
     def test_store_is_sparse(self):
@@ -319,7 +332,7 @@ class TestStackedPlacement:
                 zip(entries.stamp[on_device].tolist(), entries.expert[on_device].tolist())
             )
         ]
-        assert hosted == stacked.layer(0).experts_on(0)
+        assert hosted == snapshot(stacked, 0).experts_on(0)
         assert hosted == [0, 1, 7, 4]
 
 
@@ -413,7 +426,7 @@ class TestStackedBatchedMutations:
             layer = int(rng.integers(stacked.num_layers))
             expert = int(rng.integers(stacked.num_experts))
             device = int(rng.integers(stacked.num_devices))
-            target = stacked.layer(layer)
+            target = snapshot(stacked, layer)
             taken = sum(
                 1 for l, _e, d in zip(layers, experts, devices)
                 if l == layer and d == device
@@ -478,7 +491,7 @@ class TestStackedBatchedMutations:
             stacked.versions.tolist(),
             [
                 [layer.replicas(expert) for expert in range(stacked.num_experts)]
-                for layer in stacked.layers
+                for layer in snapshots(stacked)
             ],
             [column.tolist() for column in stacked.replica_entries()],
             [array.tolist() for array in stacked.shadow_entry_arrays()],

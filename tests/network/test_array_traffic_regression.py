@@ -21,12 +21,14 @@ from alltoall_reference import (
     price_pairs,
 )
 from alltoall_reference import simulate_alltoall as reference_alltoall
+from placement_reference import ExpertPlacement
+from placement_replay import LayerReplay
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
 from repro.mapping.gpu import GPUMapping
 from repro.mapping.her import HierarchicalERMapping
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.network.alltoall import simulate_alltoall
 from repro.network.phase import migration_route_arrays, simulate_phase
 from repro.network.traffic import TrafficMatrix
@@ -107,12 +109,12 @@ def assert_matches_oracle(demand, placement, mapping):
         )
 
 
-def assert_prices_like_reference(demand, placement, mapping):
-    """``simulate_alltoall`` on the placement as it stands now equals the
-    reference to summation-order rounding."""
+def assert_prices_like_reference(demand, placement, reference, mapping):
+    """``simulate_alltoall`` on the one-layer stack as it stands now equals
+    the reference on its replayed twin to summation-order rounding."""
     ours = simulate_alltoall(mapping.topology, demand, placement, mapping)
     assert_close_to_reference(
-        ours, reference_alltoall(mapping.topology, demand, placement, mapping)
+        ours, reference_alltoall(mapping.topology, demand, reference, mapping)
     )
     return ours
 
@@ -159,19 +161,23 @@ class TestMidRunMigration:
         prices the placement as mutated, against the reference."""
         mapping = MAPPINGS["er"]
         rng = np.random.default_rng(7)
-        placement = ExpertPlacement(
-            NUM_EXPERTS, mapping.topology.num_devices, shadow_slots=2
-        )
+        shape = (1, NUM_EXPERTS, mapping.topology.num_devices)
+        placement = StackedPlacement(*shape, shadow_slots=2)
+        replay = LayerReplay(*shape, shadow_slots=2)
+        reference = replay.layers[0]
         demand = random_demand(rng, mapping.dp)
-        native = assert_prices_like_reference(demand, placement, mapping)
+        native = assert_prices_like_reference(demand, placement, reference, mapping)
 
         # Migration commit: replicate then later drop.
-        placement.add_replica(0, placement.num_devices - 1)
-        added = assert_prices_like_reference(demand, placement, mapping)
+        last = placement.num_devices - 1
+        for target in (placement, replay):
+            target.add_replica(0, 0, last)
+        added = assert_prices_like_reference(demand, placement, reference, mapping)
         assert added.dispatch.link_bytes != native.dispatch.link_bytes
 
-        placement.drop_replica(0, placement.num_devices - 1)
-        dropped = assert_prices_like_reference(demand, placement, mapping)
+        for target in (placement, replay):
+            target.drop_replica(0, 0, last)
+        dropped = assert_prices_like_reference(demand, placement, reference, mapping)
         assert dropped == native
 
     def test_version_counts_mutations(self):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from alltoall_reference import simulate_alltoall as reference_alltoall
+from placement_replay import snapshot, snapshots
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
@@ -84,7 +85,7 @@ class TestPricerAgainstPerLayerOracle:
             np.repeat(demand[None], 5, axis=0), pricer.hosted_batches(stack)
         )
         keys = list(mapping.topology.links)
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             result = reference_alltoall(mapping.topology, demand, placement, mapping)
             for phase, phase_result in enumerate((result.dispatch, result.combine)):
                 expected = np.zeros(len(keys))
@@ -105,7 +106,7 @@ class TestPricerAgainstPerLayerOracle:
         durations = pricer.durations(
             np.repeat(demand[None], 5, axis=0), pricer.hosted_batches(stack)
         )
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
@@ -154,7 +155,7 @@ class TestLayeredPlan:
         )
         assert durations.shape == (stack.num_layers, 2)
         for layer in range(stack.num_layers):
-            exact = exact_phases(mapping, rows[layer], stack.layer(layer))
+            exact = exact_phases(mapping, rows[layer], snapshot(stack, layer))
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_uniform_stack_prices_each_layers_demand(self, mapping):
@@ -166,7 +167,7 @@ class TestLayeredPlan:
             demand
         )
         for layer in range(4):
-            exact = exact_phases(mapping, demand[layer], stack.layer(layer))
+            exact = exact_phases(mapping, demand[layer], snapshot(stack, layer))
             assert durations[layer] == pytest.approx(exact, **TIGHT)
         assert len(set(durations[:, 0].tolist())) > 1
 
@@ -186,7 +187,7 @@ class TestLayeredPlan:
         )
         assert (moved[3] != base[3]).any()
         assert moved[3] == pytest.approx(
-            exact_phases(mapping, demand[3], forced.layer(3)), **TIGHT
+            exact_phases(mapping, demand[3], snapshot(forced, 3)), **TIGHT
         )
         mask = np.arange(5) != 3
         np.testing.assert_array_equal(moved[mask], base[mask])
@@ -224,7 +225,7 @@ class TestLayeredPlan:
             demand
         )
         for layer in range(stack.num_layers):
-            exact = exact_phases(mapping, demand[layer], stack.layer(layer))
+            exact = exact_phases(mapping, demand[layer], snapshot(stack, layer))
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
     def test_layer_with_every_expert_orphaned_prices_zero(self, mapping):
@@ -242,7 +243,7 @@ class TestLayeredPlan:
             durations = plan.alltoall_durations_resolved(demand)
             np.testing.assert_array_equal(durations[0], 0.0)
             assert durations[1] == pytest.approx(
-                exact_phases(mapping, demand[1], stack.layer(1)), **TIGHT
+                exact_phases(mapping, demand[1], snapshot(stack, 1)), **TIGHT
             )
 
     def test_plan_gathers_every_replica_entry_once(self, mapping):
@@ -277,7 +278,7 @@ class TestLayeredPlan:
         )
         assert durations.shape == (1, 2)
         assert durations[0] == pytest.approx(
-            exact_phases(mapping, demand[0], stack.layer(0)), **TIGHT
+            exact_phases(mapping, demand[0], snapshot(stack, 0)), **TIGHT
         )
 
 

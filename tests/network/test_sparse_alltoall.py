@@ -6,7 +6,7 @@ stack with one gather of its hosted cells plus one sparse product per set
 — the same terms as the pair-list pricing of ``tests/alltoall_reference.py``
 in a different associative order, so volumes and durations are pinned to
 that reference with tight relative tolerances and the latency maxima
-exactly.  :func:`simulate_alltoall` prices one placement on the same
+exactly.  :func:`simulate_alltoall` prices a one-layer stack on the same
 pricer and is held to the reference field by field.  The operator holds the
 dispatch columns only; combine is their gather through the link reversal,
 held bit for bit to separately routed combine rows here and in
@@ -21,6 +21,7 @@ import pytest
 
 from alltoall_reference import assert_close_to_reference
 from alltoall_reference import simulate_alltoall as reference_alltoall
+from placement_replay import LayerReplay, one_layer_stack, snapshot, snapshots
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
 from repro.mapping.placement import StackedPlacement
@@ -81,7 +82,7 @@ def random_migrations(stack, rng, count):
         layer = int(rng.integers(stack.num_layers))
         expert = int(rng.integers(stack.num_experts))
         device = int(rng.integers(stack.num_devices))
-        replicas = stack.layer(layer).replicas(expert)
+        replicas = snapshot(stack, layer).replicas(expert)
         try:
             if rng.random() < 0.7 or len(replicas) <= 1:
                 stack.add_replica(layer, expert, device)
@@ -105,7 +106,7 @@ class TestAgainstExactSimulation:
             per_layer(demand, stack.num_layers), pricer.hosted_batches(stack)
         )
         keys = list(mapping.topology.links)
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             result = reference_alltoall(mapping.topology, demand, placement, mapping)
             for phase, phase_result in enumerate((result.dispatch, result.combine)):
                 expected = [phase_result.link_bytes.get(key, 0.0) for key in keys]
@@ -124,7 +125,7 @@ class TestAgainstExactSimulation:
         durations = pricer.durations(
             per_layer(demand, stack.num_layers), pricer.hosted_batches(stack)
         )
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
@@ -138,7 +139,7 @@ class TestAgainstExactSimulation:
         demand[3, 2, :8] = 0.0
         pricer = alltoall_pricer(mapping)
         durations = pricer.durations(demand, pricer.hosted_batches(stack))
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
@@ -151,7 +152,7 @@ class TestAgainstExactSimulation:
         assert pricer.state_for(stack, 0).hosted.dests.size < 16
         demand = uniform_demand(4, 8, 256, 8, 100)
         durations = pricer.durations(per_layer(demand, 3), pricer.hosted_batches(stack))
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             exact = exact_phases(mapping, demand, placement)
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
@@ -175,7 +176,7 @@ class TestAgainstExactSimulation:
             pricer.hosted_batches(stack),
             with_latencies=True,
         )
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             result = reference_alltoall(mapping.topology, demand, placement, mapping)
             assert latencies[layer, 0] == result.dispatch.latency_time
             assert latencies[layer, 1] == result.combine.latency_time
@@ -209,7 +210,7 @@ class TestSystems:
         num_devices = mapping.topology.num_devices
         num_experts = num_devices // 2
         stack = StackedPlacement(4, num_experts, num_devices, shadow_slots=2)
-        empty = [d for d in range(num_devices) if not stack.layer(0).experts_on(d)]
+        empty = [d for d in range(num_devices) if not snapshot(stack, 0).experts_on(d)]
         stack.add_replica(1, 0, empty[0])
         stack.add_replica(2, 1, empty[1])
         stack.add_replica(2, 2, empty[-1])
@@ -226,7 +227,7 @@ class TestSystems:
         mapping, stack, demand = case
         pricer = alltoall_pricer(mapping)
         durations = pricer.durations(demand, pricer.hosted_batches(stack))
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
@@ -236,7 +237,7 @@ class TestSystems:
         _, latencies = pricer._price(
             demand, pricer.hosted_batches(stack), with_latencies=True
         )
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             result = reference_alltoall(
                 mapping.topology, demand[layer], placement, mapping
             )
@@ -250,7 +251,7 @@ class TestSystems:
         demand = demand + 1.0
         pricer = alltoall_pricer(mapping)
         durations = pricer.durations(demand, pricer.hosted_batches(stack))
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             exact = exact_phases(mapping, demand[layer], placement)
             assert durations[layer] == pytest.approx(exact, **TIGHT)
 
@@ -267,7 +268,7 @@ class TestSystems:
         assert len(batches) == 3
         full = pricer._hosted_for(tuple(range(pricer.num_devices)))
         assert full.operator.shape[1] == pricer.num_links
-        shares = np.stack([layer.destination_shares for layer in stack.layers])
+        shares = np.stack([layer.destination_shares for layer in snapshots(stack)])
         cells = np.matmul(demand, shares)
         dispatch = cells.reshape(stack.num_layers, -1) @ full.operator
         combine = dispatch[:, link_reversal(mapping.topology)]
@@ -317,7 +318,7 @@ class TestIncremental:
             random_migrations(stack, rng, count=3)
             all_states(warm, stack)
         cold = SparseAllToAllPricer(mapping)
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             warm_state = warm.state_for(stack, layer)
             cold_state = cold.state_for(stack, layer)
             assert warm_state.version == placement.version
@@ -367,7 +368,7 @@ class TestDegradedLinks:
         health.degrade_link(*busiest, 0.25)
         degraded = pricer.durations(demand, batches)
         assert (degraded >= pristine).all() and (degraded > pristine).any()
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             exact = exact_phases(mapping, demand[layer], placement)
             assert degraded[layer] == pytest.approx(exact, **TIGHT)
         assert pricer.dest_row_builds == builds
@@ -524,41 +525,70 @@ class TestRouteCacheAndReversal:
 
 
 def reference_cases(system):
-    """(name, placement, demand) cases on one system: a fresh placement
-    under dense demand, shadows with zero cells, and a dead device whose
-    orphans were repaired onto survivors."""
+    """(name, placement, reference, demand) cases on one system: a fresh
+    one-layer stack under dense demand, shadows with zero cells, and a
+    dead device whose orphans were repaired onto survivors.  Each stack's
+    mutations are replayed into a reference :class:`ExpertPlacement`,
+    which the pair-list reference prices."""
     mapping, model = system.mapping, system.model
     num_devices = system.topology.num_devices
     rng = np.random.default_rng(11)
     dense = rng.uniform(0.5, 1.5, (mapping.dp, model.num_experts)) * 7168.0
     sparse = dense * (rng.random(dense.shape) >= 0.4)
-    shadows = system.fresh_placement()
-    for expert, device in ((0, num_devices - 1), (5, 3), (9, num_devices // 2)):
-        if not shadows.hosts(device, expert):
-            shadows.add_replica(expert, device)
-    dead = shadows.clone()
-    for expert in dead.fail_device(1):
-        dead.add_replica(expert, next(d for d in range(2, num_devices) if dead.shadow_free(d)))
-    return [
-        ("fresh", system.fresh_placement(), dense),
-        ("shadows_zero_cells", shadows, sparse),
-        ("dead_device", dead, sparse),
-    ]
+    cases = []
+    for name in ("fresh", "shadows_zero_cells", "dead_device"):
+        stack = system.fresh_placement()
+        replay = LayerReplay(1, model.num_experts, num_devices)
+        reference = replay.layers[0]
+        if name != "fresh":
+            for expert, device in ((0, num_devices - 1), (5, 3), (9, num_devices // 2)):
+                if not reference.hosts(device, expert):
+                    for target in (stack, replay):
+                        target.add_replica(0, expert, device)
+        if name == "dead_device":
+            stack.fail_device(1)
+            _, orphans = replay.fail_device(1)
+            for expert in orphans.tolist():
+                device = next(d for d in range(2, num_devices) if reference.shadow_free(d))
+                for target in (stack, replay):
+                    target.add_replica(0, expert, device)
+        cases.append((name, stack, reference, dense if name == "fresh" else sparse))
+    return cases
 
 
 class TestSimulateAllToAll:
-    """``simulate_alltoall`` prices one placement on the mapping's pricer:
+    """``simulate_alltoall`` prices a one-layer stack on the mapping's pricer:
     every field within summation-order rounding of the pair-list
     reference, the worst path latencies exact."""
 
     @pytest.mark.parametrize("name", list(DEST_ROW_SYSTEMS))
     def test_matches_the_reference(self, name):
         system = DEST_ROW_SYSTEMS[name]()
-        for case, placement, demand in reference_cases(system):
+        for case, placement, replayed, demand in reference_cases(system):
             result = simulate_alltoall(system.topology, demand, placement, system.mapping)
-            reference = reference_alltoall(system.topology, demand, placement, system.mapping)
+            reference = reference_alltoall(system.topology, demand, replayed, system.mapping)
             assert_close_to_reference(result, reference)
             assert result.dispatch.total_volume == result.combine.total_volume, case
+
+    def test_same_stack_reuses_its_layer_state(self):
+        """Calls on one stack reuse the pricer's layer state until a
+        mutation moves the layer's version; the repriced placement
+        matches the reference again."""
+        system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
+        _, placement, replayed, demand = reference_cases(system)[1]
+        pricer = alltoall_pricer(system.mapping)
+        first = simulate_alltoall(system.topology, demand, placement, system.mapping)
+        built = pricer.state_rebuilds
+        again = simulate_alltoall(system.topology, demand, placement, system.mapping)
+        assert pricer.state_rebuilds == built
+        assert again.dispatch.link_bytes == first.dispatch.link_bytes
+        placement.add_replica(0, 7, 2)
+        replayed.add_replica(7, 2)
+        moved = simulate_alltoall(system.topology, demand, placement, system.mapping)
+        assert pricer.state_rebuilds == built + 1
+        assert moved.dispatch.link_bytes != first.dispatch.link_bytes
+        reference = reference_alltoall(system.topology, demand, replayed, system.mapping)
+        assert_close_to_reference(moved, reference)
 
     def test_shared_pricer_prices_the_same_bits(self):
         """The serving loop shares the mapping's pricer (destination rows
@@ -571,10 +601,12 @@ class TestSimulateAllToAll:
 
         system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
         mapping = system.mapping
-        _, placement, demand = reference_cases(system)[1]
+        _, placement, _, demand = reference_cases(system)[1]
 
         def price():
-            return simulate_alltoall(system.topology, demand, placement, mapping)
+            # A fresh copy each time: no cached layer state of its own.
+            copy = one_layer_stack(placement, 0)
+            return simulate_alltoall(system.topology, demand, copy, mapping)
 
         cold = price()
         workload = GatingSimulator(

@@ -2,16 +2,60 @@
 
 :class:`~repro.mapping.placement.StackedPlacement` stores one sparse entry
 table for every layer.  :class:`LayerReplay` applies the same mutations to
-one :class:`~repro.mapping.placement.ExpertPlacement` per layer — batches
-validated on every layer before any layer changes, as the stack does —
-and stacks those objects' dense views, so tests can hold the stack to a
-model that shares none of its code.  :func:`assert_matches_replay`
+one reference :class:`~placement_reference.ExpertPlacement` per layer —
+batches validated on every layer before any layer changes, as the stack
+does — and stacks those objects' dense views, so tests can hold the stack
+to a model that shares none of its code.  :func:`assert_matches_replay`
 compares the two.
+
+:func:`snapshot` rebuilds one layer of a stack as a reference placement
+(:func:`snapshots` every layer), and :func:`one_layer_stack` copies one
+layer into a one-layer stack, the placement single-layer pricing takes.
 """
 
 import numpy as np
 
-from repro.mapping.placement import ExpertPlacement
+from placement_reference import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
+
+
+def snapshot(stack: StackedPlacement, layer: int) -> ExpertPlacement:
+    """Layer ``layer`` of ``stack`` rebuilt as an :class:`ExpertPlacement`.
+
+    The snapshot fails the dead devices, then adds the layer's shadows in
+    stamp order, so ``replicas()`` and ``experts_on()`` list them in
+    insertion order; its ``version`` is the layer's.  Later stack
+    mutations do not reach it.
+    """
+    stack._check_layer(layer)
+    placement = ExpertPlacement(
+        stack.num_experts, stack.num_devices, shadow_slots=stack.shadow_slots
+    )
+    for device in sorted(stack.dead_devices):
+        placement.fail_device(device)
+    experts, devices = stack._layer_shadows(layer)
+    placement.add_replicas(experts, devices)
+    placement._version = int(stack.versions[layer])
+    return placement
+
+
+def snapshots(stack: StackedPlacement) -> list[ExpertPlacement]:
+    """Every layer's :func:`snapshot`."""
+    return [snapshot(stack, layer) for layer in range(stack.num_layers)]
+
+
+def one_layer_stack(stack: StackedPlacement, layer: int) -> StackedPlacement:
+    """Layer ``layer`` of ``stack`` copied into a new one-layer stack: the
+    dead devices first, then the layer's shadows in stamp order."""
+    stack._check_layer(layer)
+    copied = StackedPlacement(
+        1, stack.num_experts, stack.num_devices, shadow_slots=stack.shadow_slots
+    )
+    for device in sorted(stack.dead_devices):
+        copied.fail_device(device)
+    experts, devices = stack._layer_shadows(layer)
+    copied.add_replicas(np.zeros(experts.size, dtype=np.int64), experts, devices)
+    return copied
 
 
 class LayerReplay:
@@ -113,8 +157,7 @@ class LayerReplay:
 
 def assert_matches_replay(stack, replay: LayerReplay) -> None:
     """The stack's counts, versions, entries, stamps, stack queries and
-    :meth:`~repro.mapping.placement.StackedPlacement.layer` snapshots
-    against the replay's layer objects."""
+    :func:`snapshot` layers against the replay's layer objects."""
     np.testing.assert_array_equal(stack.versions, replay.versions())
     np.testing.assert_array_equal(stack.replica_counts, replay.replica_counts())
     np.testing.assert_array_equal(stack.shadow_counts, replay.shadow_counts())
@@ -140,7 +183,7 @@ def assert_matches_replay(stack, replay: LayerReplay) -> None:
     ):
         runs.setdefault((layer, device), []).append(expert)
     for layer, ref in enumerate(replay.layers):
-        ours = stack.layer(layer)
+        ours = snapshot(stack, layer)
         assert ours.version == ref.version, layer
         assert ours.dead_devices == ref.dead_devices, layer
         for expert in range(ref.num_experts):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from alltoall_reference import assert_close_to_reference
 from alltoall_reference import simulate_alltoall as reference_alltoall
+from placement_replay import LayerReplay, snapshots
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.network.allreduce import ring_allreduce
 from repro.network.alltoall import SparseAllToAllPricer, simulate_alltoall
@@ -20,7 +21,7 @@ from repro.topology.mesh import MeshTopology
 
 MESH = MeshTopology(4, 4)
 ER = ERMapping(MESH, ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)))
-PLACEMENT = ExpertPlacement(16, 16)
+PLACEMENT = StackedPlacement(1, 16, 16)
 
 flows_strategy = st.lists(
     st.builds(
@@ -156,8 +157,9 @@ def priced_stacks(draw):
 
 @st.composite
 def priced_placements(draw):
-    """A small wafer, one placement with random shadow replicas and
-    possibly a dead device, and integer-count demand with zero cells."""
+    """A small wafer, a one-layer stack with random shadow replicas and
+    possibly a dead device, its replayed reference placement, and
+    integer-count demand with zero cells."""
     side = draw(st.integers(2, 4))
     tp = draw(st.sampled_from([1, 2, 4]))
     mapping_name = draw(st.sampled_from(["er", "baseline"]))
@@ -167,10 +169,13 @@ def priced_placements(draw):
         assume(False)
     devices = side * side
     experts = draw(st.integers(1, devices))
-    placement = ExpertPlacement(experts, devices, shadow_slots=2)
+    placement = StackedPlacement(1, experts, devices, shadow_slots=2)
+    replay = LayerReplay(1, experts, devices, shadow_slots=2)
+    reference = replay.layers[0]
     dead = draw(st.one_of(st.none(), st.integers(0, devices - 1)))
     if dead is not None:
         placement.fail_device(dead)
+        replay.fail_device(dead)
     extras = draw(
         st.lists(
             st.tuples(st.integers(0, experts - 1), st.integers(0, devices - 1)),
@@ -178,15 +183,16 @@ def priced_placements(draw):
         )
     )
     for expert, device in extras:
-        if not placement.hosts(device, expert) and placement.shadow_free(device) > 0:
-            placement.add_replica(expert, device)
+        if not reference.hosts(device, expert) and reference.shadow_free(device) > 0:
+            placement.add_replica(0, expert, device)
+            replay.add_replica(0, expert, device)
     counts = draw(
         st.lists(
             st.integers(0, 40), min_size=mapping.dp * experts, max_size=mapping.dp * experts
         )
     )
     demand = np.asarray(counts, dtype=float).reshape(mapping.dp, experts)
-    return mapping, placement, demand * 7168.0
+    return mapping, placement, reference, demand * 7168.0
 
 
 class TestPricerProperties:
@@ -199,7 +205,7 @@ class TestPricerProperties:
         mapping, stack, alone_stacks, demand = case
         pricer = SparseAllToAllPricer(mapping)
         durations = pricer.durations(demand, pricer.hosted_batches(stack))
-        for layer, placement in enumerate(stack.layers):
+        for layer, placement in enumerate(snapshots(stack)):
             result = reference_alltoall(
                 mapping.topology, demand[layer], placement, mapping
             )
@@ -214,11 +220,11 @@ class TestPricerProperties:
     @given(priced_placements())
     @settings(max_examples=40, deadline=None)
     def test_simulate_alltoall_matches_reference(self, case):
-        """One placement priced on the mapping's pricer equals the
+        """A one-layer stack priced on the mapping's pricer equals the
         pair-list reference field by field, dead devices included."""
-        mapping, placement, demand = case
+        mapping, placement, reference, demand = case
         topology = mapping.topology
         assert_close_to_reference(
             simulate_alltoall(topology, demand, placement, mapping),
-            reference_alltoall(topology, demand, placement, mapping),
+            reference_alltoall(topology, demand, reference, mapping),
         )

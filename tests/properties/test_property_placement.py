@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placement_reference import ExpertPlacement
+
 from repro.analysis.load import device_token_loads
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 
 
 @st.composite
@@ -27,12 +29,14 @@ def placement_and_ops(draw):
 
 
 def apply_ops(placement, ops):
+    """Apply ``ops`` to a reference placement or to a one-layer stack."""
+    layer = (0,) if isinstance(placement, StackedPlacement) else ()
     for op, expert, device in ops:
         try:
             if op == "add":
-                placement.add_replica(expert, device)
+                placement.add_replica(*layer, expert, device)
             else:
-                placement.drop_replica(expert, device)
+                placement.drop_replica(*layer, expert, device)
         except ValueError:
             pass  # invalid ops must raise, never corrupt state
 
@@ -61,10 +65,10 @@ class TestPlacementInvariants:
     def test_load_conservation(self, case):
         """Replication redistributes tokens but never creates or loses any."""
         num_experts, num_devices, shadow, ops = case
-        placement = ExpertPlacement(num_experts, num_devices, shadow_slots=shadow)
+        placement = StackedPlacement(1, num_experts, num_devices, shadow_slots=shadow)
         apply_ops(placement, ops)
         loads = np.arange(1, num_experts + 1, dtype=float)
-        device_loads = device_token_loads(loads, placement)
+        device_loads = device_token_loads(loads[None], placement)
         assert device_loads.sum() == np.float64(loads.sum()) or abs(
             device_loads.sum() - loads.sum()
         ) < 1e-9 * loads.sum()

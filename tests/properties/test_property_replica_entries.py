@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from placement_replay import LayerReplay, assert_matches_replay
 
-from repro.analysis.load import stacked_device_token_loads
+from repro.analysis.load import device_token_loads
 from repro.balancer import NoBalancer
 from repro.engine.compute import ComputeModel
 from repro.hardware.device import B200
@@ -221,7 +221,7 @@ def assert_same_sums(stack, replay, demand):
         got = COMPUTE.moe_peak_arrays(layer_loads, stack, device_scale=device_scale)
         for got_part, want_part in zip(got, dense_moe_peak(layer_loads, replay, device_scale)):
             check(got_part, want_part)
-    check(stacked_device_token_loads(layer_loads, stack), dense_device_loads(layer_loads, replay))
+    check(device_token_loads(layer_loads, stack), dense_device_loads(layer_loads, replay))
 
     mapping = MAPPINGS[stack.num_devices]
     balancer = NoBalancer(stack, mapping.topology, expert_bytes=1.0)

@@ -5,27 +5,40 @@ import pytest
 
 from repro.analysis.load import device_token_loads, imbalance_degree, load_ratio
 from repro.analysis.report import bar_chart, format_table, relative
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 
 
 class TestDeviceLoads:
     def test_native_loads(self):
-        placement = ExpertPlacement(8, 4)
-        loads = device_token_loads(np.arange(8, dtype=float), placement)
-        np.testing.assert_allclose(loads, [1.0, 5.0, 9.0, 13.0])
+        placement = StackedPlacement(1, 8, 4)
+        loads = device_token_loads(np.arange(8, dtype=float)[None], placement)
+        np.testing.assert_allclose(loads, [[1.0, 5.0, 9.0, 13.0]])
 
     def test_replicas_split_load(self):
-        placement = ExpertPlacement(8, 4, shadow_slots=1)
-        placement.add_replica(0, 3)
-        expert_loads = np.zeros(8)
-        expert_loads[0] = 10.0
-        loads = device_token_loads(expert_loads, placement)
+        placement = StackedPlacement(1, 8, 4, shadow_slots=1)
+        placement.add_replica(0, 0, 3)
+        expert_loads = np.zeros((1, 8))
+        expert_loads[0, 0] = 10.0
+        (loads,) = device_token_loads(expert_loads, placement)
         assert loads[0] == pytest.approx(5.0)
         assert loads[3] == pytest.approx(5.0)
 
+    def test_layers_split_their_own_loads(self):
+        """Each layer splits its row over its own replicas (Load/Num)."""
+        placement = StackedPlacement(2, 8, 4, shadow_slots=2)
+        placement.add_replica(1, 0, 2)
+        placement.add_replica(1, 0, 3)
+        layer_loads = np.zeros((2, 8))
+        layer_loads[:, 0] = 12.0
+        layer_loads[:, 5] = 3.0
+        loads = device_token_loads(layer_loads, placement)
+        np.testing.assert_array_equal(loads, [[12.0, 0.0, 3.0, 0.0], [4.0, 0.0, 7.0, 4.0]])
+
     def test_shape_checked(self):
-        with pytest.raises(ValueError):
-            device_token_loads(np.zeros(3), ExpertPlacement(8, 4))
+        with pytest.raises(ValueError, match=r"expected \(1, 8\) layer loads"):
+            device_token_loads(np.zeros((1, 3)), StackedPlacement(1, 8, 4))
+        with pytest.raises(ValueError, match=r"expected \(2, 8\) layer loads"):
+            device_token_loads(np.zeros(8), StackedPlacement(2, 8, 4))
 
 
 class TestRatios:

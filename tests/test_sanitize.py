@@ -6,7 +6,7 @@ import pytest
 from repro import sanitize
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
-from repro.mapping.placement import ExpertPlacement, StackedPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.network.alltoall import layered_dispatch_plan
 from repro.topology.mesh import MeshTopology
 from repro.workload.scenarios import MATH

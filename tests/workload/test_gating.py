@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.load import device_token_loads, load_ratio
-from repro.mapping.placement import ExpertPlacement
+from repro.mapping.placement import StackedPlacement
 from repro.models import QWEN3_235B
 from repro.workload.mixers import AzureLikeMixer, ConstantMixer
 from repro.workload.gating import GatingSimulator
@@ -67,25 +67,25 @@ class TestImbalanceProperties:
         sim = make_sim(tokens_per_group=256)
         for _ in range(30):
             counts = sim.next_group_counts()
-        placement = ExpertPlacement(128, 8)
-        loads = device_token_loads(counts[0].sum(axis=0), placement)
+        placement = StackedPlacement(1, 128, 8)
+        (loads,) = device_token_loads(counts[:1].sum(axis=1), placement)
         assert load_ratio(loads) > 1.5
 
     def test_balanced_mode_is_uniform(self):
         sim = make_sim(balanced=True, tokens_per_group=4096)
         counts = sim.next_group_counts()
-        placement = ExpertPlacement(128, 8)
-        loads = device_token_loads(counts[0].sum(axis=0), placement)
+        placement = StackedPlacement(1, 128, 8)
+        (loads,) = device_token_loads(counts[:1].sum(axis=1), placement)
         assert load_ratio(loads) < 1.15
 
     def test_fixed_scenario_stabilises_after_warmup(self):
         """Device load ratios stabilise in a fixed scenario (Fig. 12)."""
         sim = make_sim(tokens_per_group=1024, adaptation=0.15)
-        placement = ExpertPlacement(128, 8)
+        placement = StackedPlacement(1, 128, 8)
         ratios = []
         for _ in range(60):
             counts = sim.next_group_counts()
-            loads = device_token_loads(counts[0].sum(axis=0), placement)
+            (loads,) = device_token_loads(counts[:1].sum(axis=1), placement)
             ratios.append(loads / loads.sum())
         early_drift = np.abs(np.diff(ratios[:10], axis=0)).mean()
         late_drift = np.abs(np.diff(ratios[-10:], axis=0)).mean()
