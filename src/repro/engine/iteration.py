@@ -10,7 +10,8 @@ both platforms) hides the shorter of compute/communication behind the
 longer, leaving ``max + min / stages`` per phase.
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,14 @@ def pipelined_time(compute: float, communication: float, stages: int) -> float:
     return longer + shorter / stages
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is not an integer (NaN, inf and fractions
+    included) or is below ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Workload-shape and overlap knobs for the iteration model.
@@ -53,12 +62,9 @@ class EngineConfig:
     decode: bool = True
 
     def __post_init__(self) -> None:
-        if self.tokens_per_group <= 0:
-            raise ValueError("tokens_per_group must be positive")
-        if self.context_len < 0:
-            raise ValueError("context_len must be >= 0")
-        if self.pipeline_stages <= 0:
-            raise ValueError("pipeline_stages must be positive")
+        _check_count("tokens_per_group", self.tokens_per_group, minimum=1)
+        _check_count("context_len", self.context_len, minimum=0)
+        _check_count("pipeline_stages", self.pipeline_stages, minimum=1)
 
 
 @dataclass(slots=True)
@@ -166,8 +172,8 @@ class IterationSimulator:
         config = self.config
         if tokens_per_group is None:
             tokens_per_group = config.tokens_per_group
-        elif tokens_per_group <= 0:
-            raise ValueError("tokens_per_group must be positive")
+        else:
+            _check_count("tokens_per_group", tokens_per_group, minimum=1)
         attention = self.compute.attention_time(
             tokens=tokens_per_group,
             context_len=config.context_len,

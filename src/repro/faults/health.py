@@ -149,9 +149,8 @@ def health_version(topology) -> int:
 
 
 def degraded_bandwidth(topology, key: tuple[int, int]) -> float:
-    """Effective bandwidth of one link — for Python-loop pricing paths
-    (ring all-reduce steps) that read ``topology.links[key].bandwidth``
-    directly."""
+    """Effective bandwidth of one link: the scalar form of the route cache's
+    ``effective_bandwidth()``, which forms the same product per link."""
     bandwidth = topology.links[key].bandwidth
     health = topology_health(topology)
     if health is None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.mapping.base import MeshMapping, ParallelismConfig, snake_order
 from repro.memo import instance_memo
-from repro.network.allreduce import CollectiveResult, _run_ring_steps
+from repro.network.allreduce import CollectiveResult, pair_steps, ring_reduce_scatter
 from repro.topology.mesh import Coord, MultiWaferTopology
 
 
@@ -135,12 +135,8 @@ class HierarchicalERMapping(MeshMapping):
     def simulate_allreduce(self, volume_per_group: float) -> CollectiveResult:
         """Intra-wafer entwined reduce-scatter + inter-wafer all-gather."""
         mesh = self.wafer_topology
-        reduce_scatter = _run_ring_steps(
-            self.topology,
-            self.tp_groups,
-            volume_per_group,
-            num_steps=self.tp - 1,
-            staggered=True,
+        reduce_scatter = ring_reduce_scatter(
+            self.topology, self.tp_groups, volume_per_group, staggered=True
         )
         if mesh.num_wafers == 1:
             return reduce_scatter
@@ -149,32 +145,26 @@ class HierarchicalERMapping(MeshMapping):
         # shards with its mirror on the adjacent wafers, bidirectionally, in
         # (num_wafers - 1) pipelined steps — a line all-gather, with no
         # wrap-around flow crossing the whole row.
-        shard = volume_per_group / self.tp
-        all_gather = self._line_allgather_across_wafers(shard)
+        all_gather = pair_steps(
+            self.topology,
+            "wafer_line_allgather",
+            self._line_allgather_pairs,
+            volume_per_group / self.tp,
+            mesh.num_wafers - 1,
+        )
         return reduce_scatter.merged_with(all_gather)
 
-    def _line_allgather_across_wafers(self, shard: float) -> CollectiveResult:
-        from repro.network.phase import simulate_phase
-        from repro.network.traffic import TrafficMatrix
-
+    def _line_allgather_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """One line all-gather step's (src, dst) pairs: for each local
+        coordinate, row-major, and each border from the west, the eastward
+        transfer, then the westward one."""
         mesh = self.wafer_topology
-        step_traffic = TrafficMatrix()
-        for x in range(mesh.wafer_height):
-            for y in range(mesh.wafer_width):
-                for wafer in range(mesh.num_wafers - 1):
-                    east_src = mesh.device_at(Coord(x, wafer * mesh.wafer_width + y))
-                    east_dst = mesh.device_at(
-                        Coord(x, (wafer + 1) * mesh.wafer_width + y)
-                    )
-                    step_traffic.add(east_src, east_dst, shard)
-                    step_traffic.add(east_dst, east_src, shard)
-        step = simulate_phase(self.topology, step_traffic)
-        num_steps = mesh.num_wafers - 1
-        return CollectiveResult(
-            duration=step.duration * num_steps,
-            num_steps=num_steps,
-            link_bytes={
-                key: volume * num_steps for key, volume in step.link_bytes.items()
-            },
-            total_volume=step.total_volume * num_steps,
+        x, y, wafer = np.meshgrid(
+            np.arange(mesh.wafer_height),
+            np.arange(mesh.wafer_width),
+            np.arange(mesh.num_wafers - 1),
+            indexing="ij",
         )
+        west = (x * mesh.width + wafer * mesh.wafer_width + y).ravel()
+        east = west + mesh.wafer_width
+        return np.stack([west, east], axis=1).ravel(), np.stack([east, west], axis=1).ravel()

@@ -9,11 +9,12 @@ generalised to congested links:
 
 Collectives are sequences of phases.  This mirrors the analytical backend
 the paper built into ASTRA-sim: serialisation on the bottleneck link plus a
-per-hop latency term.  Ring steps and ESP gathers list their flows for
-:func:`simulate_phase`; the MoE all-to-all's dispatch and combine phases
-fold the same route rows into per-mapping link operators
-(:mod:`repro.network.alltoall`), one way for the figures and the serving
-loop alike.
+per-hop latency term.  ESP gathers list their flows for
+:func:`simulate_phase`, ring collectives price from cached array plans of
+one ring step (:mod:`repro.network.allreduce`), and the MoE all-to-all's
+dispatch and combine phases fold the same route rows into per-mapping link
+operators (:mod:`repro.network.alltoall`), one way for the figures and the
+serving loop alike.
 """
 
 from repro.network.traffic import Flow, TrafficMatrix

@@ -106,6 +106,10 @@ class _RouteCache:
     all-to-all's combine phase, which retraces dispatch, needs no rows of
     its own.  A walk back adds the same hop latencies in the other order,
     which can round differently.
+
+    The cache also keeps the ring collectives' array plans
+    (:mod:`repro.network.allreduce`), whose time-staggered flows ride their
+    primary routes only (:meth:`primary_links`).
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -146,6 +150,11 @@ class _RouteCache:
         # fault-free pricing path is untouched, bit for bit.
         self._effective_bandwidth = self.bandwidth
         self._effective_version = 0
+        #: Ring collective plans, keyed as :mod:`repro.network.allreduce`
+        #: keys them.  A plan holds route shape only and reads
+        #: :meth:`effective_bandwidth` when it is evaluated, so no health
+        #: version keys it.
+        self.plans: dict = {}
 
     def effective_bandwidth(self) -> np.ndarray:
         """Per-link bandwidth with current link degradations applied."""
@@ -193,15 +202,8 @@ class _RouteCache:
         latency per pair, path latency of each reversed pair); the pairs'
         entries concatenate in pair order.
         """
-        num_devices = self.topology.num_devices
-        if src.size and not (
-            src.min() >= 0
-            and dst.min() >= 0
-            and src.max() < num_devices
-            and dst.max() < num_devices
-        ):
-            raise ValueError(f"route endpoints must be devices 0..{num_devices - 1}")
-        keys = src * num_devices + dst
+        self._check_endpoints(src, dst)
+        keys = src * self.topology.num_devices + dst
         rows = self._row_of[keys]
         missing = rows < 0
         if missing.any():
@@ -221,6 +223,33 @@ class _RouteCache:
             self._latencies[rows],
             self._reverse_latencies[rows],
         )
+
+    def primary_links(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Link positions of each pair's primary route, in walk order.
+
+        Returns a ``(max_hops, pairs)`` array padded with -1: column ``p``
+        lists the links ``topology.route(src[p], dst[p])`` crosses, with no
+        O1TURN alternate.  Meshes build the columns in closed form; other
+        fabrics walk ``route`` once per pair.
+        """
+        self._check_endpoints(src, dst)
+        if isinstance(self.topology, MeshTopology):
+            return self.topology.dimension_order_links(src, dst, rows_first=True)
+        paths = [self.topology.route(s, d) for s, d in zip(src.tolist(), dst.tolist())]
+        links = np.full((max(map(len, paths), default=0), len(paths)), -1, dtype=np.intp)
+        for column, path in enumerate(paths):
+            links[: len(path), column] = [self.index[link.key] for link in path]
+        return links
+
+    def _check_endpoints(self, src: np.ndarray, dst: np.ndarray) -> None:
+        num_devices = self.topology.num_devices
+        if src.size and not (
+            src.min() >= 0
+            and dst.min() >= 0
+            and src.max() < num_devices
+            and dst.max() < num_devices
+        ):
+            raise ValueError(f"route endpoints must be devices 0..{num_devices - 1}")
 
     def _add_rows(self, keys: np.ndarray) -> None:
         """Build and append the rows of new, distinct pair keys."""

@@ -1,7 +1,7 @@
 """Flows and traffic matrices.
 
 :class:`TrafficMatrix` is a dict-backed accumulator for incrementally built
-patterns (ring steps, ESP gathers, hand-written tests) that
+patterns (ESP gathers, hand-written tests) that
 :func:`~repro.network.phase.simulate_phase` prices; the MoE all-to-all
 never builds per-pair traffic and prices through link operators instead
 (:mod:`repro.network.alltoall`).

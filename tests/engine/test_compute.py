@@ -6,7 +6,7 @@ import pytest
 from repro.engine.compute import ComputeModel, RooflineTimes
 from repro.hardware.device import B200
 from repro.mapping.placement import StackedPlacement
-from repro.models import DEEPSEEK_V3, QWEN3_235B
+from repro.models import DEEPSEEK_V3
 
 
 @pytest.fixture

@@ -60,6 +60,27 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(context_len=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.5])
+    def test_pipeline_stages_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="pipeline_stages"):
+            EngineConfig(pipeline_stages=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5])
+    def test_tokens_per_group_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="tokens_per_group"):
+            EngineConfig(tokens_per_group=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_context_len_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="context_len"):
+            EngineConfig(context_len=value)
+
+    def test_numpy_integers_stay_legal(self):
+        config = EngineConfig(
+            tokens_per_group=np.int64(64), context_len=np.int32(0), pipeline_stages=np.int64(2)
+        )
+        assert config.tokens_per_group == 64
+
 
 class TestBreakdown:
     def test_phases_and_total(self):
@@ -139,6 +160,12 @@ class TestSimulateLayer:
 
 
 class TestAllreduceCache:
+    @pytest.mark.parametrize("value", [float("nan"), 2.5])
+    def test_per_call_tokens_per_group_must_be_an_integer(self, simulator, value):
+        with pytest.raises(ValueError, match="tokens_per_group"):
+            simulator.attention_and_allreduce(value)
+        assert not simulator._allreduce_cache
+
     def test_cache_returns_same_result_object(self, simulator):
         volume = simulator.allreduce_volume()
         first = simulator.simulate_allreduce(volume)

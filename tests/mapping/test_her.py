@@ -124,8 +124,6 @@ class TestHierarchicalAllreduce:
 
 class TestAllToAllConfinement:
     def test_dispatch_never_crosses_wafer(self, mapping, system):
-        import numpy as np
-
         from alltoall_reference import build_dispatch_traffic
         from placement_reference import ExpertPlacement
         from repro.network.alltoall import uniform_demand

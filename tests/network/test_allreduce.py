@@ -48,6 +48,43 @@ class TestStepCounts:
             ring_allreduce(mesh, [[0, 1], [2, 3, 4]], VOLUME)
 
 
+class TestVolumeValidation:
+    """Every ring collective rejects a volume that is not finite and >= 0,
+    naming it, before any early return."""
+
+    def test_nan_rejected_staggered(self, mesh):
+        with pytest.raises(ValueError, match="nan"):
+            ring_allreduce(mesh, [[0, 1, 5, 4]], float("nan"), staggered=True)
+
+    def test_nan_rejected_unstaggered(self, mesh):
+        with pytest.raises(ValueError, match="nan"):
+            ring_allreduce(mesh, [[0, 1, 5, 4]], float("nan"))
+
+    def test_inf_rejected(self, mesh):
+        with pytest.raises(ValueError, match="inf"):
+            ring_allreduce(mesh, [[0, 1, 5, 4]], float("inf"))
+
+    def test_negative_volume_named(self, mesh):
+        with pytest.raises(ValueError, match=r"volume_per_group .* got -1000000\.0"):
+            ring_reduce_scatter(mesh, [[0, 1, 5, 4]], -1e6, staggered=True)
+
+    def test_checked_before_singleton_return(self, mesh):
+        with pytest.raises(ValueError, match="nan"):
+            ring_allreduce(mesh, [[0]], float("nan"))
+
+    def test_hierarchical_checks_without_stages(self, mesh):
+        with pytest.raises(ValueError, match="inf"):
+            hierarchical_allreduce(mesh, [[0]], float("inf"), partition_of=lambda d: 0)
+
+    def test_zero_volume_stays_legal(self, mesh):
+        staggered = ring_allreduce(mesh, [[0, 2, 10, 8]], 0.0, staggered=True)
+        assert staggered.duration == 6 * 2 * mesh.link(0, 1).latency
+        assert set(staggered.link_bytes.values()) == {0.0}
+        unstaggered = ring_allgather(mesh, [[0, 1, 5, 4]], 0.0)
+        assert (unstaggered.duration, unstaggered.num_steps) == (0.0, 3)
+        assert unstaggered.link_bytes == {} and unstaggered.total_volume == 0.0
+
+
 class TestAdjacentRings:
     def test_one_hop_ring_cost(self, mesh):
         # Snake ring over a 2x2 tile: 0 -> 1 -> 5 -> 4 -> 0.  Bidirectional

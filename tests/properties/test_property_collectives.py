@@ -15,7 +15,7 @@ from repro.models import QWEN3_235B
 from repro.network.allreduce import ring_allreduce
 from repro.network.alltoall import SparseAllToAllPricer, simulate_alltoall
 from repro.network.phase import simulate_phase
-from repro.network.traffic import Flow, TrafficMatrix
+from repro.network.traffic import Flow
 from repro.systems import build_wsc
 from repro.topology.mesh import MeshTopology
 
