@@ -6,9 +6,9 @@ pinned oracles behind every ``ServingConfig`` flag, version-keyed caches
 that must never serve stale or aliased arrays, per-instance memos instead
 of method-level ``lru_cache``.  This module turns each convention into a
 machine-checked rule over the stdlib ``ast`` — no third-party
-dependencies — run as ``python -m repro.analysis lint src tests`` (a CI
-job, and ``tests/analysis/test_lint_repo.py`` holds the tree lint-clean
-from inside the suite too).
+dependencies — run as ``python -m repro.analysis lint src tests examples
+benchmarks tools`` (a CI job, and ``tests/analysis/test_lint_repo.py``
+holds the tree lint-clean from inside the suite too).
 
 Rules
 -----

@@ -15,7 +15,6 @@ The package has two halves:
 
 from repro.faults.health import (
     TopologyHealth,
-    degraded_bandwidth,
     health_version,
     topology_health,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "LinkDegradation",
     "Straggler",
     "TopologyHealth",
-    "degraded_bandwidth",
     "health_version",
     "topology_health",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "TopologyHealth",
     "topology_health",
     "health_version",
-    "degraded_bandwidth",
 ]
 
 _ATTR = "_fault_health"
@@ -146,13 +145,3 @@ def health_version(topology) -> int:
     """0 for a pristine topology, the record's version otherwise."""
     health = topology_health(topology)
     return 0 if health is None else health.version
-
-
-def degraded_bandwidth(topology, key: tuple[int, int]) -> float:
-    """Effective bandwidth of one link: the scalar form of the route cache's
-    ``effective_bandwidth()``, which forms the same product per link."""
-    bandwidth = topology.links[key].bandwidth
-    health = topology_health(topology)
-    if health is None:
-        return bandwidth
-    return bandwidth * health.link_factor(key)

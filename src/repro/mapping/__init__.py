@@ -3,8 +3,10 @@
 A mapping fixes, for a given topology and parallelism degree:
 
 * the TP groups of the attention layer and their ring traversal order,
-* which devices *hold* a given group's tokens after the attention layer
-  (the token-fetch source set for the MoE all-to-all),
+* which devices *hold* a given group's tokens after the attention layer:
+  one ``HolderTable`` per mapping (``token_holder_table()``), built in
+  arrays from the family's holder rule, which the MoE all-to-all, ESP's
+  token gather and the FTD analysis all read,
 * how the attention all-reduce is scheduled (plain rings, entwined
   staggered rings, or the hierarchical multi-wafer scheme).
 

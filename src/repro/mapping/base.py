@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memo import instance_memo
-
 from repro.network.allreduce import (
     CollectiveResult,
     ring_allreduce,
@@ -21,15 +19,15 @@ class HolderTable:
     """Frozen ``(num_groups, num_devices) -> (holder ids, fractions)`` table.
 
     Mappings are immutable after construction, so every ``(group, dest)``
-    token-holder list is fixed; this materializes them once into CSR
-    arrays (``offsets``/``holders``/``fractions``) that the all-to-all
-    pricer gathers without re-invoking per-pair callbacks.  Each row
-    preserves its family's holder ordering exactly: the pricer sums a
+    token-holder list is fixed; this holds them once as CSR arrays
+    (``offsets``/``holders``/``fractions``), which the all-to-all pricer
+    gathers in bulk and :meth:`entries` reads one cell at a time.  Each
+    row preserves its family's holder ordering exactly: the pricer sums a
     cell's holders in that order, so its operator rows are reproducible.
 
     Built from padded ``(num_groups, num_devices, width)`` rows: entry
-    ``[g, d, k]`` is the ``k``-th holder of cell ``(g, d)`` where ``valid``
-    is set, and valid entries come first in each row.
+    ``[g, d, k]`` is a holder of cell ``(g, d)`` where ``valid`` is set,
+    and each row keeps its valid entries in ``k`` order.
     """
 
     def __init__(
@@ -147,64 +145,15 @@ class Mapping(ABC):
     #: higher concentrates fetches on the nearest replica.
     locality_power: float = 2.0
 
-    def token_holders(self, group: int, dest: int) -> list[tuple[int, float]]:
-        """Devices to pull group ``group``'s tokens from, for fetcher ``dest``.
-
-        With all-gather retained every group member replicates the group's
-        tokens; the fetcher splits its pull across members with
-        inverse-distance weights — both the "shorter distance" and "more
-        source options" benefits of Fig. 9.  Without all-gather the tokens
-        stay sharded 1/TP per member and every shard must come from its
-        owner, however far.
-        """
-        if self.retain_allgather:
-            return self._weighted_members(group, dest)
-        members = self._tp_groups[group]
-        fraction = 1.0 / len(members)
-        return [(member, fraction) for member in members]
-
-    @instance_memo("_weighted_members_memo")
-    def _weighted_members_cached(
-        self, group: int, dest: int
-    ) -> tuple[tuple[int, float], ...]:
-        members = self._tp_groups[group]
-        weights = [
-            (1.0 / (1 + self.topology.hops(member, dest))) ** self.locality_power
-            for member in members
-        ]
-        total = sum(weights)
-        return tuple(
-            (member, weight / total) for member, weight in zip(members, weights)
-        )
-
-    def _weighted_members(self, group: int, dest: int) -> list[tuple[int, float]]:
-        return list(self._weighted_members_cached(group, dest))
-
-    @instance_memo("_nearest_members_memo")
-    def _nearest_members_cached(self, group: int, dest: int) -> tuple[tuple[int, float], ...]:
-        members = self._tp_groups[group]
-        distances = [self.topology.hops(member, dest) for member in members]
-        best = min(distances)
-        nearest = [m for m, d in zip(members, distances) if d == best]
-        fraction = 1.0 / len(nearest)
-        return tuple((member, fraction) for member in nearest)
-
-    def _nearest_members(self, group: int, dest: int) -> list[tuple[int, float]]:
-        """Nearest-member holders — the paper's conceptual FTD assumption."""
-        return list(self._nearest_members_cached(group, dest))
-
-    def analysis_holders(self, group: int, dest: int) -> list[tuple[int, float]]:
-        """Holders for FTD geometry analysis (Sec. IV-A assumes nearest)."""
-        return self._nearest_members(group, dest)
-
     def token_holder_table(self) -> HolderTable:
-        """The full token-holder relation as one precomputed array table.
+        """The token-holder relation: which devices each fetcher pulls each
+        group's tokens from, and in what shares.
 
-        Built lazily, in arrays, from each family's :meth:`_holder_rows`
+        Built lazily, in arrays, from the family's :meth:`_holder_rows`
         (FTD-confined for ER, mirror devices for HER, inverse-distance
-        weighted for baseline and GPU mappings), which list every
-        ``(group, dest)`` pair's holders exactly as :meth:`token_holders`
-        does; then cached for the mapping's lifetime.
+        weighted for baseline and GPU mappings), then cached for the
+        mapping's lifetime.  The all-to-all pricer, ESP's token gather and
+        the FTD analysis all read this one table.
         """
         table = self.__dict__.get("_holder_table")
         if table is None:
@@ -213,10 +162,17 @@ class Mapping(ABC):
         return table
 
     def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every cell's :meth:`token_holders` as padded ``(dp, devices, tp)``
-        ``(holders, fractions, valid)`` arrays: the group's members in ring
-        order, with inverse-distance weights under all-gather and equal
-        shards without it."""
+        """Every ``(group, dest)`` cell's holders as padded ``(dp, devices,
+        tp)`` ``(holders, fractions, valid)`` arrays: the group's members
+        in ring order.
+
+        With all-gather retained every group member replicates the group's
+        tokens, so the fetcher splits its pull across the members with
+        inverse-distance weights: both the "shorter distance" and "more
+        source options" benefits of Fig. 9.  Without all-gather the tokens
+        stay sharded 1/TP per member, and every shard must come from its
+        owner, however far.
+        """
         members = np.array(self._tp_groups, dtype=np.intp)
         dests = np.arange(self.topology.num_devices)
         holders = np.broadcast_to(members[:, None, :], (self.dp, dests.size, self.tp))
@@ -224,7 +180,8 @@ class Mapping(ABC):
         if not self.retain_allgather:
             return holders, np.full(holders.shape, 1.0 / self.tp), valid
         hops = self.topology.hop_counts(holders, dests[:, None])
-        # One Python power per distance, as the per-pair weights take it.
+        # One Python power per distance, as the per-pair rule in
+        # ``tests/holder_reference.py`` takes it.
         levels = np.array(
             [(1.0 / (1 + hop)) ** self.locality_power for hop in range(hops.max() + 1)]
         )
@@ -307,28 +264,13 @@ class MeshMapping(Mapping):
 
     @property
     def ftds(self) -> list[list[int]] | None:
-        """Full Token Domains when the mapping defines them (ER only)."""
+        """Full Token Domains when the mapping defines them (ER and HER)."""
         return self._ftds
 
     def ftd_of(self, device: int) -> int | None:
         if self._ftd_index is None:
             return None
         return self._ftd_index[device]
-
-    def analysis_holders(self, group: int, dest: int) -> list[tuple[int, float]]:
-        """FTD analysis follows the routing rule when tiles are defined."""
-        if self._ftd_index is not None:
-            return self.token_holders(group, dest)
-        return self._nearest_members(group, dest)
-
-    @instance_memo("_member_in_ftd_memo")
-    def _member_in_ftd(self, group: int, ftd: int) -> int | None:
-        assert self._ftds is not None
-        tile = set(self._ftds[ftd])
-        in_tile = [m for m in self.tp_groups[group] if m in tile]
-        if len(in_tile) == 1:
-            return in_tile[0]
-        return None
 
 
 def snake_order(cells: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -25,28 +25,19 @@ class ERMapping(MeshMapping):
 
     staggered_rings = True
 
-    def token_holders(self, group: int, dest: int) -> list[tuple[int, float]]:
-        """FTD-confined fetch: the single in-tile member holds everything.
+    def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """FTD-confined fetch: a cell whose fetcher's tile holds exactly one
+        member of the group gets that member alone, with fraction 1.
 
         Every FTD tile contains exactly one member of each TP group, and
         the paper confines dispatch/combine to the fetcher's own tile
         ("dispatch and combine happen within FTD") — even when a member of
         a neighbouring tile is equidistant, crossing the tile boundary
-        would reintroduce the congestion ER-Mapping eliminates.  In the
-        precomputed holder table this yields single-entry rows, so each
-        (group, destination) cell fetches along at most one route.
-        Without all-gather the tokens stay sharded and the generic 1/TP
-        fallback applies.
+        would reintroduce the congestion ER-Mapping eliminates.  The table
+        thus has single-entry rows, so each (group, destination) cell
+        fetches along at most one route.  Without all-gather the tokens
+        stay sharded and the generic 1/TP rows apply.
         """
-        if self.retain_allgather and self._ftd_index is not None:
-            member = self._member_in_ftd(group, self._ftd_index[dest])
-            if member is not None:
-                return [(member, 1.0)]
-        return super().token_holders(group, dest)
-
-    def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`token_holders` in arrays: a cell whose fetcher's tile
-        holds exactly one member of the group gets that member alone."""
         holders, fractions, valid = super()._holder_rows()
         if not (self.retain_allgather and self._ftd_index is not None):
             return holders, fractions, valid

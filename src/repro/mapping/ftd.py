@@ -1,12 +1,15 @@
 """Full Token Domain geometry analysis (paper Sec. IV-A).
 
 An FTD is the minimal device set collectively holding every TP group's
-tokens.  From a fetching device's perspective it is the set of nearest
-members of each group; the union's bounding box is the region whose links
-the device's all-to-all traffic occupies.  This module quantifies the three
+tokens.  From a fetching device's perspective it is the set of each group's
+token holders; the union's bounding box is the region whose links the
+device's all-to-all traffic occupies.  :func:`ftd_holder_table` gives the
+holders: where the mapping defines FTDs (ER, HER) its routing rule, the
+mapping's ``token_holder_table()``; elsewhere each group's nearest members,
+the paper's conceptual assumption.  This module quantifies the three
 pressures the paper analyses:
 
-* **hops** — the expected distance to another group's nearest token holder;
+* **hops** — the expected distance to another group's token holders;
 * **area** — the FTD bounding-box size;
 * **intersection** — how many distinct FTD regions cover each device, the
   proxy for congestion where regions overlap (the mesh centre under the
@@ -15,7 +18,9 @@ pressures the paper analyses:
 
 from dataclasses import dataclass
 
-from repro.mapping.base import MeshMapping
+import numpy as np
+
+from repro.mapping.base import HolderTable, MeshMapping
 from repro.topology.mesh import Coord
 
 
@@ -25,9 +30,9 @@ class FTDAnalysis:
 
     Attributes:
         mean_area: average bounding-box device count of the per-device FTDs.
-        expected_hops: mean over (device, other TP group) of the hop count
-            to the group's nearest token holder — the paper's "average
-            hops" (2.7 baseline vs 1.3 ER on a 4x4 mesh with TP=4).
+        expected_hops: mean over (device, other TP group) of the
+            holder-weighted hop count to the group's tokens — the paper's
+            "average hops" (2.7 baseline vs 1.3 ER on a 4x4 mesh with TP=4).
         overlap_degree: mean over devices of (covering FTD regions - 1);
             zero means the regions tile the mesh without intersecting.
         num_regions: count of distinct FTD regions.
@@ -54,10 +59,30 @@ def _bounding_box(mesh, devices: frozenset[int]) -> frozenset[int]:
     )
 
 
+def ftd_holder_table(mapping: MeshMapping) -> HolderTable:
+    """The holders the FTD analysis reads for each (group, fetcher) cell.
+
+    A mapping that defines FTDs fetches by its routing rule, so its own
+    ``token_holder_table()`` serves.  Otherwise each row lists the group's
+    nearest members to the fetcher, in ring order, with ties splitting the
+    fetch equally (``1.0 / count`` each).
+    """
+    if mapping.ftds is not None:
+        return mapping.token_holder_table()
+    members = np.array(mapping.tp_groups, dtype=np.intp)
+    dests = np.arange(mapping.mesh.num_devices)
+    holders = np.broadcast_to(members[:, None, :], (mapping.dp, dests.size, mapping.tp))
+    hops = mapping.mesh.hop_counts(holders, dests[:, None])
+    nearest = hops == hops.min(axis=2, keepdims=True)
+    fractions = np.broadcast_to(1.0 / nearest.sum(axis=2, keepdims=True), holders.shape)
+    return HolderTable(holders, fractions, nearest)
+
+
 def analyze_ftds(mapping: MeshMapping) -> FTDAnalysis:
     """Compute FTD geometry metrics for a mesh mapping."""
     mesh = mapping.mesh
     own_group = {device: mapping.tp_group_of(device) for device in mesh.devices}
+    table = ftd_holder_table(mapping)
 
     regions: set[frozenset[int]] = set()
     hop_sum = 0.0
@@ -66,7 +91,7 @@ def analyze_ftds(mapping: MeshMapping) -> FTDAnalysis:
     for device in mesh.devices:
         holder_set = {device}
         for group in range(mapping.dp):
-            holders = mapping.analysis_holders(group, device)
+            holders = table.entries(group, device)
             holder_set.update(member for member, _ in holders)
             if group != own_group[device]:
                 hop_sum += sum(

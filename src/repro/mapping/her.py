@@ -17,7 +17,6 @@ holder, never crossing a wafer border.
 import numpy as np
 
 from repro.mapping.base import MeshMapping, ParallelismConfig, snake_order
-from repro.memo import instance_memo
 from repro.network.allreduce import CollectiveResult, pair_steps, ring_reduce_scatter
 from repro.topology.mesh import Coord, MultiWaferTopology
 
@@ -37,6 +36,12 @@ class HierarchicalERMapping(MeshMapping):
             raise TypeError(
                 f"HierarchicalERMapping needs a MultiWaferTopology, "
                 f"got {type(topology).__name__}"
+            )
+        if not retain_allgather:
+            raise ValueError(
+                "HierarchicalERMapping requires retain_allgather=True: its "
+                "token holders are the mirror shards that the inter-wafer "
+                "all-gather places on every wafer"
             )
         super().__init__(topology, parallelism, retain_allgather)
 
@@ -88,24 +93,15 @@ class HierarchicalERMapping(MeshMapping):
 
     # -- token holders --------------------------------------------------------
 
-    def token_holders(self, group: int, dest: int) -> list[tuple[int, float]]:
+    def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pull each 1/TP shard from its mirror device on the fetcher's wafer.
 
-        After the inter-wafer all-gather, the shard that group ``group``'s
-        member holds at local coordinate ``c`` is replicated at local
-        coordinate ``c`` of every wafer; the fetcher uses its own wafer's
-        copy, keeping all dispatch traffic on-wafer.  The mirror set only
-        depends on the fetcher's wafer, so the computation is cached per
-        (group, wafer) — the holder-table build and the ESP gather both
-        hit every (group, dest) pair.
+        After the inter-wafer all-gather, the shard that a group's member
+        holds at local coordinate ``c`` is replicated at local coordinate
+        ``c`` of every wafer; the fetcher uses its own wafer's copy, keeping
+        all dispatch traffic on-wafer.  Each row lists the mirrors of the
+        group's members, in ring order, on the destination's wafer.
         """
-        return list(
-            self._mirror_holders_cached(group, self.wafer_topology.wafer_of(dest))
-        )
-
-    def _holder_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`token_holders` in arrays: the mirrors of each group's
-        members on each destination's wafer."""
         mesh = self.wafer_topology
         row, column = np.divmod(np.array(self.tp_groups, dtype=np.intp), mesh.width)
         dest_wafer = np.arange(mesh.num_devices) % mesh.width // mesh.wafer_width
@@ -115,20 +111,6 @@ class HierarchicalERMapping(MeshMapping):
         )
         valid = np.ones(holders.shape, dtype=bool)
         return holders, np.full(holders.shape, 1.0 / self.tp), valid
-
-    @instance_memo("_mirror_holders_memo")
-    def _mirror_holders_cached(
-        self, group: int, dest_wafer: int
-    ) -> tuple[tuple[int, float], ...]:
-        mesh = self.wafer_topology
-        col0 = dest_wafer * mesh.wafer_width
-        fraction = 1.0 / self.tp
-        holders = []
-        for member in self.tp_groups[group]:
-            local = mesh.local_coord(member)
-            mirror = mesh.device_at(Coord(local.x, col0 + local.y))
-            holders.append((mirror, fraction))
-        return tuple(holders)
 
     # -- hierarchical all-reduce ----------------------------------------------
 

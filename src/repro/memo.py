@@ -1,7 +1,7 @@
 """Per-instance method memoization.
 
-The simulator memoizes many pure methods on immutable objects (holder
-lookups on mappings, route walks on topologies).  Those memos must live
+The simulator memoizes pure methods on immutable objects (route walks on
+topologies, popularity vectors on scenario profiles).  Those memos must live
 on the *instance*, never in a method-level ``functools.lru_cache``: a
 class-level cache keyed by ``self`` holds a strong reference to every
 instance it ever saw, pinning retired mappings/topologies (and the route

@@ -4,7 +4,8 @@ Models with few, large experts (DBRX, Mixtral) can split each expert
 across the devices of an ESP group.  Communication then has two parts:
 
 1. **token gather** — a token must reach *every* member of its expert's ESP
-   group (each member holds a weight slice).  On GPU clusters this is an
+   group (each member holds a weight slice), fetched from the holders in the
+   mapping's ``token_holder_table()``.  On GPU clusters this is an
    all-to-all across groups; under ER-Mapping the ESP group is the FTD, and
    since every FTD already holds all tokens the gather collapses to
    intra-tile hops — "the all-to-all communication is eliminated".
@@ -14,14 +15,11 @@ across the devices of an ESP group.  Communication then has two parts:
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.mapping.base import Mapping, MeshMapping
 from repro.models.configs import MoEModelConfig
 from repro.network.allreduce import CollectiveResult, ring_allreduce
 from repro.network.phase import PhaseResult, simulate_phase
 from repro.network.traffic import TrafficMatrix
-from repro.topology.base import Topology
 
 
 @dataclass
@@ -92,11 +90,12 @@ def simulate_esp(
     )
     per_esp_volume = routed_volume / num_esp_groups
 
+    table = mapping.token_holder_table()
     gather_traffic = TrafficMatrix()
     for tp_group in range(mapping.dp):
         for members in groups:
             for member in members:
-                for holder, fraction in mapping.token_holders(tp_group, member):
+                for holder, fraction in table.entries(tp_group, member):
                     gather_traffic.add(holder, member, per_esp_volume * fraction)
     gather = simulate_phase(topology, gather_traffic)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.interconnect import WSC_CROSS_WAFER, WSC_LINK, InterconnectSpec
-from repro.memo import instance_memo
 from repro.topology.base import CachedRoutingMixin, Link, Topology
 
 
@@ -117,50 +116,22 @@ class MeshTopology(CachedRoutingMixin, Topology):
 
     # -- routing ------------------------------------------------------------
 
-    def _walk(self, src: int, dst: int, rows_first: bool) -> list[Link]:
+    def _route_impl(self, src: int, dst: int) -> list[Link]:
+        """Dimension-ordered XY routing: rows first, then columns."""
         path: list[Link] = []
         here = self.coord_of(src)
         target = self.coord_of(dst)
-
-        def step_rows():
-            nonlocal here
-            while here.x != target.x:
-                step = 1 if target.x > here.x else -1
-                nxt = Coord(here.x + step, here.y)
-                path.append(self.link(self.device_at(here), self.device_at(nxt)))
-                here = nxt
-
-        def step_cols():
-            nonlocal here
-            while here.y != target.y:
-                step = 1 if target.y > here.y else -1
-                nxt = Coord(here.x, here.y + step)
-                path.append(self.link(self.device_at(here), self.device_at(nxt)))
-                here = nxt
-
-        if rows_first:
-            step_rows()
-            step_cols()
-        else:
-            step_cols()
-            step_rows()
+        while here.x != target.x:
+            step = 1 if target.x > here.x else -1
+            nxt = Coord(here.x + step, here.y)
+            path.append(self.link(self.device_at(here), self.device_at(nxt)))
+            here = nxt
+        while here.y != target.y:
+            step = 1 if target.y > here.y else -1
+            nxt = Coord(here.x, here.y + step)
+            path.append(self.link(self.device_at(here), self.device_at(nxt)))
+            here = nxt
         return path
-
-    def _route_impl(self, src: int, dst: int) -> list[Link]:
-        """Dimension-ordered XY routing: rows first, then columns."""
-        return self._walk(src, dst, rows_first=True)
-
-    @instance_memo("_alternate_route_memo")
-    def _alternate_route_cached(self, src: int, dst: int) -> tuple[Link, ...]:
-        return tuple(self._walk(src, dst, rows_first=False))
-
-    def route_alternate(self, src: int, dst: int) -> list[Link]:
-        """The YX (columns-first) path — the second O1TURN route class.
-
-        Wafer NoCs balance load across the two dimension orders; the phase
-        simulator splits each flow evenly between ``route`` and this path.
-        """
-        return list(self._alternate_route_cached(src, dst))
 
     def dimension_order_links(
         self, src: np.ndarray, dst: np.ndarray, rows_first: bool

@@ -4,9 +4,11 @@
 array plan.  This module keeps the per-flow walk the plans replaced:
 
 * :func:`_run_ring_steps` walks each staggered flow's route link by link
-  (``topology.route`` and ``degraded_bandwidth`` per hop) and prices an
+  (``topology.route`` and :func:`degraded_bandwidth` per hop) and prices an
   unstaggered step as one merged :class:`TrafficMatrix` through
   ``simulate_phase``;
+* :func:`degraded_bandwidth` is one link's effective bandwidth, the scalar
+  form of the route cache's ``effective_bandwidth()``;
 * :func:`line_allgather_across_wafers` is HER's inter-wafer line
   all-gather, built as a ``TrafficMatrix`` one transfer at a time;
 * :func:`ring_allreduce`, :func:`ring_reduce_scatter`,
@@ -18,7 +20,7 @@ Nothing is cached and nothing checks the volume, so every call walks the
 fabric as it stands.  The tests hold the plans to these bit for bit.
 """
 
-from repro.faults.health import degraded_bandwidth
+from repro.faults.health import topology_health
 from repro.mapping.base import Mapping
 from repro.mapping.her import HierarchicalERMapping
 from repro.network.allreduce import CollectiveResult
@@ -26,6 +28,16 @@ from repro.network.phase import simulate_phase
 from repro.network.traffic import TrafficMatrix
 from repro.topology.base import Topology
 from repro.topology.mesh import Coord
+
+
+def degraded_bandwidth(topology, key: tuple[int, int]) -> float:
+    """Effective bandwidth of one link: the scalar form of the route cache's
+    ``effective_bandwidth()``, which forms the same product per link."""
+    bandwidth = topology.links[key].bandwidth
+    health = topology_health(topology)
+    if health is None:
+        return bandwidth
+    return bandwidth * health.link_factor(key)
 
 
 def _ring_step_traffic(groups: list[list[int]], chunk: float) -> list[TrafficMatrix]:

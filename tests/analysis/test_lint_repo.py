@@ -1,8 +1,8 @@
 """The tree itself must stay lint-clean — the empty-baseline contract.
 
-CI runs ``python -m repro.analysis lint src tests``; this test holds the
-same invariant from inside the suite, so a violation fails locally before
-it ever reaches the lint job.
+CI runs ``python -m repro.analysis lint src tests examples benchmarks
+tools``; this test holds the same invariant from inside the suite, so a
+violation fails locally before it ever reaches the lint job.
 """
 
 from pathlib import Path
@@ -12,6 +12,10 @@ import pytest
 from repro.analysis.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+#: Every Python tree the repo ships, as the CI lint job lists them.
+LINTED_TREES = ("src", "tests", "examples", "benchmarks", "tools")
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +28,9 @@ def repo_dirs():
 
 
 def test_tree_is_lint_clean(repo_dirs):
-    src, tests = repo_dirs
-    violations = lint_paths([src, tests], project_rules=False)
+    trees = [REPO_ROOT / name for name in LINTED_TREES]
+    assert all(tree.is_dir() for tree in trees)
+    violations = lint_paths(trees, project_rules=False)
     assert violations == [], "\n" + "\n".join(v.format() for v in violations)
 
 

@@ -3,9 +3,11 @@
 fig01, fig04, fig11 and fig12 build their placements themselves and price
 one MoE layer each: fig01 and fig04 through ``ComputeModel.moe_peak_time``,
 fig01 and fig11 through ``simulate_alltoall`` and fig12 through
-``device_token_loads``.  Every float metric is pinned bit for bit as
-``float.hex``; text metrics are pinned verbatim.  A moved pin means the
-priced numbers moved: do not re-capture it to make a refactor pass.
+``device_token_loads``.  fig14a prices one ESP layer per platform, its
+token gather read from the mapping's holder table.  Every float metric is
+pinned bit for bit as ``float.hex``; text metrics are pinned verbatim.  A
+moved pin means the priced numbers moved: do not re-capture it to make a
+refactor pass.
 """
 
 import pytest
@@ -239,6 +241,26 @@ PINS = [
             "early": "0x1.5fe0c49ba5e34p-7",
             "late": "0x1.07f0068db8badp-9",
             "peak": "0x1.7ee0000000000p+0",
+        },
+    ),
+    (
+        "fig14a_esp",
+        {"model": "dbrx"},
+        {
+            "name": "DBRX",
+            "dgx": "0x1.c90055089cbc0p-13",
+            "wsc": "0x1.583a2fd4e7300p-14",
+            "er": "0x1.f782a264402a1p-15",
+        },
+    ),
+    (
+        "fig14a_esp",
+        {"model": "mixtral-8x22b"},
+        {
+            "name": "Mixtral-8x22B",
+            "dgx": "0x1.da32ac73bd9c4p-14",
+            "wsc": "0x1.67bf08165c454p-15",
+            "er": "0x1.0a040a1454522p-15",
         },
     ),
 ]

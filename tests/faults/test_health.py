@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.faults import (
-    TopologyHealth,
-    degraded_bandwidth,
-    health_version,
-    topology_health,
-)
+from allreduce_reference import degraded_bandwidth
+from repro.faults import health_version, topology_health
 from repro.network.phase import _route_cache
 from repro.topology.mesh import MeshTopology
 
@@ -94,9 +90,19 @@ class TestHealthRecord:
 
 
 class TestDegradedBandwidth:
+    """The reference's per-link scalar equals the route cache's array."""
+
+    @staticmethod
+    def assert_matches_route_cache(topology):
+        cache = _route_cache(topology)
+        effective = cache.effective_bandwidth()
+        for position, key in enumerate(cache.keys):
+            assert degraded_bandwidth(topology, key) == effective[position]
+
     def test_pristine_reads_nominal(self, topology):
         key = next(iter(topology.links))
         assert degraded_bandwidth(topology, key) == topology.links[key].bandwidth
+        self.assert_matches_route_cache(topology)
 
     def test_degraded_link_scales(self, topology):
         key = next(iter(topology.links))
@@ -104,6 +110,7 @@ class TestDegradedBandwidth:
         assert degraded_bandwidth(topology, key) == pytest.approx(
             0.25 * topology.links[key].bandwidth
         )
+        self.assert_matches_route_cache(topology)
 
 
 class TestEffectiveBandwidth:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
+from repro.mapping.ftd import ftd_holder_table
 from repro.topology.mesh import Coord, MeshTopology
 
 
@@ -91,7 +92,7 @@ class TestTokenHolders:
         # weighted, so the nearest member (2,2) carries the largest share.
         dest = mesh.device_at(Coord(0, 0))
         group = mapping.tp_group_of(mesh.device_at(Coord(2, 2)))
-        holders = dict(mapping.token_holders(group, dest))
+        holders = dict(mapping.token_holder_table().entries(group, dest))
         assert len(holders) == 4
         nearest = mesh.device_at(Coord(2, 2))
         assert holders[nearest] == max(holders.values())
@@ -99,16 +100,16 @@ class TestTokenHolders:
     def test_self_fetch_dominates_own_group(self, mapping, mesh):
         dest = mesh.device_at(Coord(0, 0))
         own_group = mapping.tp_group_of(dest)
-        holders = dict(mapping.token_holders(own_group, dest))
+        holders = dict(mapping.token_holder_table().entries(own_group, dest))
         assert holders[dest] == max(holders.values())
         assert holders[dest] > 0.5
 
     def test_analysis_holders_are_nearest_only(self, mapping, mesh):
         dest = mesh.device_at(Coord(0, 0))
         group = mapping.tp_group_of(mesh.device_at(Coord(2, 2)))
-        assert mapping.analysis_holders(group, dest) == [
-            (mesh.device_at(Coord(2, 2)), 1.0)
-        ]
+        assert ftd_holder_table(mapping).entries(group, dest) == (
+            (mesh.device_at(Coord(2, 2)), 1.0),
+        )
 
     def test_without_allgather_all_members(self, mesh):
         mapping = BaselineMapping(
@@ -116,14 +117,13 @@ class TestTokenHolders:
             ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)),
             retain_allgather=False,
         )
-        holders = mapping.token_holders(0, 15)
+        holders = mapping.token_holder_table().entries(0, 15)
         assert len(holders) == 4
         assert sum(fraction for _, fraction in holders) == pytest.approx(1.0)
 
     def test_holder_fractions_sum_to_one(self, mapping):
+        table = mapping.token_holder_table()
         for group in range(mapping.dp):
             for dest in mapping.topology.devices:
-                fractions = sum(
-                    fraction for _, fraction in mapping.token_holders(group, dest)
-                )
+                fractions = sum(fraction for _, fraction in table.entries(group, dest))
                 assert fractions == pytest.approx(1.0)

@@ -84,10 +84,11 @@ class TestEntwinedRings:
 
 class TestTokenHolders:
     def test_holder_is_in_fetchers_ftd(self, mapping):
+        table = mapping.token_holder_table()
         for dest in mapping.topology.devices:
             ftd = mapping.ftd_of(dest)
             for group in range(mapping.dp):
-                holders = mapping.token_holders(group, dest)
+                holders = table.entries(group, dest)
                 assert len(holders) == 1
                 holder, fraction = holders[0]
                 assert fraction == 1.0
@@ -99,8 +100,9 @@ class TestTokenHolders:
             ParallelismConfig(tp=4, dp=4, tp_shape=(2, 2)),
             retain_allgather=False,
         )
-        holders = mapping.token_holders(0, 15)
-        assert len(holders) == 4
+        holders = mapping.token_holder_table().entries(0, 15)
+        assert [holder for holder, _ in holders] == mapping.tp_groups[0]
+        assert [fraction for _, fraction in holders] == [0.25] * 4
 
 
 class TestOtherScales:

@@ -43,5 +43,7 @@ class TestNVL72Mapping:
         mapping = GPUMapping(nvl, ParallelismConfig(tp=4, dp=18))
         # All devices are equidistant through the switch, so members of the
         # group split the fetch (except the destination itself, if a member).
-        holders = mapping.token_holders(0, 70)
+        holders = mapping.token_holder_table().entries(0, 70)
+        assert [holder for holder, _ in holders] == mapping.tp_groups[0]
+        assert len({fraction for _, fraction in holders}) == 1
         assert sum(fraction for _, fraction in holders) == pytest.approx(1.0)

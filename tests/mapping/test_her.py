@@ -52,10 +52,11 @@ class TestStructure:
 
 class TestTokenHolders:
     def test_holders_on_fetchers_wafer(self, mapping, system):
+        table = mapping.token_holder_table()
         for dest in (0, 20, 40, 63):
             dest_wafer = system.wafer_of(dest)
             for group in (0, 5, 15):
-                holders = mapping.token_holders(group, dest)
+                holders = table.entries(group, dest)
                 assert len(holders) == mapping.tp
                 for holder, fraction in holders:
                     assert system.wafer_of(holder) == dest_wafer
@@ -64,10 +65,22 @@ class TestTokenHolders:
     def test_holders_mirror_local_coords(self, mapping, system):
         group = 0
         members = mapping.tp_groups[group]
-        local_coords = {system.local_coord(m) for m in members}
         dest = system.wafer_devices(2)[0]
-        holders = mapping.token_holders(group, dest)
-        assert {system.local_coord(h) for h, _ in holders} == local_coords
+        holders = mapping.token_holder_table().entries(group, dest)
+        # Each member's mirror, in ring order.
+        assert [system.local_coord(h) for h, _ in holders] == [
+            system.local_coord(m) for m in members
+        ]
+
+    def test_rejects_dropping_the_allgather(self, system):
+        """The mirror holders exist only because of the inter-wafer
+        all-gather, so HER without it is refused at construction."""
+        with pytest.raises(ValueError, match="retain_allgather"):
+            HierarchicalERMapping(
+                system,
+                ParallelismConfig(tp=4, dp=16, tp_shape=(2, 2)),
+                retain_allgather=False,
+            )
 
 
 class TestHierarchicalAllreduce:

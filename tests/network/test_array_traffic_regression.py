@@ -21,11 +21,13 @@ from alltoall_reference import (
     price_pairs,
 )
 from alltoall_reference import simulate_alltoall as reference_alltoall
+from holder_reference import analysis_holders, token_holders
 from placement_reference import ExpertPlacement
 from placement_replay import LayerReplay
-from repro.mapping.base import ParallelismConfig
+from repro.mapping.base import MeshMapping, ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
+from repro.mapping.ftd import ftd_holder_table
 from repro.mapping.gpu import GPUMapping
 from repro.mapping.her import HierarchicalERMapping
 from repro.mapping.placement import StackedPlacement
@@ -86,7 +88,9 @@ def reversed_traffic(traffic):
 def assert_matches_oracle(demand, placement, mapping):
     array_traffic = build_dispatch_traffic(demand, placement, mapping)
     oracle = loop_dispatch_traffic(
-        demand, placement.destinations, mapping.token_holders
+        demand,
+        placement.destinations,
+        lambda group, dest: token_holders(mapping, group, dest),
     )
     # Bit-identical aggregation *and* pair order: the plan walks (cell,
     # destination, holder) terms in the loop's order and numbers pairs by
@@ -201,11 +205,12 @@ class TestMidRunMigration:
         with pytest.raises(ValueError):
             placement.destination_shares[0, 0] = 1.0
 
-def per_pair_holder_arrays(mapping):
-    """``(offsets, holders, fractions)`` built pair by pair from
-    :meth:`token_holders`: the oracle for the array-built table."""
+def per_pair_holder_arrays(mapping, holders=token_holders):
+    """``(offsets, holders, fractions)`` built pair by pair from the
+    reference's ``holders(mapping, group, dest)``: the oracle for an
+    array-built table."""
     rows = [
-        mapping.token_holders(group, dest)
+        holders(mapping, group, dest)
         for group in range(mapping.dp)
         for dest in range(mapping.topology.num_devices)
     ]
@@ -216,8 +221,13 @@ def per_pair_holder_arrays(mapping):
 
 
 def _holder_families():
-    """Every mapping family, with and without all-gather where it matters."""
-    families = {}
+    """Every mapping family, with and without all-gather where it matters
+    (HER holds its tokens only through the all-gather, so it has it on)."""
+    families = {
+        "her": HierarchicalERMapping(
+            MultiWaferTopology(2, 4, 4), ParallelismConfig(tp=4, dp=8, tp_shape=(2, 2))
+        )
+    }
     for retain in (True, False):
         suffix = "" if retain else "_without_allgather"
         families["er" + suffix] = ERMapping(
@@ -225,9 +235,6 @@ def _holder_families():
         )
         families["baseline" + suffix] = BaselineMapping(
             MeshTopology(8, 8), ParallelismConfig(tp=4, dp=16, tp_shape=(2, 2)), retain
-        )
-        families["her" + suffix] = HierarchicalERMapping(
-            MultiWaferTopology(2, 4, 4), ParallelismConfig(tp=4, dp=8, tp_shape=(2, 2)), retain
         )
         families["gpu_dgx" + suffix] = GPUMapping(
             DGXClusterTopology(num_nodes=2), ParallelismConfig(tp=4, dp=4), retain
@@ -245,18 +252,36 @@ def _holder_families():
 HOLDER_FAMILIES = _holder_families()
 
 
+def assert_table_equals(table, want):
+    """Offsets, holder ids and fractions bit for bit, dtypes included."""
+    for got, expected in zip((table.offsets, table.holders, table.fractions), want):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestHolderTable:
     @pytest.mark.parametrize("family", sorted(HOLDER_FAMILIES))
     def test_array_build_equals_the_per_pair_table(self, family):
-        """The array-built table holds the per-pair holder lists bit for
-        bit: offsets, holder ids and fractions, dtypes included."""
+        """The array-built table holds the reference's per-pair holder
+        lists bit for bit."""
         mapping = HOLDER_FAMILIES[family]
-        table = mapping.token_holder_table()
-        for got, want in zip(
-            (table.offsets, table.holders, table.fractions), per_pair_holder_arrays(mapping)
-        ):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        assert_table_equals(mapping.token_holder_table(), per_pair_holder_arrays(mapping))
+
+    @pytest.mark.parametrize(
+        "family",
+        sorted(
+            name for name, mapping in HOLDER_FAMILIES.items()
+            if isinstance(mapping, MeshMapping)
+        ),
+    )
+    def test_ftd_analysis_table_equals_the_per_pair_rule(self, family):
+        """The FTD analysis's table, the mapping's own where it defines
+        FTDs and nearest members elsewhere, holds the reference's per-pair
+        analysis holders bit for bit."""
+        mapping = HOLDER_FAMILIES[family]
+        assert_table_equals(
+            ftd_holder_table(mapping), per_pair_holder_arrays(mapping, analysis_holders)
+        )
 
     @pytest.mark.parametrize("family", sorted(MAPPINGS))
     def test_table_mirrors_token_holders(self, family):
@@ -266,8 +291,8 @@ class TestHolderTable:
         num_devices = mapping.topology.num_devices
         for group in range(mapping.dp):
             for dest in range(num_devices):
-                assert list(table.entries(group, dest)) == list(
-                    mapping.token_holders(group, dest)
+                assert list(table.entries(group, dest)) == token_holders(
+                    mapping, group, dest
                 )
         # CSR arrays agree with the nested rows.
         flat = [

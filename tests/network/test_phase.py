@@ -6,6 +6,7 @@ import pytest
 from repro.network import phase
 from repro.network.phase import route_rows, simulate_phase
 from repro.network.traffic import Flow, TrafficMatrix
+from repro.topology.base import Topology
 from repro.topology.mesh import MeshTopology, MultiWaferTopology
 
 
@@ -101,24 +102,26 @@ class TestRouteRows:
             route_rows(mesh, [-1], [31])
 
     def test_mesh_rows_walk_no_route(self, monkeypatch):
+        """Mesh rows come from the closed form: no route and no hop of
+        either dimension order is walked through ``link``."""
         topology = MultiWaferTopology(2, 3, 3)
         calls = []
 
-        def counted(method):
+        def counted(name, method):
             def wrapper(self, *args):
-                calls.append(args)
+                calls.append((name, args))
                 return method(self, *args)
 
             return wrapper
 
-        for name in ("route", "route_alternate"):
-            monkeypatch.setattr(MeshTopology, name, counted(getattr(MeshTopology, name)))
+        for cls, name in ((MeshTopology, "route"), (Topology, "link")):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
         src, dst = np.divmod(np.arange(topology.num_devices**2), topology.num_devices)
         counts, *_ = route_rows(topology, src, dst)
         assert counts.sum() > 0
         assert calls == []
         topology.route(0, 1)
-        assert calls == [(0, 1)]
+        assert calls == [("route", (0, 1)), ("link", (0, 1))]
 
 
 def plain_sum(terms):

@@ -7,6 +7,7 @@ from repro.network.phase import simulate_phase
 from repro.network.traffic import Flow, TrafficMatrix
 from repro.topology.mesh import MeshTopology
 from repro.topology.switched import DGXClusterTopology
+from route_reference import route_alternate
 
 #: Relative 1e-12 with no absolute floor: pytest.approx's default 1e-12
 #: absolute tolerance would pass any phase time, which is ~1e-7 s here.
@@ -14,8 +15,8 @@ TIGHT = dict(rel=1e-12, abs=0.0)
 
 
 def loop_simulate_phase(topology, flow_list):
-    """The seed cut-through implementation, verbatim."""
-    route_alternate = getattr(topology, "route_alternate", None)
+    """The seed cut-through implementation.  On a mesh each flow also takes
+    the walked YX route wherever it differs from the XY one."""
     link_bytes = {}
     worst_latency = 0.0
     total_volume = 0.0
@@ -23,8 +24,8 @@ def loop_simulate_phase(topology, flow_list):
         total_volume += flow.volume
         primary = topology.route(flow.src, flow.dst)
         routes = [primary]
-        if route_alternate is not None:
-            alternate = route_alternate(flow.src, flow.dst)
+        if isinstance(topology, MeshTopology):
+            alternate = route_alternate(topology, flow.src, flow.dst)
             if [link.key for link in alternate] != [link.key for link in primary]:
                 routes.append(alternate)
         share = flow.volume / len(routes)

@@ -51,11 +51,10 @@ class TestERInvariants:
         mapping = ERMapping(
             mesh, ParallelismConfig(tp=tp, dp=side * side // tp, tp_shape=tp_shape)
         )
+        table = mapping.token_holder_table()
         for dest in list(mesh.devices)[:: max(1, mesh.num_devices // 6)]:
             for group in range(0, mapping.dp, max(1, mapping.dp // 6)):
-                total = sum(
-                    fraction for _, fraction in mapping.token_holders(group, dest)
-                )
+                total = sum(fraction for _, fraction in table.entries(group, dest))
                 assert abs(total - 1.0) < 1e-9
 
     @given(er_configuration())

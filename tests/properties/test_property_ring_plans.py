@@ -109,9 +109,10 @@ def ring_cases(draw):
 
 @st.composite
 def mappings(draw):
-    """An ER, HER, baseline or GPU mapping with all-gather on or off."""
+    """An ER, HER, baseline or GPU mapping with all-gather on or off (HER
+    always keeps it: its token holders need the inter-wafer all-gather)."""
     family = draw(st.sampled_from(["er", "baseline", "her", "gpu"]))
-    retain_allgather = draw(st.booleans())
+    retain_allgather = draw(st.just(True) if family == "her" else st.booleans())
     if family == "gpu":
         topology = DGXClusterTopology(num_nodes=draw(st.integers(1, 3)))
         tp = draw(st.sampled_from([2, 4, 8]))

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.phase import route_rows
-from repro.topology.mesh import Coord, MeshTopology, MultiWaferTopology
+from repro.topology.mesh import MeshTopology, MultiWaferTopology
 from repro.topology.switched import DGXClusterTopology
+from route_reference import route_alternate, walk
 
 mesh_dims = st.integers(min_value=1, max_value=7)
 
@@ -27,6 +28,12 @@ class TestMeshRouting:
     def test_route_is_shortest_path(self, case):
         mesh, src, dst = case
         assert len(mesh.route(src, dst)) == mesh.manhattan(src, dst)
+
+    @given(mesh_and_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_route_is_the_rows_first_walk(self, case):
+        mesh, src, dst = case
+        assert mesh.route(src, dst) == walk(mesh, src, dst, rows_first=True)
 
     @given(mesh_and_pair())
     @settings(max_examples=150, deadline=None)
@@ -101,7 +108,7 @@ def walked_row(topology, src, dst):
     # O1TURN-style multipath: meshes split each flow evenly across the
     # XY and YX dimension orders when they differ.
     routes = [primary]
-    alternate = topology.route_alternate(src, dst)
+    alternate = route_alternate(topology, src, dst)
     if [link.key for link in alternate] != [link.key for link in primary]:
         routes.append(alternate)
     share = 1.0 / len(routes)
