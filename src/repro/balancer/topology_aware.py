@@ -35,15 +35,12 @@ class TopologyAwareBalancer(Balancer):
         self._hops_rows: dict[int, np.ndarray] = {}
 
     def _hops_row(self, src: int) -> np.ndarray:
+        """Route hop counts from ``src`` to every device, cached."""
         row = self._hops_rows.get(src)
         if row is None:
-            row = np.array(
-                [
-                    self.topology.hops(src, dst) if dst != src else 0
-                    for dst in range(self.placement.num_devices)
-                ],
-                dtype=float,
-            )
+            row = self.topology.hop_counts(
+                src, np.arange(self.placement.num_devices)
+            ).astype(float)
             self._hops_rows[src] = row
         return row
 

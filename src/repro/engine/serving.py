@@ -385,23 +385,6 @@ class ServingSimulator:
     def invasive(self) -> bool:
         return self.engine.invasive
 
-    # -- migration pricing -------------------------------------------------------
-
-    def _migration_path_time(self, migration: Migration) -> float:
-        """Store-and-forward weight-copy latency on the critical path.
-
-        Per-pair (bandwidth, latency) arrays come from the shared phase
-        route cache instead of re-walking ``topology.route`` per migration;
-        the cumulative sum keeps the seed's sequential accumulation order,
-        so the priced latency is bit-identical to the original loop.
-        """
-        bandwidths, latencies = migration_route_arrays(
-            self.mapping.topology, migration.src, migration.dst
-        )
-        if bandwidths.size == 0:
-            return 0.0
-        return float(np.cumsum(migration.volume / bandwidths + latencies)[-1])
-
     def _ftd_of(self, device: int):
         ftd_fn = getattr(self.mapping, "ftd_of", None)
         if ftd_fn is None:
@@ -724,10 +707,7 @@ class ServingSimulator:
         for layer, migrations in enumerate(layer_plans):
             for migration in migrations:
                 started += 1
-                if self.invasive and not config.migration_side_channel:
-                    exposed += self._migration_path_time(migration)
-                    commits.append((layer, migration))
-                elif self.invasive:
+                if self.invasive:
                     commits.append((layer, migration))
                 else:
                     pending = split_migration(
@@ -740,6 +720,19 @@ class ServingSimulator:
                         iteration=iteration,
                     )
                     self._in_flight.append((layer, migration, pending))
+        if commits and not config.migration_side_channel:
+            # Store-and-forward weight copies on the critical path, priced
+            # in one call: each copy folds volume / bandwidth + latency hop
+            # by hop, and the stall adds the copies in layer-major order.
+            copies = [migration for _, migration in commits]
+            bandwidths, latencies = migration_route_arrays(
+                self.mapping.topology,
+                np.array([copy.src for copy in copies]),
+                np.array([copy.dst for copy in copies]),
+            )
+            volumes = np.array([copy.volume for copy in copies])
+            times = np.cumsum(volumes / bandwidths + latencies, axis=0)[-1]
+            exposed = float(np.cumsum(times)[-1])
         self._commit_many(commits)
         if started:
             self._last_migration_iter = iteration

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from repro.analysis.report import format_table
-from repro.experiments.cache import ResultCache, default_cache_dir
+from repro.experiments.cache import ResultCache
 from repro.experiments.common import emit
 from repro.experiments.registry import all_specs, find_specs
 from repro.experiments.runner import Runner

@@ -85,9 +85,6 @@ class TopologyHealth:
         if changed:
             self.version += 1
 
-    def link_factor(self, key: tuple[int, int]) -> float:
-        return self._link_factors.get(key, 1.0)
-
     def link_factors(self, keys: list[tuple[int, int]]) -> np.ndarray | None:
         """Per-link factor array in ``keys`` order, or ``None`` when no
         link is degraded (the common case, letting callers keep the

@@ -10,7 +10,9 @@ stream is untouched by fault injection and traces stay bit-reproducible
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +39,8 @@ class DeviceFailure:
     device: int
 
     def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise ValueError("fault iteration must be >= 0")
-        if self.device < 0:
-            raise ValueError("device index must be >= 0")
+        _check_integer("iteration", self.iteration, minimum=0)
+        _check_integer("device", self.device, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,13 @@ class LinkDegradation:
     duration: int | None = None
 
     def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise ValueError("fault iteration must be >= 0")
-        if not (0.0 < self.factor <= 1.0):
-            raise ValueError("link degradation factor must be in (0, 1]")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("duration must be positive (or None for permanent)")
+        _check_integer("iteration", self.iteration, minimum=0)
+        _check_integer("src", self.src, minimum=0)
+        _check_integer("dst", self.dst, minimum=0)
+        if not (isinstance(self.factor, numbers.Real) and 0.0 < self.factor <= 1.0):
+            raise ValueError(f"factor must be in (0, 1], got {self.factor!r}")
+        if self.duration is not None:
+            _check_integer("duration", self.duration, minimum=1)
 
     @classmethod
     def link_loss(
@@ -87,14 +88,29 @@ class Straggler:
     duration: int
 
     def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise ValueError("fault iteration must be >= 0")
-        if self.device < 0:
-            raise ValueError("device index must be >= 0")
-        if self.factor < 1.0:
-            raise ValueError("straggler factor is a slowdown multiplier, must be >= 1")
-        if self.duration <= 0:
-            raise ValueError("straggler duration must be positive")
+        _check_integer("iteration", self.iteration, minimum=0)
+        _check_integer("device", self.device, minimum=0)
+        if not (
+            isinstance(self.factor, numbers.Real)
+            and math.isfinite(self.factor)
+            and self.factor >= 1.0
+        ):
+            raise ValueError(
+                f"factor is a slowdown multiplier and must be finite and >= 1, "
+                f"got {self.factor!r}"
+            )
+        _check_integer("duration", self.duration, minimum=1)
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (numpy integers included) of at least ``minimum``.
+
+    A fractional iteration never equals the integer one ``events_at`` is
+    asked for, and a NaN duration never expires, so neither may pass.
+    """
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 FaultEvent = DeviceFailure | LinkDegradation | Straggler

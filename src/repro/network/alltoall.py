@@ -143,7 +143,8 @@ class _DestRows:
     """Operator entries of one destination column, for every group.
 
     Entries are the dispatch phase's (combine mirrors them), grouped by
-    ``group`` (ascending) and ordered by link slot within a group.  The
+    demand group (ascending) and ordered by link slot within a group:
+    group ``g``'s entries are ``offsets[g]:offsets[g + 1]``.  The
     latencies cover both phases: combine's come from the ``dest ->
     holder`` walks.  Depends only on the mapping, so rows are built once
     per destination and shared by every hosted set that contains it.
@@ -151,7 +152,7 @@ class _DestRows:
 
     link_idx: np.ndarray  # (nnz,) dispatch link slots, in [0, num_links)
     weight: np.ndarray  # (nnz,) holder-fraction-weighted link bytes/byte
-    group: np.ndarray  # (nnz,) demand group of each entry
+    offsets: np.ndarray  # (num_groups + 1,) each group's first entry, then nnz
     latency: np.ndarray  # (2, num_groups) worst path latency per phase
 
     @property
@@ -159,7 +160,7 @@ class _DestRows:
         return (
             self.link_idx.nbytes
             + self.weight.nbytes
-            + self.group.nbytes
+            + self.offsets.nbytes
             + self.latency.nbytes
         )
 
@@ -423,15 +424,19 @@ class SparseAllToAllPricer:
             inverse, weights=np.repeat(fractions, counts) * weights, minlength=touched.size
         )
         cell_of, link_idx = np.divmod(touched, self.num_links)
-        position, group = np.divmod(cell_of, num_groups)
+        # Entries are in ascending cell order, so a search finds each
+        # cell's first; a destination's group offsets count from its own.
+        bounds = np.searchsorted(cell_of, np.arange(cells.size + 1))
+        windows = np.lib.stride_tricks.sliding_window_view(bounds, num_groups + 1)
+        windows = windows[::num_groups]
+        offsets = windows - windows[:, :1]
         latency = latency.reshape(2, dests.size, num_groups).transpose(1, 0, 2).copy()
         # Each destination's rows are views of the batch arrays.
-        sanitize.freeze((link_idx, weight, group, latency))
-        bounds = np.searchsorted(position, np.arange(dests.size + 1))
+        sanitize.freeze((link_idx, weight, offsets, latency))
         for pos, dest in enumerate(dests.tolist()):
-            part = slice(bounds[pos], bounds[pos + 1])
+            part = slice(windows[pos, 0], windows[pos, -1])
             self._dest_rows[dest] = _DestRows(
-                link_idx[part], weight[part], group[part], latency[pos]
+                link_idx[part], weight[part], offsets[pos], latency[pos]
             )
         self.dest_row_builds += dests.size
         self._note_memory()
@@ -450,21 +455,26 @@ class SparseAllToAllPricer:
         for start in range(0, len(missing), batch):
             self._build_rows(np.array(missing[start : start + batch], dtype=np.intp))
         rows = [self._dest_rows[dest] for dest in dests]
-        # A layer whose experts fail-stops all orphaned hosts nothing; the
-        # empty leading parts keep its empty set well formed.
-        empty = np.empty(0, dtype=np.intp)
-        # A stable sort by cell keeps each cell's entries in link order.
-        cell = np.concatenate([empty] + [r.group * n + pos for pos, r in enumerate(rows)])
-        order = np.argsort(cell, kind="stable")
+        # Cell (g, pos)'s entries are destination pos's group-g slice, at
+        # ``starts[g, pos]`` in the rows laid end to end: one gather reads
+        # the cells in ascending (group, dest) order, each cell's entries
+        # in link order.  A layer whose experts fail-stop all orphaned
+        # hosts nothing; the empty leading parts keep its empty set well
+        # formed.
+        offsets = np.array([r.offsets for r in rows], dtype=np.intp)
+        offsets = offsets.reshape(n, self.num_groups + 1)
+        starts = np.zeros(n, dtype=np.intp)
+        np.cumsum(offsets[:-1, -1], out=starts[1:])
+        starts = (starts[:, None] + offsets[:, :-1]).T.ravel()
+        sizes = np.diff(offsets, axis=1).T.ravel()
         indptr = np.zeros(num_cells + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cell, minlength=num_cells), out=indptr[1:])
+        np.cumsum(sizes, out=indptr[1:])
+        gather = np.repeat(starts - indptr[:-1], sizes)
+        gather += np.arange(gather.size)
+        weight = np.concatenate([np.empty(0)] + [r.weight for r in rows])
+        link_idx = np.concatenate([np.empty(0, dtype=np.intp)] + [r.link_idx for r in rows])
         operator = sparse.csr_array(
-            (
-                np.concatenate([np.empty(0)] + [r.weight for r in rows])[order],
-                np.concatenate([empty] + [r.link_idx for r in rows])[order],
-                indptr,
-            ),
-            shape=(num_cells, self.num_links),
+            (weight[gather], link_idx[gather], indptr), shape=(num_cells, self.num_links)
         )
         latency = (
             np.reshape([r.latency for r in rows], (n, 2, self.num_groups))

@@ -137,13 +137,6 @@ class _RouteCache:
         self._reverse_latencies = np.empty(0)
         self._indices = np.empty(0, dtype=np.intp)
         self._weights = np.empty(0)
-        # Primary-route per-link arrays for store-and-forward migration
-        # pricing (no O1TURN split: a weight copy is a single transfer).
-        # Entries carry the links' positions in ``self.keys`` so the
-        # bandwidths can be re-gathered when the fabric degrades.
-        self._migration_pairs: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
         # Degraded-fabric bandwidth, cached per topology-health version.
         # While the topology is pristine (or every degradation is lifted)
         # this IS ``self.bandwidth`` — the identical array object — so the
@@ -171,27 +164,6 @@ class _RouteCache:
                 )
             self._effective_version = health.version
         return self._effective_bandwidth
-
-    def migration_pair(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
-        """(bandwidths, latencies) of the primary route's links, cached."""
-        entry = self._migration_pairs.get((src, dst))
-        if entry is None:
-            path = self.topology.route(src, dst)
-            entry = sanitize.freeze(
-                (
-                    np.array([link.bandwidth for link in path]),
-                    np.array([link.latency for link in path]),
-                    np.array(
-                        [self.index[link.key] for link in path], dtype=np.intp
-                    ),
-                )
-            )
-            self._migration_pairs[(src, dst)] = entry
-        bandwidths, latencies, positions = entry
-        effective = self.effective_bandwidth()
-        if effective is not self.bandwidth:
-            bandwidths = effective[positions]
-        return bandwidths, latencies
 
     def rows_for(
         self, src: np.ndarray, dst: np.ndarray
@@ -343,15 +315,26 @@ def _route_cache(topology: Topology) -> _RouteCache:
 
 
 def migration_route_arrays(
-    topology: Topology, src: int, dst: int
+    topology: Topology, src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (bandwidths, latencies) arrays of the primary src->dst route.
+    """Per-hop (bandwidths, latencies) of each pair's primary route.
 
-    Store-and-forward migration pricing re-walks the same few routes every
-    trigger; this shares the per-topology route cache instead of rebuilding
-    Link lists each time.
+    Store-and-forward migration pricing walks a weight copy's primary
+    route (no O1TURN split: a copy is a single transfer).  Both arrays
+    are ``(max_hops, pairs)``, column ``p`` holding the links of
+    ``topology.route(src[p], dst[p])`` in walk order at their current
+    effective bandwidth, padded with ``inf`` bandwidth and 0 latency, so a
+    hop-by-hop fold of ``volume / bandwidth + latency`` adds exact zeros
+    past a path's end.  Meshes build the columns in closed form.
     """
-    return _route_cache(topology).migration_pair(src, dst)
+    cache = _route_cache(topology)
+    links = cache.primary_links(
+        np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    )
+    hop = links >= 0
+    bandwidths = np.where(hop, cache.effective_bandwidth()[links], np.inf)
+    latencies = np.where(hop, cache.latency[links], 0.0)
+    return bandwidths, latencies
 
 
 def route_rows(

@@ -8,7 +8,8 @@ array plan.  This module keeps the per-flow walk the plans replaced:
   unstaggered step as one merged :class:`TrafficMatrix` through
   ``simulate_phase``;
 * :func:`degraded_bandwidth` is one link's effective bandwidth, the scalar
-  form of the route cache's ``effective_bandwidth()``;
+  form of the route cache's ``effective_bandwidth()``, and
+  :func:`link_factor` the one-link form of ``TopologyHealth.link_factors``;
 * :func:`line_allgather_across_wafers` is HER's inter-wafer line
   all-gather, built as a ``TrafficMatrix`` one transfer at a time;
 * :func:`ring_allreduce`, :func:`ring_reduce_scatter`,
@@ -30,6 +31,11 @@ from repro.topology.base import Topology
 from repro.topology.mesh import Coord
 
 
+def link_factor(health, key: tuple[int, int]) -> float:
+    """One link's bandwidth factor under ``health``, 1.0 where undegraded."""
+    return health.degraded_links.get(key, 1.0)
+
+
 def degraded_bandwidth(topology, key: tuple[int, int]) -> float:
     """Effective bandwidth of one link: the scalar form of the route cache's
     ``effective_bandwidth()``, which forms the same product per link."""
@@ -37,7 +43,7 @@ def degraded_bandwidth(topology, key: tuple[int, int]) -> float:
     health = topology_health(topology)
     if health is None:
         return bandwidth
-    return bandwidth * health.link_factor(key)
+    return bandwidth * link_factor(health, key)
 
 
 def _ring_step_traffic(groups: list[list[int]], chunk: float) -> list[TrafficMatrix]:

@@ -20,12 +20,18 @@ the placement as it stands.
 :func:`two_phase_price` is the bitwise reference for the pricer's mirrored
 combine phase: it routes each phase on its own, combine over the ``dest ->
 holder`` route rows, and sums every link's terms in the pricer's order.
+
+:func:`argsort_operator` is the reference for a hosted set's CSR
+assembly: it orders every destination row's entries by a stable argsort
+of their ``(group, dest)`` cells, where the pricer gathers the cells
+straight from the rows' group offsets.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.network.alltoall import AllToAllResult, _validate_demand
 from repro.network.phase import PhaseResult, _simulate_cut_through, route_rows
@@ -236,3 +242,29 @@ def two_phase_price(mapping, dests, cells):
         ]
     )
     return volumes.reshape(-1, 2, num_links), latency
+
+
+def argsort_operator(rows, num_groups, num_links):
+    """A hosted set's ``(group, dest) -> link`` CSR operator from its
+    destinations' ``_DestRows`` (ascending destinations), assembled by a
+    stable argsort of each entry's cell.  Each entry's group is read off
+    its row's group offsets."""
+    n = len(rows)
+    num_cells = num_groups * n
+    # A layer whose experts fail-stops all orphaned hosts nothing; the
+    # empty leading parts keep its empty set well formed.
+    empty = np.empty(0, dtype=np.intp)
+    groups = [np.repeat(np.arange(num_groups), np.diff(r.offsets)) for r in rows]
+    # A stable sort by cell keeps each cell's entries in link order.
+    cell = np.concatenate([empty] + [group * n + pos for pos, group in enumerate(groups)])
+    order = np.argsort(cell, kind="stable")
+    indptr = np.zeros(num_cells + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell, minlength=num_cells), out=indptr[1:])
+    return sparse.csr_array(
+        (
+            np.concatenate([np.empty(0)] + [r.weight for r in rows])[order],
+            np.concatenate([empty] + [r.link_idx for r in rows])[order],
+            indptr,
+        ),
+        shape=(num_cells, num_links),
+    )

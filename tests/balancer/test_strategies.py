@@ -16,7 +16,8 @@ from repro.balancer import GreedyBalancer, NonInvasiveBalancer, TopologyAwareBal
 from repro.balancer.base import BalancerConfig
 from repro.balancer.ni import NONINVASIVE_PLAN_CAP
 from repro.mapping.placement import StackedPlacement
-from repro.topology.mesh import MeshTopology
+from repro.topology.mesh import MeshTopology, MultiWaferTopology
+from repro.topology.switched import DGXClusterTopology, NVL72Topology
 
 #: strategy -> (production class, per-layer reference class).
 STRATEGIES = {
@@ -182,6 +183,27 @@ class TestTopologyAware:
         migration = balancer.plan(0)[0]
         assert migration.expert == 4
         assert migration.src == 2
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            MeshTopology(3, 5),
+            MultiWaferTopology(2, 2, 3),
+            DGXClusterTopology(num_nodes=2),
+            NVL72Topology(num_devices=8),
+        ],
+        ids=["mesh", "multiwafer", "dgx", "nvl72"],
+    )
+    def test_hops_rows_are_route_hop_counts(self, topology):
+        balancer = TopologyAwareBalancer(
+            StackedPlacement(1, 4, topology.num_devices, shadow_slots=1),
+            topology,
+            expert_bytes=1.0,
+        )
+        for src in topology.devices:
+            row = balancer._hops_row(src)
+            assert row.dtype == np.float64
+            assert row.tolist() == [float(topology.hops(src, dst)) for dst in topology.devices]
 
 
 class TestNonInvasive:

@@ -11,7 +11,6 @@ from repro.engine.iteration import (
 )
 from repro.engine.compute import RooflineTimes
 from repro.faults import health_version, topology_health
-from repro.hardware.device import B200
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import balancer_reference as reference
+from allreduce_reference import degraded_bandwidth
 
 from repro.balancer import (
     GreedyBalancer,
@@ -19,8 +20,9 @@ from repro.engine import (
     ServingConfig,
     ServingSimulator,
 )
+from repro.faults import topology_health
 from repro.models import QWEN3_235B
-from repro.systems import build_wsc
+from repro.systems import build_dgx, build_multi_wsc, build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
 
 
@@ -123,6 +125,69 @@ class TestBalancingEffects:
         trace = make_simulator(NonInvasiveBalancer, warmup_iters=12).run()
         early = [r for r in trace.records if r.iteration < 12]
         assert all(record.migrations_started == 0 for record in early)
+
+
+#: Systems whose invasive stalls are held to the per-migration route walk.
+STALL_SYSTEMS = {
+    "mesh": lambda: build_wsc(QWEN3_235B, side=4, tp=4, mapping="er"),
+    "multiwafer": lambda: build_multi_wsc(QWEN3_235B, 2, 4, tp=4),
+    "dgx": lambda: build_dgx(QWEN3_235B, 2, tp=4),
+}
+
+
+class TestInvasiveStall:
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("name", list(STALL_SYSTEMS))
+    def test_stall_sums_each_copy_walked_hop_by_hop(self, name, degraded):
+        """A trigger's exposed stall is every planned copy's store-and-
+        forward walk (volume / bandwidth + latency, hop by hop, at the
+        link's current bandwidth) added in layer-major order, bit for bit."""
+        system = STALL_SYSTEMS[name]()
+        topology = system.mapping.topology
+        if degraded:
+            # A link on many routes (on DGX, device 1's leaf uplink).
+            link = topology.route(1, 0)[0]
+            topology_health(topology, create=True).degrade_link(link.src, link.dst, 0.3)
+        workload = GatingSimulator(
+            QWEN3_235B,
+            num_groups=system.mapping.dp,
+            tokens_per_group=64,
+            mixer=MATH,
+            num_layers=2,
+            seed=3,
+        )
+        simulator = ServingSimulator(
+            system.device,
+            QWEN3_235B,
+            system.mapping,
+            workload,
+            GreedyBalancer,
+            engine_config=EngineConfig(tokens_per_group=64),
+            serving_config=ServingConfig(num_iterations=30),
+        )
+        plans = {}
+        plan = simulator.engine.plan
+
+        def recording(iteration):
+            plans[iteration] = plan(iteration)
+            return plans[iteration]
+
+        simulator.engine.plan = recording
+        stalls = slowed = 0
+        for record in simulator.run().records:
+            expected = 0.0
+            for migrations in plans.get(record.iteration, []):
+                for migration in migrations:
+                    walk = 0.0
+                    for link in topology.route(migration.src, migration.dst):
+                        bandwidth = degraded_bandwidth(topology, link.key)
+                        slowed += bandwidth != link.bandwidth
+                        walk += migration.volume / bandwidth + link.latency
+                    expected += walk
+            assert record.migration_exposed.hex() == expected.hex()
+            stalls += expected > 0
+        assert stalls > 0
+        assert (slowed > 0) == degraded
 
 
 class TestNonInvasiveDraining:

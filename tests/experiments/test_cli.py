@@ -1,7 +1,5 @@
 """CLI-level tests for ``python -m repro.experiments`` cache management."""
 
-import json
-
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
 from repro.experiments.result import RunResult

@@ -54,13 +54,12 @@ class TestHealthRecord:
     def test_link_degradation_both_directions_min_compose(self, topology):
         health = topology_health(topology, create=True)
         health.degrade_link(0, 1, 0.5)
-        assert health.link_factor((0, 1)) == 0.5
-        assert health.link_factor((1, 0)) == 0.5
+        assert health.degraded_links == {(0, 1): 0.5, (1, 0): 0.5}
         # Worse degradations win; better ones are ignored.
         health.degrade_link(0, 1, 0.25)
-        assert health.link_factor((0, 1)) == 0.25
+        assert health.degraded_links == {(0, 1): 0.25, (1, 0): 0.25}
         health.degrade_link(0, 1, 0.75)
-        assert health.link_factor((0, 1)) == 0.25
+        assert health.degraded_links == {(0, 1): 0.25, (1, 0): 0.25}
 
     def test_link_factors_none_when_pristine(self, topology):
         health = topology_health(topology, create=True)

@@ -1,8 +1,30 @@
 """FaultSchedule: validation, deterministic ordering, scenario constructors."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.faults import DeviceFailure, FaultSchedule, LinkDegradation, Straggler
+
+#: (event class, fields, the invalid field).  A fractional iteration
+#: never fires, a NaN or infinite duration never expires, and a NaN factor
+#: counts as active while slowing nothing.
+INVALID_FIELDS = [
+    (DeviceFailure, dict(iteration=2.5, device=3), "iteration"),
+    (DeviceFailure, dict(iteration=2, device=3.0), "device"),
+    (LinkDegradation, dict(iteration=1.0, src=0, dst=1, factor=0.5), "iteration"),
+    (LinkDegradation, dict(iteration=1, src=0.0, dst=1, factor=0.5), "src"),
+    (LinkDegradation, dict(iteration=1, src=0, dst=1.5, factor=0.5), "dst"),
+    (LinkDegradation, dict(iteration=1, src=0, dst=1, factor=0.5, duration=2.5), "duration"),
+    (LinkDegradation, dict(iteration=1, src=0, dst=1, factor=math.nan), "factor"),
+    (Straggler, dict(iteration=2.0, device=3, factor=2.0, duration=4), "iteration"),
+    (Straggler, dict(iteration=2, device=np.float64(3), factor=2.0, duration=4), "device"),
+    (Straggler, dict(iteration=2, device=3, factor=2.0, duration=math.nan), "duration"),
+    (Straggler, dict(iteration=2, device=3, factor=2.0, duration=math.inf), "duration"),
+    (Straggler, dict(iteration=2, device=3, factor=math.nan, duration=4), "factor"),
+    (Straggler, dict(iteration=2, device=3, factor=math.inf, duration=4), "factor"),
+]
 
 
 class TestEventValidation:
@@ -31,6 +53,23 @@ class TestEventValidation:
             Straggler(iteration=0, device=0, factor=0.5, duration=5)
         with pytest.raises(ValueError):
             Straggler(iteration=0, device=0, factor=2.0, duration=0)
+
+    @pytest.mark.parametrize(
+        "event_cls, fields, invalid",
+        INVALID_FIELDS,
+        ids=[f"{cls.__name__}-{fields[name]}-{name}" for cls, fields, name in INVALID_FIELDS],
+    )
+    def test_invalid_field_is_named(self, event_cls, fields, invalid):
+        with pytest.raises(ValueError, match=rf"^{invalid} "):
+            event_cls(**fields)
+
+    def test_numpy_integers_are_legal(self):
+        index = np.int64
+        assert DeviceFailure(iteration=index(2), device=np.int32(3)).device == 3
+        link = LinkDegradation(index(1), index(0), index(1), np.float64(0.5), index(3))
+        assert link.duration == 3
+        straggler = Straggler(index(2), index(3), np.float64(2.0), index(4))
+        assert straggler.factor == 2.0
 
     def test_link_loss_is_heavy_degradation(self):
         loss = LinkDegradation.link_loss(iteration=3, src=0, dst=1)

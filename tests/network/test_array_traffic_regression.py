@@ -21,9 +21,11 @@ from alltoall_reference import (
     price_pairs,
 )
 from alltoall_reference import simulate_alltoall as reference_alltoall
+from allreduce_reference import degraded_bandwidth
 from holder_reference import analysis_holders, token_holders
 from placement_reference import ExpertPlacement
 from placement_replay import LayerReplay
+from repro.faults import topology_health
 from repro.mapping.base import MeshMapping, ParallelismConfig
 from repro.mapping.baseline import BaselineMapping
 from repro.mapping.er import ERMapping
@@ -305,20 +307,37 @@ class TestHolderTable:
         np.testing.assert_array_equal(table.fractions, [f for _, f in flat])
 
 
+#: Fabrics for migration pricing, built fresh per test so a degraded link
+#: never leaks into the next case.
+MIGRATION_FABRICS = {
+    "mesh": lambda: MeshTopology(4, 4),
+    "multiwafer": lambda: MultiWaferTopology(2, 2, 3),
+    "dgx": lambda: DGXClusterTopology(num_nodes=2),
+}
+
+
 class TestMigrationPricingCache:
-    @pytest.mark.parametrize(
-        "topology", [MeshTopology(4, 4), DGXClusterTopology(num_nodes=2)]
-    )
-    def test_matches_route_walk(self, topology):
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("fabric", list(MIGRATION_FABRICS))
+    def test_matches_route_walk(self, fabric, degraded):
+        """Every pair's batched store-and-forward time equals the walk
+        over its route's links, bit for bit, at the links' current
+        bandwidth."""
+        topology = MIGRATION_FABRICS[fabric]()
+        if degraded:
+            # A link on many routes: out of device 1, towards device 0.
+            link = topology.route(1, 0)[0]
+            topology_health(topology, create=True).degrade_link(link.src, link.dst, 0.3)
         volume = 3.5e8
-        for src in range(topology.num_devices):
-            for dst in range(topology.num_devices):
-                if src == dst:
-                    continue
-                bandwidths, latencies = migration_route_arrays(topology, src, dst)
-                cached = float(np.cumsum(volume / bandwidths + latencies)[-1])
-                walked = sum(
-                    volume / link.bandwidth + link.latency
-                    for link in topology.route(src, dst)
-                )
-                assert cached == walked
+        src, dst = np.nonzero(~np.eye(topology.num_devices, dtype=bool))
+        bandwidths, latencies = migration_route_arrays(topology, src, dst)
+        batched = np.cumsum(volume / bandwidths + latencies, axis=0)[-1]
+        slowed = 0
+        for column, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            walked = 0.0
+            for link in topology.route(s, d):
+                bandwidth = degraded_bandwidth(topology, link.key)
+                slowed += bandwidth != link.bandwidth
+                walked += volume / bandwidth + link.latency
+            assert float(batched[column]).hex() == walked.hex()
+        assert (slowed > 0) == degraded

@@ -455,9 +455,13 @@ class TestDestRows:
     def assert_rows_equal_the_loop(self, mapping, pricer):
         for dest in range(mapping.topology.num_devices):
             rows = pricer._dest_rows[dest]
-            expected = loop_dest_rows(mapping, dest)
+            link_idx, weight, group, latency = loop_dest_rows(mapping, dest)
+            # The loop's entries are group-ascending: each group's first
+            # entry is a search.
+            offsets = np.searchsorted(group, np.arange(mapping.dp + 1))
             for got, want in zip(
-                (rows.link_idx, rows.weight, rows.group, rows.latency), expected
+                (rows.link_idx, rows.weight, rows.offsets, rows.latency),
+                (link_idx, weight, offsets, latency),
             ):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()

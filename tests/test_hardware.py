@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.device import B200, TERA, DeviceSpec
+from repro.hardware.device import B200, DeviceSpec
 from repro.hardware.interconnect import (
     INFINIBAND,
     NVLINK,

@@ -5,7 +5,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from repro import sanitize
 from repro.memo import instance_memo
