@@ -29,7 +29,7 @@ from repro.balancer.heat import (
     cold_capacity,
     complementarity,
 )
-from repro.balancer.migration import MigrationSegment, PendingMigration, split_migration
+from repro.balancer.migration import MigrationLinks, PendingMigration, split_migration
 
 __all__ = [
     "Balancer",
@@ -43,7 +43,7 @@ __all__ = [
     "classify_links",
     "cold_capacity",
     "complementarity",
-    "MigrationSegment",
+    "MigrationLinks",
     "PendingMigration",
     "split_migration",
 ]

@@ -403,34 +403,25 @@ class Balancer(ABC):
     def commit_many(self, items: list[tuple[int, Migration]]) -> None:
         """Activate completed migrations: the replicas start taking tokens.
 
-        Decision-equivalent to committing one migration at a time — the
-        hosts check accounts for earlier entries of the same batch — but
-        the placement mutations land through one
-        :meth:`StackedPlacement.add_replicas` call, so a bursty trigger
-        (fig17's 16 migrations per layer) pays one count update per
-        touched layer instead of per migration.
+        Decision-equivalent to committing one migration at a time: an
+        item whose replica is already hosted, or repeats an earlier item,
+        adds nothing.  The placement mutations land through one
+        :meth:`StackedPlacement.add_new_replicas` call, and the pending
+        sets drop the items in item order (their set order feeds the
+        float sums of :meth:`heats`).  A batch that raises changes
+        nothing.
         """
-        layers: list[int] = []
-        experts: list[int] = []
-        devices: list[int] = []
-        added: set[tuple[int, int, int]] = set()
+        if not items:
+            return
+        self.placement.add_new_replicas(
+            np.array([layer for layer, _ in items], dtype=np.int64),
+            np.array([migration.expert for _, migration in items], dtype=np.int64),
+            np.array([migration.dst for _, migration in items], dtype=np.int64),
+        )
+        pending = self.pending
         for layer, migration in items:
-            self._pending_discard(layer, migration.expert, migration.dst)
-            key = (layer, migration.expert, migration.dst)
-            if key in added or self.placement.hosts(
-                layer, migration.dst, migration.expert
-            ):
-                continue
-            added.add(key)
-            layers.append(layer)
-            experts.append(migration.expert)
-            devices.append(migration.dst)
-        if layers:
-            self.placement.add_replicas(
-                np.asarray(layers, dtype=np.int64),
-                np.asarray(experts, dtype=np.int64),
-                np.asarray(devices, dtype=np.int64),
-            )
+            pending[layer].discard((migration.expert, migration.dst))
+        self._pending_flat_cache = None
 
     def abandon(self, layer: int, migration: Migration) -> None:
         """Drop an in-flight migration on ``layer``."""

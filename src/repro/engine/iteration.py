@@ -10,11 +10,11 @@ both platforms) hides the shorter of compute/communication behind the
 longer, leaving ``max + min / stages`` per phase.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.engine.compute import ComputeModel, RooflineTimes
 from repro.faults.health import health_version
 from repro.hardware.device import DeviceSpec
@@ -32,14 +32,6 @@ def pipelined_time(compute: float, communication: float, stages: int) -> float:
     longer = max(compute, communication)
     shorter = min(compute, communication)
     return longer + shorter / stages
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a count that is not an integer (NaN, inf and fractions
-    included) or is below ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
-        kind = "positive" if minimum == 1 else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,9 +54,9 @@ class EngineConfig:
     decode: bool = True
 
     def __post_init__(self) -> None:
-        _check_count("tokens_per_group", self.tokens_per_group, minimum=1)
-        _check_count("context_len", self.context_len, minimum=0)
-        _check_count("pipeline_stages", self.pipeline_stages, minimum=1)
+        check_count("tokens_per_group", self.tokens_per_group, minimum=1)
+        check_count("context_len", self.context_len, minimum=0)
+        check_count("pipeline_stages", self.pipeline_stages, minimum=1)
 
 
 @dataclass(slots=True)
@@ -173,7 +165,7 @@ class IterationSimulator:
         if tokens_per_group is None:
             tokens_per_group = config.tokens_per_group
         else:
-            _check_count("tokens_per_group", tokens_per_group, minimum=1)
+            check_count("tokens_per_group", tokens_per_group, minimum=1)
         attention = self.compute.attention_time(
             tokens=tokens_per_group,
             context_len=config.context_len,

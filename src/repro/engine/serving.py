@@ -32,7 +32,14 @@ import numpy as np
 
 from repro.analysis.load import device_token_loads
 from repro.balancer.base import Balancer, BalancerConfig, Migration
-from repro.balancer.migration import PendingMigration, SegmentKind, split_migration
+from repro.balancer.migration import (
+    GLOBAL,
+    LOCAL,
+    MigrationLinks,
+    PendingMigration,
+    split_migration,
+)
+from repro.checks import check_count
 from repro.engine.compute import RooflineTimes
 from repro.engine.iteration import (
     EngineConfig,
@@ -101,8 +108,7 @@ class ServingConfig:
     balancing: BalancingConfig = field(default_factory=BalancingConfig)
 
     def __post_init__(self) -> None:
-        if self.num_iterations <= 0:
-            raise ValueError("num_iterations must be positive")
+        check_count("num_iterations", self.num_iterations, minimum=1)
 
 
 @dataclass(slots=True)
@@ -327,8 +333,14 @@ class ServingSimulator:
             expert_bytes=model.expert_bytes,
             config=balancer_config,
         )
-        #: (layer, migration, in-flight state) for non-invasive draining.
-        self._in_flight: list[tuple[int, Migration, PendingMigration]] = []
+        #: Non-invasive copies in flight, in start order, and the link
+        #: classes their segments follow.
+        self._in_flight = PendingMigration.empty()
+        self._migration_links = (
+            None
+            if self.engine.invasive
+            else MigrationLinks(mapping.topology, self._ftd_of)
+        )
         self._last_migration_iter = -(10**9)
 
         #: Recycled (layers, groups, experts) demand buffer — every cell is
@@ -639,14 +651,8 @@ class ServingSimulator:
         self._dead.add(device)
         # In-flight migrations sourcing from or landing on the dead device
         # are lost with it.
-        if self._in_flight:
-            surviving: list[tuple[int, Migration, PendingMigration]] = []
-            for layer, migration, pending in self._in_flight:
-                if migration.src == device or migration.dst == device:
-                    self.engine.abandon(layer, migration)
-                else:
-                    surviving.append((layer, migration, pending))
-            self._in_flight = surviving
+        for layer, migration in self._in_flight.abandon(device):
+            self.engine.abandon(layer, migration)
         topology_health(self.mapping.topology, create=True).fail_device(device)
         self.engine.mark_device_failed(device)
         self.engine.placement.fail_device(device)
@@ -696,35 +702,28 @@ class ServingSimulator:
         self.engine.evict_stale(trigger_heats)
         layer_plans = self.engine.plan(iteration)
 
-        exposed = 0.0
-        started = 0
+        items = [
+            (layer, migration)
+            for layer, migrations in enumerate(layer_plans)
+            for migration in migrations
+        ]
+        if not items:
+            return 0.0, 0
+        self._last_migration_iter = iteration
+        if not self.invasive:
+            self._in_flight.extend(split_migration(self._migration_links, items))
+            return 0.0, len(items)
         # Invasive commits apply as one batch after pricing: path pricing
         # reads only the topology, never the placement, so deferring the
         # placement mutations is decision-equivalent to the per-migration
         # interleaving while letting bursty triggers (16 migrations per
         # layer across all layers) hit the vectorized mutation path.
-        commits: list[tuple[int, Migration]] = []
-        for layer, migrations in enumerate(layer_plans):
-            for migration in migrations:
-                started += 1
-                if self.invasive:
-                    commits.append((layer, migration))
-                else:
-                    pending = split_migration(
-                        self.mapping.topology,
-                        self._ftd_of,
-                        migration.expert,
-                        migration.src,
-                        migration.dst,
-                        migration.volume,
-                        iteration=iteration,
-                    )
-                    self._in_flight.append((layer, migration, pending))
-        if commits and not config.migration_side_channel:
+        exposed = 0.0
+        if not config.migration_side_channel:
             # Store-and-forward weight copies on the critical path, priced
             # in one call: each copy folds volume / bandwidth + latency hop
             # by hop, and the stall adds the copies in layer-major order.
-            copies = [migration for _, migration in commits]
+            copies = [migration for _, migration in items]
             bandwidths, latencies = migration_route_arrays(
                 self.mapping.topology,
                 np.array([copy.src for copy in copies]),
@@ -733,43 +732,27 @@ class ServingSimulator:
             volumes = np.array([copy.volume for copy in copies])
             times = np.cumsum(volumes / bandwidths + latencies, axis=0)[-1]
             exposed = float(np.cumsum(times)[-1])
-        self._commit_many(commits)
-        if started:
-            self._last_migration_iter = iteration
-        return exposed, started
+        self._commit_many(items)
+        return exposed, len(items)
 
     def _drain_migrations(self, ar_duration: float, a2a_duration: float) -> int:
         """Advance non-invasive migrations through the iteration's cold windows."""
         if not self._in_flight:
             return 0
-        finished: list[tuple[int, Migration]] = []
-        remaining: list[tuple[int, Migration, PendingMigration]] = []
-        for layer, migration, pending in self._in_flight:
-            # Local segments ride the attention all-reduce windows, the
-            # Global segment the all-to-all windows; the layer-by-layer
-            # alternation means all three segments can progress within one
-            # iteration when budgets allow.
-            for kind, duration in (
-                (SegmentKind.LOCAL, ar_duration),
-                (SegmentKind.GLOBAL, a2a_duration),
-                (SegmentKind.LOCAL, ar_duration),
-            ):
-                segment = pending.current_segment
-                if segment is None:
-                    break
-                if segment.kind is not kind:
-                    continue
-                # Cold links retain >= 50% spare capacity (they work at
-                # most every other cycle), so migration may borrow half
-                # the link bandwidth over the phase window.
-                budget = 0.5 * duration * segment.min_bandwidth
-                pending.advance(kind, budget)
-            if pending.done:
-                finished.append((layer, migration))
-            else:
-                remaining.append((layer, migration, pending))
+        # Local segments ride the attention all-reduce windows, the Global
+        # segment the all-to-all windows; the layer-by-layer alternation
+        # means all three segments can progress within one iteration when
+        # budgets allow.  Cold links retain >= 50% spare capacity (they
+        # work at most every other cycle), so migration may borrow half the
+        # link bandwidth over the phase window.
+        finished = self._in_flight.advance(
+            (
+                (LOCAL, 0.5 * ar_duration),
+                (GLOBAL, 0.5 * a2a_duration),
+                (LOCAL, 0.5 * ar_duration),
+            )
+        )
         self._commit_many(finished)
-        self._in_flight = remaining
         return len(finished)
 
     # -- stats ----------------------------------------------------------------------

@@ -38,6 +38,21 @@ class ReplicaEntries(NamedTuple):
     bounds: np.ndarray  # (layers + 1,) per-layer slice bounds
 
 
+def _index_arrays(*indices) -> tuple[np.ndarray, ...]:
+    return tuple(np.asarray(index, dtype=np.int64) for index in indices)
+
+
+def _layer_major(
+    layers: np.ndarray, experts: np.ndarray, devices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch stably sorted by layer: each layer's entries keep their
+    batch order."""
+    if (layers[1:] < layers[:-1]).any():
+        order = np.argsort(layers, kind="stable")
+        return layers[order], experts[order], devices[order]
+    return layers, experts, devices
+
+
 class StackedPlacement:
     """All sparse layers' expert placements as one sparse entry table.
 
@@ -253,6 +268,51 @@ class StackedPlacement:
         native = expert * self.num_devices // self.num_experts
         return device == native and device not in self._dead_devices
 
+    def _hosted(
+        self, layers: np.ndarray, devices: np.ndarray, experts: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_hosts` of in-range index arrays."""
+        hosted = devices == experts * self.num_devices // self.num_experts
+        if self._dead_devices:
+            hosted &= ~self._dead_mask()[devices]
+        positions = self._entry_pos
+        if positions:
+            hosted |= np.fromiter(
+                (
+                    key in positions
+                    for key in zip(layers.tolist(), experts.tolist(), devices.tolist())
+                ),
+                dtype=bool,
+                count=layers.size,
+            )
+        return hosted
+
+    def _repeats(self, layers: np.ndarray, experts: np.ndarray, devices: np.ndarray) -> np.ndarray:
+        """Mask of the entries of an in-range batch that repeat an
+        earlier entry's ``(layer, expert, device)``."""
+        keys = (layers * self.num_experts + experts) * self.num_devices + devices
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeat = np.zeros(keys.size, dtype=bool)
+        repeat[order[1:]] = keys[1:] == keys[:-1]
+        return repeat
+
+    def _dead_mask(self) -> np.ndarray:
+        dead = np.zeros(self.num_devices, dtype=bool)
+        dead[list(self._dead_devices)] = True
+        return dead
+
+    def _in_range(self, layers: np.ndarray, devices: np.ndarray, experts: np.ndarray) -> bool:
+        """Whether every id of non-empty index arrays is in range."""
+        return bool(
+            layers.min() >= 0
+            and layers.max() < self.num_layers
+            and devices.min() >= 0
+            and devices.max() < self.num_devices
+            and experts.min() >= 0
+            and experts.max() < self.num_experts
+        )
+
     def _shadow_free(self, layer: int, device: int) -> int:
         if device in self._dead_devices:
             return 0
@@ -264,7 +324,7 @@ class StackedPlacement:
         self._replica_entries = None
 
     def _entries_append(
-        self, layer: int, experts: np.ndarray, devices: np.ndarray, stamps: np.ndarray
+        self, layers: np.ndarray, experts: np.ndarray, devices: np.ndarray, stamps: np.ndarray
     ) -> None:
         start = self._entry_count
         stop = start + experts.size
@@ -274,8 +334,8 @@ class StackedPlacement:
             grown[:, :start] = self._entry_data[:, :start]
             self._entry_data = grown
         columns = self._entry_data[:, start:stop]
-        columns[0], columns[1], columns[2], columns[3] = layer, experts, devices, stamps
-        keys = zip([layer] * experts.size, experts.tolist(), devices.tolist())
+        columns[0], columns[1], columns[2], columns[3] = layers, experts, devices, stamps
+        keys = zip(layers.tolist(), experts.tolist(), devices.tolist())
         self._entry_pos.update(zip(keys, range(start, stop)))
         self._entry_count = stop
 
@@ -310,23 +370,95 @@ class StackedPlacement:
     ) -> None:
         """Batched :meth:`add_replica` over parallel index arrays.
 
-        Sequential semantics: an entry sees the slots and replicas of the
-        entries before it, and each layer stamps its entries in batch
-        order.  Every layer's entries are validated before any layer
-        changes, so a batch that raises leaves the stack as it was.
+        Sequential semantics, layers ascending and each layer's entries
+        in batch order: an entry sees the slots and replicas of the
+        entries before it, each layer stamps its entries in batch order,
+        and the entry table appends them in that order.  The whole batch
+        is validated before anything changes, so a batch that raises
+        leaves the stack as it was, with the message of its first invalid
+        entry in that order.
         """
-        batches = self._layer_batches(layer_idx, expert_idx, device_idx)
-        for layer, experts, devices in batches:
-            self._check_adds(layer, experts, devices)
-        for layer, experts, devices in batches:
-            stamps = self._next_stamp[layer] + np.arange(experts.size)
-            self._next_stamp[layer] += experts.size
-            np.add.at(self._counts[layer], experts, 1)
-            np.add.at(self._shadow_counts[layer], devices, 1)
-            self._versions[layer] += experts.size
-            self._entries_append(layer, experts, devices, stamps)
-        if batches:
-            self._invalidate_entries()
+        layers, experts, devices = _index_arrays(layer_idx, expert_idx, device_idx)
+        if layers.size == 0:
+            return
+        layers, experts, devices = _layer_major(layers, experts, devices)
+        if not (
+            self._in_range(layers, devices, experts)
+            and not self._hosted(layers, devices, experts).any()
+            and not self._repeats(layers, experts, devices).any()
+            and self._slots_free(layers, devices)
+        ):
+            self._raise_first_invalid_add(layers, experts, devices)
+        self._apply_adds(layers, experts, devices)
+
+    def add_new_replicas(
+        self,
+        layer_idx: np.ndarray,
+        expert_idx: np.ndarray,
+        device_idx: np.ndarray,
+    ) -> None:
+        """:meth:`add_replicas` of the entries that add a replica.
+
+        An entry whose replica the stack already hosts, or that repeats
+        an earlier entry, adds nothing, as when copies commit one at a
+        time.  Ids are checked first, in batch order and as :meth:`hosts`
+        checks them; the entries left then add with :meth:`add_replicas`'
+        semantics.  A batch that raises leaves the stack as it was.
+        """
+        layers, experts, devices = _index_arrays(layer_idx, expert_idx, device_idx)
+        if layers.size == 0:
+            return
+        if not self._in_range(layers, devices, experts):
+            for layer, device, expert in zip(layers.tolist(), devices.tolist(), experts.tolist()):
+                self.hosts(layer, device, expert)  # raises at the first id out of range
+        new = ~(self._hosted(layers, devices, experts) | self._repeats(layers, experts, devices))
+        if not new.all():
+            layers, experts, devices = layers[new], experts[new], devices[new]
+            if layers.size == 0:
+                return
+        layers, experts, devices = _layer_major(layers, experts, devices)
+        if not self._slots_free(layers, devices):
+            self._raise_first_invalid_add(layers, experts, devices)
+        self._apply_adds(layers, experts, devices)
+
+    def _raise_first_invalid_add(
+        self, layers: np.ndarray, experts: np.ndarray, devices: np.ndarray
+    ) -> None:
+        """Raise the message of a layer-major batch's first invalid add.
+
+        The vectorized checks only say that some entry fails; the
+        sequential one names the first.
+        """
+        for layer, layer_experts, layer_devices in self._layer_batches(layers, experts, devices):
+            self._check_adds(layer, layer_experts, layer_devices)
+        raise AssertionError("a rejected batch of adds passed the sequential check")
+
+    def _apply_adds(self, layers: np.ndarray, experts: np.ndarray, devices: np.ndarray) -> None:
+        """Add a valid layer-major batch: whole-batch count, stamp and
+        version updates and one entry-table append."""
+        # Entries of one layer are contiguous: each one's rank is its
+        # distance from its layer's first.
+        rank = np.arange(layers.size) - np.searchsorted(layers, layers)
+        stamps = self._next_stamp[layers] + rank
+        added = np.bincount(layers, minlength=self.num_layers)
+        self._next_stamp += added
+        np.add.at(self._counts, (layers, experts), 1)
+        np.add.at(self._shadow_counts, (layers, devices), 1)
+        self._versions += added
+        self._entries_append(layers, experts, devices, stamps)
+        self._invalidate_entries()
+
+    def _slots_free(self, layers: np.ndarray, devices: np.ndarray) -> bool:
+        """Whether a batch of in-range adds overdraws no device's free
+        shadow slots on any layer (a dead device has none)."""
+        cells = np.sort(layers * self.num_devices + devices)
+        # An entry's place in its cell's run counts the slots the entries
+        # before it took.
+        taken = np.arange(cells.size) - np.searchsorted(cells, cells)
+        free = self.shadow_slots - self._shadow_counts.reshape(-1)[cells]
+        if self._dead_devices:
+            free[self._dead_mask()[cells % self.num_devices]] = 0
+        return bool((taken < free).all())
 
     def drop_replicas(
         self,

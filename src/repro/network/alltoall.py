@@ -27,6 +27,7 @@ not ``O(G * D * links)``, which is what makes 1024+-device multi-wafer
 systems simulable.  See ``docs/pricing-operators.md`` for the model.
 """
 
+import numbers
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -218,6 +219,15 @@ class _LayerState:
     shares: np.ndarray  # (ranks, n) its destination share, 0.0 where padded
 
 
+@dataclass
+class _StackStates:
+    """One stack's cached layer states, with the version each was taken
+    at (-1 where a layer has none yet)."""
+
+    versions: np.ndarray  # (layers,)
+    states: list  # (layers,) _LayerState or None
+
+
 class _Scratch:
     """Grow-only work arrays for one pricer's cell gathers.
 
@@ -292,6 +302,13 @@ class _GatherBatch:
 HostedBatches = list[_GatherBatch]
 
 
+def _deepened(plane: np.ndarray, ranks: int) -> np.ndarray:
+    """``plane`` with zero rows appended up to ``ranks`` rows."""
+    if len(plane) == ranks:
+        return plane
+    return np.concatenate([plane, np.zeros((ranks - len(plane), plane.shape[1]), plane.dtype)])
+
+
 def _gather_batch(
     layers: list[int],
     states: list[_LayerState],
@@ -300,15 +317,19 @@ def _gather_batch(
     scratch: _Scratch,
 ) -> _GatherBatch:
     """Stack the gather rows of the layers that share one hosted set;
-    ``stride`` is one layer's size in the flat demand stack."""
+    ``stride`` is one layer's size in the flat demand stack.
+
+    A layer with fewer entry ranks than the deepest is padded with zero
+    shares, which gather exact zeros from its own layer.
+    """
     ranks = max(len(state.experts) for state in states)
-    shape = (ranks, states[0].hosted.dests.size, len(states))
-    sources = np.zeros(shape, dtype=np.intp)
-    shares = np.zeros(shape)
-    for row, (layer, state) in enumerate(zip(layers, states)):
-        depth = len(state.experts)
-        sources[:depth, :, row] = state.experts + layer * stride
-        shares[:depth, :, row] = state.shares
+    sources = np.concatenate(
+        [_deepened(state.experts, ranks)[..., None] for state in states], axis=-1
+    )
+    sources += np.asarray(layers, dtype=np.intp) * stride
+    shares = np.concatenate(
+        [_deepened(state.shares, ranks)[..., None] for state in states], axis=-1
+    )
     batch = _GatherBatch(
         hosted=states[0].hosted,
         layers=slice(None) if len(layers) == num_layers else np.array(layers),
@@ -375,7 +396,7 @@ class SparseAllToAllPricer:
         self._table = mapping.token_holder_table()
         self._dest_rows: dict[int, _DestRows] = {}
         self._hosted: "OrderedDict[tuple, _HostedSet]" = OrderedDict()
-        #: stack -> {layer: state}, weakly keyed: states die with their stack.
+        #: stack -> _StackStates, weakly keyed: states die with their stack.
         self._states: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._scratch = _Scratch()
         #: Layer states (re)built — flat across migration-free iterations.
@@ -510,56 +531,114 @@ class SparseAllToAllPricer:
         self._note_memory()
         return hosted
 
-    def state_for(self, placement: "StackedPlacement", layer: int) -> _LayerState:
-        """Layer ``layer``'s pricing state, rebuilt only when the layer's
-        version moved since the cached state was taken.
+    def state_for(self, placement: "StackedPlacement", layers):
+        """The pricing states of ``layers``, a sequence of layer indices
+        (or one layer's state, for an index), rebuilding those whose
+        layer version moved since their cached state was taken.
 
-        A rebuild reads the layer's slice of the stack's replica entries:
-        each run of entries on one device is a hosted destination, and
-        an entry's place in its run is its rank.
+        The stale layers rebuild together, in one pass over their slices
+        of the stack's replica entries: each run of entries on one device
+        is a hosted destination, and an entry's place in its run is its
+        rank.  Layers with equal destination sets share one hosted-set
+        lookup.
         """
-        states = self._states.setdefault(placement, {})
-        version = int(placement.versions[layer])
-        state = states.get(layer)
-        if state is not None and state.version == version:
-            return state
+        if isinstance(layers, numbers.Integral):
+            return self.state_for(placement, [layers])[0]
+        cached = self._states.get(placement)
+        if cached is None:
+            cached = _StackStates(
+                np.full(placement.num_layers, -1, dtype=np.int64),
+                [None] * placement.num_layers,
+            )
+            self._states[placement] = cached
+        layers = np.asarray(layers, dtype=np.intp)
+        versions = placement.versions
+        stale = cached.versions != versions
+        if stale[layers].any():
+            asked = np.zeros(placement.num_layers, dtype=bool)
+            asked[layers] = True
+            self._rebuild_states(placement, np.flatnonzero(stale & asked), versions, cached)
+        states = cached.states
+        return [states[layer] for layer in layers.tolist()]
+
+    def _rebuild_states(
+        self,
+        placement: "StackedPlacement",
+        stale: np.ndarray,
+        versions: np.ndarray,
+        cached: _StackStates,
+    ) -> None:
+        """Rebuild the states of the ascending, distinct ``stale`` layers
+        in one pass over their replica entries."""
         entries = placement.replica_entries()
-        part = slice(entries.bounds[layer], entries.bounds[layer + 1])
-        device = entries.device[part]
-        starts_run = np.ones(device.size, dtype=bool)
-        starts_run[1:] = device[1:] != device[:-1]
-        starts = np.flatnonzero(starts_run)
-        position = np.cumsum(starts_run) - 1
-        rank = np.arange(device.size) - starts[position]
-        shape = (int(rank.max(initial=0)) + 1, starts.size)
-        experts = np.zeros(shape, dtype=np.intp)
-        shares = np.zeros(shape)
-        experts[rank, position] = entries.expert[part]
-        shares[rank, position] = entries.share[part]
-        state = _LayerState(
-            version=version,
-            hosted=self._hosted_for(tuple(device[starts].tolist())),
-            experts=experts,
-            shares=shares,
-        )
+        layer, device, expert, share = entries.layer, entries.device, entries.expert, entries.share
+        num_layers = placement.num_layers
+        if stale.size < num_layers:
+            is_stale = np.zeros(num_layers, dtype=bool)
+            is_stale[stale] = True
+            pick = np.flatnonzero(is_stale[layer])
+            layer, device, expert, share = layer[pick], device[pick], expert[pick], share[pick]
+        # Entries come grouped by (layer, device): each group is a hosted
+        # destination, and an entry's place in its group is its rank.
+        group = layer * placement.num_devices + device
+        starts_group = np.ones(group.size, dtype=bool)
+        starts_group[1:] = group[1:] != group[:-1]
+        starts = np.flatnonzero(starts_group)
+        run = np.cumsum(starts_group) - 1
+        rank = np.arange(group.size) - starts[run]
+        # Per layer: its hosted destinations (runs), the first of them,
+        # its entry depth and its gather planes' block in the flat arrays.
+        runs = np.bincount(layer[starts], minlength=num_layers)
+        first_run = np.cumsum(runs) - runs
+        depth = np.ones(num_layers, dtype=np.intp)
+        np.maximum.at(depth, layer, rank + 1)
+        block = depth * runs
+        block_end = np.cumsum(block)
+        flat = (block_end - block)[layer] + rank * runs[layer] + run - first_run[layer]
+        experts = np.zeros(block_end[-1], dtype=np.intp)
+        shares = np.zeros(block_end[-1])
+        experts[flat] = expert
+        shares[flat] = share
         sanitize.freeze((experts, shares))
-        states[layer] = state
-        self.state_rebuilds += 1
-        return state
+        dests = device[starts]
+        versions = versions[stale]
+        hosted_sets: dict[bytes, _HostedSet] = {}
+        for index, version, first, count, end, rows in zip(
+            stale.tolist(),
+            versions.tolist(),
+            first_run[stale].tolist(),
+            runs[stale].tolist(),
+            block_end[stale].tolist(),
+            depth[stale].tolist(),
+        ):
+            layer_dests = dests[first : first + count]
+            key = layer_dests.tobytes()
+            hosted = hosted_sets.get(key)
+            if hosted is None:
+                hosted = hosted_sets[key] = self._hosted_for(tuple(layer_dests.tolist()))
+            part = slice(end - rows * count, end)
+            cached.states[index] = _LayerState(
+                version=version,
+                hosted=hosted,
+                experts=experts[part].reshape(rows, count),
+                shares=shares[part].reshape(rows, count),
+            )
+        cached.versions[stale] = versions
+        self.state_rebuilds += stale.size
 
     def hosted_batches(self, placement: "StackedPlacement") -> HostedBatches:
         """A placement stack's layers grouped by hosted set, with their
         stacked gather rows."""
+        states = self.state_for(placement, np.arange(placement.num_layers))
         by_set: dict[int, tuple[list[int], list[_LayerState]]] = {}
-        for layer in range(placement.num_layers):
-            state = self.state_for(placement, layer)
-            layers, states = by_set.setdefault(id(state.hosted), ([], []))
+        for layer, state in enumerate(states):
+            layers, members = by_set.setdefault(id(state.hosted), ([], []))
             layers.append(layer)
-            states.append(state)
+            members.append(state)
         stride = self.num_groups * placement.num_experts
         return [
-            _gather_batch(layers, states, placement.num_layers, stride, self._scratch)
-            for layers, states in by_set.values()
+            _gather_batch(layers, members, placement.num_layers, stride, self._scratch)
+            for layers, members in by_set.values()
         ]
 
     # -- pricing --------------------------------------------------------

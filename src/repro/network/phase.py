@@ -328,13 +328,25 @@ def migration_route_arrays(
     past a path's end.  Meshes build the columns in closed form.
     """
     cache = _route_cache(topology)
-    links = cache.primary_links(
-        np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
-    )
+    links = primary_route_links(topology, src, dst)
     hop = links >= 0
     bandwidths = np.where(hop, cache.effective_bandwidth()[links], np.inf)
     latencies = np.where(hop, cache.latency[links], 0.0)
     return bandwidths, latencies
+
+
+def primary_route_links(
+    topology: Topology, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Link positions of each pair's primary route, in walk order.
+
+    A ``(max_hops, pairs)`` array padded with -1; positions index
+    ``list(topology.links)``, the route cache's link order.  Meshes build
+    the columns in closed form; other fabrics walk ``route`` per pair.
+    """
+    return _route_cache(topology).primary_links(
+        np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    )
 
 
 def route_rows(

@@ -10,6 +10,7 @@ popularity, the standard aggregate approximation of top-k routing (each of
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.models.configs import MoEModelConfig
 from repro.workload import sampling
 from repro.workload.mixers import ConstantMixer, ScenarioMixer
@@ -44,19 +45,18 @@ class GatingSimulator:
         seed: int = 0,
         balanced: bool = False,
     ) -> None:
-        if num_groups <= 0 or tokens_per_group <= 0:
-            raise ValueError("num_groups and tokens_per_group must be positive")
-        if num_layers <= 0:
-            raise ValueError(f"num_layers must be positive, got {num_layers}")
+        check_count("num_groups", num_groups, minimum=1)
+        check_count("tokens_per_group", tokens_per_group, minimum=1)
+        check_count("num_layers", num_layers, minimum=1)
         if not (0.0 < adaptation <= 1.0):
             raise ValueError(f"adaptation must be in (0, 1], got {adaptation}")
         if isinstance(mixer, ScenarioProfile):
             mixer = ConstantMixer([mixer])
         self.model = model
-        self.num_groups = num_groups
-        self.tokens_per_group = tokens_per_group
+        self.num_groups = int(num_groups)
+        self.tokens_per_group = int(tokens_per_group)
         self.mixer = mixer
-        self.num_layers = num_layers
+        self.num_layers = int(num_layers)
         self.adaptation = adaptation
         self.balanced = balanced
         self._rng = np.random.default_rng(seed)
@@ -98,9 +98,9 @@ class GatingSimulator:
         """
         if tokens_per_group is None:
             tokens_per_group = self.tokens_per_group
-        elif tokens_per_group <= 0:
-            raise ValueError("tokens_per_group must be positive")
-        return tokens_per_group * self.model.experts_per_token
+        else:
+            check_count("tokens_per_group", tokens_per_group, minimum=1)
+        return int(tokens_per_group) * self.model.experts_per_token
 
     def next_loads(
         self, tokens_per_group: int | None = None

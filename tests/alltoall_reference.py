@@ -25,6 +25,10 @@ holder`` route rows, and sums every link's terms in the pricer's order.
 assembly: it orders every destination row's entries by a stable argsort
 of their ``(group, dest)`` cells, where the pricer gathers the cells
 straight from the rows' group offsets.
+
+:func:`layer_state` builds one layer's gather rows from its own slice of
+the replica entries, the per-layer pipeline the pricer's one-pass state
+rebuild replaced.
 """
 
 from dataclasses import dataclass
@@ -268,3 +272,24 @@ def argsort_operator(rows, num_groups, num_links):
         ),
         shape=(num_cells, num_links),
     )
+
+
+def layer_state(placement, layer):
+    """One layer's gather rows built from its own slice of the replica
+    entries: ``(dests, experts, shares)``, where each run of entries on
+    one device is a hosted destination and an entry's place in its run
+    its rank.  The pricer builds every stale layer's rows in one pass."""
+    entries = placement.replica_entries()
+    part = slice(entries.bounds[layer], entries.bounds[layer + 1])
+    device = entries.device[part]
+    starts_run = np.ones(device.size, dtype=bool)
+    starts_run[1:] = device[1:] != device[:-1]
+    starts = np.flatnonzero(starts_run)
+    position = np.cumsum(starts_run) - 1
+    rank = np.arange(device.size) - starts[position]
+    shape = (int(rank.max(initial=0)) + 1, starts.size)
+    experts = np.zeros(shape, dtype=np.intp)
+    shares = np.zeros(shape)
+    experts[rank, position] = entries.expert[part]
+    shares[rank, position] = entries.share[part]
+    return tuple(device[starts].tolist()), experts, shares

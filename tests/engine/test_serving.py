@@ -246,7 +246,15 @@ class TestTraceStats:
         with pytest.raises(ValueError, match=field):
             BalancingConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, float("nan"), float("inf"), 0, -1])
+    def test_num_iterations_is_a_positive_integer(self, value):
+        """``num_iterations=2.5`` constructed and then failed inside
+        ``range()`` with a ``TypeError`` at ``run()``."""
+        with pytest.raises(ValueError, match="num_iterations"):
+            ServingConfig(num_iterations=value)
+
     def test_numpy_integer_counts_are_legal(self):
+        assert ServingConfig(num_iterations=np.int64(3)).num_iterations == 3
         config = BalancingConfig(
             beta_iters=np.int64(3), warmup_iters=np.int32(0), shadow_slots=np.int64(2)
         )

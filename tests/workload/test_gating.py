@@ -301,6 +301,31 @@ class TestValidation:
         sim = make_sim(mixer=MATH)
         assert isinstance(sim.mixer, ConstantMixer)
 
+    @pytest.mark.parametrize("field", ["num_groups", "tokens_per_group", "num_layers"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, float("nan"), float("inf"), 0, -1])
+    def test_sizes_are_positive_integers(self, field, value):
+        """A fractional ``tokens_per_group`` drew 2.5 x top-k selections
+        per group, and a fractional ``num_layers`` failed with a
+        ``TypeError``, so every size must be a positive integer."""
+        with pytest.raises(ValueError, match=field):
+            make_sim(**{field: value})
+
+    @pytest.mark.parametrize("draw", ["next_group_counts", "next_loads"])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), 0])
+    def test_per_iteration_tokens_are_positive_integers(self, draw, value):
+        with pytest.raises(ValueError, match="tokens_per_group"):
+            getattr(make_sim(), draw)(tokens_per_group=value)
+
+    def test_numpy_integer_sizes_are_legal(self):
+        """numpy sizes draw the same counts as Python ints."""
+        sizes = dict(num_groups=np.int64(4), tokens_per_group=np.int32(64), num_layers=np.int64(2))
+        numpy_sim, python_sim = make_sim(**sizes), make_sim()
+        np.testing.assert_array_equal(
+            numpy_sim.next_group_counts(tokens_per_group=np.int64(32)),
+            python_sim.next_group_counts(tokens_per_group=32),
+        )
+        np.testing.assert_array_equal(numpy_sim.next_loads()[1], python_sim.next_loads()[1])
+
 
 class TestOneSampler:
     @pytest.mark.parametrize(
